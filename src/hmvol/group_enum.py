@@ -3,12 +3,24 @@
 Matrices A with A.Lam.conj(A)' = Lam (and det A = 1 for the special count)
 are enumerated row by row: a candidate k-th row must have the prescribed
 Hermitian self-pairing Lam_kk, pair to zero against every previously chosen
-row, and the determinant condition is checked on the final row.  Ring
-elements are integer-encoded (x = a + m*b for a + b*eps, coordinates mod
-m = p^N) and all filtering is vectorized; the recursion bottoms out in a
-blocked broadcast over the last two rows, so the innermost work is pure
-numpy.  A full Cartesian sweep over all q^((n+1)^2) matrices is available
-as a cross-check mode for the smallest cases.
+row, and the determinant condition is checked on the final row.  A full
+Cartesian sweep over all q^((n+1)^2) matrices, built on the same form
+matrices, is available as a cross-check mode for the smallest cases.
+
+Rows are stored as real coordinate planes: the row (x_0, ..., x_{w-1}) with
+x_i = a_i + b_i*eps over O/m, m = p^N, is the vector (a_0, b_0, ..., a_{w-1},
+b_{w-1}) with entries in [0, m).  The pairing h(u, v) = sum lam_i u_i
+conj(v_i) and the determinant sum_i cof_i v_i are Z/m-bilinear in these
+coordinates, so fixing v turns either into a (2w, 2) integer form matrix.
+Stacking the forms of many rows v side by side turns a whole block of
+(u, v) checks into one small float32 matmul: candidates are filtered by a
+matvec against each chosen row, and the recursion bottoms out in a blocked
+(B, 2w) @ (2w, 2 nb) product over the last two rows.  For SU the cofactors
+of the last row are linear in the second-to-last, so det - 1 joins the same
+product, (B, 2w+1) @ (2w+1, 4 nb), with a constant column carrying the -1.
+A check holds when every entry of the product is divisible by m, tested as
+H == m*rint(H/m).  That is exact while 2w m^2 < 2^22 (_exact_in_float32),
+which the cap on the candidate row table guarantees.
 
 Work is metered in visited partial assignments (candidate rows examined,
 broadcast cells swept).  Exceeding the budget raises BudgetExceeded, which
@@ -26,6 +38,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .arith import is_prime
+from .lie_form import lattice_diag
 from .quadfield import FieldData, make_field
 from .residue_ring import ResidueRing
 
@@ -33,7 +46,9 @@ DEFAULT_BUDGET = 10**9
 # Hard cap on the size of the candidate row table, independent of the budget;
 # beyond this the table itself does not fit comfortably in memory.
 _MAX_ROW_TABLE = 3 * 10**7
-_CHUNK_CELLS = 1 << 21
+# Cells per block of a sweep.  Small enough that a block's float32 product
+# stays in cache and BLAS runs it on the calling thread.
+_CHUNK_CELLS = 1 << 15
 
 
 class BudgetExceeded(RuntimeError):
@@ -45,13 +60,6 @@ def default_budget() -> int:
     if raw:
         return int(float(raw))
     return DEFAULT_BUDGET
-
-
-def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
-    """Diagonal of the Hermitian form: (1,...,1,-1) for L, (1,...,1,-2) for M."""
-    if lattice not in ("L", "M"):
-        raise ValueError(f"lattice must be 'L' or 'M', got {lattice!r}")
-    return (1,) * n + (-1 if lattice == "L" else -2,)
 
 
 @dataclass
@@ -78,7 +86,7 @@ class _Meter:
 
 
 class _Engine:
-    """Vectorized ring arithmetic on integer-encoded elements mod p^N."""
+    """Z/m-bilinear form matrices over O/p^N for rows stored as coordinate planes."""
 
     def __init__(self, m: int, t: int, nu: int, lam: tuple[int, ...], su: bool):
         self.m = m
@@ -87,94 +95,123 @@ class _Engine:
         self.lam = tuple(l % m for l in lam)
         self.su = su
         self.w = len(lam)
-
-    def decode(self, x):
-        return x % self.m, x // self.m
-
-    def encode(self, a, b):
-        return a % self.m + self.m * (b % self.m)
-
-    def mul_vec(self, x, y):
-        m, t, nu = self.m, self.t, self.nu
-        a1, b1 = x % m, x // m
-        a2, b2 = y % m, y // m
-        bb = b1 * b2
-        return self.encode(a1 * a2 - nu * bb, a1 * b2 + b1 * a2 + t * bb)
+        self.inv_m = np.float32(1 / m)
 
     def selfnorm(self, rows):
-        """Hermitian self-pairing sum(lam_i |v_i|^2), a scalar mod m."""
-        m, t, nu = self.m, self.t, self.nu
+        """Hermitian self-pairing sum(lam_i |v_i|^2) of plane rows (B, 2w), a scalar mod m."""
+        t, nu = self.t, self.nu
         acc = np.zeros(rows.shape[0], dtype=np.int64)
         for i in range(self.w):
-            a, b = rows[:, i] % m, rows[:, i] // m
+            a, b = rows[:, 2 * i].astype(np.int64), rows[:, 2 * i + 1].astype(np.int64)
             acc += self.lam[i] * (a * a + t * a * b + nu * b * b)
-        return acc % m
+        return acc % self.m
 
-    def pair_mask(self, U, V):
-        """Boolean mask of h(u, v) == 0 with broadcasting: U (B, w) against V (L, w)
-        gives (B, L); U (B, w) against a single row v gives (B,)."""
-        m, t, nu = self.m, self.t, self.nu
-        single = V.ndim == 1
-        ha = 0
-        hb = 0
-        for i in range(self.w):
-            au, bu = U[:, i] % m, U[:, i] // m
-            if single:
-                av, bv = int(V[i]) % m, int(V[i]) // m
-            else:
-                av, bv = V[:, i] % m, V[:, i] // m
-                au, bu = au[:, None], bu[:, None]
-                av, bv = av[None, :], bv[None, :]
-            ca, cb = av + t * bv, -bv  # conjugate of v_i, unreduced
-            bb = bu * cb
-            ha = ha + self.lam[i] * (au * ca - nu * bb)
-            hb = hb + self.lam[i] * (au * cb + bu * ca + t * bb)
-        return (ha % m == 0) & (hb % m == 0)
+    def pair_form(self, V):
+        """Form matrices of h(., v) for plane rows V (..., 2w): integer (..., 2w, 2)
+        arrays F with planes(u) @ F = the two coordinates of h(u, v) mod m."""
+        V = V.astype(np.int64)
+        c, d = V[..., 0::2], V[..., 1::2]
+        lam = np.array(self.lam, dtype=np.int64)
+        F = np.empty(V.shape + (2,), dtype=np.int64)
+        # u_i conj(v_i) with conj(c + d eps) = (c + t d) - d eps and eps^2 = t eps - nu
+        F[..., 0::2, 0] = lam * (c + self.t * d)
+        F[..., 0::2, 1] = -lam * d
+        F[..., 1::2, 0] = lam * self.nu * d
+        F[..., 1::2, 1] = lam * c
+        return F % self.m
 
-    def det_stack(self, rows):
-        """Determinant over a list of (B, k) row arrays, expansion along row 0."""
-        k = rows[0].shape[-1]
+    def mul_form(self, V):
+        """Form matrices of x -> sum_i x_i v_i for plane rows V (..., 2w): integer
+        (..., 2w, 2) arrays F with planes(x) @ F = the two coordinates of the sum mod m."""
+        V = V.astype(np.int64)
+        c, d = V[..., 0::2], V[..., 1::2]
+        F = np.empty(V.shape + (2,), dtype=np.int64)
+        F[..., 0::2, 0] = c
+        F[..., 0::2, 1] = d
+        F[..., 1::2, 0] = -self.nu * d
+        F[..., 1::2, 1] = c + self.t * d
+        return F % self.m
+
+    def det(self, rows):
+        """Determinant of the square matrix with plane rows `rows` (each (..., 2k),
+        broadcastable), as planes (..., 2) mod m; expansion along the last row."""
+        cof = self.cofactors(rows[:-1])
+        return np.einsum("...k,...kc->...c", cof, self.mul_form(rows[-1])) % self.m
+
+    def cofactors(self, rows):
+        """Signed cofactors of the last row of a k x k matrix whose first k - 1 rows
+        are `rows` (plane arrays (..., 2k), broadcastable), as planes (..., 2k) mod m:
+        det = sum_j cof_j x_j for every last row x."""
+        k = len(rows) + 1
         if k == 1:
-            return rows[0][..., 0]
-        acc = None
+            return np.array([1 % self.m, 0], dtype=np.int64)
+        parts = []
         for j in range(k):
-            cols = [c for c in range(k) if c != j]
-            minor = self.det_stack([r[..., cols] for r in rows[1:]])
-            term = self.mul_vec(rows[0][..., j], minor)
-            if acc is None:
-                acc = term if j % 2 == 0 else self.encode(-(term % self.m), -(term // self.m))
-            else:
-                ta, tb = term % self.m, term // self.m
-                aa, ab = acc % self.m, acc // self.m
-                acc = self.encode(aa + ta, ab + tb) if j % 2 == 0 else self.encode(aa - ta, ab - tb)
-        return acc
-
-    def last_row_cofactors(self, chosen, Z):
-        """Signed cofactors for expansion of det along the last row, vectorized
-        over Z (B, w): cof[:, j] = (-1)^(w-1+j) * minor_j(chosen..., Z)."""
-        B = Z.shape[0]
-        stack = [np.broadcast_to(r[None, :], (B, self.w)) for r in chosen] + [Z]
-        cols = np.arange(self.w)
-        out = np.empty((B, self.w), dtype=np.int64)
-        for j in range(self.w):
-            keep = cols[cols != j]
-            minor = self.det_stack([r[:, keep] for r in stack])
-            if (self.w - 1 + j) % 2 == 1:
-                minor = self.encode(-(minor % self.m), -(minor // self.m))
-            out[:, j] = minor
-        return out
+            keep = [c for c in range(2 * k) if c // 2 != j]
+            minor = self.det([r[..., keep] for r in rows])
+            parts.append(minor if (k - 1 + j) % 2 == 0 else -minor % self.m)
+        return np.concatenate(parts, axis=-1)
 
 
-def _norm_class(eng: _Engine, rows, norms, value: int):
-    return rows[norms == value % eng.m]
+def _exact_in_float32(w: int, m: int) -> bool:
+    """Whether the float32 kernels are exact for rows of width w over O/m.
+
+    Both operands hold integers in [0, m) (the constant column of the SU check
+    holds 1), so every product entry H sums at most 2w + 1 terms and stays
+    below 2w m^2.  Below 2^22 every partial sum is an exact float32 integer,
+    and the float32 product H * (1/m) lies within 1/(2m) of H/m: rint returns
+    H/m when m divides H, and otherwise m * rint(...) is an exact multiple of m
+    other than H.  So H == m * rint(H / m) holds exactly when m divides H."""
+    return 2 * w * m * m < 2**22
 
 
-def _filter_by_row(eng: _Engine, meter: _Meter, C, z):
+def _stack(forms):
+    """Lay form matrices (nb, K, c) side by side as one float32 (K, c*nb) operand:
+    output coordinate r of cell j lands in column r*nb + j of a product."""
+    K = forms.shape[-2]
+    return np.ascontiguousarray(np.moveaxis(forms, 0, -1).reshape(K, -1), dtype=np.float32)
+
+
+def _divisible(eng: _Engine, H):
+    """Elementwise m | H for a float32 product of plane rows and stacked forms."""
+    T = H * eng.inv_m
+    np.rint(T, out=T)
+    T *= eng.m
+    return T == H
+
+
+def _filter_by_row(eng: _Engine, meter: _Meter, C, form):
+    """Rows c of C with h(c, z) = 0, given form = _stack(pair_form(z[None]))."""
     meter.bump(C.shape[0])
-    return C[eng.pair_mask(C, z)]
+    ok = _divisible(eng, C @ form)
+    return C[ok[:, 0] & ok[:, 1]]
 
 
-def _count_last_two(eng: _Engine, meter: _Meter, chosen, Ca, Cb) -> int:
+def _cofactor_map(eng: _Engine, rows):
+    """For SU, the integer maps K (..., 2w, 2w) with planes(x) @ K = the
+    last-row cofactors of the matrix rows + [x, .]; None for U."""
+    if not eng.su:
+        return None
+    return eng.cofactors(rows + [np.eye(2 * eng.w, dtype=np.int64)])
+
+
+def _last_two_operands(eng: _Engine, cof_map, Ca, Cb):
+    """Operands of the last-stage sweep.  The product left (na, K) @ right
+    (K, c*nb) holds for cell (i, j) the pairing h(Ca_i, Cb_j) and, for SU,
+    det - 1 of chosen + [Ca_i, Cb_j], where cof_map = _cofactor_map(eng,
+    chosen); the cell is a hit iff all c coordinates are divisible by m."""
+    pair = eng.pair_form(Cb)
+    if not eng.su:
+        return Ca, _stack(pair)
+    det = (cof_map @ eng.mul_form(Cb)) % eng.m
+    minus_one = np.zeros((Cb.shape[0], 1, 4), dtype=np.int64)
+    minus_one[..., 2] = -1 % eng.m
+    right = np.concatenate([np.concatenate([pair, det], axis=2), minus_one], axis=1)
+    left = np.hstack([Ca, np.ones((Ca.shape[0], 1), dtype=np.float32)])
+    return left, _stack(right)
+
+
+def _count_last_two(eng: _Engine, meter: _Meter, cof_map, Ca, Cb) -> int:
     na, nb = Ca.shape[0], Cb.shape[0]
     if na == 0 or nb == 0:
         return 0
@@ -182,47 +219,44 @@ def _count_last_two(eng: _Engine, meter: _Meter, chosen, Ca, Cb) -> int:
         raise BudgetExceeded(
             f"enumeration budget exceeded: final sweep needs {na * nb} cells "
             f"on top of {meter.visited} visited (budget {meter.budget})")
-    m = eng.m
-    one = 1 % m
+    left, right = _last_two_operands(eng, cof_map, Ca, Cb)
+    c = right.shape[1] // nb
     block = max(1, _CHUNK_CELLS // max(1, nb))
     total = 0
     for lo in range(0, na, block):
-        blk = Ca[lo:lo + block]
+        blk = left[lo:lo + block]
         meter.bump(blk.shape[0] * nb)
-        mask = eng.pair_mask(blk, Cb)
-        if eng.su:
-            cof = eng.last_row_cofactors(chosen, blk)
-            da = np.zeros((blk.shape[0], nb), dtype=np.int64)
-            db = np.zeros_like(da)
-            for i in range(eng.w):
-                xa, xb = (cof[:, i] % m)[:, None], (cof[:, i] // m)[:, None]
-                ya, yb = (Cb[:, i] % m)[None, :], (Cb[:, i] // m)[None, :]
-                bb = xb * yb
-                da += xa * ya - eng.nu * bb
-                db += xa * yb + xb * ya + eng.t * bb
-            mask &= (da % m == one) & (db % m == 0)
-        total += int(mask.sum())
+        ok = _divisible(eng, blk @ right)
+        total += int(np.count_nonzero(ok.reshape(blk.shape[0], c, nb).all(axis=1)))
     return total
 
 
 def _count_rec(eng: _Engine, meter: _Meter, chosen, cands) -> int:
     if len(cands) == 2:
-        return _count_last_two(eng, meter, chosen, cands[0], cands[1])
+        return _count_last_two(eng, meter, _cofactor_map(eng, chosen), cands[0], cands[1])
     total = 0
     C0, rest = cands[0], cands[1:]
+    # Just above the last stage, one vectorized call gives the cofactor maps
+    # of chosen + [z] for every z.
+    maps = _cofactor_map(eng, chosen + [C0[:, None, :]]) if len(rest) == 2 else None
     for idx in range(C0.shape[0]):
         z = C0[idx]
+        form = _stack(eng.pair_form(z[None]))
         deeper = []
         dead = False
         for Cj in rest:
-            Cf = _filter_by_row(eng, meter, Cj, z)
+            Cf = _filter_by_row(eng, meter, Cj, form)
             if Cf.shape[0] == 0:
                 dead = True
                 break
             deeper.append(Cf)
         if dead:
             continue
-        total += _count_rec(eng, meter, chosen + [z], deeper)
+        if len(deeper) == 2:
+            cof_map = None if maps is None else maps[idx]
+            total += _count_last_two(eng, meter, cof_map, deeper[0], deeper[1])
+        else:
+            total += _count_rec(eng, meter, chosen + [z], deeper)
     return total
 
 
@@ -234,16 +268,19 @@ def _run_task(task):
 
 
 def _build_rows(eng: _Engine, meter: _Meter):
-    q = eng.m * eng.m
-    n_rows = q**eng.w
+    """Every row of (O/m)^w as float32 coordinate planes, in the order of the
+    integer whose base-m digits are (a_0, b_0, a_1, b_1, ...)."""
+    m, k = eng.m, 2 * eng.w
+    n_rows = m**k
     if n_rows > _MAX_ROW_TABLE:
         raise BudgetExceeded(
             f"candidate row table of {n_rows} rows does not fit the enumeration budget")
+    assert _exact_in_float32(eng.w, m), "row table cap no longer keeps float32 exact"
     meter.bump(n_rows)
     idx = np.arange(n_rows, dtype=np.int64)
-    rows = np.empty((n_rows, eng.w), dtype=np.int64)
-    for j in range(eng.w):
-        rows[:, j] = (idx // q**j) % q
+    rows = np.empty((n_rows, k), dtype=np.float32)
+    for j in range(k):
+        rows[:, j] = (idx // m**j) % m
     return rows
 
 
@@ -265,7 +302,7 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
     elif mode == "backtrack":
         rows = _build_rows(eng, meter)
         norms = eng.selfnorm(rows)
-        cands = [_norm_class(eng, rows, norms, eng.lam[k]) for k in range(eng.w)]
+        cands = [rows[norms == eng.lam[k]] for k in range(eng.w)]
         del rows, norms
         if jobs > 1 and cands[0].shape[0] >= 4 * jobs:
             chunks = np.array_split(cands[0], jobs * 4)
@@ -287,46 +324,29 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
 
 def _count_cartesian(eng: _Engine, meter: _Meter) -> int:
     w, m = eng.w, eng.m
-    q = m * m
-    n_mats = q**(w * w)
+    n_mats = m**(2 * w * w)
     if meter.visited + n_mats > meter.budget:
         raise BudgetExceeded(
             f"cartesian sweep over {n_mats} matrices exceeds the budget {meter.budget}")
-    one = 1 % m
     total = 0
     block = max(1, _CHUNK_CELLS // (w * w))
     for lo in range(0, n_mats, block):
         idx = np.arange(lo, min(lo + block, n_mats), dtype=np.int64)
         meter.bump(idx.shape[0])
-        mats = [[(idx // q**(i * w + j)) % q for j in range(w)] for i in range(w)]
-        rows = [np.stack(r, axis=1) for r in mats]
+        rows = [np.stack([(idx // m**(2 * w * i + k)) % m for k in range(2 * w)], axis=1)
+                for i in range(w)]
         ok = np.ones(idx.shape[0], dtype=bool)
         # Hermitian conditions on the upper triangle; the lower follows by symmetry.
         for i in range(w):
             for j in range(i, w):
-                ha, hb = _pair_rows(eng, rows[i], rows[j])
-                want_a = eng.lam[i] if i == j else 0
-                ok &= (ha == want_a) & (hb == 0)
+                h = np.einsum("bk,bkc->bc", rows[i], eng.pair_form(rows[j])) % m
+                want = eng.lam[i] if i == j else 0
+                ok &= (h[:, 0] == want) & (h[:, 1] == 0)
         if eng.su:
-            det = eng.det_stack(rows)
-            ok &= (det % m == one) & (det // m == 0)
+            det = eng.det(rows)
+            ok &= (det[:, 0] == 1 % m) & (det[:, 1] == 0)
         total += int(ok.sum())
     return total
-
-
-def _pair_rows(eng: _Engine, U, V):
-    """Componentwise pairing of matched row arrays (both (B, w)); returns (ha, hb) mod m."""
-    m, t, nu = eng.m, eng.t, eng.nu
-    ha = 0
-    hb = 0
-    for i in range(eng.w):
-        au, bu = U[:, i] % m, U[:, i] // m
-        av, bv = V[:, i] % m, V[:, i] // m
-        ca, cb = av + t * bv, -bv
-        bb = bu * cb
-        ha = ha + eng.lam[i] * (au * ca - nu * bb)
-        hb = hb + eng.lam[i] * (au * cb + bu * ca + t * bb)
-    return ha % m, hb % m
 
 
 _KERNEL_LEVEL = {"L": 2, "M": 4}
@@ -347,8 +367,7 @@ def count_kernel(lattice: str, n: int, level: int | None = None,
     budget = default_budget() if budget is None else budget
     lam = lattice_diag(lattice, n)
     ring = ResidueRing(field, 2, level.bit_length() - 1)
-    eng = _Engine(ring.modulus, ring.trace_eps, ring.norm_eps, lam, su=False)
-    m = eng.m
+    m, t = ring.modulus, ring.trace_eps
     q = m * m
     w = n + 1
     # Free entries: the upper triangle and the first n diagonal entries; the
@@ -359,42 +378,42 @@ def count_kernel(lattice: str, n: int, level: int | None = None,
     if q**n_free > budget:
         raise BudgetExceeded(f"kernel enumeration over {q**n_free} assignments exceeds the budget")
     idx = np.arange(q**n_free, dtype=np.int64)
-    entries = {}
-    for s, pos in enumerate(free):
-        entries[pos] = (idx // q**s) % q
+    # Entries are coordinate-plane pairs (a, b) for a + b*eps, reduced mod m
+    # only where tested: every step is Z-linear, so residues are unaffected,
+    # and the few sums and products of coordinates below 4 stay far inside int16.
+    entries = {pos: (((idx // m**(2 * s)) % m).astype(np.int16),
+                     ((idx // m**(2 * s + 1)) % m).astype(np.int16))
+               for s, pos in enumerate(free)}
 
     def conj(x):
-        return eng.encode(x % m + eng.t * (x // m), -(x // m))
-
-    def neg(x):
-        return eng.encode(-(x % m), -(x // m))
+        return x[0] + t * x[1], -x[1]
 
     def add(x, y):
-        return eng.encode(x % m + y % m, x // m + y // m)
+        return x[0] + y[0], x[1] + y[1]
 
     def smul(c, x):
-        return eng.encode(c * (x % m), c * (x // m))
+        return c * x[0], c * x[1]
+
+    def is_zero(x):
+        return (x[0] % m == 0) & (x[1] % m == 0)
 
     for i in range(w):
         for j in range(i + 1, w):
             # the (i, j) equation forces b_ji = -conj(lam_j b_ij), using lam_i = 1 for i < j
-            entries[(j, i)] = neg(conj(smul(lam[j], entries[(i, j)])))
+            entries[(j, i)] = smul(-1, conj(smul(lam[j], entries[(i, j)])))
     acc = entries[(0, 0)]
     for i in range(1, n):
         acc = add(acc, entries[(i, i)])
-    entries[(w - 1, w - 1)] = neg(acc)
+    entries[(w - 1, w - 1)] = smul(-1, acc)
     ok = np.ones(idx.shape[0], dtype=bool)
     # Verify the full system -B.Lam = Lam.conj(B)' and Tr B = 0.
     for i in range(w):
         for j in range(w):
-            lhs = smul(lam[j], entries[(i, j)])
-            rhs = smul(lam[i], conj(entries[(j, i)]))
-            s = add(lhs, rhs)
-            ok &= (s % m == 0) & (s // m == 0)
+            ok &= is_zero(add(smul(lam[j], entries[(i, j)]), smul(lam[i], conj(entries[(j, i)]))))
     tr = entries[(0, 0)]
     for i in range(1, w):
         tr = add(tr, entries[(i, i)])
-    ok &= (tr % m == 0) & (tr // m == 0)
+    ok &= is_zero(tr)
     return int(ok.sum())
 
 

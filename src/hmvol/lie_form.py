@@ -76,6 +76,7 @@ def _trace(A) -> Quad:
 
 
 def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
+    """Diagonal of the Hermitian form: (1,...,1,-1) for L, (1,...,1,-2) for M."""
     if lattice not in ("L", "M"):
         raise ValueError(f"lattice must be 'L' or 'M', got {lattice!r}")
     return (1,) * n + (-1 if lattice == "L" else -2,)

@@ -2,9 +2,11 @@
 over them: Galois conjugation, norms, Hermitian pairings, determinants.
 
 Elements are stored reduced on the basis (1, eps) with both coordinates in
-Z/p^N, so equality is plain tuple equality.  This is the object-level API;
-the bulk enumeration in :mod:`hmvol.group_enum` uses integer-encoded numpy
-arrays with the same arithmetic.
+Z/p^N, so equality is plain tuple equality.  This is the object-level API
+and the scalar reference for the bulk enumeration in :mod:`hmvol.group_enum`,
+which stores rows as coordinate planes (a_0, b_0, a_1, b_1, ...) and checks
+pairings and determinants as float32 matmuls against Z/m-bilinear form
+matrices, exact while 2w m^2 < 2^22.
 """
 
 from __future__ import annotations

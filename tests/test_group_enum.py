@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmvol.group_enum import (BudgetExceeded, _Engine, _Meter, _count_rec, count_group,
-                              count_kernel, default_budget, lattice_diag, oracle_tau_p,
+from hmvol.group_enum import (BudgetExceeded, _Engine, _Meter, _MAX_ROW_TABLE, _cofactor_map,
+                              _count_last_two, _count_rec, _divisible, _exact_in_float32,
+                              _filter_by_row, _last_two_operands, _stack, count_group,
+                              count_kernel, default_budget, oracle_tau_p,
                               stabilization_check, DEFAULT_BUDGET)
+from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
 from hmvol.quadfield import make_field
-from hmvol.residue_ring import ResidueRing
+from hmvol.residue_ring import ResidueRing, RingMatrix
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
@@ -62,13 +67,79 @@ def test_count_invariant_under_form_permutation():
     eng_rev = _Engine(r.modulus, r.trace_eps, r.norm_eps, (-1, 1), su=True)
     counts = []
     for eng in (eng_fwd, eng_rev):
-        q = r.modulus**2
-        idx = np.arange(q**2, dtype=np.int64)
-        rows = np.stack([idx % q, idx // q], axis=1)
+        m = r.modulus
+        idx = np.arange(m**4, dtype=np.int64)
+        rows = np.stack([(idx // m**k) % m for k in range(4)], axis=1).astype(np.float32)
         norms = eng.selfnorm(rows)
         cands = [rows[norms == eng.lam[k]] for k in range(2)]
         counts.append(_count_rec(eng, _Meter(10**9), [], cands))
     assert counts[0] == counts[1] == 120
+
+
+# m = p^N -> (p, N) for the moduli the kernels are checked over
+_MODULI = {2: (2, 1), 4: (2, 2), 8: (2, 3), 32: (2, 5), 3: (3, 1), 9: (3, 2),
+           25: (5, 2), 5: (5, 1), 7: (7, 1), 49: (7, 2)}
+
+
+@st.composite
+def _kernel_cases(draw):
+    m = draw(st.sampled_from(sorted(_MODULI)))
+    p, N = _MODULI[m]
+    R = ResidueRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N)
+    w = draw(st.integers(2, 4))
+    lam = tuple(draw(st.lists(st.integers(-3, 3), min_size=w, max_size=w)))
+    coord = st.integers(0, m - 1)
+    planes = draw(st.lists(st.lists(coord, min_size=2 * w, max_size=2 * w),
+                           min_size=w, max_size=w))
+    return R, lam, np.array(planes, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+def test_plane_kernels_match_scalar_reference(case):
+    # rows are a random prefix followed by u and v
+    R, lam, planes = case
+    w = len(lam)
+    A = [[R.element(int(r[2 * i]), int(r[2 * i + 1])) for i in range(w)] for r in planes]
+    u, v = A[-2], A[-1]
+    h = R.zero()
+    for i in range(w):
+        h = R.add(h, R.mul(R.scalar(lam[i]), R.mul(u[i], R.conj(v[i]))))
+    det = RingMatrix(R, A).det()
+    pair_zero, det_one = h == R.zero(), det == R.one()
+    rows = planes.astype(np.float32)
+    for su in (False, True):
+        eng = _Engine(R.modulus, R.trace_eps, R.norm_eps, lam, su)
+        # the integer forms reproduce the scalar values exactly
+        assert tuple(planes[-2] @ eng.pair_form(planes[-1]) % R.modulus) == h
+        assert tuple(eng.det(list(planes))) == det
+        # the float32 kernels reproduce the verdicts
+        kept = _filter_by_row(eng, _Meter(10), rows[-2:-1], _stack(eng.pair_form(rows[-1:])))
+        assert (kept.shape[0] == 1) == pair_zero
+        cof_map = _cofactor_map(eng, list(rows[:-2]))
+        left, right = _last_two_operands(eng, cof_map, rows[-2:-1], rows[-1:])
+        ok = _divisible(eng, left @ right)[0]
+        assert bool(ok[:2].all()) == pair_zero
+        if su:
+            assert bool(ok[2:].all()) == det_one
+        hit = pair_zero and (det_one or not su)
+        assert _count_last_two(eng, _Meter(10), cof_map, rows[-2:-1], rows[-1:]) == hit
+
+
+@pytest.mark.parametrize("w", [2, 3, 4, 5])
+def test_row_table_cap_keeps_float32_exact(w):
+    m = 2
+    while (m + 1) ** (2 * w) <= _MAX_ROW_TABLE:
+        m += 1
+    assert _exact_in_float32(w, m), (w, m)
+    assert not _exact_in_float32(w, 2**11)
+
+
+def test_divisibility_test_exact_below_bound():
+    H = np.arange(2**22, dtype=np.float32)
+    for m in _MODULI:
+        eng = _Engine(m, 0, 0, (1, 1), su=False)
+        assert np.array_equal(_divisible(eng, H), np.arange(2**22) % m == 0), m
 
 
 def test_parallel_matches_serial():
