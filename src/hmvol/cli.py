@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -24,7 +23,8 @@ from .local_density import tau_p
 from .quadfield import make_field
 from .residue_ring import ResidueRing
 from .special_values import exact_numeric, l_exact, l_numeric, zeta_exact, zeta_numeric
-from .volume import (Verdict, evaluate_numeric, hm_assembled, hm_table, rationalize)
+from .volume import (Verdict, compare_pipelines, evaluate_numeric, hm_assembled, hm_table,
+                     rationalize)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -55,31 +55,20 @@ def _field_or_none(d: int):
         return None
 
 
-def _jobs() -> int:
-    return min(8, os.cpu_count() or 1)
-
-
 def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
     """One OutputRecord; with pipeline "both" the verdict compares the table
     transcription against the authoritative assembly."""
-    assembled = hm_assembled(lattice, n, field)
-    row = hm_table(lattice, n, field)
     if pipeline == "table":
-        expr, provenance = row.expr, "table"
+        expr = hm_table(lattice, n, field).expr
     else:
-        expr, provenance = assembled, pipeline
-    value = rationalize(expr, field)
-    numeric, _bound = evaluate_numeric(expr, field, mpf(tol))
+        expr = hm_assembled(lattice, n, field)
     verdict = None
     if pipeline == "both":
-        tv = rationalize(row.expr, field)
-        av = rationalize(assembled, field)
-        if row.ambiguous:
-            verdict = Verdict.TABLE_AMBIGUOUS
-        elif tv == av:
-            verdict = Verdict.MATCH
-        else:
-            verdict = Verdict.MISMATCH
+        case = compare_pipelines(lattice, n, field)
+        value, verdict = case.assembled_value, case.verdict
+    else:
+        value = rationalize(expr, field)
+    numeric, _bound = evaluate_numeric(expr, field, mpf(tol))
     return {
         "lattice": lattice,
         "n": n,
@@ -91,7 +80,7 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
         "d_power": _rat_str(expr.d_power),
         "zeta_args": list(expr.zeta_args),
         "l_args": list(expr.l_args),
-        "provenance": provenance,
+        "provenance": pipeline,
         "verdict": verdict.value if verdict else None,
     }
 
@@ -203,7 +192,7 @@ def _cmd_verify(args) -> int:
         if args.oracle == "stabilization":
             level = args.level or 1
             ok = stabilization_check(args.lattice, args.n, field, args.p, level,
-                                     budget=budget, jobs=_jobs())
+                                     budget=budget)
             print(f"stabilization ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, "
                   f"N={level} -> {level + 1}): {'holds' if ok else 'FAILS'}")
             return EXIT_OK if ok else EXIT_MISMATCH
@@ -215,7 +204,7 @@ def _cmd_verify(args) -> int:
                              EXIT_INVALID)
             level = args.level or 1
             rep = count_group(args.lattice, args.n, ResidueRing(field, args.p, level),
-                              "SU", budget=budget, jobs=_jobs())
+                              "SU", budget=budget)
             formula = tau_p(args.lattice, args.n, field, args.p).value * args.p ** (level * dim)
             if formula.denominator != 1:
                 return _fail("formula count is not integral at this level", EXIT_INVALID)
@@ -223,8 +212,7 @@ def _cmd_verify(args) -> int:
                 f"#SU ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, N={level})",
                 rep.count, formula.numerator)
         if args.oracle == "tau-p":
-            got = oracle_tau_p(args.lattice, args.n, field, args.p,
-                               budget=budget, jobs=_jobs())
+            got = oracle_tau_p(args.lattice, args.n, field, args.p, budget=budget)
             want = tau_p(args.lattice, args.n, field, args.p).value
             return _verdict_lines(
                 f"tau_p ({args.lattice}, n={args.n}, d={field.d}, p={args.p})",

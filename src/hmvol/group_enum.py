@@ -18,6 +18,10 @@ matvec against each chosen row, and the recursion bottoms out in a blocked
 (B, 2w) @ (2w, 2 nb) product over the last two rows.  For SU the cofactors
 of the last row are linear in the second-to-last, so det - 1 joins the same
 product, (B, 2w+1) @ (2w+1, 4 nb), with a constant column carrying the -1.
+Forms are built per norm class, not per prefix: each level builds the pair
+forms of its first class in one call, and the forms of the whole last class
+are built once per count, already side by side; filtered rows of the last
+class carry their indices into it, and the last stage gathers their columns.
 A check holds when every entry of the product is divisible by m, tested as
 H == m*rint(H/m).  That is exact while 2w m^2 < 2^22 (_exact_in_float32),
 which the cap on the candidate row table guarantees.
@@ -33,7 +37,6 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -165,13 +168,6 @@ def _exact_in_float32(w: int, m: int) -> bool:
     return 2 * w * m * m < 2**22
 
 
-def _stack(forms):
-    """Lay form matrices (nb, K, c) side by side as one float32 (K, c*nb) operand:
-    output coordinate r of cell j lands in column r*nb + j of a product."""
-    K = forms.shape[-2]
-    return np.ascontiguousarray(np.moveaxis(forms, 0, -1).reshape(K, -1), dtype=np.float32)
-
-
 def _divisible(eng: _Engine, H):
     """Elementwise m | H for a float32 product of plane rows and stacked forms."""
     T = H * eng.inv_m
@@ -181,10 +177,11 @@ def _divisible(eng: _Engine, H):
 
 
 def _filter_by_row(eng: _Engine, meter: _Meter, C, form):
-    """Rows c of C with h(c, z) = 0, given form = _stack(pair_form(z[None]))."""
+    """Mask of the rows c of C with h(c, z) = 0, given the float32 pair form
+    matrix form = pair_form(z) of one row z."""
     meter.bump(C.shape[0])
     ok = _divisible(eng, C @ form)
-    return C[ok[:, 0] & ok[:, 1]]
+    return ok[:, 0] & ok[:, 1]
 
 
 def _cofactor_map(eng: _Engine, rows):
@@ -195,31 +192,44 @@ def _cofactor_map(eng: _Engine, rows):
     return eng.cofactors(rows + [np.eye(2 * eng.w, dtype=np.int64)])
 
 
-def _last_two_operands(eng: _Engine, cof_map, Ca, Cb):
-    """Operands of the last-stage sweep.  The product left (na, K) @ right
-    (K, c*nb) holds for cell (i, j) the pairing h(Ca_i, Cb_j) and, for SU,
-    det - 1 of chosen + [Ca_i, Cb_j], where cof_map = _cofactor_map(eng,
-    chosen); the cell is a hit iff all c coordinates are divisible by m."""
-    pair = eng.pair_form(Cb)
+def _last_forms(eng: _Engine, C):
+    """What the last stage needs of rows C (B, 2w): the pair forms and, for SU,
+    the mul forms, laid side by side as float32 (2w, c, B) with c = 2 resp. 4.
+    Reshaped to (2w, c*B), this is a product operand whose column r*B + j gives
+    output coordinate r of row j."""
+    forms = eng.pair_form(C)
+    if eng.su:
+        forms = np.concatenate([forms, eng.mul_form(C)], axis=2)
+    return np.moveaxis(forms, 0, -1).astype(np.float32)
+
+
+def _last_two_operands(eng: _Engine, cof_map, Ca, forms):
+    """Operands of the last-stage sweep over rows Ca and the rows Cb whose
+    _last_forms are `forms`.  The product left (na, K) @ right (K, c*nb) holds
+    for cell (i, j) the pairing h(Ca_i, Cb_j) and, for SU, det - 1 of chosen +
+    [Ca_i, Cb_j], where cof_map = _cofactor_map(eng, chosen); the cell is a hit
+    iff all c coordinates are divisible by m."""
+    K, _, nb = forms.shape
     if not eng.su:
-        return Ca, _stack(pair)
-    det = (cof_map @ eng.mul_form(Cb)) % eng.m
-    minus_one = np.zeros((Cb.shape[0], 1, 4), dtype=np.int64)
-    minus_one[..., 2] = -1 % eng.m
-    right = np.concatenate([np.concatenate([pair, det], axis=2), minus_one], axis=1)
+        return Ca, forms.reshape(K, -1)
+    right = np.zeros((K + 1, 4, nb), dtype=np.float32)
+    right[:K, :2] = forms[:, :2]
+    # the mul forms of the cells' last rows composed with their cofactors
+    right[:K, 2:] = (cof_map @ forms[:, 2:].reshape(K, -1) % eng.m).reshape(K, 2, nb)
+    right[K, 2] = -1 % eng.m
     left = np.hstack([Ca, np.ones((Ca.shape[0], 1), dtype=np.float32)])
-    return left, _stack(right)
+    return left, right.reshape(K + 1, -1)
 
 
-def _count_last_two(eng: _Engine, meter: _Meter, cof_map, Ca, Cb) -> int:
-    na, nb = Ca.shape[0], Cb.shape[0]
+def _count_last_two(eng: _Engine, meter: _Meter, cof_map, Ca, forms) -> int:
+    na, nb = Ca.shape[0], forms.shape[-1]
     if na == 0 or nb == 0:
         return 0
     if meter.visited + na * nb > meter.budget:
         raise BudgetExceeded(
             f"enumeration budget exceeded: final sweep needs {na * nb} cells "
             f"on top of {meter.visited} visited (budget {meter.budget})")
-    left, right = _last_two_operands(eng, cof_map, Ca, Cb)
+    left, right = _last_two_operands(eng, cof_map, Ca, forms)
     c = right.shape[1] // nb
     block = max(1, _CHUNK_CELLS // max(1, nb))
     total = 0
@@ -231,40 +241,33 @@ def _count_last_two(eng: _Engine, meter: _Meter, cof_map, Ca, Cb) -> int:
     return total
 
 
-def _count_rec(eng: _Engine, meter: _Meter, chosen, cands) -> int:
+def _count_rec(eng: _Engine, meter: _Meter, last, chosen, cands, ib) -> int:
+    """Completions of `chosen` by one row from each class in `cands`.  The last
+    class's forms `last` (_last_forms of the whole class) are built once per
+    count; ib holds the indices of the rows of cands[-1] into that class."""
     if len(cands) == 2:
-        return _count_last_two(eng, meter, _cofactor_map(eng, chosen), cands[0], cands[1])
+        return _count_last_two(eng, meter, _cofactor_map(eng, chosen), cands[0], last[..., ib])
     total = 0
     C0, rest = cands[0], cands[1:]
-    # Just above the last stage, one vectorized call gives the cofactor maps
-    # of chosen + [z] for every z.
+    # One vectorized call gives the pair form of every z in C0 and, just above
+    # the last stage, the cofactor maps of chosen + [z].
+    zforms = eng.pair_form(C0).astype(np.float32)
     maps = _cofactor_map(eng, chosen + [C0[:, None, :]]) if len(rest) == 2 else None
     for idx in range(C0.shape[0]):
-        z = C0[idx]
-        form = _stack(eng.pair_form(z[None]))
         deeper = []
-        dead = False
         for Cj in rest:
-            Cf = _filter_by_row(eng, meter, Cj, form)
-            if Cf.shape[0] == 0:
-                dead = True
+            keep = _filter_by_row(eng, meter, Cj, zforms[idx])
+            if not keep.any():
                 break
-            deeper.append(Cf)
-        if dead:
-            continue
-        if len(deeper) == 2:
-            cof_map = None if maps is None else maps[idx]
-            total += _count_last_two(eng, meter, cof_map, deeper[0], deeper[1])
+            deeper.append(Cj[keep])
         else:
-            total += _count_rec(eng, meter, chosen + [z], deeper)
+            ib_kept = ib[keep]
+            if len(deeper) == 2:
+                cof_map = None if maps is None else maps[idx]
+                total += _count_last_two(eng, meter, cof_map, deeper[0], last[..., ib_kept])
+            else:
+                total += _count_rec(eng, meter, last, chosen + [C0[idx]], deeper, ib_kept)
     return total
-
-
-def _run_task(task):
-    eng = _Engine(task["m"], task["t"], task["nu"], task["lam"], task["su"])
-    meter = _Meter(task["budget"])
-    count = _count_rec(eng, meter, [], task["cands"])
-    return count, meter.visited
 
 
 def _build_rows(eng: _Engine, meter: _Meter):
@@ -285,8 +288,7 @@ def _build_rows(eng: _Engine, meter: _Meter):
 
 
 def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
-                mode: str = "backtrack", budget: int | None = None,
-                jobs: int = 1) -> CountReport:
+                mode: str = "backtrack", budget: int | None = None) -> CountReport:
     """Exact order of U/SU(Lam, O_K/p^N O_K) for Lam = diag(1,...,1,-1) or (1,...,1,-2)."""
     if group not in ("U", "SU"):
         raise ValueError(f"group must be 'U' or 'SU', got {group!r}")
@@ -304,18 +306,8 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
         norms = eng.selfnorm(rows)
         cands = [rows[norms == eng.lam[k]] for k in range(eng.w)]
         del rows, norms
-        if jobs > 1 and cands[0].shape[0] >= 4 * jobs:
-            chunks = np.array_split(cands[0], jobs * 4)
-            share = (budget - meter.visited) // len(chunks) + 1
-            tasks = [{"m": eng.m, "t": eng.t, "nu": eng.nu, "lam": lam, "su": eng.su,
-                      "budget": share, "cands": [c] + cands[1:]} for c in chunks]
-            with Pool(jobs) as pool:
-                results = pool.map(_run_task, tasks)
-            count = sum(c for c, _ in results)
-            for _, v in results:
-                meter.bump(v)
-        else:
-            count = _count_rec(eng, meter, [], cands)
+        count = _count_rec(eng, meter, _last_forms(eng, cands[-1]), [], cands,
+                           np.arange(cands[-1].shape[0]))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return CountReport(ring=ring, lattice=lattice, n=n, group=group, count=count,
@@ -418,7 +410,7 @@ def count_kernel(lattice: str, n: int, level: int | None = None,
 
 
 def oracle_tau_p(lattice: str, n: int, field: FieldData, p: int,
-                 budget: int | None = None, jobs: int = 1) -> Fraction:
+                 budget: int | None = None) -> Fraction:
     """Local density from raw counts: #SU(O/pO)/p^dim for odd p; at p = 2 the
     kernel-corrected count #SU(O/2^3)/(2^(2 dim) ker) for L and
     #SU(O/2^5)/(2^(3 dim) ker) for M, with the kernel of the last certified
@@ -427,23 +419,23 @@ def oracle_tau_p(lattice: str, n: int, field: FieldData, p: int,
         raise ValueError(f"{p} is not prime")
     dim = (n + 1) ** 2 - 1
     if p != 2:
-        rep = count_group(lattice, n, ResidueRing(field, p, 1), "SU", budget=budget, jobs=jobs)
+        rep = count_group(lattice, n, ResidueRing(field, p, 1), "SU", budget=budget)
         return Fraction(rep.count, p**dim)
     if lattice == "L":
-        rep = count_group(lattice, n, ResidueRing(field, 2, 3), "SU", budget=budget, jobs=jobs)
+        rep = count_group(lattice, n, ResidueRing(field, 2, 3), "SU", budget=budget)
         ker = count_kernel("L", n, level=2, field=field, budget=budget)
         return Fraction(rep.count, 2**(2 * dim) * ker)
-    rep = count_group(lattice, n, ResidueRing(field, 2, 5), "SU", budget=budget, jobs=jobs)
+    rep = count_group(lattice, n, ResidueRing(field, 2, 5), "SU", budget=budget)
     ker = count_kernel("M", n, level=4, field=field, budget=budget)
     return Fraction(rep.count, 2**(3 * dim) * ker)
 
 
 def stabilization_check(lattice: str, n: int, field: FieldData, p: int,
-                        level: int = 1, budget: int | None = None, jobs: int = 1) -> bool:
+                        level: int = 1, budget: int | None = None) -> bool:
     """True iff #U(O/p^(level+1)) = p^((n+1)^2) #U(O/p^level), the Hensel-driven
     stabilization that turns the local density into a finite computation."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    lo = count_group(lattice, n, ResidueRing(field, p, level), "U", budget=budget, jobs=jobs)
-    hi = count_group(lattice, n, ResidueRing(field, p, level + 1), "U", budget=budget, jobs=jobs)
+    lo = count_group(lattice, n, ResidueRing(field, p, level), "U", budget=budget)
+    hi = count_group(lattice, n, ResidueRing(field, p, level + 1), "U", budget=budget)
     return hi.count == p**((n + 1) ** 2) * lo.count

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import NamedTuple, Optional
 
@@ -64,6 +65,12 @@ def _em_tail_bound(s: int, base: mpf) -> mpf:
             / ((2 * mp.pi) ** (2 * J + 1) * (s + 2 * J)) * base ** (-s - 2 * J))
 
 
+def _check_tol(tol) -> None:
+    """Reject a tolerance that no truncation can meet (<= 0) or that is not a number."""
+    if not (mp.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+
+
 def _em_cutoff(s: int, tol) -> int:
     J = _EM_TERMS
     c = 2.5 * _rising(s, 2 * J + 1) / (float(2 * mp.pi) ** (2 * J + 1) * (s + 2 * J))
@@ -96,6 +103,7 @@ def hurwitz_numeric(s: int, a, tol) -> tuple[mpf, mpf]:
 
 def zeta_numeric(s: int, tol=mpf("1e-12")) -> SpecialValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin, remainder <= tol."""
+    _check_tol(tol)
     v, bound = hurwitz_numeric(s, 1, tol)
     exact = zeta_exact(s) if s % 2 == 0 else None
     return SpecialValue(kind="zeta", argument=s, numeric=v, error_bound=bound, exact=exact)
@@ -119,6 +127,7 @@ def l_numeric(k: int, field: FieldData, tol=mpf("1e-12"), method: str = "hurwitz
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    _check_tol(tol)
     f = field.f
     with mp.workdps(WORK_DPS):
         if method == "hurwitz":
@@ -161,6 +170,10 @@ def l_exact(k: int, field: FieldData) -> ExactForm:
     if k < 3 or k % 2 == 0:
         raise ValueError("closed form used for odd arguments >= 3 only")
     _pin_l_exact()
+    return _l_closed_form(k, field)
+
+
+def _l_closed_form(k: int, field: FieldData) -> ExactForm:
     coeff = (Fraction((-1) ** ((k + 1) // 2)) * 2 ** (k - 1)
              * gen_bernoulli(k, field) / factorial(k))
     return ExactForm(coeff=coeff, pi_power=k, d_sqrt_power=1 - 2 * k)
@@ -174,29 +187,20 @@ def exact_numeric(form: ExactForm, field: Optional[FieldData] = None) -> mpf:
         return v
 
 
-_L_EXACT_PINNED = False
-
-
-def _pin_l_exact():
+@cache
+def _pin_l_exact() -> None:
     """One-time self-test of the L closed form against the numeric evaluator.
 
     A failure here is fatal by design: it would mean the functional-equation
-    constant is wrong, and nothing downstream may use the closed form.
+    constant is wrong, and nothing downstream may use the closed form.  Only a
+    pin that passes is cached, so a failed one is run again on the next use.
     """
-    global _L_EXACT_PINNED
-    if _L_EXACT_PINNED:
-        return
-    _L_EXACT_PINNED = True  # set first: l_exact below re-enters this check
-    try:
-        for k in (3, 5):
-            for d in (1, 3, 7):
-                fld = make_field(d)
-                closed = exact_numeric(l_exact(k, fld), fld)
-                sv = l_numeric(k, fld, tol=mpf("1e-14"))
-                if abs(closed - sv.numeric) > mpf("1e-10"):
-                    raise AssertionError(
-                        f"L({k}, chi of d={d}): closed form {closed} disagrees with "
-                        f"numeric oracle {sv.numeric}")
-    except BaseException:
-        _L_EXACT_PINNED = False
-        raise
+    for k in (3, 5):
+        for d in (1, 3, 7):
+            fld = make_field(d)
+            closed = exact_numeric(_l_closed_form(k, fld), fld)
+            sv = l_numeric(k, fld, tol=mpf("1e-14"))
+            if abs(closed - sv.numeric) > mpf("1e-10"):
+                raise AssertionError(
+                    f"L({k}, chi of d={d}): closed form {closed} disagrees with "
+                    f"numeric oracle {sv.numeric}")

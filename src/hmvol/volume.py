@@ -179,25 +179,25 @@ def evaluate_numeric(expr: VolumeExpression, field: FieldData, tol=mpf("1e-12"))
         return value, abs(value) * rel * 2
 
 
+def compare_pipelines(lattice: str, n: int, field: FieldData) -> DiscrepancyReport:
+    """Exact table-vs-assembly comparison of one case.  The assembly is
+    authoritative; an ambiguous table row is never reported as a Mismatch."""
+    row = hm_table(lattice, n, field)
+    tv = rationalize(row.expr, field)
+    av = rationalize(hm_assembled(lattice, n, field), field)
+    if row.ambiguous:
+        verdict = Verdict.TABLE_AMBIGUOUS
+    elif tv == av:
+        verdict = Verdict.MATCH
+    else:
+        verdict = Verdict.MISMATCH
+    return DiscrepancyReport(lattice=lattice, n=n, d=field.d, table_value=tv,
+                             assembled_value=av, verdict=verdict)
+
+
 def discrepancy_report(n_max: int, d_list, lattices=("L", "M")) -> list[DiscrepancyReport]:
-    """Exact table-vs-assembly comparison over the grid; a Mismatch on an
-    unambiguous row is a hard failure for the caller."""
-    if n_max > 8:
-        raise ValueError("n_max is capped at 8")
-    out = []
-    for lattice in lattices:
-        for n in range(1, n_max + 1):
-            for d in d_list:
-                field = make_field(d)
-                row = hm_table(lattice, n, field)
-                tv = rationalize(row.expr, field)
-                av = rationalize(hm_assembled(lattice, n, field), field)
-                if row.ambiguous:
-                    verdict = Verdict.TABLE_AMBIGUOUS
-                elif tv == av:
-                    verdict = Verdict.MATCH
-                else:
-                    verdict = Verdict.MISMATCH
-                out.append(DiscrepancyReport(lattice=lattice, n=n, d=d, table_value=tv,
-                                             assembled_value=av, verdict=verdict))
-    return out
+    """compare_pipelines over the grid; a Mismatch on an unambiguous row is a
+    hard failure for the caller."""
+    fields = [make_field(d) for d in d_list]
+    return [compare_pipelines(lattice, n, field)
+            for lattice in lattices for n in range(1, n_max + 1) for field in fields]

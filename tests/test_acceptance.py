@@ -4,7 +4,6 @@ arithmetic except the special-value comparisons, whose tolerances are pinned
 in the assertions.
 """
 
-import os
 import time
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from hmvol.special_values import exact_numeric, l_exact, l_numeric, zeta_exact, 
 from hmvol.volume import (Verdict, discrepancy_report, hm_assembled, hm_ratio, rationalize)
 
 GRID_D = (1, 3, 5, 7, 11, 13, 15)
-JOBS = min(8, os.cpu_count() or 1)
 
 
 def _report(num, ok, msg):
@@ -35,7 +33,7 @@ def test_criterion_1_oracle_conformance_odd_p():
         for d in (1, 3, 5, 7):
             field = make_field(d)
             for p in (3, 5, 7, 11):
-                rep = count_group(lattice, 1, ResidueRing(field, p, 1), "SU", jobs=1)
+                rep = count_group(lattice, 1, ResidueRing(field, p, 1), "SU")
                 formula = tau_p(lattice, 1, field, p).value * p**dim
                 assert formula.denominator == 1
                 assert rep.count == formula.numerator, (lattice, d, p)
@@ -54,8 +52,8 @@ def test_criterion_1_oracle_conformance_odd_p():
 def test_criterion_2_oracle_conformance_n2():
     t0 = time.monotonic()
     field = make_field(3)
-    c3 = count_group("L", 2, ResidueRing(field, 3, 1), "SU", jobs=JOBS).count
-    c5 = count_group("L", 2, ResidueRing(field, 5, 1), "SU", jobs=JOBS).count
+    c3 = count_group("L", 2, ResidueRing(field, 3, 1), "SU").count
+    c5 = count_group("L", 2, ResidueRing(field, 5, 1), "SU").count
     elapsed = time.monotonic() - t0
     assert c3 == Fraction(8, 9) * 3**8 == 5832
     assert c5 == Fraction(3024, 3125) * 5**8 == 378000
@@ -98,10 +96,10 @@ def test_criterion_5_stabilization():
     for p in (3, 5):
         for d in (3, 7):
             field = make_field(d)
-            lo = count_group("L", 1, ResidueRing(field, p, 1), "U", jobs=JOBS).count
-            hi = count_group("L", 1, ResidueRing(field, p, 2), "U", jobs=JOBS).count
+            lo = count_group("L", 1, ResidueRing(field, p, 1), "U").count
+            hi = count_group("L", 1, ResidueRing(field, p, 2), "U").count
             assert hi == p**4 * lo, (p, d)
-            assert stabilization_check("L", 1, field, p, 1, jobs=JOBS)
+            assert stabilization_check("L", 1, field, p, 1)
     _report(5, True, "#U(O/p^2) = p^4 #U(O/p) exactly for p in {3,5}, d in {3,7}")
 
 

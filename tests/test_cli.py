@@ -2,7 +2,11 @@ import csv
 import json
 from fractions import Fraction
 
+import pytest
+
+from hmvol import special_values
 from hmvol.cli import main
+from hmvol.volume import discrepancy_report
 
 
 def run(capsys, *argv):
@@ -64,6 +68,16 @@ def test_table_csv_schema_and_rows(tmp_path, capsys):
     assert all(r[8] in ("match", "table-ambiguous") for r in rows[1:])
 
 
+def test_table_verdicts_equal_discrepancy_report(capsys):
+    code, out, _ = run(capsys, "table", "--lattice", "both", "--n-range", "1..4",
+                       "--d-list", "1,3,5,7", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert [(r[0], int(r[1]), int(r[2]), Fraction(r[4]), r[8]) for r in rows] == \
+        [(c.lattice, c.n, c.d, c.assembled_value, c.verdict.value)
+         for c in discrepancy_report(4, [1, 3, 5, 7])]
+
+
 def test_table_rejects_unwritable_path(capsys):
     code, _, err = run(capsys, "table", "--lattice", "L", "--n-range", "1..2",
                        "--d-list", "3", "--format", "csv",
@@ -110,6 +124,16 @@ def test_verify_budget_exceeded_is_exit_four(capsys):
     assert code == 4 and "budget" in err.lower()
 
 
+def test_verify_budget_of_exactly_the_node_total_suffices(capsys):
+    # 65220625 nodes: L, n = 2, SU over O/5
+    argv = ["verify", "--oracle", "su-count", "--lattice", "L", "--n", "2", "--d", "3",
+            "--p", "5", "--budget"]
+    code, out, _ = run(capsys, *argv, "65220625")
+    assert code == 0 and "oracle 378000" in out and "Match" in out
+    code, _, err = run(capsys, *argv, "65220624")
+    assert code == 4 and "65220624" in err
+
+
 def test_verify_missing_p(capsys):
     assert run(capsys, "verify", "--oracle", "su-count", "--lattice", "L",
                "--n", "1", "--d", "3")[0] == 2
@@ -143,3 +167,22 @@ def test_csv_stdout_is_pure(capsys):
                     "--format", "csv")
     rows = list(csv.reader(out.splitlines()))
     assert rows[0][0] == "lattice" and rows[1][4] == "1/6"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["lvalue", "--kind", "zeta", "--k", "3"],
+    ["lvalue", "--kind", "L", "--k", "3", "--d", "3"],
+    ["compute", "--lattice", "L", "--n", "2", "--d", "3"],
+    ["table", "--lattice", "L", "--n-range", "1..2", "--d-list", "3", "--format", "csv"],
+])
+def test_non_positive_or_nan_tolerance_is_exit_two(capsys, monkeypatch, argv, tol):
+    cutoff = special_values._em_cutoff
+
+    def checked_cutoff(s, tol):
+        if not tol > 0:
+            pytest.fail(f"a summation loop started with tolerance {tol}")
+        return cutoff(s, tol)
+    monkeypatch.setattr(special_values, "_em_cutoff", checked_cutoff)
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2 and out == "" and "tolerance" in err

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from hmvol.group_enum import (BudgetExceeded, _Engine, _Meter, _MAX_ROW_TABLE, _cofactor_map,
                               _count_last_two, _count_rec, _divisible, _exact_in_float32,
-                              _filter_by_row, _last_two_operands, _stack, count_group,
+                              _filter_by_row, _last_forms, _last_two_operands, count_group,
                               count_kernel, default_budget, oracle_tau_p,
                               stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
@@ -37,6 +36,15 @@ def test_cartesian_cross_check_smallest_cases():
     # same comparison for U and for the second form
     assert (count_group("M", 1, ring(F3, 3), "U").count
             == count_group("M", 1, ring(F3, 3), "U", mode="cartesian").count)
+
+
+def test_cartesian_cross_check_recursion():
+    # n = 2 is the smallest size at which the backtracking recursion descends
+    want = {("L", "U"): 648, ("L", "SU"): 216, ("M", "U"): 384, ("M", "SU"): 96}
+    for (lat, group), count in want.items():
+        r = ring(F3 if lat == "L" else F7, 2)
+        assert count_group(lat, 2, r, group).count == count, (lat, group)
+        assert count_group(lat, 2, r, group, mode="cartesian").count == count, (lat, group)
 
 
 def test_cartesian_cross_check_two_adic():
@@ -72,7 +80,9 @@ def test_count_invariant_under_form_permutation():
         rows = np.stack([(idx // m**k) % m for k in range(4)], axis=1).astype(np.float32)
         norms = eng.selfnorm(rows)
         cands = [rows[norms == eng.lam[k]] for k in range(2)]
-        counts.append(_count_rec(eng, _Meter(10**9), [], cands))
+        last = _last_forms(eng, cands[-1])
+        counts.append(_count_rec(eng, _Meter(10**9), last, [], cands,
+                                 np.arange(cands[-1].shape[0])))
     assert counts[0] == counts[1] == 120
 
 
@@ -114,16 +124,18 @@ def test_plane_kernels_match_scalar_reference(case):
         assert tuple(planes[-2] @ eng.pair_form(planes[-1]) % R.modulus) == h
         assert tuple(eng.det(list(planes))) == det
         # the float32 kernels reproduce the verdicts
-        kept = _filter_by_row(eng, _Meter(10), rows[-2:-1], _stack(eng.pair_form(rows[-1:])))
-        assert (kept.shape[0] == 1) == pair_zero
+        form = eng.pair_form(rows[-1]).astype(np.float32)
+        kept = _filter_by_row(eng, _Meter(10), rows[-2:-1], form)
+        assert bool(kept[0]) == pair_zero
         cof_map = _cofactor_map(eng, list(rows[:-2]))
-        left, right = _last_two_operands(eng, cof_map, rows[-2:-1], rows[-1:])
+        forms = _last_forms(eng, rows[-1:])
+        left, right = _last_two_operands(eng, cof_map, rows[-2:-1], forms)
         ok = _divisible(eng, left @ right)[0]
         assert bool(ok[:2].all()) == pair_zero
         if su:
             assert bool(ok[2:].all()) == det_one
         hit = pair_zero and (det_one or not su)
-        assert _count_last_two(eng, _Meter(10), cof_map, rows[-2:-1], rows[-1:]) == hit
+        assert _count_last_two(eng, _Meter(10), cof_map, rows[-2:-1], forms) == hit
 
 
 @pytest.mark.parametrize("w", [2, 3, 4, 5])
@@ -140,12 +152,6 @@ def test_divisibility_test_exact_below_bound():
     for m in _MODULI:
         eng = _Engine(m, 0, 0, (1, 1), su=False)
         assert np.array_equal(_divisible(eng, H), np.arange(2**22) % m == 0), m
-
-
-def test_parallel_matches_serial():
-    serial = count_group("L", 2, ring(F3, 3), "SU", jobs=1).count
-    par = count_group("L", 2, ring(F3, 3), "SU", jobs=2).count
-    assert serial == par == 5832
 
 
 def test_kernel_counts():
@@ -184,6 +190,15 @@ def test_budget_refusal_is_not_zero():
         count_kernel("M", 3, budget=10**6)
 
 
+def test_budget_of_exactly_the_node_total_suffices():
+    for lat, n, r, group in [("L", 2, ring(F3, 3), "SU"), ("M", 2, ring(F7, 3), "U"),
+                             ("L", 1, ring(F3, 5), "SU")]:
+        rep = count_group(lat, n, r, group)
+        assert count_group(lat, n, r, group, budget=rep.nodes).count == rep.count
+        with pytest.raises(BudgetExceeded):
+            count_group(lat, n, r, group, budget=rep.nodes - 1)
+
+
 def test_default_budget_env_override(monkeypatch):
     monkeypatch.setenv("HMVOL_BUDGET", "2.5e9")
     assert default_budget() == 2_500_000_000
@@ -214,6 +229,5 @@ _GATED = default_budget() <= DEFAULT_BUDGET
 @pytest.mark.slow
 @pytest.mark.skipif(_GATED, reason="needs HMVOL_BUDGET > 1e9 (full O/32 sweep)")
 def test_m_lattice_full_two_adic_oracle():
-    jobs = min(8, os.cpu_count() or 1)
-    assert oracle_tau_p("M", 1, F5, 2, jobs=jobs) == tau_p("M", 1, F5, 2).value
-    assert oracle_tau_p("M", 1, F3, 2, jobs=jobs) == tau_p("M", 1, F3, 2).value
+    assert oracle_tau_p("M", 1, F5, 2) == tau_p("M", 1, F5, 2).value
+    assert oracle_tau_p("M", 1, F3, 2) == tau_p("M", 1, F3, 2).value

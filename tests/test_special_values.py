@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from hmvol import special_values
 from hmvol.quadfield import make_field
 from hmvol.special_values import (exact_numeric, gen_bernoulli, hurwitz_numeric,
                                   l_exact, l_numeric, zeta_exact, zeta_numeric)
@@ -132,3 +133,21 @@ def test_rejects_bad_arguments():
         gen_bernoulli(0, F3)
     with pytest.raises(ValueError):
         l_numeric(3, F3, method="nope")
+    for tol in (0, -1, float("nan"), float("inf"), mpf("-1e-12")):
+        with pytest.raises(ValueError):
+            zeta_numeric(2, tol)
+        for method in ("hurwitz", "partial"):
+            with pytest.raises(ValueError):
+                l_numeric(3, F3, tol, method=method)
+
+
+def test_failed_pin_raises_again_on_every_use(monkeypatch):
+    closed_form = special_values._l_closed_form
+    monkeypatch.setattr(special_values, "_l_closed_form",
+                        lambda k, f: closed_form(k, f)._replace(coeff=2 * closed_form(k, f).coeff))
+    special_values._pin_l_exact.cache_clear()
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            l_exact(3, F3)
+    monkeypatch.undo()
+    assert l_exact(3, F3) == closed_form(3, F3) == (Fraction(4, 9), 3, -5)

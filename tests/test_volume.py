@@ -126,6 +126,12 @@ def test_discrepancy_report_verdicts():
     assert all(r.verdict is not Verdict.MISMATCH for r in reps)
 
 
+def test_discrepancy_report_has_no_size_cap():
+    reps = discrepancy_report(9, [3])
+    assert [(r.lattice, r.n) for r in reps] == [(lat, n) for lat in "LM" for n in range(1, 10)]
+    assert all(r.verdict is not Verdict.MISMATCH for r in reps)
+
+
 def test_discrepancy_report_expanded_tables_agree_even_when_flagged():
     for r in discrepancy_report(5, [1, 3, 5, 7]):
         assert r.table_value == r.assembled_value
