@@ -68,7 +68,7 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
         value, verdict = case.assembled_value, case.verdict
     else:
         value = rationalize(expr, field)
-    numeric, _bound = evaluate_numeric(expr, field, mpf(tol))
+    numeric, bound = evaluate_numeric(expr, field, mpf(tol))
     return {
         "lattice": lattice,
         "n": n,
@@ -76,6 +76,7 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
         "D": field.D,
         "volume_rational": _rat_str(value),
         "volume_numeric": float(numeric),
+        "volume_error_bound": float(bound),
         "coefficient": _rat_str(expr.coeff),
         "d_power": _rat_str(expr.d_power),
         "zeta_args": list(expr.zeta_args),
@@ -100,7 +101,8 @@ def _emit_records(records: list[dict], fmt: str) -> None:
     for r in records:
         verdict = f" [{r['verdict']}]" if r["verdict"] else ""
         print(f"lattice={r['lattice']} n={r['n']} d={r['d']} D={r['D']} "
-              f"volume={r['volume_rational']} (~{r['volume_numeric']:.10g}) "
+              f"volume={r['volume_rational']} "
+              f"(~{r['volume_numeric']:.10g} +/- {r['volume_error_bound']:.2g}) "
               f"pipeline={r['provenance']}{verdict}")
 
 
@@ -189,6 +191,8 @@ def _cmd_verify(args) -> int:
             return _verdict_lines(f"kernel count ({args.lattice}, n={args.n})", got, want)
         if field is None:
             return _fail("--d is required for this oracle", EXIT_INVALID)
+        if args.p is None:
+            return _fail("--p is required for this oracle", EXIT_INVALID)
         if args.oracle == "stabilization":
             level = args.level or 1
             ok = stabilization_check(args.lattice, args.n, field, args.p, level,
@@ -196,8 +200,6 @@ def _cmd_verify(args) -> int:
             print(f"stabilization ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, "
                   f"N={level} -> {level + 1}): {'holds' if ok else 'FAILS'}")
             return EXIT_OK if ok else EXIT_MISMATCH
-        if args.p is None:
-            return _fail("--p is required for this oracle", EXIT_INVALID)
         if args.oracle == "su-count":
             if args.p == 2:
                 return _fail("su-count compares at odd p; use --oracle tau-p for p=2",

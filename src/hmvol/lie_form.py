@@ -6,10 +6,19 @@ Arithmetic is exact throughout: matrix entries live in Q(sqrt(-d)) (class
 Quad), and the curvature computation extends to Q(sqrt(-d), i) (class BiQuad)
 because the complex structure J multiplies column entries by i.  Square roots
 (sqrt n, sqrt(n+1)) never leave the squared slot of VolumeExpression.
+
+Every basis element has at most two nonzero entries, so the exact kernels
+work on supports: the Lie-membership check reads only the cells of an
+element and their transposes, the Gram matrix is built from a cell ->
+elements index, and its determinant is the product of Bareiss determinants
+over the connected blocks of its sparsity pattern (one n x n block for the
+g_k, one 2 x 2 block for each (e, f) pair).  The curvature matmuls skip zero
+factors.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -27,6 +36,9 @@ class Quad(NamedTuple):
 
 def _q(x=0, y=0) -> Quad:
     return Quad(Fraction(x), Fraction(y))
+
+
+_ZERO = _q()
 
 
 def q_add(a: Quad, b: Quad) -> Quad:
@@ -61,18 +73,14 @@ class LieBasis:
 
 
 def _zero_matrix(w: int):
-    return [[_q() for _ in range(w)] for _ in range(w)]
+    return [[_ZERO] * w for _ in range(w)]
 
 
 def _sum_q(items) -> Quad:
-    acc = _q()
+    acc = _ZERO
     for it in items:
         acc = q_add(acc, it)
     return acc
-
-
-def _trace(A) -> Quad:
-    return _sum_q(A[i][i] for i in range(len(A)))
 
 
 def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
@@ -82,15 +90,16 @@ def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
     return (1,) * n + (-1 if lattice == "L" else -2,)
 
 
-def _check_lie_member(X, lam, d: int):
-    """X.Lam + Lam.conj(X)' = 0 and Tr X = 0, exactly."""
-    w = len(X)
-    for i in range(w):
-        for j in range(w):
-            v = q_add(q_mul(X[i][j], _q(lam[j]), d), q_mul(_q(lam[i]), q_conj(X[j][i]), d))
-            if v != _q():
-                raise AssertionError(f"basis element violates the Lie condition at ({i},{j})")
-    if _trace(X) != _q():
+def _check_lie_member(X, lam):
+    """X.Lam + Lam.conj(X)' = 0 and Tr X = 0, exactly.  Cell (i, j) of the
+    condition involves only X[i][j] and X[j][i], so it is read on the support
+    of X and its transpose; every other cell is 0 = 0."""
+    support = _support(X)
+    for i, j in sorted(support.keys() | {(j, i) for i, j in support}):
+        a, b = X[i][j], X[j][i]
+        if a.x * lam[j] + lam[i] * b.x != 0 or a.y * lam[j] - lam[i] * b.y != 0:
+            raise AssertionError(f"basis element violates the Lie condition at ({i},{j})")
+    if _sum_q(v for (i, j), v in support.items() if i == j) != _ZERO:
         raise AssertionError("basis element has nonzero trace")
 
 
@@ -141,7 +150,7 @@ def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
         elems.append(f)
 
     for X in elems:
-        _check_lie_member(X, lam, d)
+        _check_lie_member(X, lam)
     if len(elems) != w * w - 1:
         raise AssertionError("basis has the wrong cardinality")
     return LieBasis(lattice=lattice, n=n, field=field,
@@ -149,7 +158,7 @@ def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
 
 
 def _support(X) -> dict:
-    return {(i, j): v for i, row in enumerate(X) for j, v in enumerate(row) if v != _q()}
+    return {(i, j): v for i, row in enumerate(X) for j, v in enumerate(row) if v != _ZERO}
 
 
 def trace_form(basis: LieBasis, i: int, j: int) -> int:
@@ -161,23 +170,58 @@ def trace_form(basis: LieBasis, i: int, j: int) -> int:
 def _sparse_trace(sx: dict, sy: dict, d: int) -> int:
     # basis elements carry at most two nonzero entries, so Tr(XY) over the
     # supports is a handful of Quad products
-    acc = _q()
+    acc = _ZERO
     for (i, k), v in sx.items():
         w = sy.get((k, i))
         if w is not None:
             acc = q_add(acc, q_mul(v, w, d))
-    if acc.y != 0 or acc.x.denominator != 1:
+    return _rational_integer(acc)
+
+
+def _rational_integer(v: Quad) -> int:
+    if v.y != 0 or v.x.denominator != 1:
         raise AssertionError("trace form value is not a rational integer")
-    return int(acc.x)
+    return int(v.x)
 
 
 def gram_det(basis: LieBasis) -> int:
-    """Exact determinant of [Tr(X_i X_j)] by fraction-free Bareiss elimination."""
-    k = len(basis.elements)
-    supports = [_support(X) for X in basis.elements]
+    """Exact determinant of G = [Tr(X_i X_j)].
+
+    Tr(X_i X_j) = sum X_i[r][c] X_j[c][r] can be nonzero only where a cell of
+    X_j is the transpose of a cell of X_i, so G is built from a cell ->
+    elements index, which also gives its sparsity pattern.  A simultaneous
+    row/column permutation leaves det G unchanged, so it is the product of the
+    fraction-free Bareiss determinants of the pattern's connected blocks."""
     d = basis.field.d
-    G = [[_sparse_trace(supports[i], supports[j], d) for j in range(k)] for i in range(k)]
-    return _bareiss_det(G)
+    supports = [_support(X) for X in basis.elements]
+    by_cell = defaultdict(list)
+    for j, s in enumerate(supports):
+        for cell, v in s.items():
+            by_cell[cell].append((j, v))
+    G = []
+    for s in supports:
+        row = {}
+        for (r, c), v in s.items():
+            for j, w in by_cell[c, r]:
+                row[j] = q_add(row.get(j, _ZERO), q_mul(v, w, d))
+        G.append({j: _rational_integer(t) for j, t in row.items()})
+    det = 1
+    seen = [False] * len(G)
+    for start in range(len(G)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            block.append(i)
+            for j in G[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    todo.append(j)
+        block.sort()
+        det *= _bareiss_det([[G[i].get(j, 0) for j in block] for i in block])
+    return det
 
 
 def _bareiss_det(M) -> int:
@@ -211,6 +255,9 @@ class BiQuad(NamedTuple):
     z: Fraction
 
 
+_BQ_ZERO = BiQuad(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+
+
 def _bq(quad: Quad) -> BiQuad:
     return BiQuad(quad.x, Fraction(0), quad.y, Fraction(0))
 
@@ -237,20 +284,18 @@ def bq_mul_i(a: BiQuad) -> BiQuad:
     return BiQuad(-a.x, a.w, -a.z, a.y)
 
 
-_BQ_ZERO = BiQuad(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-
-
 def _bq_mat_mul(A, B, d: int):
+    # only nonzero factors A[i][k] and B[k][j] contribute
     w = len(A)
-    out = []
+    b_rows = [[(j, v) for j, v in enumerate(row) if v != _BQ_ZERO] for row in B]
+    out = [[_BQ_ZERO] * w for _ in range(w)]
     for i in range(w):
-        row = []
-        for j in range(w):
-            acc = _BQ_ZERO
-            for k in range(w):
-                acc = bq_add(acc, bq_mul(A[i][k], B[k][j], d))
-            row.append(acc)
-        out.append(row)
+        row = out[i]
+        for k, a in enumerate(A[i]):
+            if a == _BQ_ZERO:
+                continue
+            for j, b in b_rows[k]:
+                row[j] = bq_add(row[j], bq_mul(a, b, d))
     return out
 
 
@@ -261,11 +306,11 @@ def _bq_commutator(A, B, d: int):
 
 
 def _bq_trace_form(A, B, d: int) -> Fraction:
-    w = len(A)
     acc = _BQ_ZERO
-    for i in range(w):
-        for k in range(w):
-            acc = bq_add(acc, bq_mul(A[i][k], B[k][i], d))
+    for i, row in enumerate(A):
+        for k, a in enumerate(row):
+            if a != _BQ_ZERO and B[k][i] != _BQ_ZERO:
+                acc = bq_add(acc, bq_mul(a, B[k][i], d))
     if (acc.x, acc.y, acc.z) != (0, 0, 0):
         raise AssertionError("trace form value is not rational")
     return acc.w
@@ -280,13 +325,13 @@ def curvature_ratio(X, field: FieldData) -> Fraction:
     d = field.d
     X = [[Quad(Fraction(v[0]), Fraction(v[1])) if not isinstance(v, Quad) else v
           for v in row] for row in X]
-    if all(v == _q() for row in X for v in row):
+    if all(v == _ZERO for row in X for v in row):
         raise ValueError("curvature ratio is undefined at X = 0")
     for i in range(w - 1):
         for j in range(w - 1):
-            if X[i][j] != _q():
+            if X[i][j] != _ZERO:
                 raise ValueError("X must lie in the noncompact part (last row/column only)")
-    if X[w - 1][w - 1] != _q():
+    if X[w - 1][w - 1] != _ZERO:
         raise ValueError("X must lie in the noncompact part (zero corner entry)")
     # the bottom row must be the conjugate of the top column (doubled for the
     # second form), or the matrix is not in either Lie algebra

@@ -66,9 +66,13 @@ def _em_tail_bound(s: int, base: mpf) -> mpf:
 
 
 def _check_tol(tol) -> None:
-    """Reject a tolerance that no truncation can meet (<= 0) or that is not a number."""
+    """Reject a tolerance that no truncation can meet (<= 0), that is not a
+    number, or that lies below the working precision, where no bound means
+    anything and the Euler-Maclaurin cutoff would run to ~1e16 terms."""
     if not (mp.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+    if tol < mpf(10) ** -WORK_DPS:
+        raise ValueError(f"tolerance {tol} is below the working precision 1e-{WORK_DPS}")
 
 
 def _em_cutoff(s: int, tol) -> int:

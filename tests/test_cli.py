@@ -6,6 +6,7 @@ import pytest
 
 from hmvol import special_values
 from hmvol.cli import main
+from hmvol.special_values import WORK_DPS
 from hmvol.volume import discrepancy_report
 
 
@@ -23,6 +24,15 @@ def test_compute_json_roundtrip(capsys):
     assert recs[0]["volume_rational"] == "1/6"
     v = Fraction(recs[0]["volume_rational"])
     assert abs(float(v) - recs[0]["volume_numeric"]) < 1e-10
+
+
+def test_compute_reports_error_bound(capsys):
+    code, out, _ = run(capsys, "compute", "--lattice", "both", "--n", "2", "--d", "3",
+                       "--format", "json", "--tol", "1e-10")
+    assert code == 0
+    assert all(0 < r["volume_error_bound"] < 1e-10 for r in json.loads(out))
+    code, out, _ = run(capsys, "compute", "--lattice", "L", "--n", "1", "--d", "3")
+    assert code == 0 and "+/- " in out
 
 
 def test_compute_m_lattice(capsys):
@@ -139,6 +149,12 @@ def test_verify_missing_p(capsys):
                "--n", "1", "--d", "3")[0] == 2
 
 
+def test_verify_stabilization_missing_p(capsys):
+    code, out, err = run(capsys, "verify", "--oracle", "stabilization", "--lattice", "L",
+                         "--n", "1", "--d", "3")
+    assert code == 2 and out == "" and "--p" in err
+
+
 def test_lvalue_zeta(capsys):
     code, out, _ = run(capsys, "lvalue", "--kind", "zeta", "--k", "2", "--tol", "1e-12")
     assert code == 0
@@ -186,3 +202,30 @@ def test_non_positive_or_nan_tolerance_is_exit_two(capsys, monkeypatch, argv, to
     monkeypatch.setattr(special_values, "_em_cutoff", checked_cutoff)
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 2 and out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lvalue", "--kind", "zeta", "--k", "2"],
+    ["lvalue", "--kind", "L", "--k", "3", "--d", "3"],
+    ["compute", "--lattice", "L", "--n", "2", "--d", "3"],
+])
+def test_tolerance_below_working_precision_is_exit_two(capsys, monkeypatch, argv):
+    cutoff = special_values._em_cutoff
+
+    def checked_cutoff(s, tol):
+        if tol < 10.0 ** -WORK_DPS:
+            pytest.fail(f"a summation loop started with tolerance {tol}")
+        return cutoff(s, tol)
+    monkeypatch.setattr(special_values, "_em_cutoff", checked_cutoff)
+    code, out, err = run(capsys, *argv, "--tol", "1e-300")
+    assert code == 2 and out == "" and "working precision" in err
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "1e-12"])
+@pytest.mark.parametrize("argv", [
+    ["lvalue", "--kind", "zeta", "--k", "3"],
+    ["lvalue", "--kind", "L", "--k", "3", "--d", "3"],
+    ["compute", "--lattice", "both", "--n", "3", "--d", "7"],
+])
+def test_working_tolerances_stay_accepted(capsys, argv, tol):
+    assert run(capsys, *argv, "--tol", tol)[0] == 0

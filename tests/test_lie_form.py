@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from hmvol.expressions import VolumeExpression
-from hmvol.lie_form import (Quad, build_basis, curvature_ratio, gram_det, q_add, q_mul,
+from hmvol.lie_form import (Quad, _bareiss_det, _check_lie_member, build_basis,
+                            curvature_ratio, gram_det, lattice_diag, q_add, q_mul,
                             trace_form, vol_max_compact, vol_su)
 from hmvol.quadfield import make_field
 
 F3, F5 = make_field(3), make_field(5)
+ZERO = Quad(Fraction(0), Fraction(0))
 
 
 def killing_det_reference(lattice, n, d):
@@ -52,11 +54,50 @@ def test_gram_entries_match_block_structure():
 
 def test_gram_det_closed_form_grid():
     for lattice in ("L", "M"):
-        for n in range(1, 5):
+        for n in range(1, 9):
             for d in (1, 3, 5, 7, 15):
                 field = make_field(d)
                 assert abs(gram_det(build_basis(lattice, n, field))) == \
                     killing_det_reference(lattice, n, d), (lattice, n, d)
+
+
+def test_blockwise_gram_det_equals_dense_bareiss():
+    # the block product must reproduce the signed determinant of the full matrix
+    for lattice in ("L", "M"):
+        for n in range(1, 5):
+            for d in (1, 3, 7):
+                b = build_basis(lattice, n, make_field(d))
+                k = len(b.elements)
+                dense = [[trace_form(b, i, j) for j in range(k)] for i in range(k)]
+                assert gram_det(b) == _bareiss_det(dense), (lattice, n, d)
+
+
+def test_lie_check_rejects_perturbed_entry():
+    n = 3
+    b = build_basis("M", n, F3)
+    lam = lattice_diag("M", n)
+    for k in range(n):
+        X = [list(r) for r in b.elements[b.labels.index(f"e'{k + 1}")]]
+        _check_lie_member(X, lam)
+        low = X[n][k]
+        X[n][k] = Quad(low.x + 1, low.y)
+        with pytest.raises(AssertionError, match="Lie condition"):
+            _check_lie_member(X, lam)
+        # a one-sided entry: the violated cell's transpose is zero
+        X[n][k], X[k][n] = low, ZERO
+        with pytest.raises(AssertionError, match="Lie condition"):
+            _check_lie_member(X, lam)
+
+
+def test_lie_check_rejects_nonzero_trace():
+    # g1 = diag(sqrt(-d), -sqrt(-d), 0); dropping its second entry keeps the Lie
+    # condition (the diagonal stays imaginary) but leaves the trace sqrt(-d)
+    lam = lattice_diag("L", 2)
+    X = [list(r) for r in build_basis("L", 2, F3).elements[0]]
+    _check_lie_member(X, lam)
+    X[1][1] = ZERO
+    with pytest.raises(AssertionError, match="trace"):
+        _check_lie_member(X, lam)
 
 
 def test_curvature_on_basis_vectors():
@@ -91,6 +132,26 @@ def test_curvature_on_random_integer_combinations():
         if all(v == Quad(Fraction(0), Fraction(0)) for row in acc for v in row):
             continue
         assert curvature_ratio(acc, F5) == -2
+
+
+def test_curvature_on_random_integer_combinations_n6():
+    rng = random.Random(6)
+    n, w = 6, 7
+    for lattice in ("L", "M"):
+        for field in (F3, F5):
+            b = build_basis(lattice, n, field)
+            ef = [X for lbl, X in zip(b.labels, b.elements)
+                  if lbl[0] in "ef" and "," not in lbl]
+            assert len(ef) == 2 * n
+            for _ in range(3):
+                acc = [[ZERO] * w for _ in range(w)]
+                while all(v == ZERO for row in acc for v in row):
+                    for X in ef:
+                        c = Quad(Fraction(rng.randint(-3, 3)), Fraction(0))
+                        for i in range(w):
+                            for j in range(w):
+                                acc[i][j] = q_add(acc[i][j], q_mul(c, X[i][j], field.d))
+                assert curvature_ratio(acc, field) == -2, (lattice, field.d)
 
 
 def test_curvature_rejects_non_member():
