@@ -2,8 +2,8 @@
 values, and oracle-verification runs in text/JSON/CSV.
 
 Exit codes are the only failure channel: 0 success, 2 invalid input,
-3 verification mismatch, 4 enumeration budget exceeded.  In json/csv modes
-stdout carries only the payload; diagnostics go to stderr.
+3 verification mismatch or violated invariant, 4 enumeration budget exceeded.
+In json/csv modes stdout carries only the payload; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from mpmath import mpf, nstr
+from mpmath import nstr
 
 from .group_enum import (BudgetExceeded, count_group, count_kernel, default_budget,
                          oracle_tau_p, stabilization_check)
@@ -68,7 +68,7 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
         value, verdict = case.assembled_value, case.verdict
     else:
         value = rationalize(expr, field)
-    numeric, bound = evaluate_numeric(expr, field, mpf(tol))
+    numeric, bound = evaluate_numeric(expr, field, tol)
     return {
         "lattice": lattice,
         "n": n,
@@ -234,9 +234,8 @@ def _verdict_lines(what: str, got, want, fmt=str) -> int:
 def _cmd_lvalue(args) -> int:
     if args.k < 2:
         return _fail("k must be >= 2", EXIT_INVALID)
-    tol = mpf(args.tol)
     if args.kind == "zeta":
-        sv = zeta_numeric(args.k, tol)
+        sv = zeta_numeric(args.k, args.tol)
         print(f"zeta({args.k}) = {_num_str(sv.numeric)}  (error <= {_num_str(sv.error_bound)})")
         if args.k % 2 == 0:
             form = zeta_exact(args.k)
@@ -247,7 +246,7 @@ def _cmd_lvalue(args) -> int:
     field = _field_or_none(args.d)
     if field is None:
         return _fail(f"d={args.d} is not odd and squarefree", EXIT_INVALID)
-    sv = l_numeric(args.k, field, tol)
+    sv = l_numeric(args.k, field, args.tol)
     print(f"L({args.k}, chi_{field.D}) = {_num_str(sv.numeric)}  "
           f"(error <= {_num_str(sv.error_bound)})")
     if args.k % 2 == 1 and args.k >= 3:
@@ -255,6 +254,13 @@ def _cmd_lvalue(args) -> int:
         print(f"exact: ({_rat_str(form.coeff)}) * pi^{form.pi_power} * "
               f"|D|^({form.d_sqrt_power}/2) = {_num_str(exact_numeric(form, field))}")
     return EXIT_OK
+
+
+_VOLUME_TOL_HELP = ("truncation tolerance of the special values (default %(default)s): it is "
+                    "split evenly across the zeta/L factors of the volume, and each share, "
+                    "at least 1e-40, bounds that factor's absolute truncation error; compute "
+                    "reports the propagated absolute bound on the volume as "
+                    "volume_error_bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--pipeline", choices=["table", "assembled", "both"], default="assembled")
     c.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    c.add_argument("--tol", type=float, default=1e-12)
+    c.add_argument("--tol", type=float, default=1e-12, help=_VOLUME_TOL_HELP)
     c.set_defaults(func=_cmd_compute)
 
     t = sub.add_parser("table", help="volume table as CSV")
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--d-list", required=True, metavar="d1,d2,...")
     t.add_argument("--format", default="csv")
     t.add_argument("--out", default=None)
-    t.add_argument("--tol", type=float, default=1e-12)
+    t.add_argument("--tol", type=float, default=1e-12, help=_VOLUME_TOL_HELP)
     t.set_defaults(func=_cmd_table)
 
     v = sub.add_parser("verify", help="run the enumeration oracle against a closed form")
@@ -296,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     lv.add_argument("--kind", choices=["zeta", "L"], required=True)
     lv.add_argument("--k", type=int, required=True)
     lv.add_argument("--d", type=int, default=None)
-    lv.add_argument("--tol", type=float, default=1e-10)
+    lv.add_argument("--tol", type=float, default=1e-10,
+                    help="bound on the truncation error of the value (default %(default)s, "
+                         "at least 1e-40)")
     lv.set_defaults(func=_cmd_lvalue)
     return ap
 
@@ -309,6 +317,9 @@ def main(argv=None) -> int:
         return _fail(str(e), EXIT_INVALID)
     except BudgetExceeded as e:
         return _fail(f"budget exceeded (inconclusive): {e}", EXIT_BUDGET)
+    except (ArithmeticError, AssertionError) as e:
+        # a failed invariant (rationalize, the pinned L closed form) is a mismatch
+        return _fail(f"invariant violated ({type(e).__name__}): {e}", EXIT_MISMATCH)
 
 
 def console_main():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 
 from .arith import factor, is_prime, kronecker
 
@@ -61,3 +62,10 @@ def classify_prime(field: FieldData, p: int) -> PrimeClass:
 def chi(field: FieldData, m: int) -> int:
     """The quadratic character chi_D(m), i.e. the Kronecker symbol (D/m)."""
     return kronecker(field.D, m)
+
+
+@cache
+def character(field: FieldData) -> tuple[int, ...]:
+    """chi_D(a) for a = 0..f-1.  chi_D is periodic mod f = |D| and chi_D(0) = 0,
+    so chi_D(m) = character(field)[m % f] for every m >= 1."""
+    return (0,) + tuple(kronecker(field.D, a) for a in range(1, field.f))

@@ -15,6 +15,17 @@ first time it is used, and any disagreement is a fatal error.
 Working precision is WORK_DPS decimal digits (well beyond the 1e-12 scale
 tolerances used anywhere in the package), so float rounding is dominated by
 the stated truncation bounds.
+
+Every value is computed once per process.  A truncated sum depends on the
+tolerance only through its Euler-Maclaurin cutoff M, so the memos are keyed on
+the exact inputs of the computation: (s, a, M) for a Hurwitz sum and
+(k, field, M) for the Hurwitz-method L sum; tolerances that land on the same
+cutoff share one sum.  The correction coefficients and the tail constant are
+computed once per s and the characters chi_D(a) once per field
+(`quadfield.character`).  Generalized Bernoulli numbers come from integer power
+sums of the character, k+1 `Fraction` terms in all, and the L closed forms are
+memoized on (k, field).  The memos hold their entries for the life of the
+process.
 """
 
 from __future__ import annotations
@@ -22,15 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
 
-from .arith import bernoulli, bernoulli_poly, kronecker
-from .quadfield import FieldData, make_field
+from .arith import bernoulli, kronecker
+from .quadfield import FieldData, character, make_field
 
 WORK_DPS = 40
+# Smallest accepted tolerance; a float, so the comparison does not depend on
+# the mpmath precision in force at the caller.
+TOL_FLOOR = mpf(10.0 ** -WORK_DPS)
 _EM_TERMS = 8  # J: number of B_(2j) correction terms
 
 
@@ -58,20 +72,29 @@ def _rising(s: int, k: int) -> int:
     return out
 
 
-def _em_tail_bound(s: int, base: mpf) -> mpf:
-    """Remainder bound for the Euler-Maclaurin sum truncated at offset `base`."""
+@cache
+def _em_constants(s: int) -> tuple[tuple[mpf, ...], mpf]:
+    """The correction coefficients B_2j/(2j)! (s)_(2j-1), j = 1..J, and the
+    remainder-bound constant (s)_(2J+1) 2.5 / ((2pi)^(2J+1) (s+2J)), at WORK_DPS."""
     J = _EM_TERMS
-    return (mpf(2.5) * _rising(s, 2 * J + 1)
-            / ((2 * mp.pi) ** (2 * J + 1) * (s + 2 * J)) * base ** (-s - 2 * J))
+    with mp.workdps(WORK_DPS):
+        coeffs = []
+        for j in range(1, J + 1):
+            B = bernoulli(2 * j)
+            coeffs.append(mpf(B.numerator) / B.denominator / factorial(2 * j)
+                          * _rising(s, 2 * j - 1))
+        tail = (mpf(2.5) * _rising(s, 2 * J + 1)
+                / ((2 * mp.pi) ** (2 * J + 1) * (s + 2 * J)))
+    return tuple(coeffs), tail
 
 
-def _check_tol(tol) -> None:
+def check_tol(tol) -> None:
     """Reject a tolerance that no truncation can meet (<= 0), that is not a
     number, or that lies below the working precision, where no bound means
     anything and the Euler-Maclaurin cutoff would run to ~1e16 terms."""
     if not (mp.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    if tol < mpf(10) ** -WORK_DPS:
+    if tol < TOL_FLOOR:
         raise ValueError(f"tolerance {tol} is below the working precision 1e-{WORK_DPS}")
 
 
@@ -93,21 +116,26 @@ def hurwitz_numeric(s: int, a, tol) -> tuple[mpf, mpf]:
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
     with mp.workdps(WORK_DPS):
-        M = _em_cutoff(s, tol)
+        return _hurwitz(s, a, _em_cutoff(s, tol))
+
+
+@cache
+def _hurwitz(s: int, a: Fraction, M: int) -> tuple[mpf, mpf]:
+    """Euler-Maclaurin sum for zeta(s, a) truncated at M, and its remainder bound."""
+    coeffs, tail = _em_constants(s)
+    with mp.workdps(WORK_DPS):
         am = mpf(a.numerator) / a.denominator
         total = mp.fsum((k + am) ** (-s) for k in range(M))
         base = M + am
         total += base ** (1 - s) / (s - 1) + base ** (-s) / 2
-        for j in range(1, _EM_TERMS + 1):
-            B = bernoulli(2 * j)
-            total += (mpf(B.numerator) / B.denominator / factorial(2 * j)
-                      * _rising(s, 2 * j - 1) * base ** (-s - 2 * j + 1))
-        return total, _em_tail_bound(s, base)
+        for j, c in enumerate(coeffs, start=1):
+            total += c * base ** (-s - 2 * j + 1)
+        return total, tail * base ** (-s - 2 * _EM_TERMS)
 
 
 def zeta_numeric(s: int, tol=mpf("1e-12")) -> SpecialValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin, remainder <= tol."""
-    _check_tol(tol)
+    check_tol(tol)
     v, bound = hurwitz_numeric(s, 1, tol)
     exact = zeta_exact(s) if s % 2 == 0 else None
     return SpecialValue(kind="zeta", argument=s, numeric=v, error_bound=bound, exact=exact)
@@ -131,21 +159,14 @@ def l_numeric(k: int, field: FieldData, tol=mpf("1e-12"), method: str = "hurwitz
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    _check_tol(tol)
+    check_tol(tol)
     f = field.f
     with mp.workdps(WORK_DPS):
         if method == "hurwitz":
-            values = [(a, kronecker(field.D, a)) for a in range(1, f)]
-            nonzero = [(a, c) for a, c in values if c != 0]
-            tol_each = mpf(tol) * f**k / (2 * max(1, len(nonzero)))
-            total = mpf(0)
-            bound = mpf(0)
-            for a, c in nonzero:
-                v, b = hurwitz_numeric(k, Fraction(a, f), tol_each)
-                total += c * v
-                bound += b
-            scale = mpf(f) ** (-k)
-            return SpecialValue("L", k, scale * total, scale * bound, field=field)
+            nonzero = sum(1 for c in character(field) if c)
+            tol_each = mpf(tol) * f**k / (2 * max(1, nonzero))
+            value, bound = _l_hurwitz(k, field, _em_cutoff(k, tol_each))
+            return SpecialValue("L", k, value, bound, field=field)
         if method == "partial":
             M = 2
             while f * float(M) ** (-k) > float(tol):
@@ -155,17 +176,42 @@ def l_numeric(k: int, field: FieldData, tol=mpf("1e-12"), method: str = "hurwitz
     raise ValueError(f"unknown method {method!r}")
 
 
+@cache
+def _l_hurwitz(k: int, field: FieldData, M: int) -> tuple[mpf, mpf]:
+    """f^-k sum_a chi(a) zeta(k, a/f) with every Hurwitz sum truncated at M,
+    and the summed remainder bound."""
+    f = field.f
+    with mp.workdps(WORK_DPS):
+        total = mpf(0)
+        bound = mpf(0)
+        for a, c in enumerate(character(field)):
+            if c:
+                v, b = _hurwitz(k, Fraction(a, f), M)
+                total += c * v
+                bound += b
+        scale = mpf(f) ** (-k)
+        return scale * total, scale * bound
+
+
 def gen_bernoulli(k: int, field: FieldData) -> Fraction:
-    """Generalized Bernoulli number B_(k,chi_D) = f^(k-1) sum_a chi(a) B_k(a/f)."""
+    """Generalized Bernoulli number B_(k,chi_D) = f^(k-1) sum_a chi(a) B_k(a/f).
+
+    Expanding B_k(x) = sum_j C(k,j) B_j x^(k-j) gives
+    sum_j C(k,j) B_j f^(j-1) S_(k-j) with the integer power sums
+    S_m = sum_a chi(a) a^m over a = 1..f-1 (chi(f) = 0).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     f = field.f
-    total = Fraction(0)
-    for a in range(1, f + 1):
-        c = kronecker(field.D, a % f if a < f else f)  # chi(f) = 0
+    sums = [0] * (k + 1)
+    for a, c in enumerate(character(field)):
         if c:
-            total += c * bernoulli_poly(k, Fraction(a, f))
-    return Fraction(f) ** (k - 1) * total
+            power = c
+            for m in range(k + 1):
+                sums[m] += power
+                power *= a
+    total = sum(comb(k, j) * bernoulli(j) * f**j * sums[k - j] for j in range(k + 1))
+    return total / f
 
 
 def l_exact(k: int, field: FieldData) -> ExactForm:
@@ -177,6 +223,7 @@ def l_exact(k: int, field: FieldData) -> ExactForm:
     return _l_closed_form(k, field)
 
 
+@cache
 def _l_closed_form(k: int, field: FieldData) -> ExactForm:
     coeff = (Fraction((-1) ** ((k + 1) // 2)) * 2 ** (k - 1)
              * gen_bernoulli(k, field) / factorial(k))

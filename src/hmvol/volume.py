@@ -23,7 +23,8 @@ from .expressions import VolumeExpression
 from .lie_form import vol_max_compact
 from .local_density import tau_p, tau_infinity, _eps_char
 from .quadfield import FieldData, chi, make_field
-from .special_values import (WORK_DPS, l_exact, l_numeric, zeta_exact, zeta_numeric)
+from .special_values import (TOL_FLOOR, WORK_DPS, check_tol, l_exact, l_numeric, zeta_exact,
+                             zeta_numeric)
 
 
 class Verdict(enum.Enum):
@@ -159,10 +160,16 @@ def rationalize(expr: VolumeExpression, field: FieldData) -> Fraction:
 
 
 def evaluate_numeric(expr: VolumeExpression, field: FieldData, tol=mpf("1e-12")):
-    """Numeric value of the expression with a propagated error bound."""
+    """Numeric value of the expression with a propagated absolute error bound.
+
+    `tol` is checked as given, then split evenly over the zeta/L factors; each
+    share, floored at the working precision, bounds that factor's truncation
+    error.  The returned bound propagates what was actually computed.
+    """
+    check_tol(tol)
     with mp.workdps(WORK_DPS):
         n_special = len(expr.zeta_args) + len(expr.l_args)
-        tol_each = mpf(tol) / (8 * max(1, n_special))
+        tol_each = max(mpf(tol) / (8 * max(1, n_special)), TOL_FLOOR)
         value = (mpf(expr.coeff.numerator) / expr.coeff.denominator
                  * mp.sqrt(mpf(expr.sqrt_sq.numerator) / expr.sqrt_sq.denominator)
                  * mpf(field.f) ** (mpf(expr.d_power.numerator) / expr.d_power.denominator)

@@ -1,12 +1,16 @@
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmvol import special_values
+from hmvol import special_values, volume
 from hmvol.cli import main
-from hmvol.special_values import WORK_DPS
+from hmvol.special_values import WORK_DPS, ExactForm
 from hmvol.volume import discrepancy_report
 
 
@@ -229,3 +233,90 @@ def test_tolerance_below_working_precision_is_exit_two(capsys, monkeypatch, argv
 ])
 def test_working_tolerances_stay_accepted(capsys, argv, tol):
     assert run(capsys, *argv, "--tol", tol)[0] == 0
+
+
+@pytest.mark.parametrize("tol", ["1e-39", "1e-40"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--lattice", "L", "--n", "2", "--d", "3"],
+    ["compute", "--lattice", "both", "--n", "5", "--d", "7", "--format", "json"],
+    ["table", "--lattice", "both", "--n-range", "1..3", "--d-list", "3,5", "--format", "csv"],
+])
+def test_tolerance_at_the_working_precision_is_accepted(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--lattice", "L", "--n", "2", "--d", "3"],
+    ["table", "--lattice", "L", "--n-range", "1..2", "--d-list", "3", "--format", "csv"],
+    ["lvalue", "--kind", "L", "--k", "3", "--d", "3"],
+])
+def test_tolerance_below_the_floor_is_quoted_as_given(capsys, argv):
+    code, out, err = run(capsys, *argv, "--tol", "9e-41")
+    assert code == 2 and out == "" and "tolerance 9e-41 is below" in err
+
+
+def test_compute_json_same_from_cold_and_warm_memos(capsys, cold_memos):
+    argv = ["compute", "--lattice", "both", "--n", "5", "--d", "7", "--pipeline", "both",
+            "--format", "json"]
+    cold = run(capsys, *argv)
+    run(capsys, "table", "--lattice", "both", "--n-range", "1..5", "--d-list", "1,3,7",
+        "--tol", "1e-10")
+    assert run(capsys, *argv) == cold
+    assert cold[0] == 0
+
+
+def _one_line_failure(out, err):
+    return out == "" and err.startswith("hmvol: invariant violated") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pipeline", ["assembled", "both"])
+def test_rationalize_invariant_violation_is_exit_three(capsys, monkeypatch, pipeline):
+    monkeypatch.setattr(volume, "zeta_exact", lambda s: ExactForm(Fraction(1), s + 1, 0))
+    code, out, err = run(capsys, "compute", "--lattice", "L", "--n", "1", "--d", "3",
+                         "--pipeline", pipeline, "--format", "json")
+    assert code == 3 and _one_line_failure(out, err) and "pi exponent" in err
+
+
+def test_failed_l_pin_is_exit_three(capsys, monkeypatch, cold_memos):
+    closed_form = special_values._l_closed_form
+    monkeypatch.setattr(special_values, "_l_closed_form",
+                        lambda k, f: closed_form(k, f)._replace(coeff=2 * closed_form(k, f).coeff))
+    for argv in (["compute", "--lattice", "L", "--n", "2", "--d", "3", "--format", "json"],
+                 ["table", "--lattice", "M", "--n-range", "2..2", "--d-list", "7"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and _one_line_failure(out, err) and "closed form" in err
+    code, _, err = run(capsys, "lvalue", "--kind", "L", "--k", "3", "--d", "3")
+    assert code == 3 and "AssertionError" in err
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["compute", "table", "lvalue"]))
+    n, d = draw(st.integers(0, 6)), str(draw(st.integers(-3, 60)))
+    lattice = draw(st.sampled_from(["L", "M", "both"]))
+    if command == "compute":
+        argv = ["compute", "--lattice", lattice, "--n", str(n), "--d", d,
+                "--pipeline", draw(st.sampled_from(["table", "assembled", "both"])),
+                "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    elif command == "table":
+        argv = ["table", "--lattice", lattice, "--n-range", f"{draw(st.integers(0, 6))}..{n}",
+                "--d-list", d]
+    else:
+        argv = ["lvalue", "--kind", draw(st.sampled_from(["zeta", "L"])), "--k", str(n),
+                "--d", d]
+    tol = draw(st.sampled_from(["0", "-1", "nan", "1e-300", "9e-41", "1e-39", "1e-12",
+                                "1e-3"]))
+    return argv + ["--tol", tol]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argv())
+def test_main_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("hmvol: ")

@@ -1,7 +1,7 @@
 import pytest
 
-from hmvol.arith import factor
-from hmvol.quadfield import EpsKind, PrimeClass, classify_prime, make_field
+from hmvol.arith import factor, kronecker
+from hmvol.quadfield import EpsKind, PrimeClass, character, classify_prime, make_field
 
 PRIMES = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
 
@@ -59,3 +59,12 @@ def test_classify_rejects_composite():
 def test_factorization_of_d_feeds_ramified_set():
     field = make_field(15)
     assert set(factor(field.d).primes()) == {3, 5}
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 15, 141])
+def test_character_table_is_the_kronecker_symbol(d):
+    field = make_field(d)
+    table = character(field)
+    assert len(table) == field.f
+    for a in range(1, 3 * field.f + 1):
+        assert table[a % field.f] == kronecker(field.D, a), (d, a)

@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 from hmvol import special_values
+from hmvol.arith import bernoulli_poly, kronecker
 from hmvol.quadfield import make_field
 from hmvol.special_values import (exact_numeric, gen_bernoulli, hurwitz_numeric,
                                   l_exact, l_numeric, zeta_exact, zeta_numeric)
@@ -67,6 +68,17 @@ def test_gen_bernoulli_examples():
     assert gen_bernoulli(1, F1) == Fraction(-1, 2)
     assert gen_bernoulli(3, F3) == Fraction(2, 3)
     assert gen_bernoulli(2, F3) == 0
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 15, 141])
+def test_gen_bernoulli_equals_the_bernoulli_polynomial_definition(d):
+    field = make_field(d)
+    f = field.f
+    for k in range(1, 8):
+        slow = Fraction(f) ** (k - 1) * sum(
+            (kronecker(field.D, a) * bernoulli_poly(k, Fraction(a, f)) for a in range(1, f)),
+            Fraction(0))
+        assert gen_bernoulli(k, field) == slow, (d, k)
 
 
 def test_gen_bernoulli_parity_vanishing():
@@ -151,3 +163,33 @@ def test_failed_pin_raises_again_on_every_use(monkeypatch):
             l_exact(3, F3)
     monkeypatch.undo()
     assert l_exact(3, F3) == closed_form(3, F3) == (Fraction(4, 9), 3, -5)
+
+
+def test_warm_memo_returns_the_cold_values(cold_memos):
+    cases = [(3, F3, "1e-10"), (3, F3, "1e-12"), (3, F3, "1e-20"), (5, F7, "1e-14"),
+             (2, F1, "1e-12"), (4, F11, "1e-20"), (3, make_field(141), "1e-12")]
+    cold = []
+    for k, field, tol in cases:
+        cold_memos()
+        sv = l_numeric(k, field, mpf(tol))
+        z = zeta_numeric(k, mpf(tol))
+        cold.append((sv.numeric, sv.error_bound, z.numeric, z.error_bound,
+                     l_exact(3, field), gen_bernoulli(k, field)))
+    cold_memos()
+    for _ in range(2):
+        warm = {}
+        for i in reversed(range(len(cases))):
+            k, field, tol = cases[i]
+            sv = l_numeric(k, field, mpf(tol))
+            z = zeta_numeric(k, mpf(tol))
+            warm[i] = (sv.numeric, sv.error_bound, z.numeric, z.error_bound,
+                       l_exact(3, field), gen_bernoulli(k, field))
+            sv.numeric = z.numeric = mpf(0)  # a returned value is the caller's own
+        assert [warm[i] for i in range(len(cases))] == cold
+
+
+def test_memo_never_hands_back_a_looser_bound():
+    for tol in ("1e-10", "1e-20"):
+        assert l_numeric(3, F3, mpf(tol)).error_bound <= mpf(tol)
+        assert zeta_numeric(3, mpf(tol)).error_bound <= mpf(tol)
+        assert hurwitz_numeric(3, Fraction(1, 3), mpf(tol))[1] <= mpf(tol)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from hmvol.expressions import VolumeExpression
 from hmvol.quadfield import make_field
@@ -149,3 +149,24 @@ def test_positivity_and_growth_trend():
     field = make_field(43)
     vals = [rationalize(hm_assembled("L", n, field), field) for n in range(1, 6)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "1e-12", "1e-39"])
+def test_numeric_volume_lies_within_its_bound(tol):
+    for lattice in "LM":
+        for n in (1, 2, 3, 5):
+            for field in (F1, F3, F7):
+                expr = hm_assembled(lattice, n, field)
+                value, bound = evaluate_numeric(expr, field, mpf(tol))
+                exact = rationalize(expr, field)
+                with mp.workdps(60):
+                    assert abs(value - mpf(exact.numerator) / exact.denominator) <= bound, \
+                        (lattice, n, field.d)
+
+
+def test_evaluate_numeric_checks_the_tolerance_it_was_given():
+    expr = hm_assembled("L", 5, F3)
+    for tol in (1e-39, 1e-40):
+        evaluate_numeric(expr, F3, tol)
+    with pytest.raises(ValueError, match="9e-41"):
+        evaluate_numeric(expr, F3, 9e-41)
