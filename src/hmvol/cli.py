@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -185,7 +186,7 @@ def _cmd_verify(args) -> int:
             if field is not None and field.d % 4 != 1:
                 return _fail("kernel formula is pinned for 2-ramified fields (d = 1 mod 4)",
                              EXIT_INVALID)
-            got = count_kernel(args.lattice, args.n, field=field, budget=budget)
+            got = count_kernel(args.lattice, args.n, field=field)
             want = 2 ** (args.n**2 + 3 * args.n) if args.lattice == "L" \
                 else 2 ** (2 * args.n**2 + 5 * args.n)
             return _verdict_lines(f"kernel count ({args.lattice}, n={args.n})", got, want)
@@ -193,8 +194,8 @@ def _cmd_verify(args) -> int:
             return _fail("--d is required for this oracle", EXIT_INVALID)
         if args.p is None:
             return _fail("--p is required for this oracle", EXIT_INVALID)
+        level = 1 if args.level is None else args.level
         if args.oracle == "stabilization":
-            level = args.level or 1
             ok = stabilization_check(args.lattice, args.n, field, args.p, level,
                                      budget=budget)
             print(f"stabilization ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, "
@@ -204,7 +205,6 @@ def _cmd_verify(args) -> int:
             if args.p == 2:
                 return _fail("su-count compares at odd p; use --oracle tau-p for p=2",
                              EXIT_INVALID)
-            level = args.level or 1
             rep = count_group(args.lattice, args.n, ResidueRing(field, args.p, level),
                               "SU", budget=budget)
             formula = tau_p(args.lattice, args.n, field, args.p).value * args.p ** (level * dim)
@@ -236,9 +236,9 @@ def _cmd_lvalue(args) -> int:
         return _fail("k must be >= 2", EXIT_INVALID)
     if args.kind == "zeta":
         sv = zeta_numeric(args.k, args.tol)
+        form = zeta_exact(args.k) if args.k % 2 == 0 else None
         print(f"zeta({args.k}) = {_num_str(sv.numeric)}  (error <= {_num_str(sv.error_bound)})")
-        if args.k % 2 == 0:
-            form = zeta_exact(args.k)
+        if form is not None:
             print(f"exact: ({_rat_str(form.coeff)}) * pi^{form.pi_power}")
         return EXIT_OK
     if args.d is None:
@@ -247,10 +247,11 @@ def _cmd_lvalue(args) -> int:
     if field is None:
         return _fail(f"d={args.d} is not odd and squarefree", EXIT_INVALID)
     sv = l_numeric(args.k, field, args.tol)
+    # everything is computed before the first print, so a failed pin leaves stdout empty
+    form = l_exact(args.k, field) if args.k % 2 == 1 and args.k >= 3 else None
     print(f"L({args.k}, chi_{field.D}) = {_num_str(sv.numeric)}  "
           f"(error <= {_num_str(sv.error_bound)})")
-    if args.k % 2 == 1 and args.k >= 3:
-        form = l_exact(args.k, field)
+    if form is not None:
         print(f"exact: ({_rat_str(form.coeff)}) * pi^{form.pi_power} * "
               f"|D|^({form.d_sqrt_power}/2) = {_num_str(exact_numeric(form, field))}")
     return EXIT_OK
@@ -312,7 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a closed stdout raises inside the handler below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # cannot raise a second time (the recipe of the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail("stdout was closed before all output was written", EXIT_INVALID)
     except ValueError as e:
         return _fail(str(e), EXIT_INVALID)
     except BudgetExceeded as e:

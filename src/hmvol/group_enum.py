@@ -29,6 +29,9 @@ which the cap on the candidate row table guarantees.
 Work is metered in visited partial assignments (candidate rows examined,
 broadcast cells swept).  Exceeding the budget raises BudgetExceeded, which
 deliberately distinguishes "infeasible under this budget" from a zero count.
+
+count_kernel counts the reduction kernels of the 2-adic densities by exact
+elimination over Z/2^k, not by enumeration, so it needs no budget.
 """
 
 from __future__ import annotations
@@ -345,68 +348,51 @@ _KERNEL_LEVEL = {"L": 2, "M": 4}
 
 
 def count_kernel(lattice: str, n: int, level: int | None = None,
-                 field: FieldData | None = None, budget: int | None = None) -> int:
+                 field: FieldData | None = None) -> int:
     """Solutions B of the linearized reduction-kernel system {-B.Lam = Lam.conj(B)',
-    Tr B = 0} over O/2O (L) or O/4O (M), by enumeration of the free entries with
-    full verification.  For 2-ramified fields this is 2^(n^2+3n) for L and
-    2^(2n^2+5n) for M."""
+    Tr B = 0} over O/2O (L) or O/4O (M).  For 2-ramified fields this is
+    2^(n^2+3n) for L and 2^(2n^2+5n) for M.
+
+    The system is Z-linear in the coordinates of B_ij = a_ij + b_ij*eps, so its
+    solutions over Z/m, m = 2^k, are counted by elimination: a pivot u*2^v of
+    least 2-adic valuation clears its column from the other equations and leaves
+    2^v solutions for its variable; every variable without a pivot is free."""
     if n < 1:
         raise ValueError("n must be >= 1")
     level = _KERNEL_LEVEL[lattice] if level is None else level
     if level not in (2, 4):
         raise ValueError("kernel level is the modulus 2 (for L) or 4 (for M)")
     field = make_field(5) if field is None else field
-    budget = default_budget() if budget is None else budget
     lam = lattice_diag(lattice, n)
-    ring = ResidueRing(field, 2, level.bit_length() - 1)
-    m, t = ring.modulus, ring.trace_eps
-    q = m * m
-    w = n + 1
-    # Free entries: the upper triangle and the first n diagonal entries; the
-    # lower triangle is forced by the pairing equations (unit lam_i on the
-    # rows doing the forcing), the last diagonal entry by the trace.
-    free = [(i, i) for i in range(n)] + [(i, j) for i in range(w) for j in range(i + 1, w)]
-    n_free = len(free)
-    if q**n_free > budget:
-        raise BudgetExceeded(f"kernel enumeration over {q**n_free} assignments exceeds the budget")
-    idx = np.arange(q**n_free, dtype=np.int64)
-    # Entries are coordinate-plane pairs (a, b) for a + b*eps, reduced mod m
-    # only where tested: every step is Z-linear, so residues are unaffected,
-    # and the few sums and products of coordinates below 4 stay far inside int16.
-    entries = {pos: (((idx // m**(2 * s)) % m).astype(np.int16),
-                     ((idx // m**(2 * s + 1)) % m).astype(np.int16))
-               for s, pos in enumerate(free)}
-
-    def conj(x):
-        return x[0] + t * x[1], -x[1]
-
-    def add(x, y):
-        return x[0] + y[0], x[1] + y[1]
-
-    def smul(c, x):
-        return c * x[0], c * x[1]
-
-    def is_zero(x):
-        return (x[0] % m == 0) & (x[1] % m == 0)
-
+    m, t, w = level, field.trace_eps % level, n + 1
+    # Sparse rows {variable: coefficient}, a_ij being variable 2(w i + j) and b_ij
+    # the next.  Equation (i, j) is lam_j B_ij + lam_i conj(B_ji) = 0 with
+    # conj(a + b eps) = (a + t b) - b eps; equation (j, i) is its conjugate, so
+    # i <= j suffices, and on the diagonal only lam_i (2 a_ii + t b_ii) = 0 remains.
+    rows = [{2 * (w + 1) * i + s: 1 for i in range(w)} for s in (0, 1)]  # Tr B = 0
     for i in range(w):
+        rows.append({2 * (w + 1) * i: 2 * lam[i], 2 * (w + 1) * i + 1: lam[i] * t})
         for j in range(i + 1, w):
-            # the (i, j) equation forces b_ji = -conj(lam_j b_ij), using lam_i = 1 for i < j
-            entries[(j, i)] = smul(-1, conj(smul(lam[j], entries[(i, j)])))
-    acc = entries[(0, 0)]
-    for i in range(1, n):
-        acc = add(acc, entries[(i, i)])
-    entries[(w - 1, w - 1)] = smul(-1, acc)
-    ok = np.ones(idx.shape[0], dtype=bool)
-    # Verify the full system -B.Lam = Lam.conj(B)' and Tr B = 0.
-    for i in range(w):
-        for j in range(w):
-            ok &= is_zero(add(smul(lam[j], entries[(i, j)]), smul(lam[i], conj(entries[(j, i)]))))
-    tr = entries[(0, 0)]
-    for i in range(1, w):
-        tr = add(tr, entries[(i, i)])
-    ok &= is_zero(tr)
-    return int(ok.sum())
+            ij, ji = 2 * (w * i + j), 2 * (w * j + i)
+            rows.append({ij: lam[j], ji: lam[i], ji + 1: lam[i] * t})
+            rows.append({ij + 1: lam[j], ji + 1: -lam[i]})
+    rows = [{var: c % m for var, c in r.items() if c % m} for r in rows]
+    count, free = 1, 2 * w * w
+    while any(rows):
+        v, k, col = min(((c & -c).bit_length() - 1, k, var)
+                        for k, r in enumerate(rows) for var, c in r.items())
+        pivot = rows.pop(k)
+        inv = pow(pivot[col] >> v, -1, m)
+        for r in rows:
+            if col in r:
+                f = (r[col] >> v) * inv
+                for var, c in pivot.items():
+                    r[var] = (r.get(var, 0) - f * c) % m
+                    if not r[var]:
+                        del r[var]
+        count *= 2**v
+        free -= 1
+    return count * m**free
 
 
 def oracle_tau_p(lattice: str, n: int, field: FieldData, p: int,
@@ -423,10 +409,10 @@ def oracle_tau_p(lattice: str, n: int, field: FieldData, p: int,
         return Fraction(rep.count, p**dim)
     if lattice == "L":
         rep = count_group(lattice, n, ResidueRing(field, 2, 3), "SU", budget=budget)
-        ker = count_kernel("L", n, level=2, field=field, budget=budget)
+        ker = count_kernel("L", n, level=2, field=field)
         return Fraction(rep.count, 2**(2 * dim) * ker)
     rep = count_group(lattice, n, ResidueRing(field, 2, 5), "SU", budget=budget)
-    ker = count_kernel("M", n, level=4, field=field, budget=budget)
+    ker = count_kernel("M", n, level=4, field=field)
     return Fraction(rep.count, 2**(3 * dim) * ker)
 
 
@@ -434,6 +420,8 @@ def stabilization_check(lattice: str, n: int, field: FieldData, p: int,
                         level: int = 1, budget: int | None = None) -> bool:
     """True iff #U(O/p^(level+1)) = p^((n+1)^2) #U(O/p^level), the Hensel-driven
     stabilization that turns the local density into a finite computation."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if level < 1:
         raise ValueError("level must be >= 1")
     lo = count_group(lattice, n, ResidueRing(field, p, level), "U", budget=budget)

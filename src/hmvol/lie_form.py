@@ -45,10 +45,6 @@ def q_add(a: Quad, b: Quad) -> Quad:
     return Quad(a.x + b.x, a.y + b.y)
 
 
-def q_sub(a: Quad, b: Quad) -> Quad:
-    return Quad(a.x - b.x, a.y - b.y)
-
-
 def q_mul(a: Quad, b: Quad, d: int) -> Quad:
     return Quad(a.x * b.x - d * a.y * b.y, a.x * b.y + a.y * b.x)
 

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmvol
 from hmvol import special_values, volume
 from hmvol.cli import main
 from hmvol.special_values import WORK_DPS, ExactForm
@@ -99,6 +103,25 @@ def test_table_rejects_unwritable_path(capsys):
     assert code == 2 and "cannot write" in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_table_into_a_closed_pipe_is_exit_two(unbuffered):
+    src = os.path.dirname(os.path.dirname(hmvol.__file__))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    # buffered, the one-row table reaches the pipe only when stdout is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "hmvol", "table", "--lattice", "L",
+                             "--n-range", "1..1", "--d-list", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # the child is still importing when its reader goes away
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in err.decode() and err.decode().startswith("hmvol: ")
+
+
 def test_table_rejects_bad_range(capsys):
     assert run(capsys, "table", "--lattice", "L", "--n-range", "3..1",
                "--d-list", "3", "--format", "csv")[0] == 2
@@ -119,6 +142,13 @@ def test_verify_kernel(capsys):
     assert "128" in out
 
 
+@pytest.mark.parametrize("lattice, n, want", [("M", 3, 2**33), ("L", 6, 2**54)])
+def test_verify_kernel_needs_no_budget(capsys, lattice, n, want):
+    code, out, err = run(capsys, "verify", "--oracle", "kernel", "--lattice", lattice,
+                         "--n", str(n), "--budget", "100000000000")
+    assert code == 0 and f"oracle {want}" in out and "Match" in out and err == ""
+
+
 def test_verify_tau_p(capsys):
     code, out, _ = run(capsys, "verify", "--oracle", "tau-p", "--lattice", "M",
                        "--n", "1", "--d", "3", "--p", "3")
@@ -130,6 +160,21 @@ def test_verify_stabilization(capsys):
     code, out, _ = run(capsys, "verify", "--oracle", "stabilization", "--lattice", "L",
                        "--n", "1", "--d", "3", "--p", "3", "--level", "1")
     assert code == 0 and "holds" in out
+
+
+@pytest.mark.parametrize("p", ["1", "4", "9"])
+def test_verify_stabilization_rejects_a_non_prime(capsys, p):
+    code, out, err = run(capsys, "verify", "--oracle", "stabilization", "--lattice", "L",
+                         "--n", "1", "--d", "3", "--p", p)
+    assert code == 2 and out == "" and "not prime" in err
+
+
+@pytest.mark.parametrize("level", ["0", "-1"])
+@pytest.mark.parametrize("oracle", ["su-count", "stabilization"])
+def test_verify_level_below_one_is_exit_two(capsys, oracle, level):
+    code, out, err = run(capsys, "verify", "--oracle", oracle, "--lattice", "L", "--n", "1",
+                         "--d", "3", "--p", "3", "--level", level)
+    assert code == 2 and out == "" and err.startswith("hmvol: ")
 
 
 def test_verify_budget_exceeded_is_exit_four(capsys):
@@ -286,8 +331,8 @@ def test_failed_l_pin_is_exit_three(capsys, monkeypatch, cold_memos):
                  ["table", "--lattice", "M", "--n-range", "2..2", "--d-list", "7"]):
         code, out, err = run(capsys, *argv)
         assert code == 3 and _one_line_failure(out, err) and "closed form" in err
-    code, _, err = run(capsys, "lvalue", "--kind", "L", "--k", "3", "--d", "3")
-    assert code == 3 and "AssertionError" in err
+    code, out, err = run(capsys, "lvalue", "--kind", "L", "--k", "3", "--d", "3")
+    assert code == 3 and _one_line_failure(out, err) and "AssertionError" in err
 
 
 @st.composite
@@ -313,6 +358,33 @@ def _argv(draw):
 @settings(max_examples=40, deadline=None)
 @given(_argv())
 def test_main_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("hmvol: ")
+
+
+@st.composite
+def _verify_argv(draw):
+    argv = ["verify", "--oracle", draw(st.sampled_from(["su-count", "tau-p", "kernel",
+                                                        "stabilization"])),
+            "--lattice", draw(st.sampled_from(["L", "M"])), "--n", str(draw(st.integers(0, 8))),
+            # every example carries a small budget, so each run is bounded in time
+            "--budget", str(draw(st.integers(0, 10**6)))]
+    for flag, values in (("--d", [None, 1, 3, 4, 5, 7]), ("--p", [None, 1, 2, 3, 4, 5, 9]),
+                         ("--level", [None, -1, 0, 1, 2])):
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_verify_argv())
+def test_verify_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)

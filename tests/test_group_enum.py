@@ -154,6 +154,89 @@ def test_divisibility_test_exact_below_bound():
         assert np.array_equal(_divisible(eng, H), np.arange(2**22) % m == 0), m
 
 
+def _enumerated_kernel(lattice, n, level=None, field=None):
+    """The reference count of the reduction-kernel system: every assignment of
+    the free entries is enumerated and the full system verified."""
+    level = {"L": 2, "M": 4}[lattice] if level is None else level
+    field = make_field(5) if field is None else field
+    lam = lattice_diag(lattice, n)
+    ring = ResidueRing(field, 2, level.bit_length() - 1)
+    m, t = ring.modulus, ring.trace_eps
+    q = m * m
+    w = n + 1
+    # Free entries: the upper triangle and the first n diagonal entries; the
+    # lower triangle is forced by the pairing equations (unit lam_i on the
+    # rows doing the forcing), the last diagonal entry by the trace.
+    free = [(i, i) for i in range(n)] + [(i, j) for i in range(w) for j in range(i + 1, w)]
+    n_free = len(free)
+    idx = np.arange(q**n_free, dtype=np.int64)
+    # Entries are coordinate-plane pairs (a, b) for a + b*eps, reduced mod m
+    # only where tested: every step is Z-linear, so residues are unaffected,
+    # and the few sums and products of coordinates below 4 stay far inside int16.
+    entries = {pos: (((idx // m**(2 * s)) % m).astype(np.int16),
+                     ((idx // m**(2 * s + 1)) % m).astype(np.int16))
+               for s, pos in enumerate(free)}
+
+    def conj(x):
+        return x[0] + t * x[1], -x[1]
+
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    def smul(c, x):
+        return c * x[0], c * x[1]
+
+    def is_zero(x):
+        return (x[0] % m == 0) & (x[1] % m == 0)
+
+    for i in range(w):
+        for j in range(i + 1, w):
+            # the (i, j) equation forces b_ji = -conj(lam_j b_ij), using lam_i = 1 for i < j
+            entries[(j, i)] = smul(-1, conj(smul(lam[j], entries[(i, j)])))
+    acc = entries[(0, 0)]
+    for i in range(1, n):
+        acc = add(acc, entries[(i, i)])
+    entries[(w - 1, w - 1)] = smul(-1, acc)
+    ok = np.ones(idx.shape[0], dtype=bool)
+    # Verify the full system -B.Lam = Lam.conj(B)' and Tr B = 0.
+    for i in range(w):
+        for j in range(w):
+            ok &= is_zero(add(smul(lam[j], entries[(i, j)]), smul(lam[i], conj(entries[(j, i)]))))
+    tr = entries[(0, 0)]
+    for i in range(1, w):
+        tr = add(tr, entries[(i, i)])
+    ok &= is_zero(tr)
+    return int(ok.sum())
+
+
+_KERNEL_FIELDS = [1, 3, 5, 7, 13, 15]  # 2 ramified (d = 1 mod 4), inert and split
+
+
+@pytest.mark.parametrize("lattice", ["L", "M"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", _KERNEL_FIELDS)
+def test_kernel_elimination_equals_enumeration(lattice, n, d):
+    field = make_field(d)
+    assert count_kernel(lattice, n, field=field) == _enumerated_kernel(lattice, n, field=field)
+
+
+@pytest.mark.parametrize("d", _KERNEL_FIELDS)
+def test_kernel_elimination_equals_enumeration_at_either_level(d):
+    field = make_field(d)
+    for lattice in ("L", "M"):
+        for level in (2, 4):
+            assert (count_kernel(lattice, 1, level, field)
+                    == _enumerated_kernel(lattice, 1, level, field)), (lattice, level)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_closed_forms(n):
+    for d in (1, 5, 13):
+        field = make_field(d)
+        assert count_kernel("L", n, field=field) == 2**(n * n + 3 * n), d
+        assert count_kernel("M", n, field=field) == 2**(2 * n * n + 5 * n), d
+
+
 def test_kernel_counts():
     assert count_kernel("L", 1) == 2**4
     assert count_kernel("M", 1) == 2**7
@@ -183,11 +266,17 @@ def test_stabilization_examples():
         stabilization_check("L", 1, F3, 3, 0)
 
 
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_stabilization_rejects_a_non_prime(p):
+    with pytest.raises(ValueError, match="not prime"):
+        stabilization_check("L", 1, F3, p, 1)
+
+
 def test_budget_refusal_is_not_zero():
     with pytest.raises(BudgetExceeded):
         count_group("L", 1, ring(F3, 5), "SU", budget=50)
-    with pytest.raises(BudgetExceeded):
-        count_kernel("M", 3, budget=10**6)
+    # the kernel is counted by elimination and has no budget
+    assert count_kernel("M", 3) == 2**33
 
 
 def test_budget_of_exactly_the_node_total_suffices():
