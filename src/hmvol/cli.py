@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from mpmath import nstr
 
+from .arith import is_prime
 from .group_enum import (BudgetExceeded, count_group, count_kernel, default_budget,
                          oracle_tau_p, stabilization_check)
 from .local_density import tau_p
@@ -42,7 +43,14 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _rat_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+    # the volume coefficients outgrow Python's int -> str digit limit (4300
+    # digits) from n = 90 on; lift it for the package's own rationals only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{v.numerator}/{v.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _num_str(v) -> str:
@@ -194,6 +202,8 @@ def _cmd_verify(args) -> int:
             return _fail("--d is required for this oracle", EXIT_INVALID)
         if args.p is None:
             return _fail("--p is required for this oracle", EXIT_INVALID)
+        if not is_prime(args.p):
+            return _fail(f"{args.p} is not prime", EXIT_INVALID)
         level = 1 if args.level is None else args.level
         if args.oracle == "stabilization":
             ok = stabilization_check(args.lattice, args.n, field, args.p, level,

@@ -24,7 +24,9 @@ are built once per count, already side by side; filtered rows of the last
 class carry their indices into it, and the last stage gathers their columns.
 A check holds when every entry of the product is divisible by m, tested as
 H == m*rint(H/m).  That is exact while 2w m^2 < 2^22 (_exact_in_float32),
-which the cap on the candidate row table guarantees.
+which the cap on the candidate row table guarantees.  These forms are the
+package's only arithmetic over O/m; hmvol.residue_ring.ResidueRing just names
+the ring.
 
 Work is metered in visited partial assignments (candidate rows examined,
 broadcast cells swept).  Exceeding the budget raises BudgetExceeded, which

@@ -3,9 +3,10 @@ Gram determinants of the trace form B(X,Y) = Tr(XY), the holomorphic
 curvature constant, and the compact-group volume constants.
 
 Arithmetic is exact throughout: matrix entries live in Q(sqrt(-d)) (class
-Quad), and the curvature computation extends to Q(sqrt(-d), i) (class BiQuad)
-because the complex structure J multiplies column entries by i.  Square roots
-(sqrt n, sqrt(n+1)) never leave the squared slot of VolumeExpression.
+Quad).  The curvature stays there too: the complex structure J multiplies the
+last column by i and the last row by -i, and the factors i cancel in the
+curvature ratio (see curvature_ratio).  Square roots (sqrt n, sqrt(n+1))
+never leave the squared slot of VolumeExpression.
 
 Every basis element has at most two nonzero entries, so the exact kernels
 work on supports: the Lie-membership check reads only the cells of an
@@ -157,23 +158,6 @@ def _support(X) -> dict:
     return {(i, j): v for i, row in enumerate(X) for j, v in enumerate(row) if v != _ZERO}
 
 
-def trace_form(basis: LieBasis, i: int, j: int) -> int:
-    """B(X_i, X_j) = Tr(X_i X_j); a rational integer on the integral basis."""
-    return _sparse_trace(_support(basis.elements[i]), _support(basis.elements[j]),
-                         basis.field.d)
-
-
-def _sparse_trace(sx: dict, sy: dict, d: int) -> int:
-    # basis elements carry at most two nonzero entries, so Tr(XY) over the
-    # supports is a handful of Quad products
-    acc = _ZERO
-    for (i, k), v in sx.items():
-        w = sy.get((k, i))
-        if w is not None:
-            acc = q_add(acc, q_mul(v, w, d))
-    return _rational_integer(acc)
-
-
 def _rational_integer(v: Quad) -> int:
     if v.y != 0 or v.x.denominator != 1:
         raise AssertionError("trace form value is not a rational integer")
@@ -243,80 +227,43 @@ def _bareiss_det(M) -> int:
 
 # ---- curvature of the noncompact part ----
 
-class BiQuad(NamedTuple):
-    """w + x i + y s + z i s with s^2 = -d; the coefficient field of J X."""
-    w: Fraction
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-
-_BQ_ZERO = BiQuad(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-
-
-def _bq(quad: Quad) -> BiQuad:
-    return BiQuad(quad.x, Fraction(0), quad.y, Fraction(0))
-
-
-def bq_add(a: BiQuad, b: BiQuad) -> BiQuad:
-    return BiQuad(a.w + b.w, a.x + b.x, a.y + b.y, a.z + b.z)
-
-
-def bq_sub(a: BiQuad, b: BiQuad) -> BiQuad:
-    return BiQuad(a.w - b.w, a.x - b.x, a.y - b.y, a.z - b.z)
-
-
-def bq_mul(a: BiQuad, b: BiQuad, d: int) -> BiQuad:
-    return BiQuad(
-        a.w * b.w - a.x * b.x - d * a.y * b.y + d * a.z * b.z,
-        a.w * b.x + a.x * b.w - d * (a.y * b.z + a.z * b.y),
-        a.w * b.y + a.y * b.w - (a.x * b.z + a.z * b.x),
-        a.w * b.z + a.z * b.w + a.x * b.y + a.y * b.x,
-    )
-
-
-def bq_mul_i(a: BiQuad) -> BiQuad:
-    # i * (w + x i + y s + z i s) = -x + w i - z s... careful: i*s = is, i*is = -s
-    return BiQuad(-a.x, a.w, -a.z, a.y)
-
-
-def _bq_mat_mul(A, B, d: int):
+def _mat_mul(A, B, d: int):
     # only nonzero factors A[i][k] and B[k][j] contribute
     w = len(A)
-    b_rows = [[(j, v) for j, v in enumerate(row) if v != _BQ_ZERO] for row in B]
-    out = [[_BQ_ZERO] * w for _ in range(w)]
+    b_rows = [[(j, v) for j, v in enumerate(row) if v != _ZERO] for row in B]
+    out = [[_ZERO] * w for _ in range(w)]
     for i in range(w):
         row = out[i]
         for k, a in enumerate(A[i]):
-            if a == _BQ_ZERO:
+            if a == _ZERO:
                 continue
             for j, b in b_rows[k]:
-                row[j] = bq_add(row[j], bq_mul(a, b, d))
+                row[j] = q_add(row[j], q_mul(a, b, d))
     return out
 
 
-def _bq_commutator(A, B, d: int):
-    AB = _bq_mat_mul(A, B, d)
-    BA = _bq_mat_mul(B, A, d)
-    return [[bq_sub(AB[i][j], BA[i][j]) for j in range(len(A))] for i in range(len(A))]
+def _commutator(A, B, d: int):
+    AB, BA = _mat_mul(A, B, d), _mat_mul(B, A, d)
+    return [[Quad(s.x - t.x, s.y - t.y) for s, t in zip(r, q)] for r, q in zip(AB, BA)]
 
 
-def _bq_trace_form(A, B, d: int) -> Fraction:
-    acc = _BQ_ZERO
-    for i, row in enumerate(A):
-        for k, a in enumerate(row):
-            if a != _BQ_ZERO and B[k][i] != _BQ_ZERO:
-                acc = bq_add(acc, bq_mul(a, B[k][i], d))
-    if (acc.x, acc.y, acc.z) != (0, 0, 0):
-        raise AssertionError("trace form value is not rational")
-    return acc.w
+def _trace(A, B, d: int) -> Quad:
+    """Tr(AB) of two dense matrices."""
+    return _sum_q(q_mul(a, B[k][i], d) for i, row in enumerate(A) for k, a in enumerate(row)
+                  if a != _ZERO and B[k][i] != _ZERO)
 
 
 def curvature_ratio(X, field: FieldData) -> Fraction:
     """B([[X,JX],X],JX) / (B(X,X) B(JX,JX)) for X in the noncompact part
     (nonzero entries only in the last row and column); equals -2 identically.
     X is a matrix of Quad entries, e.g. a combination of the e_k, f_k basis
-    elements."""
+    elements.
+
+    J multiplies the last column by i and the last row by -i, so JX = iY with
+    Y the matrix X with its last row negated.  B is complex bilinear, so the
+    factor i^2 = -1 appears once in the numerator and once in the denominator
+    and cancels: the ratio is B([[X,Y],X],Y) / (B(X,X) B(Y,Y)), computed in
+    Q(sqrt(-d))."""
     w = len(X)
     d = field.d
     X = [[Quad(Fraction(v[0]), Fraction(v[1])) if not isinstance(v, Quad) else v
@@ -334,18 +281,15 @@ def curvature_ratio(X, field: FieldData) -> Fraction:
     if not any(all(X[w - 1][k] == q_mul(_q(low), q_conj(X[k][w - 1]), d) for k in range(w - 1))
                for low in (1, 2)):
         raise ValueError("bottom row is not the (possibly doubled) conjugate of the top column")
-    Xb = [[_bq(v) for v in row] for row in X]
-    JX = [row[:] for row in Xb]
-    for k in range(w - 1):
-        JX[k][w - 1] = bq_mul_i(JX[k][w - 1])
-        JX[w - 1][k] = BiQuad(*(-c for c in bq_mul_i(JX[w - 1][k])))
-    inner = _bq_commutator(Xb, JX, d)
-    outer = _bq_commutator(inner, Xb, d)
-    num = _bq_trace_form(outer, JX, d)
-    den = _bq_trace_form(Xb, Xb, d) * _bq_trace_form(JX, JX, d)
+    Y = X[:-1] + [[Quad(-v.x, -v.y) for v in X[-1]]]
+    num = _trace(_commutator(_commutator(X, Y, d), X, d), Y, d)
+    bxx, byy = _trace(X, X, d), _trace(Y, Y, d)
+    if any(v.y != 0 for v in (num, bxx, byy)):
+        raise AssertionError("trace form value is not rational")
+    den = bxx.x * byy.x
     if den == 0:
         raise ValueError("B(X, X) vanishes; curvature ratio undefined")
-    return num / den
+    return num.x / den
 
 
 # ---- compact group volumes ----

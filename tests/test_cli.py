@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmvol
-from hmvol import special_values, volume
+from hmvol import cli, special_values, volume
 from hmvol.cli import main
+from hmvol.quadfield import make_field
 from hmvol.special_values import WORK_DPS, ExactForm
-from hmvol.volume import discrepancy_report
+from hmvol.volume import discrepancy_report, hm_assembled, rationalize
 
 
 def run(capsys, *argv):
@@ -41,6 +42,45 @@ def test_compute_reports_error_bound(capsys):
     assert all(0 < r["volume_error_bound"] < 1e-10 for r in json.loads(out))
     code, out, _ = run(capsys, "compute", "--lattice", "L", "--n", "1", "--d", "3")
     assert code == 0 and "+/- " in out
+
+
+def _unlimited_fraction(text: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("lattice, n", [("both", 90), ("L", 150)])
+def test_compute_volumes_beyond_the_int_str_digit_limit(capsys, lattice, n):
+    # from n = 90 on the volume coefficients have more than 4300 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "compute", "--lattice", lattice, "--n", str(n), "--d", "3",
+                         "--format", "json")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    field = make_field(3)
+    recs = json.loads(out)
+    assert [r["lattice"] for r in recs] == (["L", "M"] if lattice == "both" else [lattice])
+    for r in recs:
+        digits = max(len(part) for key in ("coefficient", "volume_rational")
+                     for part in r[key].split("/"))
+        assert digits > sys.int_info.default_max_str_digits
+        assert _unlimited_fraction(r["volume_rational"]) == \
+            rationalize(hm_assembled(r["lattice"], n, field), field)
+
+
+def test_table_row_beyond_the_int_str_digit_limit(capsys):
+    code, out, err = run(capsys, "table", "--lattice", "L", "--n-range", "90..90",
+                         "--d-list", "3")
+    assert code == 0, err
+    (row,) = csv.DictReader(io.StringIO(out))
+    field = make_field(3)
+    assert (row["n"], row["pipeline_agreement"]) == ("90", "match")
+    assert _unlimited_fraction(row["volume_rational"]) == \
+        rationalize(hm_assembled("L", 90, field), field)
 
 
 def test_compute_m_lattice(capsys):
@@ -191,6 +231,16 @@ def test_verify_budget_of_exactly_the_node_total_suffices(capsys):
     assert code == 0 and "oracle 378000" in out and "Match" in out
     code, _, err = run(capsys, *argv, "65220624")
     assert code == 4 and "65220624" in err
+
+
+@pytest.mark.parametrize("p", ["1", "4", "9", "25"])
+def test_verify_su_count_refuses_a_non_prime_before_counting(capsys, monkeypatch, p):
+    def count_group(*args, **kwargs):
+        pytest.fail(f"counted over O/{p}")
+    monkeypatch.setattr(cli, "count_group", count_group)
+    code, out, err = run(capsys, "verify", "--oracle", "su-count", "--lattice", "L",
+                         "--n", "1", "--d", "3", "--p", p)
+    assert code == 2 and out == "" and "not prime" in err
 
 
 def test_verify_missing_p(capsys):

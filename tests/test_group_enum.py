@@ -13,7 +13,8 @@ from hmvol.group_enum import (BudgetExceeded, _Engine, _Meter, _MAX_ROW_TABLE, _
 from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
 from hmvol.quadfield import make_field
-from hmvol.residue_ring import ResidueRing, RingMatrix
+from hmvol.residue_ring import ResidueRing
+from scalar_ring import RingMatrix, ScalarRing
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
@@ -95,7 +96,7 @@ _MODULI = {2: (2, 1), 4: (2, 2), 8: (2, 3), 32: (2, 5), 3: (3, 1), 9: (3, 2),
 def _kernel_cases(draw):
     m = draw(st.sampled_from(sorted(_MODULI)))
     p, N = _MODULI[m]
-    R = ResidueRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N)
+    R = ScalarRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N)
     w = draw(st.integers(2, 4))
     lam = tuple(draw(st.lists(st.integers(-3, 3), min_size=w, max_size=w)))
     coord = st.integers(0, m - 1)
@@ -286,6 +287,14 @@ def test_budget_of_exactly_the_node_total_suffices():
         assert count_group(lat, n, r, group, budget=rep.nodes).count == rep.count
         with pytest.raises(BudgetExceeded):
             count_group(lat, n, r, group, budget=rep.nodes - 1)
+
+
+@pytest.mark.parametrize("d, count", [(3, 450000), (11, 300000)])
+def test_last_stage_node_total_over_o25(d, count):
+    # 5 is inert for d = 3 and split for d = 11; the 15000 x 15000 last-stage
+    # sweep over O/25 visits the same number of cells either way
+    rep = count_group("L", 1, ring(make_field(d), 5, 2), "U")
+    assert (rep.count, rep.nodes) == (count, 225390625)
 
 
 def test_default_budget_env_override(monkeypatch):

@@ -3,14 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from hmvol import lie_form
 from hmvol.expressions import VolumeExpression
-from hmvol.lie_form import (Quad, _bareiss_det, _check_lie_member, build_basis,
-                            curvature_ratio, gram_det, lattice_diag, q_add, q_mul,
-                            trace_form, vol_max_compact, vol_su)
+from hmvol.lie_form import (Quad, _bareiss_det, _check_lie_member, _rational_integer, _trace,
+                            build_basis, curvature_ratio, gram_det, lattice_diag, q_add, q_mul,
+                            vol_max_compact, vol_su)
 from hmvol.quadfield import make_field
 
-F3, F5 = make_field(3), make_field(5)
+F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 ZERO = Quad(Fraction(0), Fraction(0))
+
+
+def trace_form(basis, i, j):
+    """B(X_i, X_j) from the dense trace of the two matrices, independent of
+    gram_det's cell index."""
+    return _rational_integer(_trace(basis.elements[i], basis.elements[j], basis.field.d))
 
 
 def killing_det_reference(lattice, n, d):
@@ -138,7 +145,7 @@ def test_curvature_on_random_integer_combinations_n6():
     rng = random.Random(6)
     n, w = 6, 7
     for lattice in ("L", "M"):
-        for field in (F3, F5):
+        for field in (F1, F3, F5, F7):
             b = build_basis(lattice, n, field)
             ef = [X for lbl, X in zip(b.labels, b.elements)
                   if lbl[0] in "ef" and "," not in lbl]
@@ -160,6 +167,16 @@ def test_curvature_rejects_non_member():
     X = [list(r) for r in b.elements[2]]
     X[0][1] = Quad(Fraction(0), Fraction(1))
     with pytest.raises(ValueError):
+        curvature_ratio(X, F3)
+
+
+def test_curvature_rejects_an_irrational_trace(monkeypatch):
+    # no Lie-algebra input reaches the check, so perturb the trace it reads
+    real_trace = lie_form._trace
+    monkeypatch.setattr(lie_form, "_trace", lambda A, B, d: q_add(real_trace(A, B, d),
+                                                                  Quad(Fraction(0), Fraction(1))))
+    X = [list(r) for r in build_basis("L", 1, F3).elements[2]]
+    with pytest.raises(AssertionError, match="not rational"):
         curvature_ratio(X, F3)
 
 

@@ -4,16 +4,16 @@ from math import gcd
 import pytest
 
 from hmvol.quadfield import make_field
-from hmvol.residue_ring import ResidueRing, RingMatrix, hermitian_defect
+from scalar_ring import RingMatrix, ScalarRing, hermitian_defect
 
 RINGS = [
-    ResidueRing(make_field(3), 5, 1),
-    ResidueRing(make_field(3), 3, 1),
-    ResidueRing(make_field(7), 11, 1),
-    ResidueRing(make_field(5), 2, 3),
-    ResidueRing(make_field(3), 2, 2),
-    ResidueRing(make_field(1), 2, 3),
-    ResidueRing(make_field(7), 3, 2),
+    ScalarRing(make_field(3), 5, 1),
+    ScalarRing(make_field(3), 3, 1),
+    ScalarRing(make_field(7), 11, 1),
+    ScalarRing(make_field(5), 2, 3),
+    ScalarRing(make_field(3), 2, 2),
+    ScalarRing(make_field(1), 2, 3),
+    ScalarRing(make_field(7), 3, 2),
 ]
 
 
@@ -26,11 +26,11 @@ def rand_matrix(R, w, rng):
 
 
 def test_conjugation_examples():
-    R = ResidueRing(make_field(3), 7, 1)
+    R = ScalarRing(make_field(3), 7, 1)
     eps = R.eps()
     assert R.conj(eps) == R.sub(R.one(), eps)  # trace 1
     assert R.norm(eps) == 1
-    R5 = ResidueRing(make_field(5), 7, 1)
+    R5 = ScalarRing(make_field(5), 7, 1)
     assert R5.conj(R5.eps()) == R5.neg(R5.eps())
     assert R5.norm(R5.eps()) == 5
 
@@ -77,7 +77,7 @@ def test_is_unit_matches_unit_norm():
 
 
 def test_det_examples():
-    R = ResidueRing(make_field(3), 5, 1)
+    R = ScalarRing(make_field(3), 5, 1)
     assert RingMatrix.identity(R, 3).det() == R.one()
     x, y = R.element(2, 1), R.element(3, 4)
     assert RingMatrix.diagonal(R, [x, y]).det() == R.mul(x, y)
@@ -103,7 +103,7 @@ def test_hermitian_defect_identity_is_zero():
 
 
 def test_hermitian_defect_norm_one_scalar_is_zero():
-    R = ResidueRing(make_field(3), 5, 1)
+    R = ScalarRing(make_field(3), 5, 1)
     u = next(R.element(a, b) for a in range(5) for b in range(5)
              if R.norm(R.element(a, b)) == 1 and (a, b) != (1, 0))
     A = RingMatrix.diagonal(R, [u, u, u])
@@ -112,7 +112,7 @@ def test_hermitian_defect_norm_one_scalar_is_zero():
 
 def test_hermitian_defect_generic_failure_witness():
     rng = random.Random(19)
-    R = ResidueRing(make_field(3), 5, 1)
+    R = ScalarRing(make_field(3), 5, 1)
     hits = 0
     for _ in range(20):
         A = rand_matrix(R, 2, rng)
