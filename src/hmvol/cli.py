@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import nstr
+from mpmath import mpf, nstr
 
 from .arith import is_prime
 from .group_enum import (BudgetExceeded, count_group, count_kernel, default_budget,
@@ -84,8 +84,9 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
         "d": field.d,
         "D": field.D,
         "volume_rational": _rat_str(value),
-        "volume_numeric": float(numeric),
-        "volume_error_bound": float(bound),
+        # mpmath values: past 1.8e308 (n >= 39) a float would overflow to inf
+        "volume_numeric": numeric,
+        "volume_error_bound": bound,
         "coefficient": _rat_str(expr.coeff),
         "d_power": _rat_str(expr.d_power),
         "zeta_args": list(expr.zeta_args),
@@ -95,9 +96,26 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
     }
 
 
+def _json_dumps(records: list[dict]) -> str:
+    """The records as JSON, each mpmath value written as a number literal with
+    17 significant digits: RFC 8259 numbers have no range limit, so a volume
+    beyond the float range stays a finite number."""
+    literals = []
+
+    def stand_in(v):
+        literals.append(nstr(v, 17))
+        return f"@mpf{len(literals) - 1}@"
+
+    text = json.dumps([{k: stand_in(v) if isinstance(v, mpf) else v for k, v in r.items()}
+                       for r in records], indent=2, allow_nan=False)
+    for i, literal in enumerate(literals):
+        text = text.replace(f'"@mpf{i}@"', literal, 1)
+    return text
+
+
 def _emit_records(records: list[dict], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(records, indent=2))
+        print(_json_dumps(records))
         return
     if fmt == "csv":
         buf = io.StringIO()
@@ -111,14 +129,14 @@ def _emit_records(records: list[dict], fmt: str) -> None:
         verdict = f" [{r['verdict']}]" if r["verdict"] else ""
         print(f"lattice={r['lattice']} n={r['n']} d={r['d']} D={r['D']} "
               f"volume={r['volume_rational']} "
-              f"(~{r['volume_numeric']:.10g} +/- {r['volume_error_bound']:.2g}) "
+              f"(~{nstr(r['volume_numeric'], 10)} +/- {nstr(r['volume_error_bound'], 2)}) "
               f"pipeline={r['provenance']}{verdict}")
 
 
 def _table_row(r: dict) -> list:
     agreement = r["verdict"] if r["verdict"] else r["provenance"]
     return [r["lattice"], r["n"], r["d"], r["D"], r["volume_rational"],
-            f"{r['volume_numeric']:.12g}",
+            nstr(r["volume_numeric"], 12),
             ";".join(str(a) for a in r["zeta_args"]),
             ";".join(str(a) for a in r["l_args"]),
             agreement]

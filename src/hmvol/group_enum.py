@@ -2,35 +2,31 @@
 
 Matrices A with A.Lam.conj(A)' = Lam (and det A = 1 for the special count)
 are enumerated row by row: a candidate k-th row must have the prescribed
-Hermitian self-pairing Lam_kk, pair to zero against every previously chosen
-row, and the determinant condition is checked on the final row.  A full
-Cartesian sweep over all q^((n+1)^2) matrices, built on the same form
-matrices, is available as a cross-check mode for the smallest cases.
+Hermitian self-pairing Lam_kk and pair to zero against every chosen row.
+The last row is not searched for: the rows orthogonal to a prefix are the
+multiples c v of one vector v (_Engine.complement), so the completions of a
+prefix are counted from h(v, v) and det [prefix; v].  A full Cartesian
+sweep over all q^((n+1)^2) matrices is a cross-check mode.
 
 Rows are stored as real coordinate planes: the row (x_0, ..., x_{w-1}) with
 x_i = a_i + b_i*eps over O/m, m = p^N, is the vector (a_0, b_0, ..., a_{w-1},
 b_{w-1}) with entries in [0, m).  The pairing h(u, v) = sum lam_i u_i
 conj(v_i) and the determinant sum_i cof_i v_i are Z/m-bilinear in these
 coordinates, so fixing v turns either into a (2w, 2) integer form matrix.
-Stacking the forms of many rows v side by side turns a whole block of
-(u, v) checks into one small float32 matmul: candidates are filtered by a
-matvec against each chosen row, and the recursion bottoms out in a blocked
-(B, 2w) @ (2w, 2 nb) product over the last two rows.  For SU the cofactors
-of the last row are linear in the second-to-last, so det - 1 joins the same
-product, (B, 2w+1) @ (2w+1, 4 nb), with a constant column carrying the -1.
-Forms are built per norm class, not per prefix: each level builds the pair
-forms of its first class in one call, and the forms of the whole last class
-are built once per count, already side by side; filtered rows of the last
-class carry their indices into it, and the last stage gathers their columns.
-A check holds when every entry of the product is divisible by m, tested as
-H == m*rint(H/m).  That is exact while 2w m^2 < 2^22 (_exact_in_float32),
-which the cap on the candidate row table guarantees.  These forms are the
-package's only arithmetic over O/m; hmvol.residue_ring.ResidueRing just names
-the ring.
+Candidates are filtered by a float32 matvec against each chosen row's
+form, and the level above the last row filters against the stacked forms of
+a block of rows at once.  A pairing is zero when both entries of the product
+are divisible by m, tested as H == m*rint(H/m), exact while 2w m^2 < 2^22
+(_exact_in_float32), which the cap on the row table guarantees.  Cofactors,
+complements and norms are computed in int64.  These kernels are the
+package's only arithmetic over O/m.
 
-Work is metered in visited partial assignments (candidate rows examined,
-broadcast cells swept).  Exceeding the budget raises BudgetExceeded, which
-deliberately distinguishes "infeasible under this budget" from a zero count.
+Work is metered in the partial assignments the search settles: the rows
+each filter examines, and na x nb for each prefix whose last two classes
+both survive, whether its pairs are swept or settled through the complement
+(the cartesian mode charges its matrices).  Exceeding the budget raises
+BudgetExceeded, which deliberately distinguishes "infeasible under this
+budget" from a zero count.
 
 count_kernel counts the reduction kernels of the 2-adic densities by exact
 elimination over Z/2^k, not by enumeration, so it needs no budget.
@@ -38,6 +34,7 @@ elimination over Z/2^k, not by enumeration, so it needs no budget.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -54,9 +51,14 @@ DEFAULT_BUDGET = 10**9
 # Hard cap on the size of the candidate row table, independent of the budget;
 # beyond this the table itself does not fit comfortably in memory.
 _MAX_ROW_TABLE = 3 * 10**7
-# Cells per block of a sweep.  Small enough that a block's float32 product
-# stays in cache and BLAS runs it on the calling thread.
+# Cells per block of the cartesian sweep and per product of the level above
+# the last row.  Small enough that BLAS runs these thin (inner dimension 2w)
+# products on the calling thread: past about 1e6 multiply-adds OpenBLAS
+# splits them over threads, which made them 20-100 times slower per cell on
+# a 2-CPU host.
 _CHUNK_CELLS = 1 << 15
+# Prefixes per batch of complements at the level above the last row.
+_PREFIX_BATCH = 1 << 11
 
 
 class BudgetExceeded(RuntimeError):
@@ -104,15 +106,38 @@ class _Engine:
         self.su = su
         self.w = len(lam)
         self.inv_m = np.float32(1 / m)
+        # pi_i = prod_(j != i) lam_j weights the complement line of a prefix
+        self.pi = np.array([math.prod(self.lam[:i] + self.lam[i + 1:]) % m
+                            for i in range(self.w)], dtype=np.int64)
+        # norm_hits[g] = #{c in O/m : N(c) g = lam_w}, over the m^2 elements c
+        norms = self.norm(np.stack(np.divmod(np.arange(m * m), m), axis=-1))
+        self.norm_hits = np.count_nonzero(
+            (np.outer(np.arange(m), norms) - self.lam[-1]) % m == 0, axis=1)
+
+    def norm(self, z):
+        """N(z) = z conj(z) of plane elements z (..., 2), a scalar mod m."""
+        a, b = z[..., 0], z[..., 1]
+        return (a * a + self.t * a * b + self.nu * b * b) % self.m
 
     def selfnorm(self, rows):
-        """Hermitian self-pairing sum(lam_i |v_i|^2) of plane rows (B, 2w), a scalar mod m."""
-        t, nu = self.t, self.nu
-        acc = np.zeros(rows.shape[0], dtype=np.int64)
+        """Hermitian self-pairing sum(lam_i |v_i|^2) of plane rows (..., 2w), a scalar mod m."""
+        acc = np.zeros(rows.shape[:-1], dtype=np.int64)
         for i in range(self.w):
-            a, b = rows[:, 2 * i].astype(np.int64), rows[:, 2 * i + 1].astype(np.int64)
-            acc += self.lam[i] * (a * a + t * a * b + nu * b * b)
+            acc += self.lam[i] * self.norm(rows[..., 2 * i:2 * i + 2].astype(np.int64))
         return acc % self.m
+
+    def complement(self, cof):
+        """The rows orthogonal to a prefix R (w - 1 rows, R Lam R* diagonal with
+        unit entries) are the c v, c in O/m, with c -> c v one-to-one, for
+        v = conj(pi * cof), cof (..., 2w) being R's last-row cofactors as any
+        integers: h(r, v) = det(Lam) det [R; r] = 0 for each row r of R, and by
+        Cauchy-Binet sum pi_i N(cof_i) = det(R Lam R*), a unit.  Returns
+        g = h(v, v) and delta = det [R; v]; for L and M, g = lam_w and delta = 1."""
+        u = cof.reshape(cof.shape[:-1] + (self.w, 2)) * self.pi[:, None]
+        v = np.stack([u[..., 0] + self.t * u[..., 1], -u[..., 1]], axis=-1) % self.m
+        v = v.reshape(cof.shape)
+        delta = np.einsum("...k,...kc->...c", cof, self.mul_form(v)) % self.m
+        return self.selfnorm(v), delta
 
     def pair_form(self, V):
         """Form matrices of h(., v) for plane rows V (..., 2w): integer (..., 2w, 2)
@@ -164,21 +189,22 @@ class _Engine:
 def _exact_in_float32(w: int, m: int) -> bool:
     """Whether the float32 kernels are exact for rows of width w over O/m.
 
-    Both operands hold integers in [0, m) (the constant column of the SU check
-    holds 1), so every product entry H sums at most 2w + 1 terms and stays
-    below 2w m^2.  Below 2^22 every partial sum is an exact float32 integer,
-    and the float32 product H * (1/m) lies within 1/(2m) of H/m: rint returns
-    H/m when m divides H, and otherwise m * rint(...) is an exact multiple of m
-    other than H.  So H == m * rint(H / m) holds exactly when m divides H."""
+    Both operands hold integers in [0, m), so every product entry H sums at
+    most 2w terms and stays below 2w m^2.  Below 2^22 every partial sum is an
+    exact float32 integer, and the float32 product H * (1/m) lies within
+    1/(2m) of H/m: rint returns H/m when m divides H, and otherwise
+    m * rint(...) is an exact multiple of m other than H.  So
+    H == m * rint(H / m) holds exactly when m divides H."""
     return 2 * w * m * m < 2**22
 
 
-def _divisible(eng: _Engine, H):
-    """Elementwise m | H for a float32 product of plane rows and stacked forms."""
-    T = H * eng.inv_m
+def _divisible(eng: _Engine, H, tmp=None, out=None):
+    """Elementwise m | H for a float32 product of plane rows and stacked forms;
+    tmp (float32) and out (bool), shaped like H, avoid allocating."""
+    T = np.multiply(H, eng.inv_m, out=tmp)
     np.rint(T, out=T)
     T *= eng.m
-    return T == H
+    return np.equal(T, H, out=out)
 
 
 def _filter_by_row(eng: _Engine, meter: _Meter, C, form):
@@ -190,74 +216,96 @@ def _filter_by_row(eng: _Engine, meter: _Meter, C, form):
 
 
 def _cofactor_map(eng: _Engine, rows):
-    """For SU, the integer maps K (..., 2w, 2w) with planes(x) @ K = the
-    last-row cofactors of the matrix rows + [x, .]; None for U."""
-    if not eng.su:
-        return None
+    """The integer maps K (..., 2w, 2w) with planes(x) @ K = the last-row
+    cofactors of the matrix rows + [x, .]."""
     return eng.cofactors(rows + [np.eye(2 * eng.w, dtype=np.int64)])
 
 
-def _last_forms(eng: _Engine, C):
-    """What the last stage needs of rows C (B, 2w): the pair forms and, for SU,
-    the mul forms, laid side by side as float32 (2w, c, B) with c = 2 resp. 4.
-    Reshaped to (2w, c*B), this is a product operand whose column r*B + j gives
-    output coordinate r of row j."""
-    forms = eng.pair_form(C)
-    if eng.su:
-        forms = np.concatenate([forms, eng.mul_form(C)], axis=2)
-    return np.moveaxis(forms, 0, -1).astype(np.float32)
-
-
-def _last_two_operands(eng: _Engine, cof_map, Ca, forms):
-    """Operands of the last-stage sweep over rows Ca and the rows Cb whose
-    _last_forms are `forms`.  The product left (na, K) @ right (K, c*nb) holds
-    for cell (i, j) the pairing h(Ca_i, Cb_j) and, for SU, det - 1 of chosen +
-    [Ca_i, Cb_j], where cof_map = _cofactor_map(eng, chosen); the cell is a hit
-    iff all c coordinates are divisible by m."""
-    K, _, nb = forms.shape
+def _line_counts(eng: _Engine, g, delta):
+    """Last rows completing each prefix R whose complement line c -> c v has
+    g = h(v, v) and delta = det [R; v] (see _Engine.complement).  For U these
+    are the c with N(c) g = lam_w; for SU only c = 1/delta can give det 1, and
+    it does iff delta is a unit and N(1/delta) g = lam_w, i.e. g = lam_w N(delta)."""
     if not eng.su:
-        return Ca, forms.reshape(K, -1)
-    right = np.zeros((K + 1, 4, nb), dtype=np.float32)
-    right[:K, :2] = forms[:, :2]
-    # the mul forms of the cells' last rows composed with their cofactors
-    right[:K, 2:] = (cof_map @ forms[:, 2:].reshape(K, -1) % eng.m).reshape(K, 2, nb)
-    right[K, 2] = -1 % eng.m
-    left = np.hstack([Ca, np.ones((Ca.shape[0], 1), dtype=np.float32)])
-    return left, right.reshape(K + 1, -1)
+        return eng.norm_hits[g]
+    nd = eng.norm(delta)
+    return (np.gcd(nd, eng.m) == 1) & ((g - eng.lam[-1] * nd) % eng.m == 0)
 
 
-def _count_last_two(eng: _Engine, meter: _Meter, cof_map, Ca, forms) -> int:
-    na, nb = Ca.shape[0], forms.shape[-1]
-    if na == 0 or nb == 0:
-        return 0
-    if meter.visited + na * nb > meter.budget:
-        raise BudgetExceeded(
-            f"enumeration budget exceeded: final sweep needs {na * nb} cells "
-            f"on top of {meter.visited} visited (budget {meter.budget})")
-    left, right = _last_two_operands(eng, cof_map, Ca, forms)
-    c = right.shape[1] // nb
-    block = max(1, _CHUNK_CELLS // max(1, nb))
-    total = 0
-    for lo in range(0, na, block):
-        blk = left[lo:lo + block]
-        meter.bump(blk.shape[0] * nb)
-        ok = _divisible(eng, blk @ right)
-        total += int(np.count_nonzero(ok.reshape(blk.shape[0], c, nb).all(axis=1)))
+def _count_from_cofactors(eng: _Engine, cof) -> int:
+    """Completions of the prefixes with last-row cofactors cof (P, 2w)."""
+    return int(np.sum(_line_counts(eng, *eng.complement(cof)), dtype=np.int64))
+
+
+class _BlockBuffers:
+    """Work arrays of the blocked level, allocated once per count, so that its
+    timing does not depend on the allocator's history."""
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.prod = np.empty(cells, dtype=np.float32)
+        self.tmp = np.empty(cells, dtype=np.float32)
+        self.eq = np.empty(cells, dtype=bool)
+
+    def orthogonal(self, eng: _Engine, forms, CT):
+        """Mask (B, n) of h(c, z) = 0 for the rows z whose pair forms are stacked
+        in forms (2B, 2w) and the rows c of CT (2w, n)."""
+        shape = (forms.shape[0], CT.shape[1])
+        size = shape[0] * shape[1]
+        H = np.matmul(forms, CT, out=self.prod[:size].reshape(shape))
+        eq = _divisible(eng, H, self.tmp[:size].reshape(shape), self.eq[:size].reshape(shape))
+        return np.logical_and(eq[0::2], eq[1::2], out=eq[0::2])
+
+
+def _count_two_above(eng: _Engine, meter: _Meter, bufs: _BlockBuffers, chosen, cands) -> int:
+    """Completions of `chosen` by one row from each of the three classes in
+    `cands`, for a block of first rows z at a time.  The meter is charged what
+    the row-by-row search settles for each z: both filters (the last class's
+    only while the middle one survives) and na x nb if both survive."""
+    C0, Ca, Cb = cands
+    n0, na, nb = C0.shape[0], Ca.shape[0], Cb.shape[0]
+    forms = np.ascontiguousarray(np.swapaxes(eng.pair_form(C0), 1, 2), dtype=np.float32)
+    forms = forms.reshape(2 * n0, 2 * eng.w)
+    maps = _cofactor_map(eng, chosen + [C0[:, None, :]])
+    CaT, CbT = np.ascontiguousarray(Ca.T), np.ascontiguousarray(Cb.T)
+    Ca_int = Ca.astype(np.int64)
+    block = bufs.cells // (2 * max(na, nb, 1))
+    total, cofs, pending = 0, [], 0
+    for lo in range(0, n0, block):
+        zforms = forms[2 * lo:2 * (lo + block)]
+        kb = np.count_nonzero(bufs.orthogonal(eng, zforms, CbT), axis=1)
+        ok = bufs.orthogonal(eng, zforms, CaT)
+        ka = np.count_nonzero(ok, axis=1)
+        live = (ka > 0) & (kb > 0)
+        meter.bump(na * ka.shape[0] + nb * np.count_nonzero(ka) + int(ka[live] @ kb[live]))
+        for j in np.flatnonzero(live):
+            cofs.append(Ca_int[ok[j]] @ maps[lo + j])
+            pending += cofs[-1].shape[0]
+            # complements go in batches, so their int64 temporaries stay small
+            if pending >= _PREFIX_BATCH:
+                total += _count_from_cofactors(eng, np.concatenate(cofs))
+                cofs, pending = [], 0
+    if cofs:
+        total += _count_from_cofactors(eng, np.concatenate(cofs))
     return total
 
 
-def _count_rec(eng: _Engine, meter: _Meter, last, chosen, cands, ib) -> int:
+def _count_rec(eng: _Engine, meter: _Meter, bufs: _BlockBuffers, chosen, cands) -> int:
     """Completions of `chosen` by one row from each class in `cands`.  The last
-    class's forms `last` (_last_forms of the whole class) are built once per
-    count; ib holds the indices of the rows of cands[-1] into that class."""
+    row is never searched for: it lies on the complement line of the prefix
+    (_Engine.complement), and the last class is filtered only to meter it."""
     if len(cands) == 2:
-        return _count_last_two(eng, meter, _cofactor_map(eng, chosen), cands[0], last[..., ib])
+        # n = 1: each row x of the first class is a whole prefix
+        Ca, Cb = cands
+        if Ca.shape[0] == 0 or Cb.shape[0] == 0:
+            return 0
+        meter.bump(Ca.shape[0] * Cb.shape[0])
+        return _count_from_cofactors(eng, Ca.astype(np.int64) @ _cofactor_map(eng, chosen))
+    if len(cands) == 3:
+        return _count_two_above(eng, meter, bufs, chosen, cands)
     total = 0
     C0, rest = cands[0], cands[1:]
-    # One vectorized call gives the pair form of every z in C0 and, just above
-    # the last stage, the cofactor maps of chosen + [z].
     zforms = eng.pair_form(C0).astype(np.float32)
-    maps = _cofactor_map(eng, chosen + [C0[:, None, :]]) if len(rest) == 2 else None
     for idx in range(C0.shape[0]):
         deeper = []
         for Cj in rest:
@@ -266,12 +314,7 @@ def _count_rec(eng: _Engine, meter: _Meter, last, chosen, cands, ib) -> int:
                 break
             deeper.append(Cj[keep])
         else:
-            ib_kept = ib[keep]
-            if len(deeper) == 2:
-                cof_map = None if maps is None else maps[idx]
-                total += _count_last_two(eng, meter, cof_map, deeper[0], last[..., ib_kept])
-            else:
-                total += _count_rec(eng, meter, last, chosen + [C0[idx]], deeper, ib_kept)
+            total += _count_rec(eng, meter, bufs, chosen + [C0[idx]], deeper)
     return total
 
 
@@ -311,8 +354,8 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
         norms = eng.selfnorm(rows)
         cands = [rows[norms == eng.lam[k]] for k in range(eng.w)]
         del rows, norms
-        count = _count_rec(eng, meter, _last_forms(eng, cands[-1]), [], cands,
-                           np.arange(cands[-1].shape[0]))
+        bufs = _BlockBuffers(max(_CHUNK_CELLS, 2 * max(C.shape[0] for C in cands)))
+        count = _count_rec(eng, meter, bufs, [], cands)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return CountReport(ring=ring, lattice=lattice, n=n, group=group, count=count,

@@ -2,8 +2,9 @@
 
 An element a + b*eps is a pair of coordinates in Z/p^N; the only arithmetic on
 them is :mod:`hmvol.group_enum`'s, which stores rows as coordinate planes
-(a_0, b_0, a_1, b_1, ...) and checks pairings and determinants as float32
-matmuls against Z/m-bilinear form matrices, exact while 2w m^2 < 2^22.
+(a_0, b_0, a_1, b_1, ...), checks pairings as float32 matmuls against
+Z/m-bilinear form matrices, exact while 2w m^2 < 2^22, and computes
+cofactors, determinants and norms in int64.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,35 @@ def test_table_row_beyond_the_int_str_digit_limit(capsys):
     assert (row["n"], row["pipeline_agreement"]) == ("90", "match")
     assert _unlimited_fraction(row["volume_rational"]) == \
         rationalize(hm_assembled("L", 90, field), field)
+
+
+def _strict_json(text: str):
+    """Parse RFC 8259 JSON only (no NaN/Infinity), numbers as mpmath values."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject, parse_float=mpmath.mpf)
+
+
+@pytest.mark.parametrize("n", [38, 39, 45])
+def test_compute_json_beyond_the_float_range(capsys, n):
+    # the volume passes 1.8e308 at n = 39 and its error bound at n = 40
+    code, out, err = run(capsys, "compute", "--lattice", "both", "--n", str(n), "--d", "3",
+                         "--format", "json")
+    assert code == 0, err
+    field = make_field(3)
+    for r in _strict_json(out):
+        value, bound = volume.evaluate_numeric(hm_assembled(r["lattice"], n, field), field,
+                                               mpmath.mpf("1e-12"))
+        assert mpmath.isfinite(r["volume_numeric"]) and mpmath.isfinite(r["volume_error_bound"])
+        assert abs(r["volume_numeric"] - value) <= r["volume_error_bound"]
+        assert abs(r["volume_error_bound"] - bound) <= bound * mpmath.mpf("1e-15")
+    code, out, err = run(capsys, "compute", "--lattice", "both", "--n", str(n), "--d", "3",
+                         "--format", "csv")
+    assert code == 0, err
+    for row in csv.DictReader(io.StringIO(out)):
+        assert mpmath.isfinite(mpmath.mpf(row["volume_numeric"])), row["volume_numeric"]
+    code, out, err = run(capsys, "compute", "--lattice", "L", "--n", str(n), "--d", "3")
+    assert code == 0 and "inf" not in out, out
 
 
 def test_compute_m_lattice(capsys):
@@ -221,6 +251,16 @@ def test_verify_budget_exceeded_is_exit_four(capsys):
     code, _, err = run(capsys, "verify", "--oracle", "tau-p", "--lattice", "M",
                        "--n", "1", "--d", "5", "--p", "2", "--budget", "1000000")
     assert code == 4 and "budget" in err.lower()
+
+
+def test_verify_m_two_adic_oracle_needs_an_enlarged_budget(capsys, monkeypatch):
+    # #SU(M, O/32) visits 1,074,790,400 nodes for d = 5
+    monkeypatch.delenv("HMVOL_BUDGET", raising=False)
+    argv = ["verify", "--oracle", "tau-p", "--lattice", "M", "--n", "1", "--d", "5", "--p", "2"]
+    code, out, err = run(capsys, *argv, "--budget", "2000000000")
+    assert code == 0 and "Match" in out, err
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == "" and "1000000000" in err
 
 
 def test_verify_budget_of_exactly_the_node_total_suffices(capsys):

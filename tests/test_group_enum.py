@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmvol.group_enum import (BudgetExceeded, _Engine, _Meter, _MAX_ROW_TABLE, _cofactor_map,
-                              _count_last_two, _count_rec, _divisible, _exact_in_float32,
-                              _filter_by_row, _last_forms, _last_two_operands, count_group,
-                              count_kernel, default_budget, oracle_tau_p,
-                              stabilization_check, DEFAULT_BUDGET)
+                              _count_rec, _divisible, _exact_in_float32, _filter_by_row,
+                              _line_counts, count_group, count_kernel, default_budget,
+                              oracle_tau_p, stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
-from hmvol.quadfield import make_field
+from hmvol.quadfield import PrimeClass, classify_prime, make_field
 from hmvol.residue_ring import ResidueRing
 from scalar_ring import RingMatrix, ScalarRing
+from sweep_reference import classes, count_last_two, count_rec, last_forms, last_two_operands, \
+    sweep_count
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
@@ -70,25 +72,24 @@ def test_su_divides_u():
 
 
 def test_count_invariant_under_form_permutation():
-    # reversing the diagonal form is a signed-permutation conjugation fixing it
+    # reversing the diagonal form is a signed-permutation conjugation fixing it;
+    # for (-1, 1) the complement line has delta = -1, not 1
     r = ring(F3, 5)
-    eng_fwd = _Engine(r.modulus, r.trace_eps, r.norm_eps, lattice_diag("L", 1), su=True)
-    eng_rev = _Engine(r.modulus, r.trace_eps, r.norm_eps, (-1, 1), su=True)
-    counts = []
-    for eng in (eng_fwd, eng_rev):
-        m = r.modulus
-        idx = np.arange(m**4, dtype=np.int64)
-        rows = np.stack([(idx // m**k) % m for k in range(4)], axis=1).astype(np.float32)
-        norms = eng.selfnorm(rows)
-        cands = [rows[norms == eng.lam[k]] for k in range(2)]
-        last = _last_forms(eng, cands[-1])
-        counts.append(_count_rec(eng, _Meter(10**9), last, [], cands,
-                                 np.arange(cands[-1].shape[0])))
-    assert counts[0] == counts[1] == 120
+    m = r.modulus
+    rows = _all_rows(m, 2).astype(np.float32)
+    for lam in (lattice_diag("L", 1), (-1, 1)):
+        eng = _Engine(m, r.trace_eps, r.norm_eps, lam, su=True)
+        cands = classes(eng, rows)
+        meter, ref_meter = _Meter(10**9), _Meter(10**9)
+        # with two classes there is no blocked level and no buffer to pass
+        assert _count_rec(eng, meter, None, [], cands) == 120, lam
+        assert count_rec(eng, ref_meter, last_forms(eng, cands[-1]), [], cands,
+                         np.arange(cands[-1].shape[0])) == 120, lam
+        assert meter.visited == ref_meter.visited, lam
 
 
 # m = p^N -> (p, N) for the moduli the kernels are checked over
-_MODULI = {2: (2, 1), 4: (2, 2), 8: (2, 3), 32: (2, 5), 3: (3, 1), 9: (3, 2),
+_MODULI = {2: (2, 1), 4: (2, 2), 8: (2, 3), 16: (2, 4), 32: (2, 5), 3: (3, 1), 9: (3, 2),
            25: (5, 2), 5: (5, 1), 7: (7, 1), 49: (7, 2)}
 
 
@@ -105,6 +106,14 @@ def _kernel_cases(draw):
     return R, lam, np.array(planes, dtype=np.int64)
 
 
+def _pairing(R, lam, u, v):
+    """h(u, v) = sum lam_i u_i conj(v_i) in the scalar reference."""
+    h = R.zero()
+    for i in range(len(lam)):
+        h = R.add(h, R.mul(R.scalar(lam[i]), R.mul(u[i], R.conj(v[i]))))
+    return h
+
+
 @settings(max_examples=300, deadline=None)
 @given(_kernel_cases())
 def test_plane_kernels_match_scalar_reference(case):
@@ -112,10 +121,7 @@ def test_plane_kernels_match_scalar_reference(case):
     R, lam, planes = case
     w = len(lam)
     A = [[R.element(int(r[2 * i]), int(r[2 * i + 1])) for i in range(w)] for r in planes]
-    u, v = A[-2], A[-1]
-    h = R.zero()
-    for i in range(w):
-        h = R.add(h, R.mul(R.scalar(lam[i]), R.mul(u[i], R.conj(v[i]))))
+    h = _pairing(R, lam, A[-2], A[-1])
     det = RingMatrix(R, A).det()
     pair_zero, det_one = h == R.zero(), det == R.one()
     rows = planes.astype(np.float32)
@@ -129,14 +135,146 @@ def test_plane_kernels_match_scalar_reference(case):
         kept = _filter_by_row(eng, _Meter(10), rows[-2:-1], form)
         assert bool(kept[0]) == pair_zero
         cof_map = _cofactor_map(eng, list(rows[:-2]))
-        forms = _last_forms(eng, rows[-1:])
-        left, right = _last_two_operands(eng, cof_map, rows[-2:-1], forms)
+        forms = last_forms(eng, rows[-1:])
+        left, right = last_two_operands(eng, cof_map, rows[-2:-1], forms)
         ok = _divisible(eng, left @ right)[0]
         assert bool(ok[:2].all()) == pair_zero
         if su:
             assert bool(ok[2:].all()) == det_one
         hit = pair_zero and (det_one or not su)
-        assert _count_last_two(eng, _Meter(10), cof_map, rows[-2:-1], forms) == hit
+        assert count_last_two(eng, _Meter(10), cof_map, rows[-2:-1], forms) == hit
+    # the complement line of the prefix A[:-1] is spanned by v = conj(pi * cof),
+    # pi_i = prod_(j != i) lam_j: v is orthogonal to every prefix row, and
+    # complement returns g = h(v, v) and delta = det [A[:-1]; v]
+    cof = eng.cofactors(list(planes[:-1]))
+    v = [R.conj(R.mul(R.scalar(math.prod(lam[:i] + lam[i + 1:])),
+                      R.element(int(cof[2 * i]), int(cof[2 * i + 1])))) for i in range(w)]
+    for row in A[:-1]:
+        assert _pairing(R, lam, row, v) == R.zero()
+    g, delta = eng.complement(cof)
+    assert _pairing(R, lam, v, v) == R.element(int(g))
+    assert RingMatrix(R, A[:-1] + [v]).det() == tuple(delta)
+
+
+def _fields_by_class(p, candidates=(1, 3, 5, 7, 11, 13, 15)):
+    """One field per behaviour of p (split, inert, ramified) that occurs among
+    Q(sqrt(-d)), d in candidates."""
+    found = {}
+    for d in candidates:
+        found.setdefault(classify_prime(make_field(d), p), make_field(d))
+    return [found[c] for c in PrimeClass if c in found]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
+def test_line_counts_match_enumeration(m):
+    # for every g in Z/m and delta in O/m: the c in O/m with N(c) g = lam_w
+    # (U), and of those the c with c delta = 1 (SU), counted one by one
+    p, N = _MODULI[m]
+    for field in _fields_by_class(p):
+        R = ScalarRing(field, p, N)
+        elems = [R.element(a, b) for a in range(m) for b in range(m)]
+        inverse = {}
+        for c in elems:
+            for x in elems:
+                if R.mul(c, x) == R.one():
+                    inverse[x] = c
+        for lattice in ("L", "M"):
+            lam = lattice_diag(lattice, 1)
+            hits = [[c for c in elems if (R.norm(c) * g - lam[-1]) % m == 0] for g in range(m)]
+            g = np.repeat(np.arange(m), m * m)
+            delta = np.array([tuple(x) for x in elems] * m)
+            for su in (False, True):
+                eng = _Engine(m, R.trace_eps, R.norm_eps, lam, su)
+                got = np.asarray(_line_counts(eng, g, delta), dtype=np.int64).reshape(m, m * m)
+                for gi in range(m):
+                    want = [len(hits[gi]) if not su else int(inverse.get(x) in hits[gi])
+                            for x in elems]
+                    assert got[gi].tolist() == want, (field.d, lattice, su, gi)
+
+
+def _prefix_cofactors(eng, Z, iz, X):
+    """Last-row cofactors of the prefixes [X_i] (Z None) or [Z_(iz_i), X_i]."""
+    if Z is None:
+        return X @ _cofactor_map(eng, []) % eng.m
+    return np.einsum("pk,pkc->pc", X, _cofactor_map(eng, [Z[:, None, :]])[iz]) % eng.m
+
+
+def _all_rows(m, w):
+    idx = np.arange(m**(2 * w), dtype=np.int64)
+    return np.stack([(idx // m**k) % m for k in range(2 * w)], axis=1)
+
+
+def _every_valid_pair(eng, rows):
+    """Every prefix [z, x] with h(z, z) = lam_1, h(x, x) = lam_2, h(x, z) = 0,
+    in blocks of first rows z."""
+    C0, C1 = classes(eng, rows)[:2]
+    for lo in range(0, C0.shape[0], 256):
+        blk = C0[lo:lo + 256]
+        h = (C1 @ np.moveaxis(eng.pair_form(blk), 0, 1).reshape(C1.shape[1], -1)) % eng.m
+        ix, iz = np.nonzero((h[:, 0::2] == 0) & (h[:, 1::2] == 0))
+        yield blk, iz, C1[ix]
+
+
+def _sampled_valid_pairs(eng, rng, n_first=400, per_first=64):
+    """Valid prefixes [z, x] in one block: random z of norm lam_1, and
+    x = y - h(y, z) z / lam_1 for random y, kept when h(x, x) = lam_2."""
+    m, t, nu = eng.m, eng.t, eng.nu
+    Y = rng.integers(0, m, (200 * m, 2 * eng.w))
+    Z = Y[eng.selfnorm(Y) == eng.lam[0]][:n_first]
+    Y = rng.integers(0, m, (Z.shape[0], per_first, 2 * eng.w))
+    s = np.einsum("zyk,zkc->zyc", Y, eng.pair_form(Z))[:, :, None, :] * pow(eng.lam[0], -1, m)
+    z = Z.reshape(Z.shape[0], 1, eng.w, 2)
+    sz = np.stack([s[..., 0] * z[..., 0] - nu * s[..., 1] * z[..., 1],
+                   s[..., 0] * z[..., 1] + s[..., 1] * z[..., 0] + t * s[..., 1] * z[..., 1]],
+                  axis=-1)
+    X = (Y - sz.reshape(Y.shape)) % m
+    assert not (np.einsum("zyk,zkc->zyc", X, eng.pair_form(Z)) % m).any()
+    iz, iy = np.nonzero(eng.selfnorm(X) == eng.lam[1])
+    yield Z, iz, X[iz, iy]
+
+
+@pytest.mark.parametrize("lattice", ["L", "M"])
+@pytest.mark.parametrize("m", [3, 5, 8, 16, 25])
+def test_complement_identity_on_valid_prefixes(lattice, m):
+    # By Cauchy-Binet sum pi_i N(cof_i) = det(R Lam R*) = 1 on every valid
+    # prefix R of L and M, so delta = det [R; v] = 1 and g = h(v, v) = det Lam = lam_w.
+    # Every prefix is checked for n = 1, and for n = 2 over O/3 and O/5;
+    # over O/8, O/16 and O/25 (16.7M and more rows of width 3) n = 2 is sampled.
+    p, N = _MODULI[m]
+    rng = np.random.default_rng(m)
+    for field in _fields_by_class(p):
+        r = ring(field, p, N)
+        for n in (1, 2):
+            eng = _Engine(m, r.trace_eps, r.norm_eps, lattice_diag(lattice, n), su=True)
+            if n == 1:
+                blocks = [(None, None, classes(eng, _all_rows(m, 2))[0])]
+            elif m in (3, 5):
+                blocks = _every_valid_pair(eng, _all_rows(m, 3))
+            else:
+                blocks = _sampled_valid_pairs(eng, rng)
+            checked = 0
+            for Z, iz, X in blocks:
+                g, delta = eng.complement(_prefix_cofactors(eng, Z, iz, X))
+                assert (g == eng.lam[-1]).all(), (field.d, n)
+                assert (delta == [1 % m, 0]).all(), (field.d, n)
+                checked += X.shape[0]
+            assert checked > 0, (field.d, n)
+
+
+# n = 2 over O/7, O/8, O/9 and O/16 needs more than the default budget
+_SWEEP_GRID = [(lattice, n, m, field.d, group)
+               for n, moduli in ((1, (2, 4, 8, 16, 3, 9, 5, 7)), (2, (2, 3, 4, 5)))
+               for m in moduli for field in _fields_by_class(_MODULI[m][0])
+               for lattice in ("L", "M") for group in ("U", "SU")]
+
+
+@pytest.mark.parametrize("lattice, n, m, d, group", _SWEEP_GRID)
+def test_backtrack_matches_sweep_reference(lattice, n, m, d, group):
+    r = ring(make_field(d), *_MODULI[m])
+    rep = count_group(lattice, n, r, group)
+    assert (rep.count, rep.nodes) == sweep_count(lattice, n, r, group)
+    with pytest.raises(BudgetExceeded, match=str(rep.nodes - 1)):
+        count_group(lattice, n, r, group, budget=rep.nodes - 1)
 
 
 @pytest.mark.parametrize("w", [2, 3, 4, 5])
@@ -321,11 +459,10 @@ def test_invalid_arguments():
         oracle_tau_p("L", 1, F3, 6)
 
 
-_GATED = default_budget() <= DEFAULT_BUDGET
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(_GATED, reason="needs HMVOL_BUDGET > 1e9 (full O/32 sweep)")
 def test_m_lattice_full_two_adic_oracle():
-    assert oracle_tau_p("M", 1, F5, 2) == tau_p("M", 1, F5, 2).value
-    assert oracle_tau_p("M", 1, F3, 2) == tau_p("M", 1, F3, 2).value
+    # the O/32 counts visit 1,074,790,400 (d = 5) and 1,209,008,128 (d = 3)
+    # nodes, more than the default budget
+    for field in (F5, F3):
+        assert oracle_tau_p("M", 1, field, 2, budget=2 * 10**9) == tau_p("M", 1, field, 2).value
+    with pytest.raises(BudgetExceeded):
+        oracle_tau_p("M", 1, F5, 2, budget=DEFAULT_BUDGET)
