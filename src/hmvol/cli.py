@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import mpf, nstr
+from mpmath import isfinite, mpf, nstr
 
 from .arith import is_prime
 from .group_enum import (BudgetExceeded, count_group, count_kernel, default_budget,
@@ -103,6 +103,9 @@ def _json_dumps(records: list[dict]) -> str:
     literals = []
 
     def stand_in(v):
+        # json.dumps never sees these values, so allow_nan=False cannot check them
+        if not isfinite(v):
+            raise ValueError(f"out of range value {v} is not JSON compliant")
         literals.append(nstr(v, 17))
         return f"@mpf{len(literals) - 1}@"
 

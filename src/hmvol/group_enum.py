@@ -34,6 +34,7 @@ elimination over Z/2^k, not by enumeration, so it needs no budget.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -109,10 +110,16 @@ class _Engine:
         # pi_i = prod_(j != i) lam_j weights the complement line of a prefix
         self.pi = np.array([math.prod(self.lam[:i] + self.lam[i + 1:]) % m
                             for i in range(self.w)], dtype=np.int64)
-        # norm_hits[g] = #{c in O/m : N(c) g = lam_w}, over the m^2 elements c
-        norms = self.norm(np.stack(np.divmod(np.arange(m * m), m), axis=-1))
-        self.norm_hits = np.count_nonzero(
-            (np.outer(np.arange(m), norms) - self.lam[-1]) % m == 0, axis=1)
+
+    @functools.cached_property
+    def norm_hits(self):
+        """norm_hits[g] = #{c in O/m : N(c) g = lam_w}, from the norms of the m^2
+        elements c.  Built on first use, after the row table cap has bounded m."""
+        m = self.m
+        per_norm = np.bincount(self.norm(np.stack(np.divmod(np.arange(m * m), m), axis=-1)),
+                               minlength=m)
+        g, k = np.divmod(np.arange(m * m), m)
+        return ((g * k - self.lam[-1]) % m == 0).reshape(m, m) @ per_norm
 
     def norm(self, z):
         """N(z) = z conj(z) of plane elements z (..., 2), a scalar mod m."""
@@ -198,13 +205,12 @@ def _exact_in_float32(w: int, m: int) -> bool:
     return 2 * w * m * m < 2**22
 
 
-def _divisible(eng: _Engine, H, tmp=None, out=None):
-    """Elementwise m | H for a float32 product of plane rows and stacked forms;
-    tmp (float32) and out (bool), shaped like H, avoid allocating."""
-    T = np.multiply(H, eng.inv_m, out=tmp)
+def _divisible(eng: _Engine, H):
+    """Elementwise m | H for a float32 product of plane rows and stacked forms."""
+    T = H * eng.inv_m
     np.rint(T, out=T)
     T *= eng.m
-    return np.equal(T, H, out=out)
+    return T == H
 
 
 def _filter_by_row(eng: _Engine, meter: _Meter, C, form):
@@ -237,27 +243,14 @@ def _count_from_cofactors(eng: _Engine, cof) -> int:
     return int(np.sum(_line_counts(eng, *eng.complement(cof)), dtype=np.int64))
 
 
-class _BlockBuffers:
-    """Work arrays of the blocked level, allocated once per count, so that its
-    timing does not depend on the allocator's history."""
-
-    def __init__(self, cells: int):
-        self.cells = cells
-        self.prod = np.empty(cells, dtype=np.float32)
-        self.tmp = np.empty(cells, dtype=np.float32)
-        self.eq = np.empty(cells, dtype=bool)
-
-    def orthogonal(self, eng: _Engine, forms, CT):
-        """Mask (B, n) of h(c, z) = 0 for the rows z whose pair forms are stacked
-        in forms (2B, 2w) and the rows c of CT (2w, n)."""
-        shape = (forms.shape[0], CT.shape[1])
-        size = shape[0] * shape[1]
-        H = np.matmul(forms, CT, out=self.prod[:size].reshape(shape))
-        eq = _divisible(eng, H, self.tmp[:size].reshape(shape), self.eq[:size].reshape(shape))
-        return np.logical_and(eq[0::2], eq[1::2], out=eq[0::2])
+def _orthogonal(eng: _Engine, forms, CT):
+    """Mask (B, n) of h(c, z) = 0 for the rows z whose pair forms are stacked
+    in forms (2B, 2w) and the rows c of CT (2w, n)."""
+    eq = _divisible(eng, forms @ CT)
+    return eq[0::2] & eq[1::2]
 
 
-def _count_two_above(eng: _Engine, meter: _Meter, bufs: _BlockBuffers, chosen, cands) -> int:
+def _count_two_above(eng: _Engine, meter: _Meter, chosen, cands) -> int:
     """Completions of `chosen` by one row from each of the three classes in
     `cands`, for a block of first rows z at a time.  The meter is charged what
     the row-by-row search settles for each z: both filters (the last class's
@@ -269,12 +262,12 @@ def _count_two_above(eng: _Engine, meter: _Meter, bufs: _BlockBuffers, chosen, c
     maps = _cofactor_map(eng, chosen + [C0[:, None, :]])
     CaT, CbT = np.ascontiguousarray(Ca.T), np.ascontiguousarray(Cb.T)
     Ca_int = Ca.astype(np.int64)
-    block = bufs.cells // (2 * max(na, nb, 1))
+    block = max(1, _CHUNK_CELLS // (2 * max(na, nb, 1)))
     total, cofs, pending = 0, [], 0
     for lo in range(0, n0, block):
         zforms = forms[2 * lo:2 * (lo + block)]
-        kb = np.count_nonzero(bufs.orthogonal(eng, zforms, CbT), axis=1)
-        ok = bufs.orthogonal(eng, zforms, CaT)
+        kb = np.count_nonzero(_orthogonal(eng, zforms, CbT), axis=1)
+        ok = _orthogonal(eng, zforms, CaT)
         ka = np.count_nonzero(ok, axis=1)
         live = (ka > 0) & (kb > 0)
         meter.bump(na * ka.shape[0] + nb * np.count_nonzero(ka) + int(ka[live] @ kb[live]))
@@ -290,7 +283,7 @@ def _count_two_above(eng: _Engine, meter: _Meter, bufs: _BlockBuffers, chosen, c
     return total
 
 
-def _count_rec(eng: _Engine, meter: _Meter, bufs: _BlockBuffers, chosen, cands) -> int:
+def _count_rec(eng: _Engine, meter: _Meter, chosen, cands) -> int:
     """Completions of `chosen` by one row from each class in `cands`.  The last
     row is never searched for: it lies on the complement line of the prefix
     (_Engine.complement), and the last class is filtered only to meter it."""
@@ -302,7 +295,7 @@ def _count_rec(eng: _Engine, meter: _Meter, bufs: _BlockBuffers, chosen, cands) 
         meter.bump(Ca.shape[0] * Cb.shape[0])
         return _count_from_cofactors(eng, Ca.astype(np.int64) @ _cofactor_map(eng, chosen))
     if len(cands) == 3:
-        return _count_two_above(eng, meter, bufs, chosen, cands)
+        return _count_two_above(eng, meter, chosen, cands)
     total = 0
     C0, rest = cands[0], cands[1:]
     zforms = eng.pair_form(C0).astype(np.float32)
@@ -314,7 +307,7 @@ def _count_rec(eng: _Engine, meter: _Meter, bufs: _BlockBuffers, chosen, cands) 
                 break
             deeper.append(Cj[keep])
         else:
-            total += _count_rec(eng, meter, bufs, chosen + [C0[idx]], deeper)
+            total += _count_rec(eng, meter, chosen + [C0[idx]], deeper)
     return total
 
 
@@ -354,8 +347,7 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
         norms = eng.selfnorm(rows)
         cands = [rows[norms == eng.lam[k]] for k in range(eng.w)]
         del rows, norms
-        bufs = _BlockBuffers(max(_CHUNK_CELLS, 2 * max(C.shape[0] for C in cands)))
-        count = _count_rec(eng, meter, bufs, [], cands)
+        count = _count_rec(eng, meter, [], cands)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return CountReport(ring=ring, lattice=lattice, n=n, group=group, count=count,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -111,6 +112,14 @@ def test_compute_json_beyond_the_float_range(capsys, n):
         assert mpmath.isfinite(mpmath.mpf(row["volume_numeric"])), row["volume_numeric"]
     code, out, err = run(capsys, "compute", "--lattice", "L", "--n", str(n), "--d", "3")
     assert code == 0 and "inf" not in out, out
+
+
+@pytest.mark.parametrize("value", [mpmath.inf, -mpmath.inf, mpmath.nan])
+def test_json_refuses_a_non_finite_mpmath_value(value):
+    big = mpmath.mpf("1e400")
+    assert _strict_json(cli._json_dumps([{"x": big}]))[0]["x"] == big
+    with pytest.raises(ValueError, match="JSON"):
+        cli._json_dumps([{"x": value}])
 
 
 def test_compute_m_lattice(capsys):
@@ -261,6 +270,23 @@ def test_verify_m_two_adic_oracle_needs_an_enlarged_budget(capsys, monkeypatch):
     assert code == 0 and "Match" in out, err
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == "" and "1000000000" in err
+
+
+@pytest.mark.parametrize("oracle", ["su-count", "stabilization"])
+@pytest.mark.parametrize("p_level", [("1009", "1"), ("31", "2"), ("101", "2")])
+def test_verify_refuses_an_oversized_row_table_before_allocating(capsys, oracle, p_level):
+    # O/1009, O/961 and O/10201 give row tables of 1e12 rows and more: the
+    # refusal must come before any table of size m^2 or beyond is built
+    p, level = p_level
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--oracle", oracle, "--lattice", "L", "--n", "1",
+                             "--d", "3", "--p", p, "--level", level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and out == "" and "row table" in err, err
+    assert peak < 2**22, peak
 
 
 def test_verify_budget_of_exactly_the_node_total_suffices(capsys):
@@ -464,7 +490,8 @@ def _verify_argv(draw):
             "--lattice", draw(st.sampled_from(["L", "M"])), "--n", str(draw(st.integers(0, 8))),
             # every example carries a small budget, so each run is bounded in time
             "--budget", str(draw(st.integers(0, 10**6)))]
-    for flag, values in (("--d", [None, 1, 3, 4, 5, 7]), ("--p", [None, 1, 2, 3, 4, 5, 9]),
+    for flag, values in (("--d", [None, 1, 3, 4, 5, 7]),
+                         ("--p", [None, 1, 2, 3, 4, 5, 9, 31, 1009]),
                          ("--level", [None, -1, 0, 1, 2])):
         value = draw(st.sampled_from(values))
         if value is not None:

@@ -81,8 +81,8 @@ def test_count_invariant_under_form_permutation():
         eng = _Engine(m, r.trace_eps, r.norm_eps, lam, su=True)
         cands = classes(eng, rows)
         meter, ref_meter = _Meter(10**9), _Meter(10**9)
-        # with two classes there is no blocked level and no buffer to pass
-        assert _count_rec(eng, meter, None, [], cands) == 120, lam
+        # with two classes there is no blocked level
+        assert _count_rec(eng, meter, [], cands) == 120, lam
         assert count_rec(eng, ref_meter, last_forms(eng, cands[-1]), [], cands,
                          np.arange(cands[-1].shape[0])) == 120, lam
         assert meter.visited == ref_meter.visited, lam
@@ -261,9 +261,11 @@ def test_complement_identity_on_valid_prefixes(lattice, m):
             assert checked > 0, (field.d, n)
 
 
-# n = 2 over O/7, O/8, O/9 and O/16 needs more than the default budget
+# n = 2 over O/7, O/8, O/9 and O/16 and n = 3 over O/4 need more than the
+# default budget; n = 3 over O/2 runs the deeper loop, whose prefixes reach the
+# blocked level with a chosen row
 _SWEEP_GRID = [(lattice, n, m, field.d, group)
-               for n, moduli in ((1, (2, 4, 8, 16, 3, 9, 5, 7)), (2, (2, 3, 4, 5)))
+               for n, moduli in ((1, (2, 4, 8, 16, 3, 9, 5, 7)), (2, (2, 3, 4, 5)), (3, (2,)))
                for m in moduli for field in _fields_by_class(_MODULI[m][0])
                for lattice in ("L", "M") for group in ("U", "SU")]
 
