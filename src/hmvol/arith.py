@@ -7,7 +7,6 @@ values are arbitrary precision and all equalities are exact.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -121,23 +120,25 @@ def kronecker(D: int, m: int) -> int:
     return out
 
 
-# Bernoulli numbers, B1 = -1/2 convention.  The memo table only ever grows
-# and entries are immutable, so concurrent reads after initialization are safe.
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
+# Bernoulli numbers, B1 = -1/2 convention.  A longer table replaces the memo
+# whole and is never changed after, so a caller never reads a half-extended
+# one, with or without threads.
+_BERNOULLI: tuple[Fraction, ...] = (Fraction(1),)
 
 
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number via the defining recurrence, exact."""
+    global _BERNOULLI
     if k < 0:
         raise ValueError("bernoulli index must be nonnegative")
-    if k >= len(_BERNOULLI):
-        with _BERNOULLI_LOCK:
-            while len(_BERNOULLI) <= k:
-                j = len(_BERNOULLI)
-                acc = sum(comb(j + 1, i) * _BERNOULLI[i] for i in range(j))
-                _BERNOULLI.append(Fraction(-acc, j + 1))
-    return _BERNOULLI[k]
+    table = _BERNOULLI
+    if k >= len(table):
+        table = list(table)
+        for j in range(len(table), k + 1):
+            acc = sum(comb(j + 1, i) * table[i] for i in range(j))
+            table.append(Fraction(-acc, j + 1))
+        _BERNOULLI = table = tuple(table)
+    return table[k]
 
 
 def bernoulli_poly(k: int, x) -> Fraction:

@@ -5,28 +5,25 @@ are enumerated row by row: a candidate k-th row must have the prescribed
 Hermitian self-pairing Lam_kk and pair to zero against every chosen row.
 The last row is not searched for: the rows orthogonal to a prefix are the
 multiples c v of one vector v (_Engine.complement), so the completions of a
-prefix are counted from h(v, v) and det [prefix; v].  A full Cartesian
-sweep over all q^((n+1)^2) matrices is a cross-check mode.
+prefix are counted from h(v, v) and det [prefix; v].
 
 Rows are stored as real coordinate planes: the row (x_0, ..., x_{w-1}) with
 x_i = a_i + b_i*eps over O/m, m = p^N, is the vector (a_0, b_0, ..., a_{w-1},
 b_{w-1}) with entries in [0, m).  The pairing h(u, v) = sum lam_i u_i
 conj(v_i) and the determinant sum_i cof_i v_i are Z/m-bilinear in these
 coordinates, so fixing v turns either into a (2w, 2) integer form matrix.
-Candidates are filtered by a float32 matvec against each chosen row's
-form, and the level above the last row filters against the stacked forms of
-a block of rows at once.  A pairing is zero when both entries of the product
-are divisible by m, tested as H == m*rint(H/m), exact while 2w m^2 < 2^22
-(_exact_in_float32), which the cap on the row table guarantees.  Cofactors,
-complements and norms are computed in int64.  These kernels are the
-package's only arithmetic over O/m.
+Every level takes a block of its rows at a time and filters each remaining
+class against their stacked forms in one float32 product.  A pairing is zero
+when both entries of the product are divisible by m, tested as
+H == m*rint(H/m), exact while 2w m^2 < 2^22 (_exact_in_float32), which the
+cap on the row table guarantees.  Cofactors, complements and norms are
+computed in int64.  These kernels are the package's only arithmetic over O/m.
 
-Work is metered in the partial assignments the search settles: the rows
-each filter examines, and na x nb for each prefix whose last two classes
-both survive, whether its pairs are swept or settled through the complement
-(the cartesian mode charges its matrices).  Exceeding the budget raises
-BudgetExceeded, which deliberately distinguishes "infeasible under this
-budget" from a zero count.
+Work is metered in the partial assignments a row-by-row search settles: the
+rows each filter examines, and na x nb for each prefix whose last two
+classes both survive, although their pairs are settled through the
+complement line.  Exceeding the budget raises BudgetExceeded, which
+deliberately distinguishes "infeasible under this budget" from a zero count.
 
 count_kernel counts the reduction kernels of the 2-adic densities by exact
 elimination over Z/2^k, not by enumeration, so it needs no budget.
@@ -52,11 +49,10 @@ DEFAULT_BUDGET = 10**9
 # Hard cap on the size of the candidate row table, independent of the budget;
 # beyond this the table itself does not fit comfortably in memory.
 _MAX_ROW_TABLE = 3 * 10**7
-# Cells per block of the cartesian sweep and per product of the level above
-# the last row.  Small enough that BLAS runs these thin (inner dimension 2w)
-# products on the calling thread: past about 1e6 multiply-adds OpenBLAS
-# splits them over threads, which made them 20-100 times slower per cell on
-# a 2-CPU host.
+# Cells per product of a blocked level.  Small enough that BLAS runs these
+# thin (inner dimension 2w) products on the calling thread: past about 1e6
+# multiply-adds OpenBLAS splits them over threads, which made them 20-100
+# times slower per cell on a 2-CPU host.
 _CHUNK_CELLS = 1 << 15
 # Prefixes per batch of complements at the level above the last row.
 _PREFIX_BATCH = 1 << 11
@@ -67,10 +63,15 @@ class BudgetExceeded(RuntimeError):
 
 
 def default_budget() -> int:
+    """The node budget: HMVOL_BUDGET if set (any finite number, so "2.5e9"
+    works), else DEFAULT_BUDGET.  Anything else raises ValueError."""
     raw = os.environ.get("HMVOL_BUDGET")
-    if raw:
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
         return int(float(raw))
-    return DEFAULT_BUDGET
+    except (ValueError, OverflowError):
+        raise ValueError(f"HMVOL_BUDGET must be a finite number, got {raw!r}") from None
 
 
 @dataclass
@@ -213,14 +214,6 @@ def _divisible(eng: _Engine, H):
     return T == H
 
 
-def _filter_by_row(eng: _Engine, meter: _Meter, C, form):
-    """Mask of the rows c of C with h(c, z) = 0, given the float32 pair form
-    matrix form = pair_form(z) of one row z."""
-    meter.bump(C.shape[0])
-    ok = _divisible(eng, C @ form)
-    return ok[:, 0] & ok[:, 1]
-
-
 def _cofactor_map(eng: _Engine, rows):
     """The integer maps K (..., 2w, 2w) with planes(x) @ K = the last-row
     cofactors of the matrix rows + [x, .]."""
@@ -250,43 +243,17 @@ def _orthogonal(eng: _Engine, forms, CT):
     return eq[0::2] & eq[1::2]
 
 
-def _count_two_above(eng: _Engine, meter: _Meter, chosen, cands) -> int:
-    """Completions of `chosen` by one row from each of the three classes in
-    `cands`, for a block of first rows z at a time.  The meter is charged what
-    the row-by-row search settles for each z: both filters (the last class's
-    only while the middle one survives) and na x nb if both survive."""
-    C0, Ca, Cb = cands
-    n0, na, nb = C0.shape[0], Ca.shape[0], Cb.shape[0]
-    forms = np.ascontiguousarray(np.swapaxes(eng.pair_form(C0), 1, 2), dtype=np.float32)
-    forms = forms.reshape(2 * n0, 2 * eng.w)
-    maps = _cofactor_map(eng, chosen + [C0[:, None, :]])
-    CaT, CbT = np.ascontiguousarray(Ca.T), np.ascontiguousarray(Cb.T)
-    Ca_int = Ca.astype(np.int64)
-    block = max(1, _CHUNK_CELLS // (2 * max(na, nb, 1)))
-    total, cofs, pending = 0, [], 0
-    for lo in range(0, n0, block):
-        zforms = forms[2 * lo:2 * (lo + block)]
-        kb = np.count_nonzero(_orthogonal(eng, zforms, CbT), axis=1)
-        ok = _orthogonal(eng, zforms, CaT)
-        ka = np.count_nonzero(ok, axis=1)
-        live = (ka > 0) & (kb > 0)
-        meter.bump(na * ka.shape[0] + nb * np.count_nonzero(ka) + int(ka[live] @ kb[live]))
-        for j in np.flatnonzero(live):
-            cofs.append(Ca_int[ok[j]] @ maps[lo + j])
-            pending += cofs[-1].shape[0]
-            # complements go in batches, so their int64 temporaries stay small
-            if pending >= _PREFIX_BATCH:
-                total += _count_from_cofactors(eng, np.concatenate(cofs))
-                cofs, pending = [], 0
-    if cofs:
-        total += _count_from_cofactors(eng, np.concatenate(cofs))
-    return total
-
-
 def _count_rec(eng: _Engine, meter: _Meter, chosen, cands) -> int:
     """Completions of `chosen` by one row from each class in `cands`.  The last
     row is never searched for: it lies on the complement line of the prefix
-    (_Engine.complement), and the last class is filtered only to meter it."""
+    (_Engine.complement), and the last class is filtered only to meter it.
+
+    With three or more classes, a block of first rows z at a time is filtered
+    against every remaining class, one float32 product per class.  The meter
+    is charged what a row-by-row search settles for each z: each class's
+    filter while the earlier ones all survive, and na x nb when the last two
+    classes both survive.  A surviving z with more than two classes left is
+    recursed into; with two left, its prefixes go to the complement line."""
     if len(cands) == 2:
         # n = 1: each row x of the first class is a whole prefix
         Ca, Cb = cands
@@ -294,20 +261,42 @@ def _count_rec(eng: _Engine, meter: _Meter, chosen, cands) -> int:
             return 0
         meter.bump(Ca.shape[0] * Cb.shape[0])
         return _count_from_cofactors(eng, Ca.astype(np.int64) @ _cofactor_map(eng, chosen))
-    if len(cands) == 3:
-        return _count_two_above(eng, meter, chosen, cands)
-    total = 0
     C0, rest = cands[0], cands[1:]
-    zforms = eng.pair_form(C0).astype(np.float32)
-    for idx in range(C0.shape[0]):
-        deeper = []
-        for Cj in rest:
-            keep = _filter_by_row(eng, meter, Cj, zforms[idx])
-            if not keep.any():
-                break
-            deeper.append(Cj[keep])
-        else:
-            total += _count_rec(eng, meter, chosen + [C0[idx]], deeper)
+    n0, sizes = C0.shape[0], [C.shape[0] for C in rest]
+    forms = np.ascontiguousarray(np.swapaxes(eng.pair_form(C0), 1, 2), dtype=np.float32)
+    forms = forms.reshape(2 * n0, 2 * eng.w)
+    restT = [np.ascontiguousarray(C.T) for C in rest]
+    last_two = len(rest) == 2
+    if last_two:
+        maps = _cofactor_map(eng, chosen + [C0[:, None, :]])
+        Ca_int = rest[0].astype(np.int64)
+    block = max(1, _CHUNK_CELLS // (2 * max(1, *sizes)))
+    total, cofs, pending = 0, [], 0
+    for lo in range(0, n0, block):
+        zforms = forms[2 * lo:2 * (lo + block)]
+        masks = [_orthogonal(eng, zforms, CT) for CT in restT]
+        kept = [np.count_nonzero(ok, axis=1) for ok in masks]
+        live = np.ones(kept[0].shape[0], dtype=bool)
+        charge = 0
+        for size, k in zip(sizes, kept):
+            charge += size * np.count_nonzero(live)
+            live &= k > 0
+        if last_two:
+            charge += int(kept[0][live] @ kept[1][live])
+        meter.bump(charge)
+        for j in np.flatnonzero(live):
+            if not last_two:
+                total += _count_rec(eng, meter, chosen + [C0[lo + j]],
+                                    [C[ok[j]] for C, ok in zip(rest, masks)])
+                continue
+            cofs.append(Ca_int[masks[0][j]] @ maps[lo + j])
+            pending += cofs[-1].shape[0]
+            # complements go in batches, so their int64 temporaries stay small
+            if pending >= _PREFIX_BATCH:
+                total += _count_from_cofactors(eng, np.concatenate(cofs))
+                cofs, pending = [], 0
+    if cofs:
+        total += _count_from_cofactors(eng, np.concatenate(cofs))
     return total
 
 
@@ -329,7 +318,7 @@ def _build_rows(eng: _Engine, meter: _Meter):
 
 
 def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
-                mode: str = "backtrack", budget: int | None = None) -> CountReport:
+                budget: int | None = None) -> CountReport:
     """Exact order of U/SU(Lam, O_K/p^N O_K) for Lam = diag(1,...,1,-1) or (1,...,1,-2)."""
     if group not in ("U", "SU"):
         raise ValueError(f"group must be 'U' or 'SU', got {group!r}")
@@ -340,52 +329,19 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
     t0 = time.monotonic()
     eng = _Engine(ring.modulus, ring.trace_eps, ring.norm_eps, lam, su=(group == "SU"))
     meter = _Meter(budget)
-    if mode == "cartesian":
-        count = _count_cartesian(eng, meter)
-    elif mode == "backtrack":
-        rows = _build_rows(eng, meter)
-        norms = eng.selfnorm(rows)
-        cands = [rows[norms == eng.lam[k]] for k in range(eng.w)]
-        del rows, norms
-        count = _count_rec(eng, meter, [], cands)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    rows = _build_rows(eng, meter)
+    norms = eng.selfnorm(rows)
+    cands = [rows[norms == eng.lam[k]] for k in range(eng.w)]
+    del rows, norms
+    count = _count_rec(eng, meter, [], cands)
     return CountReport(ring=ring, lattice=lattice, n=n, group=group, count=count,
                        elapsed=time.monotonic() - t0, nodes=meter.visited)
-
-
-def _count_cartesian(eng: _Engine, meter: _Meter) -> int:
-    w, m = eng.w, eng.m
-    n_mats = m**(2 * w * w)
-    if meter.visited + n_mats > meter.budget:
-        raise BudgetExceeded(
-            f"cartesian sweep over {n_mats} matrices exceeds the budget {meter.budget}")
-    total = 0
-    block = max(1, _CHUNK_CELLS // (w * w))
-    for lo in range(0, n_mats, block):
-        idx = np.arange(lo, min(lo + block, n_mats), dtype=np.int64)
-        meter.bump(idx.shape[0])
-        rows = [np.stack([(idx // m**(2 * w * i + k)) % m for k in range(2 * w)], axis=1)
-                for i in range(w)]
-        ok = np.ones(idx.shape[0], dtype=bool)
-        # Hermitian conditions on the upper triangle; the lower follows by symmetry.
-        for i in range(w):
-            for j in range(i, w):
-                h = np.einsum("bk,bkc->bc", rows[i], eng.pair_form(rows[j])) % m
-                want = eng.lam[i] if i == j else 0
-                ok &= (h[:, 0] == want) & (h[:, 1] == 0)
-        if eng.su:
-            det = eng.det(rows)
-            ok &= (det[:, 0] == 1 % m) & (det[:, 1] == 0)
-        total += int(ok.sum())
-    return total
 
 
 _KERNEL_LEVEL = {"L": 2, "M": 4}
 
 
-def count_kernel(lattice: str, n: int, level: int | None = None,
-                 field: FieldData | None = None) -> int:
+def count_kernel(lattice: str, n: int, field: FieldData | None = None) -> int:
     """Solutions B of the linearized reduction-kernel system {-B.Lam = Lam.conj(B)',
     Tr B = 0} over O/2O (L) or O/4O (M).  For 2-ramified fields this is
     2^(n^2+3n) for L and 2^(2n^2+5n) for M.
@@ -396,12 +352,10 @@ def count_kernel(lattice: str, n: int, level: int | None = None,
     2^v solutions for its variable; every variable without a pivot is free."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    level = _KERNEL_LEVEL[lattice] if level is None else level
-    if level not in (2, 4):
-        raise ValueError("kernel level is the modulus 2 (for L) or 4 (for M)")
     field = make_field(5) if field is None else field
     lam = lattice_diag(lattice, n)
-    m, t, w = level, field.trace_eps % level, n + 1
+    m, w = _KERNEL_LEVEL[lattice], n + 1
+    t = field.trace_eps % m
     # Sparse rows {variable: coefficient}, a_ij being variable 2(w i + j) and b_ij
     # the next.  Equation (i, j) is lam_j B_ij + lam_i conj(B_ji) = 0 with
     # conj(a + b eps) = (a + t b) - b eps; equation (j, i) is its conjugate, so
@@ -444,13 +398,9 @@ def oracle_tau_p(lattice: str, n: int, field: FieldData, p: int,
     if p != 2:
         rep = count_group(lattice, n, ResidueRing(field, p, 1), "SU", budget=budget)
         return Fraction(rep.count, p**dim)
-    if lattice == "L":
-        rep = count_group(lattice, n, ResidueRing(field, 2, 3), "SU", budget=budget)
-        ker = count_kernel("L", n, level=2, field=field)
-        return Fraction(rep.count, 2**(2 * dim) * ker)
-    rep = count_group(lattice, n, ResidueRing(field, 2, 5), "SU", budget=budget)
-    ker = count_kernel("M", n, level=4, field=field)
-    return Fraction(rep.count, 2**(3 * dim) * ker)
+    level, power = (3, 2) if lattice == "L" else (5, 3)
+    rep = count_group(lattice, n, ResidueRing(field, 2, level), "SU", budget=budget)
+    return Fraction(rep.count, 2**(power * dim) * count_kernel(lattice, n, field=field))
 
 
 def stabilization_check(lattice: str, n: int, field: FieldData, p: int,

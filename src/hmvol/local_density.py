@@ -110,12 +110,17 @@ def special_primes(lattice: str, field: FieldData) -> tuple[int, ...]:
     return tuple(sorted(ps))
 
 
+def _alternating_args(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The zeta(even i) and L(odd i) arguments of the string i = 2..n+1."""
+    return (tuple(i for i in range(2, n + 2) if i % 2 == 0),
+            tuple(i for i in range(3, n + 2) if i % 2 == 1))
+
+
 def tau_infinity(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     """1/prod_p tau_p as a symbolic volume: zeta(even i), L(odd i) for
     i in [2, n+1], with all non-generic local factors folded into the exact
     rational coefficient."""
-    zeta_args = tuple(i for i in range(2, n + 2) if i % 2 == 0)
-    l_args = tuple(i for i in range(3, n + 2) if i % 2 == 1)
+    zeta_args, l_args = _alternating_args(n)
     coeff = Fraction(1)
     for p in special_primes(lattice, field):
         coeff *= _euler_local(field, n, p) / tau_p(lattice, n, field, p).value

@@ -8,7 +8,7 @@ import enum
 from dataclasses import dataclass
 from functools import cache
 
-from .arith import factor, is_prime, kronecker
+from .arith import is_prime, is_squarefree, kronecker
 
 
 class EpsKind(enum.Enum):
@@ -41,7 +41,7 @@ def make_field(d: int) -> FieldData:
     """Build FieldData for odd squarefree d >= 1; anything else is rejected."""
     if d < 1 or d % 2 == 0:
         raise ValueError(f"d must be a positive odd integer, got {d}")
-    if not all(e == 1 for _, e in factor(d).pairs):
+    if not is_squarefree(d):
         raise ValueError(f"d must be squarefree, got {d}")
     if d % 4 == 3:
         return FieldData(d=d, D=-d, f=d, eps_kind=EpsKind.HALF_INTEGRAL,

@@ -19,13 +19,12 @@ the stated truncation bounds.
 Every value is computed once per process.  A truncated sum depends on the
 tolerance only through its Euler-Maclaurin cutoff M, so the memos are keyed on
 the exact inputs of the computation: (s, a, M) for a Hurwitz sum and
-(k, field, M) for the Hurwitz-method L sum; tolerances that land on the same
-cutoff share one sum.  The correction coefficients and the tail constant are
-computed once per s and the characters chi_D(a) once per field
-(`quadfield.character`).  Generalized Bernoulli numbers come from integer power
-sums of the character, k+1 `Fraction` terms in all, and the L closed forms are
-memoized on (k, field).  The memos hold their entries for the life of the
-process.
+(k, field, M) for an L sum; tolerances that land on the same cutoff share one
+sum.  The correction coefficients and the tail constant are computed once per
+s and the characters chi_D(a) once per field (`quadfield.character`).
+Generalized Bernoulli numbers come from integer power sums of the character,
+k+1 `Fraction` terms in all, and the L closed forms are memoized on
+(k, field).  The memos hold their entries for the life of the process.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
 
-from .arith import bernoulli, kronecker
+from .arith import bernoulli
 from .quadfield import FieldData, character, make_field
 
 WORK_DPS = 40
@@ -57,12 +56,8 @@ class ExactForm(NamedTuple):
 
 @dataclass
 class SpecialValue:
-    kind: str  # "zeta" or "L"
-    argument: int
     numeric: mpf
     error_bound: mpf
-    field: Optional[FieldData] = None
-    exact: Optional[ExactForm] = None
 
 
 def _rising(s: int, k: int) -> int:
@@ -136,9 +131,7 @@ def _hurwitz(s: int, a: Fraction, M: int) -> tuple[mpf, mpf]:
 def zeta_numeric(s: int, tol=mpf("1e-12")) -> SpecialValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin, remainder <= tol."""
     check_tol(tol)
-    v, bound = hurwitz_numeric(s, 1, tol)
-    exact = zeta_exact(s) if s % 2 == 0 else None
-    return SpecialValue(kind="zeta", argument=s, numeric=v, error_bound=bound, exact=exact)
+    return SpecialValue(*hurwitz_numeric(s, 1, tol))
 
 
 def zeta_exact(s: int) -> ExactForm:
@@ -150,30 +143,17 @@ def zeta_exact(s: int) -> ExactForm:
     return ExactForm(coeff=coeff, pi_power=s, d_sqrt_power=0)
 
 
-def l_numeric(k: int, field: FieldData, tol=mpf("1e-12"), method: str = "hurwitz") -> SpecialValue:
-    """L(k, chi_D) = sum chi_D(m) m^-k for integer k >= 2.
-
-    method="hurwitz" evaluates f^-k sum_a chi(a) hurwitz(k, a/f); the plain
-    partial-sum mode method="partial" (tail bounded by f M^-k via Abel
-    summation against the period-zero character sums) exists as a cross-check.
-    """
+def l_numeric(k: int, field: FieldData, tol=mpf("1e-12")) -> SpecialValue:
+    """L(k, chi_D) = sum chi_D(m) m^-k for integer k >= 2, evaluated as
+    f^-k sum_a chi(a) hurwitz(k, a/f)."""
     if k < 2:
         raise ValueError("k must be >= 2")
     check_tol(tol)
     f = field.f
     with mp.workdps(WORK_DPS):
-        if method == "hurwitz":
-            nonzero = sum(1 for c in character(field) if c)
-            tol_each = mpf(tol) * f**k / (2 * max(1, nonzero))
-            value, bound = _l_hurwitz(k, field, _em_cutoff(k, tol_each))
-            return SpecialValue("L", k, value, bound, field=field)
-        if method == "partial":
-            M = 2
-            while f * float(M) ** (-k) > float(tol):
-                M += 1 + M // 8
-            total = mp.fsum(kronecker(field.D, m) * mpf(m) ** (-k) for m in range(1, M + 1))
-            return SpecialValue("L", k, total, mpf(f) * mpf(M) ** (-k), field=field)
-    raise ValueError(f"unknown method {method!r}")
+        nonzero = sum(1 for c in character(field) if c)
+        tol_each = mpf(tol) * f**k / (2 * max(1, nonzero))
+        return SpecialValue(*_l_hurwitz(k, field, _em_cutoff(k, tol_each)))
 
 
 @cache

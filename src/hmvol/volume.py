@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 from .arith import factor
 from .expressions import VolumeExpression
 from .lie_form import vol_max_compact
-from .local_density import tau_p, tau_infinity, _eps_char
+from .local_density import tau_p, tau_infinity, _alternating_args, _eps_char
 from .quadfield import FieldData, chi, make_field
 from .special_values import (TOL_FLOOR, WORK_DPS, check_tol, l_exact, l_numeric, zeta_exact,
                              zeta_numeric)
@@ -47,11 +47,6 @@ class DiscrepancyReport:
     table_value: Optional[Fraction]
     assembled_value: Fraction
     verdict: Verdict
-
-
-def _alternating_args(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (tuple(i for i in range(2, n + 2) if i % 2 == 0),
-            tuple(i for i in range(3, n + 2) if i % 2 == 1))
 
 
 def _table_prefix(n: int, field: FieldData) -> VolumeExpression:

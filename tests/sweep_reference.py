@@ -1,23 +1,35 @@
-"""The last-two-rows sweep: the reference the complement-line last stage of
-hmvol.group_enum is checked against.
+"""References the oracle of hmvol.group_enum is checked against.
 
-The backtrack is the package's, down to two remaining classes; from there
-every pair (x, y) of the filtered second-to-last and last classes is tested in
-blocked float32 products, (B, 2w) @ (2w, 2 nb) for the pairing h(x, y) and, for
-SU, the determinant of the completed matrix minus 1 joined into the same
-product, (B, 2w+1) @ (2w+1, 4 nb), through a constant column.  The meter is
+The last-two-rows sweep checks the blocked levels and the complement-line
+last stage.  Its backtrack filters one row at a time (filter_by_row) down to
+two remaining classes; from there every pair (x, y) of the filtered
+second-to-last and last classes is tested in blocked float32 products,
+(B, 2w) @ (2w, 2 nb) for the pairing h(x, y) and, for SU, the determinant of
+the completed matrix minus 1 joined into the same product,
+(B, 2w+1) @ (2w+1, 4 nb), through a constant column.  The meter is
 charged exactly as the package charges it, so (count, nodes) must agree.
+
+The Cartesian sweep tests every one of the q^((n+1)^2) matrices over O/m,
+q = m^2, against the Hermitian conditions and, for SU, det = 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hmvol.group_enum import (_Engine, _Meter, _build_rows, _cofactor_map,
-                              _divisible, _filter_by_row, default_budget)
+from hmvol.group_enum import (_Engine, _Meter, _build_rows, _cofactor_map, _divisible,
+                              default_budget)
 from hmvol.lie_form import lattice_diag
 
 _CHUNK_CELLS = 1 << 15
+
+
+def filter_by_row(eng: _Engine, meter: _Meter, C, form):
+    """Mask of the rows c of C with h(c, z) = 0, given the float32 pair form
+    matrix form = pair_form(z) of one row z."""
+    meter.bump(C.shape[0])
+    ok = _divisible(eng, C @ form)
+    return ok[:, 0] & ok[:, 1]
 
 
 def last_forms(eng: _Engine, C):
@@ -78,7 +90,7 @@ def count_rec(eng: _Engine, meter: _Meter, last, chosen, cands, ib) -> int:
     for idx in range(C0.shape[0]):
         deeper = []
         for Cj in rest:
-            keep = _filter_by_row(eng, meter, Cj, zforms[idx])
+            keep = filter_by_row(eng, meter, Cj, zforms[idx])
             if not keep.any():
                 break
             deeper.append(Cj[keep])
@@ -109,3 +121,28 @@ def sweep_count(lattice: str, n: int, ring, group: str, budget: int | None = Non
                       np.arange(cands[-1].shape[0]))
     return count, meter.visited
 
+
+def cartesian_count(lattice: str, n: int, ring, group: str) -> int:
+    """#U/#SU(Lam, O/p^N) by testing every matrix, in blocks of matrices."""
+    lam = lattice_diag(lattice, n)
+    eng = _Engine(ring.modulus, ring.trace_eps, ring.norm_eps, lam, su=(group == "SU"))
+    w, m = eng.w, eng.m
+    n_mats = m**(2 * w * w)
+    total = 0
+    block = max(1, _CHUNK_CELLS // (w * w))
+    for lo in range(0, n_mats, block):
+        idx = np.arange(lo, min(lo + block, n_mats), dtype=np.int64)
+        rows = [np.stack([(idx // m**(2 * w * i + k)) % m for k in range(2 * w)], axis=1)
+                for i in range(w)]
+        ok = np.ones(idx.shape[0], dtype=bool)
+        # Hermitian conditions on the upper triangle; the lower follows by symmetry.
+        for i in range(w):
+            for j in range(i, w):
+                h = np.einsum("bk,bkc->bc", rows[i], eng.pair_form(rows[j])) % m
+                want = eng.lam[i] if i == j else 0
+                ok &= (h[:, 0] == want) & (h[:, 1] == 0)
+        if eng.su:
+            det = eng.det(rows)
+            ok &= (det[:, 0] == 1 % m) & (det[:, 1] == 0)
+        total += int(ok.sum())
+    return total

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmvol import arith
 from hmvol.arith import (Factorization, bernoulli, bernoulli_poly, factor,
                          is_fundamental_discriminant, kronecker, legendre_symbol)
 
@@ -107,16 +110,26 @@ def test_factor_roundtrip_and_order():
         assert list(f.primes()) == sorted(set(f.primes()))
 
 
-def test_bernoulli_memo_safe_under_concurrent_readers():
-    import threading
+def test_bernoulli_memo_safe_under_concurrent_readers(monkeypatch):
+    # eight threads fill a cold memo at once, switching every microsecond;
+    # a table extended in place by two threads holds duplicate entries
+    want = [bernoulli(k) for k in range(61)]
+    monkeypatch.setattr(arith, "_BERNOULLI", (Fraction(1),))
     results = []
     threads = [threading.Thread(target=lambda: results.append(bernoulli(60)))
                for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1 and results[0] == bernoulli(60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want[60]] * 8
+    assert [bernoulli(k) for k in range(61)] == want
 
 
 def test_factorization_invariants_enforced():

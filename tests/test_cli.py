@@ -272,6 +272,15 @@ def test_verify_m_two_adic_oracle_needs_an_enlarged_budget(capsys, monkeypatch):
     assert code == 4 and out == "" and "1000000000" in err
 
 
+@pytest.mark.parametrize("raw", ["inf", "1e400", "nan", "abc"])
+def test_verify_with_an_unusable_budget_variable_is_exit_two(capsys, monkeypatch, raw):
+    monkeypatch.setenv("HMVOL_BUDGET", raw)
+    code, out, err = run(capsys, "verify", "--oracle", "su-count", "--lattice", "L", "--n", "1",
+                         "--d", "3", "--p", "5")
+    assert code == 2 and out == "", err
+    assert "HMVOL_BUDGET" in err and "Traceback" not in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("oracle", ["su-count", "stabilization"])
 @pytest.mark.parametrize("p_level", [("1009", "1"), ("31", "2"), ("101", "2")])
 def test_verify_refuses_an_oversized_row_table_before_allocating(capsys, oracle, p_level):

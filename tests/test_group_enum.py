@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmvol.group_enum import (BudgetExceeded, _Engine, _Meter, _MAX_ROW_TABLE, _cofactor_map,
-                              _count_rec, _divisible, _exact_in_float32, _filter_by_row,
-                              _line_counts, count_group, count_kernel, default_budget,
-                              oracle_tau_p, stabilization_check, DEFAULT_BUDGET)
+                              _count_rec, _divisible, _exact_in_float32, _line_counts,
+                              count_group, count_kernel, default_budget, oracle_tau_p,
+                              stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
 from hmvol.quadfield import PrimeClass, classify_prime, make_field
 from hmvol.residue_ring import ResidueRing
 from scalar_ring import RingMatrix, ScalarRing
-from sweep_reference import classes, count_last_two, count_rec, last_forms, last_two_operands, \
-    sweep_count
+from sweep_reference import (cartesian_count, classes, count_last_two, count_rec,
+                             filter_by_row, last_forms, last_two_operands, sweep_count)
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
@@ -34,11 +34,11 @@ def test_su_counts_frozen_values():
 def test_cartesian_cross_check_smallest_cases():
     for field, p in [(F3, 5), (F3, 3), (F7, 3), (F5, 3)]:
         bt = count_group("L", 1, ring(field, p), "SU").count
-        ct = count_group("L", 1, ring(field, p), "SU", mode="cartesian").count
+        ct = cartesian_count("L", 1, ring(field, p), "SU")
         assert bt == ct, (field.d, p)
     # same comparison for U and for the second form
     assert (count_group("M", 1, ring(F3, 3), "U").count
-            == count_group("M", 1, ring(F3, 3), "U", mode="cartesian").count)
+            == cartesian_count("M", 1, ring(F3, 3), "U"))
 
 
 def test_cartesian_cross_check_recursion():
@@ -47,13 +47,13 @@ def test_cartesian_cross_check_recursion():
     for (lat, group), count in want.items():
         r = ring(F3 if lat == "L" else F7, 2)
         assert count_group(lat, 2, r, group).count == count, (lat, group)
-        assert count_group(lat, 2, r, group, mode="cartesian").count == count, (lat, group)
+        assert cartesian_count(lat, 2, r, group) == count, (lat, group)
 
 
 def test_cartesian_cross_check_two_adic():
     r = ring(F5, 2, 2)  # O/4, 16^4 matrices
     assert (count_group("L", 1, r, "SU").count
-            == count_group("L", 1, r, "SU", mode="cartesian").count)
+            == cartesian_count("L", 1, r, "SU"))
 
 
 def test_identity_always_counted():
@@ -132,7 +132,7 @@ def test_plane_kernels_match_scalar_reference(case):
         assert tuple(eng.det(list(planes))) == det
         # the float32 kernels reproduce the verdicts
         form = eng.pair_form(rows[-1]).astype(np.float32)
-        kept = _filter_by_row(eng, _Meter(10), rows[-2:-1], form)
+        kept = filter_by_row(eng, _Meter(10), rows[-2:-1], form)
         assert bool(kept[0]) == pair_zero
         cof_map = _cofactor_map(eng, list(rows[:-2]))
         forms = last_forms(eng, rows[-1:])
@@ -262,8 +262,8 @@ def test_complement_identity_on_valid_prefixes(lattice, m):
 
 
 # n = 2 over O/7, O/8, O/9 and O/16 and n = 3 over O/4 need more than the
-# default budget; n = 3 over O/2 runs the deeper loop, whose prefixes reach the
-# blocked level with a chosen row
+# default budget; n = 3 over O/2 is the only size whose blocked levels recurse,
+# checked against the reference's row-by-row filters
 _SWEEP_GRID = [(lattice, n, m, field.d, group)
                for n, moduli in ((1, (2, 4, 8, 16, 3, 9, 5, 7)), (2, (2, 3, 4, 5)), (3, (2,)))
                for m in moduli for field in _fields_by_class(_MODULI[m][0])
@@ -363,11 +363,11 @@ def test_kernel_elimination_equals_enumeration(lattice, n, d):
 
 @pytest.mark.parametrize("d", _KERNEL_FIELDS)
 def test_kernel_elimination_equals_enumeration_at_either_level(d):
+    # each lattice's kernel is taken at its own level: O/2 for L, O/4 for M
     field = make_field(d)
-    for lattice in ("L", "M"):
-        for level in (2, 4):
-            assert (count_kernel(lattice, 1, level, field)
-                    == _enumerated_kernel(lattice, 1, level, field)), (lattice, level)
+    for lattice, level in (("L", 2), ("M", 4)):
+        assert (count_kernel(lattice, 1, field=field)
+                == _enumerated_kernel(lattice, 1, level, field)), lattice
 
 
 @pytest.mark.parametrize("n", range(1, 9))
