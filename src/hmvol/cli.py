@@ -201,6 +201,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # checked before any oracle runs, the kernel (which needs no budget) included
+    if args.budget is not None and args.budget < 0:
+        return _fail(f"--budget must be >= 0, got {args.budget}", EXIT_INVALID)
+    budget = args.budget if args.budget is not None else default_budget()
     field = None
     if args.d is not None:
         field = _field_or_none(args.d)
@@ -208,7 +212,6 @@ def _cmd_verify(args) -> int:
             return _fail(f"d={args.d} is not odd and squarefree", EXIT_INVALID)
     if args.n < 1:
         return _fail("n must be >= 1", EXIT_INVALID)
-    budget = args.budget if args.budget is not None else default_budget()
     dim = (args.n + 1) ** 2 - 1
     try:
         if args.oracle == "kernel":

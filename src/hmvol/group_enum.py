@@ -1,29 +1,46 @@
-"""Brute-force counting of (special) unitary groups over residue rings.
+"""Counting of (special) unitary groups over residue rings O_K/p^N.
 
-Matrices A with A.Lam.conj(A)' = Lam (and det A = 1 for the special count)
-are enumerated row by row: a candidate k-th row must have the prescribed
-Hermitian self-pairing Lam_kk and pair to zero against every chosen row.
-The last row is not searched for: the rows orthogonal to a prefix are the
-multiples c v of one vector v (_Engine.complement), so the completions of a
-prefix are counted from h(v, v) and det [prefix; v].
+#U and #SU(Lam, O/m), m = p^N, are counted by recursion over complement Gram
+classes.  Let count(G, lams, t) be the number of r x r matrices A over O/m
+with A G A* = diag(lams) and, for SU, det A = t; then #U = count(Lam, lam)
+and #SU = count(Lam, lam, 1).  Every lams[0] with r >= 2 is 1, a unit.  A
+first row x then has q = h(x, x) a unit and a unit coordinate x_i0 (i0 the
+first), the rows B_j = e_j - (h(e_j, x) / q) x, j != i0, are a basis of x^⊥
+with det [x; B] = +-x_i0, and every completion of x is [x; C B] for exactly
+one C, with det [x; C B] = det C * det [x; B].  So count(G, lams, t) is the
+sum over the rows x of count(B G B*, lams[1:], t / det [x; B]); at r = 1 it
+is the number of c with N(c) g = lams[0] (U), or whether N(t) g = lams[0]
+(SU).
 
-Rows are stored as real coordinate planes: the row (x_0, ..., x_{w-1}) with
-x_i = a_i + b_i*eps over O/m, m = p^N, is the vector (a_0, b_0, ..., a_{w-1},
-b_{w-1}) with entries in [0, m).  The pairing h(u, v) = sum lam_i u_i
-conj(v_i) and the determinant sum_i cof_i v_i are Z/m-bilinear in these
-coordinates, so fixing v turns either into a (2w, 2) integer form matrix.
-Every level takes a block of its rows at a time and filters each remaining
-class against their stacked forms in one float32 product.  A pairing is zero
-when both entries of the product are divisible by m, tested as
-H == m*rint(H/m), exact while 2w m^2 < 2^22 (_exact_in_float32), which the
-cap on the row table guarantees.  Cofactors, complements and norms are
-computed in int64.  These kernels are the package's only arithmetic over O/m.
+Left multiplication by diag(u, 1, ..., 1) with N(u) = 1 maps the solutions
+with det t one-to-one onto those with det u t, so the SU count depends on t
+only through T = N(t), a unit of Z/m, and every determinant below is carried
+as its norm.
 
-Work is metered in the partial assignments a row-by-row search settles: the
-rows each filter examines, and na x nb for each prefix whose last two
-classes both survive, although their pairs are settled through the
-complement line.  Exceeding the budget raises BudgetExceeded, which
-deliberately distinguishes "infeasible under this budget" from a zero count.
+The search recurses on canonical forms (below): unit diagonal entries, then
+a remainder with no unit-norm vector, whose values are all non-units, so a
+unit-norm row has a unit coordinate among the unit diagonal entries.
+Writing x = s y with s its first unit coordinate, so that y's is 1, B
+depends on y only, det [x; B] = s det [y; B] and N(s) = lams[0] / h(y, y):
+the search runs over these projective rows y, about m^(2(r-1)) of them, and
+counts the s of each by its norm.  The complement Gram B G B* of every row of a level is built in
+one numpy pass and brought to a canonical form D = P G' P* (_canonical):
+unit-norm vectors are split off one at a time, each diagonal entry is scaled
+to the least element of its class modulo the norms of units, and the entries
+are sorted; a remainder with no unit-norm vector (some 2-adic blocks) is kept
+as it is.  P G' P* = D is asserted, not assumed.  The rows are grouped by
+(D, T / N(det P)) with np.unique, and each group is counted once and
+multiplied by its size.  Elements of O/m are coordinate pairs (a, b) for
+a + b eps, and _Ring holds the package's only arithmetic over O/m.
+
+Work is metered in the partial assignments a row-by-row search settles,
+computed per class rather than per prefix: the m^(2w) rows of the table,
+then at each level with r >= 3 classes, for every first row, each later
+class's size while the earlier classes all survive, plus the level below for
+the rows whose classes all survive; two classes cost the product of their
+sizes.  Class sizes are representation numbers of the complement forms.
+Exceeding the budget raises BudgetExceeded, which deliberately distinguishes
+"infeasible under this budget" from a zero count.
 
 count_kernel counts the reduction kernels of the 2-adic densities by exact
 elimination over Z/2^k, not by enumeration, so it needs no budget.
@@ -31,7 +48,6 @@ elimination over Z/2^k, not by enumeration, so it needs no budget.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -46,16 +62,12 @@ from .quadfield import FieldData, make_field
 from .residue_ring import ResidueRing
 
 DEFAULT_BUDGET = 10**9
-# Hard cap on the size of the candidate row table, independent of the budget;
-# beyond this the table itself does not fit comfortably in memory.
+# Hard cap on m^(2w), the number of rows of (O/m)^w, independent of the
+# budget; the meter charges every one of them, and rings beyond it are
+# refused before any table is built.
 _MAX_ROW_TABLE = 3 * 10**7
-# Cells per product of a blocked level.  Small enough that BLAS runs these
-# thin (inner dimension 2w) products on the calling thread: past about 1e6
-# multiply-adds OpenBLAS splits them over threads, which made them 20-100
-# times slower per cell on a 2-CPU host.
-_CHUNK_CELLS = 1 << 15
-# Prefixes per batch of complements at the level above the last row.
-_PREFIX_BATCH = 1 << 11
+# Rows per numpy pass of a level, so that its temporaries stay small.
+_CHUNK = 1 << 12
 
 
 class BudgetExceeded(RuntimeError):
@@ -63,15 +75,18 @@ class BudgetExceeded(RuntimeError):
 
 
 def default_budget() -> int:
-    """The node budget: HMVOL_BUDGET if set (any finite number, so "2.5e9"
+    """The node budget: HMVOL_BUDGET if set (any finite number >= 0, so "2.5e9"
     works), else DEFAULT_BUDGET.  Anything else raises ValueError."""
     raw = os.environ.get("HMVOL_BUDGET")
     if not raw:
         return DEFAULT_BUDGET
     try:
-        return int(float(raw))
+        budget = int(float(raw))
     except (ValueError, OverflowError):
-        raise ValueError(f"HMVOL_BUDGET must be a finite number, got {raw!r}") from None
+        budget = None
+    if budget is None or budget < 0:
+        raise ValueError(f"HMVOL_BUDGET must be a finite number >= 0, got {raw!r}")
+    return budget
 
 
 @dataclass
@@ -83,6 +98,7 @@ class CountReport:
     count: int
     elapsed: float
     nodes: int
+    keys: int  # distinct complement classes counted
 
 
 class _Meter:
@@ -97,224 +113,285 @@ class _Meter:
                 f"enumeration budget exceeded: {self.visited} > {self.budget} visited partial assignments")
 
 
-class _Engine:
-    """Z/m-bilinear form matrices over O/p^N for rows stored as coordinate planes."""
+class _Ring:
+    """O/m on coordinate pairs: int64 arrays (..., 2) holding (a, b) for
+    a + b eps, and matrices (..., rows, cols, 2), with the tables of Z/m and
+    of the norm the search reads."""
 
-    def __init__(self, m: int, t: int, nu: int, lam: tuple[int, ...], su: bool):
-        self.m = m
-        self.t = t % m
-        self.nu = nu % m
-        self.lam = tuple(l % m for l in lam)
-        self.su = su
-        self.w = len(lam)
-        self.inv_m = np.float32(1 / m)
-        # pi_i = prod_(j != i) lam_j weights the complement line of a prefix
-        self.pi = np.array([math.prod(self.lam[:i] + self.lam[i + 1:]) % m
-                            for i in range(self.w)], dtype=np.int64)
+    def __init__(self, ring: ResidueRing):
+        m = self.m = ring.modulus
+        self.t, self.nu = ring.trace_eps, ring.norm_eps
+        a = np.arange(m)
+        self.unit = np.gcd(a, m) == 1
+        self.inv = np.array([pow(int(x), -1, m) if u else 0 for x, u in zip(a, self.unit)],
+                            dtype=np.int64)
+        idx = np.arange(m * m, dtype=np.int64)
+        self.elems = np.stack([idx % m, idx // m], axis=-1)
+        norms = self.norm(self.elems)
+        self.norm_count = np.bincount(norms, minlength=m)
+        self.nonunits = self.elems[~self.unit[norms]]
+        self.one = np.array([[1 % m, 0]], dtype=np.int64)
+        # root[g] is an element of norm g, for every norm g that occurs (root[1] = 1)
+        self.root = np.zeros((m, 2), dtype=np.int64)
+        values, first = np.unique(norms, return_index=True)
+        self.root[values] = self.elems[first]
+        # rep[g] is the least element of g N(units) for a unit g, and scale[g] the
+        # norm of a unit taking g to it; non-units are left as they are
+        unit_norms = a[self.unit & (self.norm_count > 0)]
+        self.rep = np.where(self.unit, (a[:, None] * unit_norms % m).min(axis=1), a)
+        self.scale = np.where(self.unit, self.rep * self.inv % m, 1)
+        self._probes = {}
 
-    @functools.cached_property
-    def norm_hits(self):
-        """norm_hits[g] = #{c in O/m : N(c) g = lam_w}, from the norms of the m^2
-        elements c.  Built on first use, after the row table cap has bounded m."""
-        m = self.m
-        per_norm = np.bincount(self.norm(np.stack(np.divmod(np.arange(m * m), m), axis=-1)),
-                               minlength=m)
-        g, k = np.divmod(np.arange(m * m), m)
-        return ((g * k - self.lam[-1]) % m == 0).reshape(m, m) @ per_norm
+    def mul(self, x, y):
+        x0, x1, y0, y1 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+        return np.stack([x0 * y0 - self.nu * x1 * y1,
+                         x0 * y1 + x1 * y0 + self.t * x1 * y1], axis=-1) % self.m
 
-    def norm(self, z):
-        """N(z) = z conj(z) of plane elements z (..., 2), a scalar mod m."""
-        a, b = z[..., 0], z[..., 1]
+    def conj(self, x):
+        # conj(a + b eps) = (a + t b) - b eps
+        return np.stack([x[..., 0] + self.t * x[..., 1], -x[..., 1]], axis=-1) % self.m
+
+    def norm(self, x):
+        a, b = x[..., 0], x[..., 1]
         return (a * a + self.t * a * b + self.nu * b * b) % self.m
 
-    def selfnorm(self, rows):
-        """Hermitian self-pairing sum(lam_i |v_i|^2) of plane rows (..., 2w), a scalar mod m."""
-        acc = np.zeros(rows.shape[:-1], dtype=np.int64)
-        for i in range(self.w):
-            acc += self.lam[i] * self.norm(rows[..., 2 * i:2 * i + 2].astype(np.int64))
-        return acc % self.m
+    def matmul(self, X, Y):
+        X0, X1, Y0, Y1 = X[..., 0], X[..., 1], Y[..., 0], Y[..., 1]
+        X1Y1 = X1 @ Y1
+        return np.stack([X0 @ Y0 - self.nu * X1Y1,
+                         X0 @ Y1 + X1 @ Y0 + self.t * X1Y1], axis=-1) % self.m
 
-    def complement(self, cof):
-        """The rows orthogonal to a prefix R (w - 1 rows, R Lam R* diagonal with
-        unit entries) are the c v, c in O/m, with c -> c v one-to-one, for
-        v = conj(pi * cof), cof (..., 2w) being R's last-row cofactors as any
-        integers: h(r, v) = det(Lam) det [R; r] = 0 for each row r of R, and by
-        Cauchy-Binet sum pi_i N(cof_i) = det(R Lam R*), a unit.  Returns
-        g = h(v, v) and delta = det [R; v]; for L and M, g = lam_w and delta = 1."""
-        u = cof.reshape(cof.shape[:-1] + (self.w, 2)) * self.pi[:, None]
-        v = np.stack([u[..., 0] + self.t * u[..., 1], -u[..., 1]], axis=-1) % self.m
-        v = v.reshape(cof.shape)
-        delta = np.einsum("...k,...kc->...c", cof, self.mul_form(v)) % self.m
-        return self.selfnorm(v), delta
+    def star(self, X):
+        return self.conj(np.swapaxes(X, -2, -3))
 
-    def pair_form(self, V):
-        """Form matrices of h(., v) for plane rows V (..., 2w): integer (..., 2w, 2)
-        arrays F with planes(u) @ F = the two coordinates of h(u, v) mod m."""
-        V = V.astype(np.int64)
-        c, d = V[..., 0::2], V[..., 1::2]
-        lam = np.array(self.lam, dtype=np.int64)
-        F = np.empty(V.shape + (2,), dtype=np.int64)
-        # u_i conj(v_i) with conj(c + d eps) = (c + t d) - d eps and eps^2 = t eps - nu
-        F[..., 0::2, 0] = lam * (c + self.t * d)
-        F[..., 0::2, 1] = -lam * d
-        F[..., 1::2, 0] = lam * self.nu * d
-        F[..., 1::2, 1] = lam * c
-        return F % self.m
-
-    def mul_form(self, V):
-        """Form matrices of x -> sum_i x_i v_i for plane rows V (..., 2w): integer
-        (..., 2w, 2) arrays F with planes(x) @ F = the two coordinates of the sum mod m."""
-        V = V.astype(np.int64)
-        c, d = V[..., 0::2], V[..., 1::2]
-        F = np.empty(V.shape + (2,), dtype=np.int64)
-        F[..., 0::2, 0] = c
-        F[..., 0::2, 1] = d
-        F[..., 1::2, 0] = -self.nu * d
-        F[..., 1::2, 1] = c + self.t * d
-        return F % self.m
-
-    def det(self, rows):
-        """Determinant of the square matrix with plane rows `rows` (each (..., 2k),
-        broadcastable), as planes (..., 2) mod m; expansion along the last row."""
-        cof = self.cofactors(rows[:-1])
-        return np.einsum("...k,...kc->...c", cof, self.mul_form(rows[-1])) % self.m
-
-    def cofactors(self, rows):
-        """Signed cofactors of the last row of a k x k matrix whose first k - 1 rows
-        are `rows` (plane arrays (..., 2k), broadcastable), as planes (..., 2k) mod m:
-        det = sum_j cof_j x_j for every last row x."""
-        k = len(rows) + 1
-        if k == 1:
-            return np.array([1 % self.m, 0], dtype=np.int64)
-        parts = []
-        for j in range(k):
-            keep = [c for c in range(2 * k) if c // 2 != j]
-            minor = self.det([r[..., keep] for r in rows])
-            parts.append(minor if (k - 1 + j) % 2 == 0 else -minor % self.m)
-        return np.concatenate(parts, axis=-1)
+    def probes(self, r: int):
+        """The rows V (k, r, 2) e_i, then e_i + e_j and e_i + eps e_j for i < j,
+        and their products O_kab = V_ka conj(V_kb), so that h(V_k, V_k) =
+        sum_ab O_kab G_ab.  A Hermitian form has a unit-norm vector iff one of
+        these has unit norm: without one, every diagonal entry and every
+        Tr(c G_ji) (c in {1, eps}, hence c in O/p) vanishes mod p, and then so
+        does every h(v, v)."""
+        if r not in self._probes:
+            eye = np.zeros((r, r, 2), dtype=np.int64)
+            eye[np.arange(r), np.arange(r), 0] = 1
+            rows = list(eye)
+            for i in range(r):
+                for j in range(i + 1, r):
+                    rows.append(eye[i] + eye[j])
+                    rows.append(eye[i] + self.mul(np.array([0, 1]), eye[j]))
+            V = np.stack(rows) % self.m
+            self._probes[r] = V, self.mul(V[:, :, None], self.conj(V)[:, None, :])
+        return self._probes[r]
 
 
-def _exact_in_float32(w: int, m: int) -> bool:
-    """Whether the float32 kernels are exact for rows of width w over O/m.
-
-    Both operands hold integers in [0, m), so every product entry H sums at
-    most 2w terms and stays below 2w m^2.  Below 2^22 every partial sum is an
-    exact float32 integer, and the float32 product H * (1/m) lies within
-    1/(2m) of H/m: rint returns H/m when m divides H, and otherwise
-    m * rint(...) is an exact multiple of m other than H.  So
-    H == m * rint(H / m) holds exactly when m divides H."""
-    return 2 * w * m * m < 2**22
-
-
-def _divisible(eng: _Engine, H):
-    """Elementwise m | H for a float32 product of plane rows and stacked forms."""
-    T = H * eng.inv_m
-    np.rint(T, out=T)
-    T *= eng.m
-    return T == H
+def _product(tables):
+    """The rows (k, len(tables), 2) of the Cartesian product of the element
+    tables, _CHUNK rows at a time."""
+    sizes = [len(t) for t in tables]
+    total = math.prod(sizes)
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        out = np.empty((idx.size, len(tables), 2), dtype=np.int64)
+        for pos in range(len(tables) - 1, -1, -1):
+            idx, digit = np.divmod(idx, sizes[pos])
+            out[:, pos] = tables[pos][digit]
+        yield out
 
 
-def _cofactor_map(eng: _Engine, rows):
-    """The integer maps K (..., 2w, 2w) with planes(x) @ K = the last-row
-    cofactors of the matrix rows + [x, .]."""
-    return eng.cofactors(rows + [np.eye(2 * eng.w, dtype=np.int64)])
+def _complement(R: _Ring, G, v):
+    """For rows v (..., r, 2) of the Hermitian form G (..., r, r, 2) whose first
+    unit coordinate v_i0 is 1: q = h(v, v) and, where q is a unit, the basis
+    B (..., r - 1, r, 2) of v^⊥ with B_j = e_j - (h(e_j, v) / q) v, j != i0;
+    det [v; B] = +-v_i0 = +-1, so no determinant is carried."""
+    m, r = R.m, v.shape[-2]
+    f = R.matmul(G, R.conj(v)[..., None, :])[..., 0, :]
+    q = R.matmul(v[..., None, :, :], f[..., None, :])[..., 0, 0, 0]
+    i0 = np.argmax(R.unit[R.norm(v)], axis=-1)
+    M = np.zeros(f.shape[:-2] + (r, r, 2), dtype=np.int64)
+    M[..., np.arange(r), np.arange(r), 0] = 1
+    M = (M - R.mul((f * R.inv[q][..., None, None])[..., :, None, :], v[..., None, :, :])) % m
+    keep = np.arange(r - 1) + (np.arange(r - 1) >= i0[..., None])
+    return q, np.take_along_axis(M, keep[..., None, None], axis=-3)
 
 
-def _line_counts(eng: _Engine, g, delta):
-    """Last rows completing each prefix R whose complement line c -> c v has
-    g = h(v, v) and delta = det [R; v] (see _Engine.complement).  For U these
-    are the c with N(c) g = lam_w; for SU only c = 1/delta can give det 1, and
-    it does iff delta is a unit and N(1/delta) g = lam_w, i.e. g = lam_w N(delta)."""
-    if not eng.su:
-        return eng.norm_hits[g]
-    nd = eng.norm(delta)
-    return (np.gcd(nd, eng.m) == 1) & ((g - eng.lam[-1] * nd) % eng.m == 0)
+def _canonical(R: _Ring, G):
+    """The canonical forms D (k, r, r, 2) of the Hermitian forms G (k, r, r, 2),
+    with N(det P) for the P that gives D = P G P*: unit-norm vectors are split
+    off one at a time, their norms scaled to rep and sorted; the remainder
+    that has none is kept as it is, after them."""
+    m, (K, r) = R.m, G.shape[:2]
+    D = np.zeros_like(G)
+    P = np.zeros_like(G)
+    P[:, np.arange(r), np.arange(r), 0] = 1
+    live, cur = np.arange(K), G
+    for s in range(r):
+        V, O = R.probes(r - s)
+        vals = (np.einsum("pab,kab->kp", O[..., 0], cur[..., 0])
+                - R.nu * np.einsum("pab,kab->kp", O[..., 1], cur[..., 1])) % m
+        ok = R.unit[vals]
+        found = ok.any(axis=1)
+        D[live[~found], s:, s:] = cur[~found]
+        live, cur, v = live[found], cur[found], V[ok.argmax(axis=1)[found]]
+        if not live.size:
+            break
+        q, B = _complement(R, cur, v)
+        P[live, s:] = R.matmul(np.concatenate([v[:, None], B], axis=1), P[live, s:])
+        cur = R.matmul(R.matmul(B, cur), R.star(B))
+        D[live, s, s, 0] = q
+    diag = np.arange(r)
+    d = D[:, diag, diag, 0]
+    unit = R.unit[d]
+    scale = np.where(unit, R.scale[d], 1)
+    nd = np.ones(K, dtype=np.int64)
+    for i in range(r):
+        nd = nd * scale[:, i] % m
+    P = R.mul(R.root[scale][:, :, None, :], P)
+    d = np.where(unit, R.rep[d], d)
+    order = np.argsort(np.where(unit, d, m + diag), axis=1, kind="stable")
+    P = np.take_along_axis(P, order[:, :, None, None], axis=1)
+    D[:, diag, diag, 0] = np.take_along_axis(d, order, axis=1)
+    assert (R.matmul(R.matmul(P, G), R.star(P)) == D).all(), "P G P* != D"
+    return D, nd
 
 
-def _count_from_cofactors(eng: _Engine, cof) -> int:
-    """Completions of the prefixes with last-row cofactors cof (P, 2w)."""
-    return int(np.sum(_line_counts(eng, *eng.complement(cof)), dtype=np.int64))
+class _Search:
+    """One count: the complement classes met, keyed by their canonical forms,
+    with memo tables for their value distributions, levels, meter charges and
+    counts.  A class of size r has the diagonal lam[w - r:]."""
 
+    def __init__(self, R: _Ring, lam, su: bool, meter: _Meter):
+        self.R, self.su, self.meter = R, su, meter
+        self.lam = tuple(l % R.m for l in lam)
+        self.forms, self.dists, self.levels, self.charges, self.counts = {}, {}, {}, {}, {}
 
-def _orthogonal(eng: _Engine, forms, CT):
-    """Mask (B, n) of h(c, z) = 0 for the rows z whose pair forms are stacked
-    in forms (2B, 2w) and the rows c of CT (2w, n)."""
-    eq = _divisible(eng, forms @ CT)
-    return eq[0::2] & eq[1::2]
+    def add(self, D) -> bytes:
+        key = D.astype(np.int8).tobytes()  # m <= 74 under the row-table cap
+        self.forms.setdefault(key, D)
+        return key
 
+    def lams(self, key):
+        return self.lam[len(self.lam) - self.forms[key].shape[0]:]
 
-def _count_rec(eng: _Engine, meter: _Meter, chosen, cands) -> int:
-    """Completions of `chosen` by one row from each class in `cands`.  The last
-    row is never searched for: it lies on the complement line of the prefix
-    (_Engine.complement), and the last class is filtered only to meter it.
+    def dist(self, key):
+        """dist[g] = #{y : y D y* = g}: the convolution of the norm counts of the
+        unit diagonal entries and of the enumerated remainder."""
+        if key not in self.dists:
+            R, D = self.R, self.forms[key]
+            m, a = R.m, np.arange(R.m)
+            d = np.diagonal(D[..., 0])
+            units = int(R.unit[d].sum())
+            parts = [R.norm_count[a * R.inv[g] % m] for g in d[:units]]
+            if units < len(d):
+                raw, h = D[units:, units:], np.zeros(m, dtype=np.int64)
+                for y in _product([R.elems] * len(raw)):
+                    vals = R.matmul(R.matmul(y[:, None], raw), R.conj(y)[..., None, :])
+                    h += np.bincount(vals[:, 0, 0, 0], minlength=m)
+                parts.append(h)
+            dist = np.zeros(m, dtype=np.int64)
+            dist[0] = 1
+            for g in parts:
+                dist = g[(a[:, None] - a) % m] @ dist
+            self.dists[key] = dist
+        return self.dists[key]
 
-    With three or more classes, a block of first rows z at a time is filtered
-    against every remaining class, one float32 product per class.  The meter
-    is charged what a row-by-row search settles for each z: each class's
-    filter while the earlier ones all survive, and na x nb when the last two
-    classes both survive.  A surviving z with more than two classes left is
-    recursed into; with two left, its prefixes go to the complement line."""
-    if len(cands) == 2:
-        # n = 1: each row x of the first class is a whole prefix
-        Ca, Cb = cands
-        if Ca.shape[0] == 0 or Cb.shape[0] == 0:
-            return 0
-        meter.bump(Ca.shape[0] * Cb.shape[0])
-        return _count_from_cofactors(eng, Ca.astype(np.int64) @ _cofactor_map(eng, chosen))
-    C0, rest = cands[0], cands[1:]
-    n0, sizes = C0.shape[0], [C.shape[0] for C in rest]
-    forms = np.ascontiguousarray(np.swapaxes(eng.pair_form(C0), 1, 2), dtype=np.float32)
-    forms = forms.reshape(2 * n0, 2 * eng.w)
-    restT = [np.ascontiguousarray(C.T) for C in rest]
-    last_two = len(rest) == 2
-    if last_two:
-        maps = _cofactor_map(eng, chosen + [C0[:, None, :]])
-        Ca_int = rest[0].astype(np.int64)
-    block = max(1, _CHUNK_CELLS // (2 * max(1, *sizes)))
-    total, cofs, pending = 0, [], 0
-    for lo in range(0, n0, block):
-        zforms = forms[2 * lo:2 * (lo + block)]
-        masks = [_orthogonal(eng, zforms, CT) for CT in restT]
-        kept = [np.count_nonzero(ok, axis=1) for ok in masks]
-        live = np.ones(kept[0].shape[0], dtype=bool)
-        charge = 0
-        for size, k in zip(sizes, kept):
-            charge += size * np.count_nonzero(live)
-            live &= k > 0
-        if last_two:
-            charge += int(kept[0][live] @ kept[1][live])
-        meter.bump(charge)
-        for j in np.flatnonzero(live):
-            if not last_two:
-                total += _count_rec(eng, meter, chosen + [C0[lo + j]],
-                                    [C[ok[j]] for C, ok in zip(rest, masks)])
-                continue
-            cofs.append(Ca_int[masks[0][j]] @ maps[lo + j])
-            pending += cofs[-1].shape[0]
-            # complements go in batches, so their int64 temporaries stay small
-            if pending >= _PREFIX_BATCH:
-                total += _count_from_cofactors(eng, np.concatenate(cofs))
-                cofs, pending = [], 0
-    if cofs:
-        total += _count_from_cofactors(eng, np.concatenate(cofs))
-    return total
+    def reps(self, key):
+        """The sizes of the key's classes: representation numbers of its lams."""
+        dist = self.dist(key)
+        return [int(dist[l]) for l in self.lams(key)]
 
+    def level(self, key):
+        """child key -> (rows, {sigma: rows}) over the rows x with x D x* = lams[0],
+        where a row's child is the canonical form of its complement, reached by
+        P, and the child's T is T * sigma, sigma = 1 / (N(s) N(det P))."""
+        if key in self.levels:
+            return self.levels[key]
+        R, D = self.R, self.forms[key]
+        m, r, lam0 = R.m, D.shape[0], self.lams(key)[0]
+        groups, total = {}, 0
+        # a unit-norm row has a unit coordinate among the unit diagonal entries,
+        # since the remainder after them has no unit-norm vector
+        for k0 in range(int(R.unit[np.diagonal(D[..., 0])].sum())):
+            for y in _product([R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)):
+                q, B = _complement(R, D, y)
+                ns = lam0 * R.inv[q] % m  # N(s) for x = s y
+                weight = np.where(R.unit[q], R.norm_count[ns], 0)
+                keep = weight > 0
+                if not keep.any():
+                    continue
+                B, ns, weight = B[keep], ns[keep], weight[keep]
+                child, ndp = _canonical(R, R.matmul(R.matmul(B, D), R.star(B)))
+                sigma = R.inv[ns * ndp % m] if self.su else np.zeros_like(ns)
+                rows = np.concatenate([child.reshape(len(child), -1), sigma[:, None]], axis=1)
+                uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+                sums = np.zeros(len(uniq), dtype=np.int64)
+                np.add.at(sums, inverse.ravel(), weight)
+                for row, size in zip(uniq, sums.tolist()):
+                    entry = groups.setdefault(self.add(row[:-1].reshape(r - 1, r - 1, 2)), [0, {}])
+                    entry[0] += size
+                    entry[1][int(row[-1])] = entry[1].get(int(row[-1]), 0) + size
+                total += int(weight.sum())
+        assert total == self.reps(key)[0], "projective rows missed a unit-norm row"
+        self.levels[key] = groups
+        return groups
 
-def _build_rows(eng: _Engine, meter: _Meter):
-    """Every row of (O/m)^w as float32 coordinate planes, in the order of the
-    integer whose base-m digits are (a_0, b_0, a_1, b_1, ...)."""
-    m, k = eng.m, 2 * eng.w
-    n_rows = m**k
-    if n_rows > _MAX_ROW_TABLE:
-        raise BudgetExceeded(
-            f"candidate row table of {n_rows} rows does not fit the enumeration budget")
-    assert _exact_in_float32(eng.w, m), "row table cap no longer keeps float32 exact"
-    meter.bump(n_rows)
-    idx = np.arange(n_rows, dtype=np.int64)
-    rows = np.empty((n_rows, k), dtype=np.float32)
-    for j in range(k):
-        rows[:, j] = (idx // m**j) % m
-    return rows
+    def live(self, key) -> bool:
+        return min(self.reps(key)) > 0
+
+    def charge(self, key, mult: int):
+        """Bump mult x the partial assignments a row-by-row search settles below
+        the class `key`: c0 c1 for two classes; with more, for each first row,
+        each later class's size c_k while the earlier classes of its complement
+        all survive, and the level below when they all do."""
+        if key in self.charges:
+            self.meter.bump(mult * self.charges[key])
+            return
+        c = self.reps(key)
+        # every first row is charged the next class: bump it before the level is built
+        self.meter.bump(mult * c[0] * c[1])
+        total = c[0] * c[1]
+        if len(c) > 2:
+            own, live = 0, []
+            for child, (rows, _) in self.level(key).items():
+                kept = self.reps(child)
+                dead = [k for k, size in enumerate(kept) if size == 0]
+                own += rows * sum(c[1:dead[0] + 2] if dead else c[1:])
+                if not dead:
+                    live.append((child, rows))
+            self.meter.bump(mult * (own - total))
+            total = own
+            for child, rows in live:
+                self.charge(child, mult * rows)
+                total += rows * self.charges[child]
+        self.charges[key] = total
+
+    def count(self, key, T: int) -> int:
+        """count(D, lams, t) for N(t) = T (SU); T is unused for U."""
+        if (key, T) not in self.counts:
+            D, lam = self.forms[key], self.lams(key)
+            if D.shape[0] == 1:
+                value = (T * int(D[0, 0, 0]) % self.R.m == lam[0]) if self.su \
+                    else self.reps(key)[0]
+            else:
+                value = 0
+                for child, (rows, sigmas) in self.level(key).items():
+                    if not self.live(child):
+                        continue
+                    if self.su:
+                        value += sum(size * self.count(child, T * sigma % self.R.m)
+                                     for sigma, size in sigmas.items())
+                    else:
+                        value += rows * self.count(child, T)
+            self.counts[(key, T)] = int(value)
+        return self.counts[(key, T)]
+
+    def run(self) -> int:
+        w = len(self.lam)
+        Lam = np.zeros((1, w, w, 2), dtype=np.int64)
+        Lam[0, np.arange(w), np.arange(w), 0] = self.lam
+        D, nd = _canonical(self.R, Lam)
+        key = self.add(D[0])
+        self.charge(key, 1)
+        return self.count(key, int(self.R.inv[nd[0]]) if self.su else 0)
 
 
 def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
@@ -326,16 +403,20 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
         raise ValueError("n must be >= 1")
     lam = lattice_diag(lattice, n)
     budget = default_budget() if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     t0 = time.monotonic()
-    eng = _Engine(ring.modulus, ring.trace_eps, ring.norm_eps, lam, su=(group == "SU"))
+    n_rows = ring.modulus ** (2 * len(lam))
+    if n_rows > _MAX_ROW_TABLE:
+        raise BudgetExceeded(
+            f"candidate row table of {n_rows} rows does not fit the enumeration budget")
     meter = _Meter(budget)
-    rows = _build_rows(eng, meter)
-    norms = eng.selfnorm(rows)
-    cands = [rows[norms == eng.lam[k]] for k in range(eng.w)]
-    del rows, norms
-    count = _count_rec(eng, meter, [], cands)
+    meter.bump(n_rows)
+    search = _Search(_Ring(ring), lam, group == "SU", meter)
+    count = search.run()
     return CountReport(ring=ring, lattice=lattice, n=n, group=group, count=count,
-                       elapsed=time.monotonic() - t0, nodes=meter.visited)
+                       elapsed=time.monotonic() - t0, nodes=meter.visited,
+                       keys=len(search.counts))
 
 
 _KERNEL_LEVEL = {"L": 2, "M": 4}

@@ -1,9 +1,10 @@
 """Scalar reference arithmetic over O_K/p^N O_K for the tests: elements,
 ring operations, dense matrices, determinants and the Hermitian defect.
 
-The package computes over these rings only through the vectorized plane
-kernels of hmvol.group_enum; the tests check those kernels and the ring
-axioms against this element-by-element arithmetic.
+The package computes over these rings only through the coordinate-pair
+arithmetic of hmvol.group_enum; the tests check it, the plane kernels of the
+backtrack reference (sweep_reference) and the ring axioms against this
+element-by-element arithmetic.
 """
 
 from __future__ import annotations

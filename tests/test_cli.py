@@ -281,6 +281,29 @@ def test_verify_with_an_unusable_budget_variable_is_exit_two(capsys, monkeypatch
     assert "HMVOL_BUDGET" in err and "Traceback" not in err and err.count("\n") == 1
 
 
+_ORACLE_ARGV = {"su-count": ["--d", "3", "--p", "5"], "tau-p": ["--d", "3", "--p", "5"],
+                "stabilization": ["--d", "3", "--p", "5"], "kernel": []}
+
+
+@pytest.mark.parametrize("oracle", sorted(_ORACLE_ARGV))
+@pytest.mark.parametrize("budget", ["-7", "-1"])
+def test_verify_negative_budget_flag_is_exit_two(capsys, oracle, budget):
+    code, out, err = run(capsys, "verify", "--oracle", oracle, "--lattice", "L", "--n", "1",
+                         *_ORACLE_ARGV[oracle], "--budget", budget)
+    assert code == 2 and out == "", err
+    assert "--budget" in err and "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("oracle", sorted(_ORACLE_ARGV))
+@pytest.mark.parametrize("raw", ["-1", "-2.5e9"])
+def test_verify_negative_budget_variable_is_exit_two(capsys, monkeypatch, oracle, raw):
+    monkeypatch.setenv("HMVOL_BUDGET", raw)
+    code, out, err = run(capsys, "verify", "--oracle", oracle, "--lattice", "L", "--n", "1",
+                         *_ORACLE_ARGV[oracle])
+    assert code == 2 and out == "", err
+    assert "HMVOL_BUDGET" in err and "Traceback" not in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("oracle", ["su-count", "stabilization"])
 @pytest.mark.parametrize("p_level", [("1009", "1"), ("31", "2"), ("101", "2")])
 def test_verify_refuses_an_oversized_row_table_before_allocating(capsys, oracle, p_level):

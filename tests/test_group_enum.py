@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmvol.group_enum import (BudgetExceeded, _Engine, _Meter, _MAX_ROW_TABLE, _cofactor_map,
-                              _count_rec, _divisible, _exact_in_float32, _line_counts,
+from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search, _canonical,
                               count_group, count_kernel, default_budget, oracle_tau_p,
                               stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
@@ -15,8 +16,10 @@ from hmvol.local_density import index_u_su, tau_p
 from hmvol.quadfield import PrimeClass, classify_prime, make_field
 from hmvol.residue_ring import ResidueRing
 from scalar_ring import RingMatrix, ScalarRing
-from sweep_reference import (cartesian_count, classes, count_last_two, count_rec,
-                             filter_by_row, last_forms, last_two_operands, sweep_count)
+from sweep_reference import (Engine, backtrack_count, blocked_count_rec, cartesian_count, classes,
+                             cofactor_map, count_last_two, count_rec, divisible, exact_in_float32,
+                             filter_by_row, last_forms, last_two_operands, line_counts,
+                             sweep_count)
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
@@ -78,11 +81,11 @@ def test_count_invariant_under_form_permutation():
     m = r.modulus
     rows = _all_rows(m, 2).astype(np.float32)
     for lam in (lattice_diag("L", 1), (-1, 1)):
-        eng = _Engine(m, r.trace_eps, r.norm_eps, lam, su=True)
+        eng = Engine(m, r.trace_eps, r.norm_eps, lam, su=True)
         cands = classes(eng, rows)
         meter, ref_meter = _Meter(10**9), _Meter(10**9)
         # with two classes there is no blocked level
-        assert _count_rec(eng, meter, [], cands) == 120, lam
+        assert blocked_count_rec(eng, meter, [], cands) == 120, lam
         assert count_rec(eng, ref_meter, last_forms(eng, cands[-1]), [], cands,
                          np.arange(cands[-1].shape[0])) == 120, lam
         assert meter.visited == ref_meter.visited, lam
@@ -126,7 +129,7 @@ def test_plane_kernels_match_scalar_reference(case):
     pair_zero, det_one = h == R.zero(), det == R.one()
     rows = planes.astype(np.float32)
     for su in (False, True):
-        eng = _Engine(R.modulus, R.trace_eps, R.norm_eps, lam, su)
+        eng = Engine(R.modulus, R.trace_eps, R.norm_eps, lam, su)
         # the integer forms reproduce the scalar values exactly
         assert tuple(planes[-2] @ eng.pair_form(planes[-1]) % R.modulus) == h
         assert tuple(eng.det(list(planes))) == det
@@ -134,10 +137,10 @@ def test_plane_kernels_match_scalar_reference(case):
         form = eng.pair_form(rows[-1]).astype(np.float32)
         kept = filter_by_row(eng, _Meter(10), rows[-2:-1], form)
         assert bool(kept[0]) == pair_zero
-        cof_map = _cofactor_map(eng, list(rows[:-2]))
+        cof_map = cofactor_map(eng, list(rows[:-2]))
         forms = last_forms(eng, rows[-1:])
         left, right = last_two_operands(eng, cof_map, rows[-2:-1], forms)
-        ok = _divisible(eng, left @ right)[0]
+        ok = divisible(eng, left @ right)[0]
         assert bool(ok[:2].all()) == pair_zero
         if su:
             assert bool(ok[2:].all()) == det_one
@@ -154,6 +157,60 @@ def test_plane_kernels_match_scalar_reference(case):
     g, delta = eng.complement(cof)
     assert _pairing(R, lam, v, v) == R.element(int(g))
     assert RingMatrix(R, A[:-1] + [v]).det() == tuple(delta)
+
+
+@st.composite
+def _hermitian_cases(draw):
+    # forms small enough that every vector can be enumerated
+    m = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    p, N = _MODULI[m]
+    R = ScalarRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N)
+    r = draw(st.integers(1, 3 if m <= 3 else 2))
+    coord = st.integers(0, m - 1)
+    G = [[None] * r for _ in range(r)]
+    for i in range(r):
+        G[i][i] = R.element(draw(coord))
+        for j in range(i + 1, r):
+            G[i][j] = R.element(draw(coord), draw(coord))
+            G[j][i] = R.conj(G[i][j])
+    return R, G
+
+
+def _value_counts(R, G):
+    """#{v : v G v* = g} for every g in Z/m, one vector at a time."""
+    r, elems = len(G), [R.element(a, b) for a in range(R.modulus) for b in range(R.modulus)]
+    counts = [0] * R.modulus
+    for v in itertools.product(elems, repeat=r):
+        h = R.zero()
+        for i in range(r):
+            for j in range(r):
+                h = R.add(h, R.mul(R.mul(v[i], G[i][j]), R.conj(v[j])))
+        assert h.b == 0
+        counts[h.a] += 1
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hermitian_cases())
+def test_canonical_form_keeps_the_value_counts(case):
+    # _canonical asserts P G P* = D itself; an isometric D represents every
+    # value as often as G, and the remainder it keeps has no unit-norm vector
+    R, G = case
+    r, m = len(G), R.modulus
+    ring_ = _Ring(ResidueRing(R.field, R.p, R.exponent))
+    planes = np.array([[tuple(x) for x in row] for row in G], dtype=np.int64)
+    D, nd = _canonical(ring_, planes[None])
+    assert math.gcd(int(nd[0]), m) == 1
+    search = _Search(ring_, (1,) * r, False, _Meter(0))
+    want = _value_counts(R, G)
+    assert search.dist(search.add(D[0])).tolist() == want
+    diag = [int(D[0, i, i, 0]) for i in range(r)]
+    units = sum(math.gcd(g, m) == 1 for g in diag)
+    assert all(math.gcd(g, m) == 1 for g in diag[:units])
+    raw = [[R.element(*D[0, i, j]) for j in range(units, r)] for i in range(units, r)]
+    if raw:
+        counts = _value_counts(R, raw)
+        assert not any(counts[g] for g in range(m) if math.gcd(g, m) == 1)
 
 
 def _fields_by_class(p, candidates=(1, 3, 5, 7, 11, 13, 15)):
@@ -184,8 +241,8 @@ def test_line_counts_match_enumeration(m):
             g = np.repeat(np.arange(m), m * m)
             delta = np.array([tuple(x) for x in elems] * m)
             for su in (False, True):
-                eng = _Engine(m, R.trace_eps, R.norm_eps, lam, su)
-                got = np.asarray(_line_counts(eng, g, delta), dtype=np.int64).reshape(m, m * m)
+                eng = Engine(m, R.trace_eps, R.norm_eps, lam, su)
+                got = np.asarray(line_counts(eng, g, delta), dtype=np.int64).reshape(m, m * m)
                 for gi in range(m):
                     want = [len(hits[gi]) if not su else int(inverse.get(x) in hits[gi])
                             for x in elems]
@@ -195,8 +252,8 @@ def test_line_counts_match_enumeration(m):
 def _prefix_cofactors(eng, Z, iz, X):
     """Last-row cofactors of the prefixes [X_i] (Z None) or [Z_(iz_i), X_i]."""
     if Z is None:
-        return X @ _cofactor_map(eng, []) % eng.m
-    return np.einsum("pk,pkc->pc", X, _cofactor_map(eng, [Z[:, None, :]])[iz]) % eng.m
+        return X @ cofactor_map(eng, []) % eng.m
+    return np.einsum("pk,pkc->pc", X, cofactor_map(eng, [Z[:, None, :]])[iz]) % eng.m
 
 
 def _all_rows(m, w):
@@ -245,7 +302,7 @@ def test_complement_identity_on_valid_prefixes(lattice, m):
     for field in _fields_by_class(p):
         r = ring(field, p, N)
         for n in (1, 2):
-            eng = _Engine(m, r.trace_eps, r.norm_eps, lattice_diag(lattice, n), su=True)
+            eng = Engine(m, r.trace_eps, r.norm_eps, lattice_diag(lattice, n), su=True)
             if n == 1:
                 blocks = [(None, None, classes(eng, _all_rows(m, 2))[0])]
             elif m in (3, 5):
@@ -279,20 +336,53 @@ def test_backtrack_matches_sweep_reference(lattice, n, m, d, group):
         count_group(lattice, n, r, group, budget=rep.nodes - 1)
 
 
+@pytest.mark.parametrize("lattice, n, m, d, group", _SWEEP_GRID)
+def test_search_matches_backtrack_reference(lattice, n, m, d, group):
+    # the class recursion keeps the blocked backtrack's counts, node totals and refusals
+    r = ring(make_field(d), *_MODULI[m])
+    rep = count_group(lattice, n, r, group)
+    assert (rep.count, rep.nodes) == backtrack_count(lattice, n, r, group)
+    with pytest.raises(BudgetExceeded, match=str(rep.nodes - 1)):
+        count_group(lattice, n, r, group, budget=rep.nodes - 1)
+
+
+def test_odd_n_three_counts_over_o3():
+    # n = 3 at p = 3 (ramified for d = 3): #SU = tau_3 * 3^dim, dim = 15, where
+    # the backtrack took about 30 s per count
+    t0 = time.monotonic()
+    dim = 15
+    counts = {}
+    for lattice in ("L", "M"):
+        rep = count_group(lattice, 3, ring(F3, 3), "SU")
+        assert rep.count == tau_p(lattice, 3, F3, 3).value * 3**dim, lattice
+        counts[lattice] = rep.count
+    elapsed = time.monotonic() - t0
+    assert counts == {"L": 14171760, "M": 11337408}
+    assert count_group("L", 3, ring(F3, 3), "SU").nodes == 655450461
+    assert elapsed < 5.0, elapsed
+
+
+@pytest.mark.parametrize("n, p, keys", [(2, 5, 3), (3, 3, 4)])
+def test_complement_classes_counted(n, p, keys):
+    # every first row of L over O/5 (3,150 of them at n = 2) falls into one
+    # complement class; keys counts the (class, norm of det) pairs evaluated
+    assert count_group("L", n, ring(F3, p), "SU").keys == keys
+
+
 @pytest.mark.parametrize("w", [2, 3, 4, 5])
 def test_row_table_cap_keeps_float32_exact(w):
     m = 2
     while (m + 1) ** (2 * w) <= _MAX_ROW_TABLE:
         m += 1
-    assert _exact_in_float32(w, m), (w, m)
-    assert not _exact_in_float32(w, 2**11)
+    assert exact_in_float32(w, m), (w, m)
+    assert not exact_in_float32(w, 2**11)
 
 
 def test_divisibility_test_exact_below_bound():
     H = np.arange(2**22, dtype=np.float32)
     for m in _MODULI:
-        eng = _Engine(m, 0, 0, (1, 1), su=False)
-        assert np.array_equal(_divisible(eng, H), np.arange(2**22) % m == 0), m
+        eng = Engine(m, 0, 0, (1, 1), su=False)
+        assert np.array_equal(divisible(eng, H), np.arange(2**22) % m == 0), m
 
 
 def _enumerated_kernel(lattice, n, level=None, field=None):
@@ -442,6 +532,15 @@ def test_default_budget_env_override(monkeypatch):
     assert default_budget() == 2_500_000_000
     monkeypatch.delenv("HMVOL_BUDGET")
     assert default_budget() == DEFAULT_BUDGET
+
+
+def test_negative_budget_is_rejected(monkeypatch):
+    # a negative budget is invalid input, not an inconclusive count
+    with pytest.raises(ValueError, match="budget"):
+        count_group("L", 1, ring(F3, 5), "SU", budget=-7)
+    monkeypatch.setenv("HMVOL_BUDGET", "-1")
+    with pytest.raises(ValueError, match="HMVOL_BUDGET"):
+        default_budget()
 
 
 def test_m_lattice_two_adic_counts_at_level_three():

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from math import gcd
 
 import pytest
 
 from hmvol.quadfield import make_field
+from hmvol.residue_ring import ResidueRing
 from scalar_ring import RingMatrix, ScalarRing, hermitian_defect
 
 RINGS = [
@@ -127,3 +129,16 @@ def test_dimension_mismatch_rejected():
         hermitian_defect(RingMatrix.identity(R, 2), (1, 1, -1))
     with pytest.raises(ValueError):
         RingMatrix(R, [[R.one()], [R.one(), R.zero()]])
+
+
+def test_residue_ring_is_a_frozen_hashable_record():
+    a, b = ResidueRing(make_field(3), 5, 2), ResidueRing(make_field(3), 5, 2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ResidueRing(make_field(3), 5, 1) and a != ResidueRing(make_field(7), 5, 2)
+    assert (a.modulus, a.trace_eps, a.norm_eps) == (25, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.p = 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.modulus = 5
+    with pytest.raises(ValueError):
+        ResidueRing(make_field(3), 5, 0)
