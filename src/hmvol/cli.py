@@ -67,15 +67,13 @@ def _field_or_none(d: int):
 def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
     """One OutputRecord; with pipeline "both" the verdict compares the table
     transcription against the authoritative assembly."""
-    if pipeline == "table":
-        expr = hm_table(lattice, n, field).expr
-    else:
-        expr = hm_assembled(lattice, n, field)
     verdict = None
     if pipeline == "both":
         case = compare_pipelines(lattice, n, field)
-        value, verdict = case.assembled_value, case.verdict
+        expr, value, verdict = case.assembled, case.assembled_value, case.verdict
     else:
+        expr = hm_table(lattice, n, field).expr if pipeline == "table" \
+            else hm_assembled(lattice, n, field)
         value = rationalize(expr, field)
     numeric, bound = evaluate_numeric(expr, field, tol)
     return {

@@ -16,15 +16,17 @@ Working precision is WORK_DPS decimal digits (well beyond the 1e-12 scale
 tolerances used anywhere in the package), so float rounding is dominated by
 the stated truncation bounds.
 
-Every value is computed once per process.  A truncated sum depends on the
-tolerance only through its Euler-Maclaurin cutoff M, so the memos are keyed on
-the exact inputs of the computation: (s, a, M) for a Hurwitz sum and
-(k, field, M) for an L sum; tolerances that land on the same cutoff share one
-sum.  The correction coefficients and the tail constant are computed once per
-s and the characters chi_D(a) once per field (`quadfield.character`).
-Generalized Bernoulli numbers come from integer power sums of the character,
-k+1 `Fraction` terms in all, and the L closed forms are memoized on
-(k, field).  The memos hold their entries for the life of the process.
+Each numeric value is one power sum sum_n w(n) n^-s of a weight of period f
+(chi_D for L, f = |D|; 1 for zeta), in fixed point where the integer 2^256
+stands for 1: exact over m = 1..M f, then the Euler-Maclaurin tail from the
+integer power sums of y = f/n over the f points n = M f + a.  Every floor is
+off by under one unit and is added to the bound, whose own power sum is
+rounded up; the sum becomes an mpf once.  It depends on the tolerance only
+through the cutoff M, so it is memoized on (s, weights, M), once per process.
+The correction coefficients and the tail constant are computed once per s and
+chi_D(a) once per field (`quadfield.character`).  Generalized Bernoulli
+numbers come from integer power sums of the character, k+1 `Fraction` terms in
+all, and the L closed forms are memoized on (k, field), for the process's life.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import ceil, comb, factorial
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
@@ -45,6 +47,7 @@ WORK_DPS = 40
 # the mpmath precision in force at the caller.
 TOL_FLOOR = mpf(10.0 ** -WORK_DPS)
 _EM_TERMS = 8  # J: number of B_(2j) correction terms
+_FIXED_BITS = 256  # the power sums are integers in units of 2^-256
 
 
 class ExactForm(NamedTuple):
@@ -68,19 +71,16 @@ def _rising(s: int, k: int) -> int:
 
 
 @cache
-def _em_constants(s: int) -> tuple[tuple[mpf, ...], mpf]:
-    """The correction coefficients B_2j/(2j)! (s)_(2j-1), j = 1..J, and the
-    remainder-bound constant (s)_(2J+1) 2.5 / ((2pi)^(2J+1) (s+2J)), at WORK_DPS."""
+def _em_constants(s: int) -> tuple[tuple[Fraction, ...], mpf]:
+    """The correction coefficients B_2j/(2j)! (s)_(2j-1), j = 1..J, exactly, and
+    the remainder-bound constant (s)_(2J+1) 2.5 / ((2pi)^(2J+1) (s+2J)) at WORK_DPS."""
     J = _EM_TERMS
+    coeffs = tuple(bernoulli(2 * j) / factorial(2 * j) * _rising(s, 2 * j - 1)
+                   for j in range(1, J + 1))
     with mp.workdps(WORK_DPS):
-        coeffs = []
-        for j in range(1, J + 1):
-            B = bernoulli(2 * j)
-            coeffs.append(mpf(B.numerator) / B.denominator / factorial(2 * j)
-                          * _rising(s, 2 * j - 1))
         tail = (mpf(2.5) * _rising(s, 2 * J + 1)
                 / ((2 * mp.pi) ** (2 * J + 1) * (s + 2 * J)))
-    return tuple(coeffs), tail
+    return coeffs, tail
 
 
 def check_tol(tol) -> None:
@@ -103,29 +103,46 @@ def _em_cutoff(s: int, tol) -> int:
 
 
 def hurwitz_numeric(s: int, a, tol) -> tuple[mpf, mpf]:
-    """Hurwitz zeta(s, a) for integer s >= 2 and rational 0 < a <= 1, with an
-    explicit remainder bound <= tol."""
+    """Hurwitz zeta(s, a) = q^s sum_(n = p mod q) n^-s for integer s >= 2 and
+    rational 0 < a = p/q <= 1, with an explicit remainder bound <= tol."""
     if s < 2:
         raise ValueError("s must be >= 2")
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("a must lie in (0, 1]")
+    q = a.denominator
+    weights = tuple(int(r == a.numerator % q) for r in range(q))
     with mp.workdps(WORK_DPS):
-        return _hurwitz(s, a, _em_cutoff(s, tol))
+        value, bound = _power_sum(s, weights, _em_cutoff(s, tol))
+        return value * q**s, bound * q**s
 
 
 @cache
-def _hurwitz(s: int, a: Fraction, M: int) -> tuple[mpf, mpf]:
-    """Euler-Maclaurin sum for zeta(s, a) truncated at M, and its remainder bound."""
+def _power_sum(s: int, weights: tuple[int, ...], M: int) -> tuple[mpf, mpf]:
+    """sum_(n >= 1) w(n) n^-s for w(n) = weights[n mod f] in {-1, 0, 1},
+    f = len(weights), truncated at M f, and its remainder bound.  With y = f/n,
+    n = M f + a, the tail is f^-s sum_a w(a) [y^(s-1)/(s-1) + y^s/2 +
+    sum_j c_j y^(s+2j-1)], the remainder at most f^-s tail sum_(w(a) != 0) y^(s+2J)."""
     coeffs, tail = _em_constants(s)
+    f, one = len(weights), 1 << _FIXED_BITS
+    head = sum(w * (one // m**s) for m in range(1, M * f + 1) if (w := weights[m % f]))
+    points = [(w, M * f + a) for a in range(1, f + 1) if (w := weights[a % f])]
+    sums = []  # T_e = sum_a w(a) floor(2^256 y^e)
+    for e in (s - 1, s) + tuple(range(s + 1, s + 2 * _EM_TERMS, 2)):
+        num = one * f**e
+        sums.append(sum(w * (num // n**e) for w, n in points))
+    last = s + 2 * _EM_TERMS
+    rest = -sum(-one * f**last // n**last for _, n in points)  # sum_a y^last, rounded up
+    scale = f**s
+    tail_sum = (Fraction(sums[0], s - 1) + Fraction(sums[1], 2)
+                + sum(c * t for c, t in zip(coeffs, sums[2:])))
+    value = head + tail_sum.numerator // (tail_sum.denominator * scale)
+    # each floor is short by under one unit times its coefficient in the value,
+    # and 1/(s-1) + 1/2 <= 2
+    floors = (M + 2 + ceil(sum(map(abs, coeffs)))) * len(points) + 1
     with mp.workdps(WORK_DPS):
-        am = mpf(a.numerator) / a.denominator
-        total = mp.fsum((k + am) ** (-s) for k in range(M))
-        base = M + am
-        total += base ** (1 - s) / (s - 1) + base ** (-s) / 2
-        for j, c in enumerate(coeffs, start=1):
-            total += c * base ** (-s - 2 * j + 1)
-        return total, tail * base ** (-s - 2 * _EM_TERMS)
+        bound = tail * -(-rest // scale) + floors
+        return mp.ldexp(mpf(value), -_FIXED_BITS), mp.ldexp(bound, -_FIXED_BITS)
 
 
 def zeta_numeric(s: int, tol=mpf("1e-12")) -> SpecialValue:
@@ -144,33 +161,16 @@ def zeta_exact(s: int) -> ExactForm:
 
 
 def l_numeric(k: int, field: FieldData, tol=mpf("1e-12")) -> SpecialValue:
-    """L(k, chi_D) = sum chi_D(m) m^-k for integer k >= 2, evaluated as
-    f^-k sum_a chi(a) hurwitz(k, a/f)."""
+    """L(k, chi_D) = sum chi_D(m) m^-k for integer k >= 2, evaluated as the power
+    sum of the character with the remainder split evenly over its residues."""
     if k < 2:
         raise ValueError("k must be >= 2")
     check_tol(tol)
-    f = field.f
+    weights = character(field)
     with mp.workdps(WORK_DPS):
-        nonzero = sum(1 for c in character(field) if c)
-        tol_each = mpf(tol) * f**k / (2 * max(1, nonzero))
-        return SpecialValue(*_l_hurwitz(k, field, _em_cutoff(k, tol_each)))
-
-
-@cache
-def _l_hurwitz(k: int, field: FieldData, M: int) -> tuple[mpf, mpf]:
-    """f^-k sum_a chi(a) zeta(k, a/f) with every Hurwitz sum truncated at M,
-    and the summed remainder bound."""
-    f = field.f
-    with mp.workdps(WORK_DPS):
-        total = mpf(0)
-        bound = mpf(0)
-        for a, c in enumerate(character(field)):
-            if c:
-                v, b = _hurwitz(k, Fraction(a, f), M)
-                total += c * v
-                bound += b
-        scale = mpf(f) ** (-k)
-        return scale * total, scale * bound
+        nonzero = sum(1 for c in weights if c)
+        tol_each = mpf(tol) * field.f**k / (2 * max(1, nonzero))
+        return SpecialValue(*_power_sum(k, weights, _em_cutoff(k, tol_each)))
 
 
 def gen_bernoulli(k: int, field: FieldData) -> Fraction:

@@ -5,7 +5,7 @@ d = 1 (mod 4) branch and an extra 2^n Killing factor for the second form.
 
 The assembly pipeline is authoritative; table rows whose trailing product is
 abbreviated without a visible L-factor (odd n >= 3 except the first form at
-D = -d) are flagged TableAmbiguous and never reported as a mismatch.
+D = -d) are flagged TableAmbiguous when they agree and are a mismatch when not.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ class DiscrepancyReport:
     n: int
     d: int
     table_value: Optional[Fraction]
+    assembled: VolumeExpression
     assembled_value: Fraction
     verdict: Verdict
 
@@ -183,23 +184,24 @@ def evaluate_numeric(expr: VolumeExpression, field: FieldData, tol=mpf("1e-12"))
 
 def compare_pipelines(lattice: str, n: int, field: FieldData) -> DiscrepancyReport:
     """Exact table-vs-assembly comparison of one case.  The assembly is
-    authoritative; an ambiguous table row is never reported as a Mismatch."""
+    authoritative; any table row that differs from it is a Mismatch."""
     row = hm_table(lattice, n, field)
     tv = rationalize(row.expr, field)
-    av = rationalize(hm_assembled(lattice, n, field), field)
-    if row.ambiguous:
-        verdict = Verdict.TABLE_AMBIGUOUS
-    elif tv == av:
-        verdict = Verdict.MATCH
-    else:
+    assembled = hm_assembled(lattice, n, field)
+    av = rationalize(assembled, field)
+    if tv != av:
         verdict = Verdict.MISMATCH
+    elif row.ambiguous:
+        verdict = Verdict.TABLE_AMBIGUOUS
+    else:
+        verdict = Verdict.MATCH
     return DiscrepancyReport(lattice=lattice, n=n, d=field.d, table_value=tv,
-                             assembled_value=av, verdict=verdict)
+                             assembled=assembled, assembled_value=av, verdict=verdict)
 
 
 def discrepancy_report(n_max: int, d_list, lattices=("L", "M")) -> list[DiscrepancyReport]:
-    """compare_pipelines over the grid; a Mismatch on an unambiguous row is a
-    hard failure for the caller."""
+    """compare_pipelines over the grid; a Mismatch is a hard failure for the
+    caller."""
     fields = [make_field(d) for d in d_list]
     return [compare_pipelines(lattice, n, field)
             for lattice in lattices for n in range(1, n_max + 1) for field in fields]

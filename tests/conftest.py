@@ -2,8 +2,8 @@ import pytest
 
 from hmvol import quadfield, special_values
 
-_MEMOS = (special_values._em_constants, special_values._hurwitz, special_values._l_hurwitz,
-          special_values._l_closed_form, special_values._pin_l_exact, quadfield.character)
+_MEMOS = (special_values._em_constants, special_values._power_sum, special_values._l_closed_form,
+          special_values._pin_l_exact, quadfield.character)
 
 
 @pytest.fixture

@@ -203,6 +203,6 @@ def test_criterion_10_pipeline_agreement_and_ratio():
     for d in (1, 5, 13):
         for n in (2, 4, 6):
             assert hm_ratio(n, make_field(d)) == 2**n - 1
-    _report(10, True, "table equals assembly on every unambiguous row; ambiguous rows "
-                      "flagged only; Vol(M) = Vol(L) * ratio on the full grid with "
+    _report(10, True, "table equals assembly on every row, the flagged ambiguous rows "
+                      "included; Vol(M) = Vol(L) * ratio on the full grid with "
                       "ratio(2,3) = 3 and ratio(even n, d=1 mod 4) = 2^n - 1")

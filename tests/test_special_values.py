@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 
 from hmvol import special_values
 from hmvol.arith import bernoulli_poly, kronecker
 from hmvol.quadfield import make_field
 from hmvol.special_values import (exact_numeric, gen_bernoulli, hurwitz_numeric,
                                   l_exact, l_numeric, zeta_exact, zeta_numeric)
+import hurwitz_reference
 
 F1, F3, F7, F11 = make_field(1), make_field(3), make_field(7), make_field(11)
 
@@ -31,9 +32,10 @@ def test_zeta_error_bound_is_honest():
 def test_hurwitz_against_mpmath():
     with mp.workdps(40):
         for s, a in [(2, Fraction(1, 3)), (5, Fraction(3, 4)), (3, Fraction(1, 7))]:
-            v, b = hurwitz_numeric(s, a, mpf("1e-16"))
             ref = mpmath.zeta(s, mpf(a.numerator) / a.denominator)
-            assert abs(v - ref) <= b
+            for evaluate in (hurwitz_numeric, hurwitz_reference.hurwitz_numeric):
+                v, b = evaluate(s, a, mpf("1e-16"))
+                assert abs(v - ref) <= b
 
 
 def test_zeta_exact_values():
@@ -59,14 +61,18 @@ def test_l_numeric_spot_values():
 
 def _l_partial(k, field, tol):
     """L(k, chi_D) as the plain partial sum up to M, with its tail bounded by
-    f M^-k (Abel summation against the period-zero character sums)."""
+    f M^-k (Abel summation against the period-zero character sums).  The sum
+    runs in integers in units of 2^-256, each term floored, so M more units
+    bound the rounding."""
     f = field.f
     M = 2
     while f * float(M) ** (-k) > float(tol):
         M += 1 + M // 8
+    chi = [0] + [kronecker(field.D, a) for a in range(1, f)]
+    one = 1 << 256
+    total = sum(c * (one // m**k) for m in range(1, M + 1) if (c := chi[m % f]))
     with mp.workdps(special_values.WORK_DPS):
-        total = mp.fsum(kronecker(field.D, m) * mpf(m) ** (-k) for m in range(1, M + 1))
-        return total, mpf(f) * mpf(M) ** (-k)
+        return mp.ldexp(mpf(total), -256), mpf(f) * mpf(M) ** (-k) + mp.ldexp(M, -256)
 
 
 def test_l_numeric_modes_agree():
@@ -203,3 +209,21 @@ def test_memo_never_hands_back_a_looser_bound():
         assert l_numeric(3, F3, mpf(tol)).error_bound <= mpf(tol)
         assert zeta_numeric(3, mpf(tol)).error_bound <= mpf(tol)
         assert hurwitz_numeric(3, Fraction(1, 3), mpf(tol))[1] <= mpf(tol)
+        assert hurwitz_reference.hurwitz_numeric(3, Fraction(1, 3), mpf(tol))[1] <= mpf(tol)
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 141, 199, 563, 797])
+def test_power_sums_match_the_hurwitz_reference(d):
+    # the fixed-point power sums against the per-residue mpf Hurwitz sums at
+    # the same cutoffs: values within 1e-35 relative, bounds equal to 17 digits
+    field = make_field(d)
+    for tol in ("1e-10", "1e-14", "1e-30"):
+        cases = [(k, lambda k, t: l_numeric(k, field, t),
+                  lambda k, t: hurwitz_reference.l_numeric(k, field, t)) for k in range(2, 8)]
+        if d == 1:
+            cases += [(s, zeta_numeric, hurwitz_reference.zeta_numeric) for s in range(2, 14)]
+        for k, evaluate, reference in cases:
+            sv = evaluate(k, mpf(tol))
+            value, bound = reference(k, mpf(tol))
+            assert abs(sv.numeric - value) <= mpf("1e-35") * abs(value), (d, k, tol)
+            assert nstr(sv.error_bound, 17) == nstr(bound, 17), (d, k, tol)

@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from hmvol import volume
+from hmvol.arith import is_squarefree
+from hmvol.cli import main
 from hmvol.expressions import VolumeExpression
 from hmvol.quadfield import make_field
-from hmvol.volume import (Verdict, discrepancy_report, evaluate_numeric,
+from hmvol.volume import (Verdict, compare_pipelines, discrepancy_report, evaluate_numeric,
                           hm_assembled, hm_ratio, hm_table, rationalize)
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
@@ -135,6 +138,30 @@ def test_discrepancy_report_has_no_size_cap():
 def test_discrepancy_report_expanded_tables_agree_even_when_flagged():
     for r in discrepancy_report(5, [1, 3, 5, 7]):
         assert r.table_value == r.assembled_value
+    # the flagged rows (odd n >= 3) over the odd squarefree d < 200, where
+    # both ramified-2 and odd ramified primes vary
+    fields = [make_field(d) for d in range(1, 200, 2) if is_squarefree(d)]
+    flagged = 0
+    for lattice in "LM":
+        for n in (3, 5, 7, 9):
+            for field in fields:
+                if hm_table(lattice, n, field).ambiguous:
+                    r = compare_pipelines(lattice, n, field)
+                    assert r.verdict is Verdict.TABLE_AMBIGUOUS, (lattice, n, field.d)
+                    flagged += 1
+    assert flagged == 4 * (len(fields) + sum(f.d % 4 == 1 for f in fields))
+
+
+def test_an_ambiguous_row_that_differs_is_a_mismatch(monkeypatch, capsys):
+    assert hm_table("M", 3, F3).ambiguous
+    assert compare_pipelines("M", 3, F3).verdict is Verdict.TABLE_AMBIGUOUS
+    correction = volume._ramified_correction
+    monkeypatch.setattr(volume, "_ramified_correction",
+                        lambda n, field, twisted: 2 * correction(n, field, twisted))
+    r = compare_pipelines("M", 3, F3)
+    assert r.verdict is Verdict.MISMATCH and r.table_value == 2 * r.assembled_value
+    assert main(["table", "--lattice", "M", "--n-range", "3..3", "--d-list", "3"]) == 3
+    assert capsys.readouterr().out.splitlines()[1].endswith(",mismatch")
 
 
 def test_positivity_and_growth_trend():
