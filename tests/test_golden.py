@@ -23,6 +23,19 @@ CASES = [
       "--tol", "1e-20"]),
     ("lvalue_L_k5_d15.txt", ["lvalue", "--kind", "L", "--k", "5", "--d", "15", "--tol", "1e-30"]),
     ("lvalue_zeta_k13.txt", ["lvalue", "--kind", "zeta", "--k", "13", "--tol", "1e-30"]),
+    ("compute_both_n3_d7_both.txt",
+     ["compute", "--lattice", "both", "--n", "3", "--d", "7", "--pipeline", "both"]),
+    ("compute_both_n3_d7_both.csv",
+     ["compute", "--lattice", "both", "--n", "3", "--d", "7", "--pipeline", "both",
+      "--format", "csv"]),
+    ("verify_su-count_L_n1_d3_p5.txt",
+     ["verify", "--oracle", "su-count", "--lattice", "L", "--n", "1", "--d", "3", "--p", "5"]),
+    ("verify_tau-p_M_n1_d3_p3.txt",
+     ["verify", "--oracle", "tau-p", "--lattice", "M", "--n", "1", "--d", "3", "--p", "3"]),
+    ("verify_kernel_M_n1.txt", ["verify", "--oracle", "kernel", "--lattice", "M", "--n", "1"]),
+    ("verify_stabilization_L_n1_d3_p3.txt",
+     ["verify", "--oracle", "stabilization", "--lattice", "L", "--n", "1", "--d", "3",
+      "--p", "3"]),
 ]
 
 
