@@ -9,7 +9,7 @@ from .group_enum import (BudgetExceeded, CountReport, count_group, count_kernel,
                          oracle_tau_p, stabilization_check)
 from .lie_form import LieBasis, build_basis, curvature_ratio, gram_det, vol_max_compact, vol_su
 from .local_density import LocalDensity, index_u_su, tau_infinity, tau_p
-from .quadfield import EpsKind, FieldData, PrimeClass, classify_prime, make_field
+from .quadfield import EpsKind, FieldData, make_field
 from .residue_ring import ResidueRing
 from .special_values import (SpecialValue, gen_bernoulli, l_exact, l_numeric,
                              zeta_exact, zeta_numeric)
@@ -18,9 +18,9 @@ from .volume import (DiscrepancyReport, Verdict, discrepancy_report, evaluate_nu
 
 __all__ = [
     "BudgetExceeded", "CountReport", "DiscrepancyReport", "EpsKind", "Factorization",
-    "FieldData", "LieBasis", "LocalDensity", "PrimeClass", "Rational", "ResidueRing",
+    "FieldData", "LieBasis", "LocalDensity", "Rational", "ResidueRing",
     "SpecialValue", "Verdict", "VolumeExpression", "bernoulli", "bernoulli_poly",
-    "build_basis", "classify_prime", "count_group", "count_kernel", "curvature_ratio",
+    "build_basis", "count_group", "count_kernel", "curvature_ratio",
     "discrepancy_report", "evaluate_numeric", "factor", "gen_bernoulli", "gram_det",
     "hm_assembled", "hm_ratio", "hm_table", "index_u_su", "kronecker", "l_exact",
     "l_numeric", "make_field", "oracle_tau_p", "rationalize", "stabilization_check",

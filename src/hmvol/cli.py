@@ -1,6 +1,11 @@
 """Command-line front end: volume tables, single-case computations, special
 values, and oracle-verification runs in text/JSON/CSV.
 
+compute and table are one path: records over lattices x n x fields, all built
+before anything is opened or written, then one writer to stdout or --out.
+Inputs are checked where their values are defined (make_field, ResidueRing,
+the volume and count functions); their ValueError is exit 2.
+
 Exit codes are the only failure channel: 0 success, 2 invalid input,
 3 verification mismatch or violated invariant, 4 enumeration budget exceeded.
 In json/csv modes stdout carries only the payload; diagnostics go to stderr.
@@ -18,7 +23,6 @@ from fractions import Fraction
 
 from mpmath import isfinite, mpf, nstr
 
-from .arith import is_prime
 from .group_enum import (BudgetExceeded, count_group, count_kernel, default_budget,
                          oracle_tau_p, stabilization_check)
 from .local_density import tau_p
@@ -55,13 +59,6 @@ def _rat_str(v: Fraction) -> str:
 
 def _num_str(v) -> str:
     return nstr(v, 13)
-
-
-def _field_or_none(d: int):
-    try:
-        return make_field(d)
-    except ValueError:
-        return None
 
 
 def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
@@ -114,24 +111,12 @@ def _json_dumps(records: list[dict]) -> str:
     return text
 
 
-def _emit_records(records: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        print(_json_dumps(records))
-        return
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(_TABLE_COLUMNS)
-        for r in records:
-            w.writerow(_table_row(r))
-        sys.stdout.write(buf.getvalue())
-        return
-    for r in records:
-        verdict = f" [{r['verdict']}]" if r["verdict"] else ""
-        print(f"lattice={r['lattice']} n={r['n']} d={r['d']} D={r['D']} "
-              f"volume={r['volume_rational']} "
-              f"(~{nstr(r['volume_numeric'], 10)} +/- {nstr(r['volume_error_bound'], 2)}) "
-              f"pipeline={r['provenance']}{verdict}")
+def _text_line(r: dict) -> str:
+    verdict = f" [{r['verdict']}]" if r["verdict"] else ""
+    return (f"lattice={r['lattice']} n={r['n']} d={r['d']} D={r['D']} "
+            f"volume={r['volume_rational']} "
+            f"(~{nstr(r['volume_numeric'], 10)} +/- {nstr(r['volume_error_bound'], 2)}) "
+            f"pipeline={r['provenance']}{verdict}\n")
 
 
 def _table_row(r: dict) -> list:
@@ -143,59 +128,61 @@ def _table_row(r: dict) -> list:
             agreement]
 
 
-def _cmd_compute(args) -> int:
-    field = _field_or_none(args.d)
-    if field is None:
-        return _fail(f"d={args.d} is not odd and squarefree", EXIT_INVALID)
-    if args.n < 1:
-        return _fail("n must be >= 1", EXIT_INVALID)
-    lattices = ["L", "M"] if args.lattice == "both" else [args.lattice]
-    records = [_record(lat, args.n, field, args.pipeline, args.tol) for lat in lattices]
-    _emit_records(records, args.format)
-    if args.pipeline == "both" and any(r["verdict"] == Verdict.MISMATCH.value for r in records):
-        return EXIT_MISMATCH
+def _write(records: list[dict], fmt: str, out: str | None) -> int:
+    """The records as text, JSON or CSV, to stdout or to the file out."""
+    if fmt == "json":
+        text = _json_dumps(records) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(_TABLE_COLUMNS)
+        w.writerows(_table_row(r) for r in records)
+        text = buf.getvalue()
+    else:
+        text = "".join(_text_line(r) for r in records)
+    if out is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        return _fail(f"cannot write {out}: {e}", EXIT_INVALID)
     return EXIT_OK
+
+
+def _volumes(lattice: str, ns, fields: list, pipeline: str, tol, fmt: str,
+             out: str | None = None) -> int:
+    """Records over lattices x ns x fields, every one computed before the
+    writer runs, so a failure leaves no output; a pipeline mismatch is exit 3."""
+    lattices = ["L", "M"] if lattice == "both" else [lattice]
+    records = [_record(lat, n, field, pipeline, tol)
+               for lat in lattices for n in ns for field in fields]
+    code = _write(records, fmt, out)
+    if code == EXIT_OK and any(r["verdict"] == Verdict.MISMATCH.value for r in records):
+        return EXIT_MISMATCH
+    return code
+
+
+def _cmd_compute(args) -> int:
+    return _volumes(args.lattice, [args.n], [make_field(args.d)], args.pipeline, args.tol,
+                    args.format)
 
 
 def _cmd_table(args) -> int:
     try:
         lo, hi = args.n_range.split("..")
-        n_lo, n_hi = int(lo), int(hi)
+        ns = range(int(lo), int(hi) + 1)
         d_list = [int(x) for x in args.d_list.split(",") if x]
     except ValueError:
         return _fail(f"bad range/list: --n-range {args.n_range} --d-list {args.d_list}",
                      EXIT_INVALID)
-    if n_lo < 1 or n_hi < n_lo or not d_list:
+    if not ns or not d_list:
         return _fail("invalid n range or empty d list", EXIT_INVALID)
-    fields = []
-    for d in d_list:
-        f = _field_or_none(d)
-        if f is None:
-            return _fail(f"d={d} is not odd and squarefree", EXIT_INVALID)
-        fields.append(f)
+    fields = [make_field(d) for d in d_list]
     if args.format != "csv":
         return _fail("table output is csv only", EXIT_INVALID)
-    lattices = ["L", "M"] if args.lattice == "both" else [args.lattice]
-    rows = []
-    mismatch = False
-    for lat in lattices:
-        for n in range(n_lo, n_hi + 1):
-            for field in fields:
-                r = _record(lat, n, field, "both", args.tol)
-                mismatch |= r["verdict"] == Verdict.MISMATCH.value
-                rows.append(_table_row(r))
-    try:
-        out = open(args.out, "w", newline="") if args.out else sys.stdout
-    except OSError as e:
-        return _fail(f"cannot write {args.out}: {e}", EXIT_INVALID)
-    try:
-        w = csv.writer(out)
-        w.writerow(_TABLE_COLUMNS)
-        w.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    return _volumes(args.lattice, ns, fields, "both", args.tol, "csv", args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -203,57 +190,43 @@ def _cmd_verify(args) -> int:
     if args.budget is not None and args.budget < 0:
         return _fail(f"--budget must be >= 0, got {args.budget}", EXIT_INVALID)
     budget = args.budget if args.budget is not None else default_budget()
-    field = None
-    if args.d is not None:
-        field = _field_or_none(args.d)
-        if field is None:
-            return _fail(f"d={args.d} is not odd and squarefree", EXIT_INVALID)
-    if args.n < 1:
-        return _fail("n must be >= 1", EXIT_INVALID)
+    field = None if args.d is None else make_field(args.d)
     dim = (args.n + 1) ** 2 - 1
-    try:
-        if args.oracle == "kernel":
-            if field is not None and field.d % 4 != 1:
-                return _fail("kernel formula is pinned for 2-ramified fields (d = 1 mod 4)",
-                             EXIT_INVALID)
-            got = count_kernel(args.lattice, args.n, field=field)
-            want = 2 ** (args.n**2 + 3 * args.n) if args.lattice == "L" \
-                else 2 ** (2 * args.n**2 + 5 * args.n)
-            return _verdict_lines(f"kernel count ({args.lattice}, n={args.n})", got, want)
-        if field is None:
-            return _fail("--d is required for this oracle", EXIT_INVALID)
-        if args.p is None:
-            return _fail("--p is required for this oracle", EXIT_INVALID)
-        if not is_prime(args.p):
-            return _fail(f"{args.p} is not prime", EXIT_INVALID)
-        level = 1 if args.level is None else args.level
-        if args.oracle == "stabilization":
-            ok = stabilization_check(args.lattice, args.n, field, args.p, level,
-                                     budget=budget)
-            print(f"stabilization ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, "
-                  f"N={level} -> {level + 1}): {'holds' if ok else 'FAILS'}")
-            return EXIT_OK if ok else EXIT_MISMATCH
-        if args.oracle == "su-count":
-            if args.p == 2:
-                return _fail("su-count compares at odd p; use --oracle tau-p for p=2",
-                             EXIT_INVALID)
-            rep = count_group(args.lattice, args.n, ResidueRing(field, args.p, level),
-                              "SU", budget=budget)
-            formula = tau_p(args.lattice, args.n, field, args.p).value * args.p ** (level * dim)
-            if formula.denominator != 1:
-                return _fail("formula count is not integral at this level", EXIT_INVALID)
-            return _verdict_lines(
-                f"#SU ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, N={level})",
-                rep.count, formula.numerator)
-        if args.oracle == "tau-p":
-            got = oracle_tau_p(args.lattice, args.n, field, args.p, budget=budget)
-            want = tau_p(args.lattice, args.n, field, args.p).value
-            return _verdict_lines(
-                f"tau_p ({args.lattice}, n={args.n}, d={field.d}, p={args.p})",
-                got, want, fmt=_rat_str)
-    except BudgetExceeded as e:
-        return _fail(f"budget exceeded (inconclusive): {e}", EXIT_BUDGET)
-    return _fail(f"unknown oracle {args.oracle}", EXIT_INVALID)
+    if args.oracle == "kernel":
+        if field is not None and field.d % 4 != 1:
+            return _fail("kernel formula is pinned for 2-ramified fields (d = 1 mod 4)",
+                         EXIT_INVALID)
+        got = count_kernel(args.lattice, args.n, field=field)
+        want = 2 ** (args.n**2 + 3 * args.n) if args.lattice == "L" \
+            else 2 ** (2 * args.n**2 + 5 * args.n)
+        return _verdict_lines(f"kernel count ({args.lattice}, n={args.n})", got, want)
+    if field is None:
+        return _fail("--d is required for this oracle", EXIT_INVALID)
+    if args.p is None:
+        return _fail("--p is required for this oracle", EXIT_INVALID)
+    level = 1 if args.level is None else args.level
+    if args.oracle == "stabilization":
+        ok = stabilization_check(args.lattice, args.n, field, args.p, level, budget=budget)
+        print(f"stabilization ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, "
+              f"N={level} -> {level + 1}): {'holds' if ok else 'FAILS'}")
+        return EXIT_OK if ok else EXIT_MISMATCH
+    if args.oracle == "su-count":
+        if args.p == 2:
+            return _fail("su-count compares at odd p; use --oracle tau-p for p=2",
+                         EXIT_INVALID)
+        rep = count_group(args.lattice, args.n, ResidueRing(field, args.p, level), "SU",
+                          budget=budget)
+        formula = tau_p(args.lattice, args.n, field, args.p).value * args.p ** (level * dim)
+        if formula.denominator != 1:
+            return _fail("formula count is not integral at this level", EXIT_INVALID)
+        return _verdict_lines(
+            f"#SU ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, N={level})",
+            rep.count, formula.numerator)
+    # tau-p, the last of the --oracle choices
+    got = oracle_tau_p(args.lattice, args.n, field, args.p, budget=budget)
+    want = tau_p(args.lattice, args.n, field, args.p).value
+    return _verdict_lines(f"tau_p ({args.lattice}, n={args.n}, d={field.d}, p={args.p})",
+                          got, want, fmt=_rat_str)
 
 
 def _verdict_lines(what: str, got, want, fmt=str) -> int:
@@ -275,9 +248,7 @@ def _cmd_lvalue(args) -> int:
         return EXIT_OK
     if args.d is None:
         return _fail("--kind L requires --d", EXIT_INVALID)
-    field = _field_or_none(args.d)
-    if field is None:
-        return _fail(f"d={args.d} is not odd and squarefree", EXIT_INVALID)
+    field = make_field(args.d)
     sv = l_numeric(args.k, field, args.tol)
     # everything is computed before the first print, so a failed pin leaves stdout empty
     form = l_exact(args.k, field) if args.k % 2 == 1 and args.k >= 3 else None

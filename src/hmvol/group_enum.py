@@ -56,7 +56,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import is_prime
 from .lie_form import lattice_diag
 from .quadfield import FieldData, make_field
 from .residue_ring import ResidueRing
@@ -473,8 +472,6 @@ def oracle_tau_p(lattice: str, n: int, field: FieldData, p: int,
     kernel-corrected count #SU(O/2^3)/(2^(2 dim) ker) for L and
     #SU(O/2^5)/(2^(3 dim) ker) for M, with the kernel of the last certified
     reduction counted over O/2 resp. O/4."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     dim = (n + 1) ** 2 - 1
     if p != 2:
         rep = count_group(lattice, n, ResidueRing(field, p, 1), "SU", budget=budget)
@@ -488,10 +485,6 @@ def stabilization_check(lattice: str, n: int, field: FieldData, p: int,
                         level: int = 1, budget: int | None = None) -> bool:
     """True iff #U(O/p^(level+1)) = p^((n+1)^2) #U(O/p^level), the Hensel-driven
     stabilization that turns the local density into a finite computation."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if level < 1:
-        raise ValueError("level must be >= 1")
     lo = count_group(lattice, n, ResidueRing(field, p, level), "U", budget=budget)
     hi = count_group(lattice, n, ResidueRing(field, p, level + 1), "U", budget=budget)
     return hi.count == p**((n + 1) ** 2) * lo.count

@@ -7,8 +7,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 
-from .arith import is_prime, is_squarefree, kronecker
+from .arith import is_squarefree, kronecker
 
 
 class EpsKind(enum.Enum):
@@ -16,12 +17,6 @@ class EpsKind(enum.Enum):
     HALF_INTEGRAL = "half-integral"
     # eps = sqrt(-d), when d = 1 (mod 4)
     INTEGRAL = "integral"
-
-
-class PrimeClass(enum.Enum):
-    SPLIT = "split"
-    INERT = "inert"
-    RAMIFIED = "ramified"
 
 
 @dataclass(frozen=True)
@@ -39,10 +34,8 @@ class FieldData:
 
 def make_field(d: int) -> FieldData:
     """Build FieldData for odd squarefree d >= 1; anything else is rejected."""
-    if d < 1 or d % 2 == 0:
-        raise ValueError(f"d must be a positive odd integer, got {d}")
-    if not is_squarefree(d):
-        raise ValueError(f"d must be squarefree, got {d}")
+    if d < 1 or d % 2 == 0 or not is_squarefree(d):
+        raise ValueError(f"d must be a positive odd squarefree integer, got {d}")
     if d % 4 == 3:
         return FieldData(d=d, D=-d, f=d, eps_kind=EpsKind.HALF_INTEGRAL,
                          trace_eps=1, norm_eps=(1 + d) // 4)
@@ -50,22 +43,19 @@ def make_field(d: int) -> FieldData:
                      trace_eps=0, norm_eps=d)
 
 
-def classify_prime(field: FieldData, p: int) -> PrimeClass:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    chi = kronecker(field.D, p)
-    if chi == 0:
-        return PrimeClass.RAMIFIED
-    return PrimeClass.SPLIT if chi == 1 else PrimeClass.INERT
-
-
 def chi(field: FieldData, m: int) -> int:
-    """The quadratic character chi_D(m), i.e. the Kronecker symbol (D/m)."""
+    """The quadratic character chi_D(m), i.e. the Kronecker symbol (D/m).  At a
+    prime p it gives the behaviour of p: 0 ramified, 1 split, -1 inert."""
     return kronecker(field.D, m)
 
 
 @cache
 def character(field: FieldData) -> tuple[int, ...]:
     """chi_D(a) for a = 0..f-1.  chi_D is periodic mod f = |D| and chi_D(0) = 0,
-    so chi_D(m) = character(field)[m % f] for every m >= 1."""
-    return (0,) + tuple(kronecker(field.D, a) for a in range(1, field.f))
+    so chi_D(m) = character(field)[m % f] for every m >= 1.  chi_D is completely
+    multiplicative, so only the primes below f need a Kronecker symbol."""
+    table = [0, 1]
+    for a in range(2, field.f):
+        p = next((q for q in range(2, isqrt(a) + 1) if a % q == 0), a)
+        table.append(kronecker(field.D, a) if p == a else table[p] * table[a // p])
+    return tuple(table)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 
+from .arith import is_prime
 from .quadfield import FieldData
 
 
 @dataclasses.dataclass(frozen=True)
 class ResidueRing:
-    """O_K/p^N O_K: the field, p, N, the modulus p^N and the coefficients of
-    eps^2 = trace_eps * eps - norm_eps reduced mod p^N."""
+    """O_K/p^N O_K for a prime p and N >= 1: the field, p, N, the modulus p^N
+    and the coefficients of eps^2 = trace_eps * eps - norm_eps reduced mod p^N."""
 
     field: FieldData
     p: int
@@ -26,6 +27,8 @@ class ResidueRing:
     norm_eps: int = dataclasses.field(init=False)
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
         if self.exponent < 1:
             raise ValueError("exponent must be >= 1")
         modulus = self.p**self.exponent

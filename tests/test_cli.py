@@ -182,6 +182,27 @@ def test_table_rejects_unwritable_path(capsys):
     assert code == 2 and "cannot write" in err
 
 
+def test_failed_table_leaves_no_file(tmp_path, capsys):
+    out_path = tmp_path / "vol.csv"
+    code, out, err = run(capsys, "table", "--lattice", "L", "--n-range", "1..2",
+                         "--d-list", "3", "--out", str(out_path), "--tol", "0")
+    assert code == 2 and out == "" and "tolerance" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("lattice, n, d", [("L", 3, 7), ("M", 3, 7), ("M", 2, 5)])
+def test_compute_csv_row_equals_the_table_row(capsys, lattice, n, d):
+    code, out, _ = run(capsys, "compute", "--lattice", lattice, "--n", str(n), "--d", str(d),
+                       "--pipeline", "both", "--format", "csv")
+    assert code == 0
+    computed = list(csv.reader(io.StringIO(out, newline="")))
+    code, out, _ = run(capsys, "table", "--lattice", lattice, "--n-range", f"{n}..{n}",
+                       "--d-list", str(d))
+    assert code == 0
+    assert computed == list(csv.reader(io.StringIO(out, newline="")))
+    assert len(computed) == 2
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_table_into_a_closed_pipe_is_exit_two(unbuffered):
     src = os.path.dirname(os.path.dirname(hmvol.__file__))

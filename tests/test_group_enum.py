@@ -13,7 +13,7 @@ from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Se
                               stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
-from hmvol.quadfield import PrimeClass, classify_prime, make_field
+from hmvol.quadfield import chi, make_field
 from hmvol.residue_ring import ResidueRing
 from scalar_ring import RingMatrix, ScalarRing
 from sweep_reference import (Engine, backtrack_count, blocked_count_rec, cartesian_count, classes,
@@ -218,8 +218,8 @@ def _fields_by_class(p, candidates=(1, 3, 5, 7, 11, 13, 15)):
     Q(sqrt(-d)), d in candidates."""
     found = {}
     for d in candidates:
-        found.setdefault(classify_prime(make_field(d), p), make_field(d))
-    return [found[c] for c in PrimeClass if c in found]
+        found.setdefault(chi(make_field(d), p), make_field(d))
+    return [found[c] for c in (1, -1, 0) if c in found]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
@@ -501,6 +501,12 @@ def test_stabilization_examples():
 def test_stabilization_rejects_a_non_prime(p):
     with pytest.raises(ValueError, match="not prime"):
         stabilization_check("L", 1, F3, p, 1)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_oracle_tau_p_rejects_a_non_prime(p):
+    with pytest.raises(ValueError, match="not prime"):
+        oracle_tau_p("L", 1, F3, p)
 
 
 def test_budget_refusal_is_not_zero():

@@ -1,7 +1,7 @@
 import pytest
 
 from hmvol.arith import factor, kronecker
-from hmvol.quadfield import EpsKind, PrimeClass, character, classify_prime, make_field
+from hmvol.quadfield import EpsKind, character, chi, make_field
 
 PRIMES = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
 
@@ -39,21 +39,17 @@ def test_minimal_polynomial_discriminant():
 
 
 def test_classify_examples():
-    assert classify_prime(make_field(3), 3) is PrimeClass.RAMIFIED
-    assert classify_prime(make_field(3), 2) is PrimeClass.INERT
-    assert classify_prime(make_field(7), 2) is PrimeClass.SPLIT
+    # chi_D(p): 0 ramified, 1 split, -1 inert
+    assert chi(make_field(3), 3) == 0
+    assert chi(make_field(3), 2) == -1
+    assert chi(make_field(7), 2) == 1
 
 
 def test_ramified_exactly_at_divisors_of_discriminant():
     for d in [1, 3, 5, 7, 11, 13, 15, 23]:
         field = make_field(d)
-        ram = {p for p in PRIMES if classify_prime(field, p) is PrimeClass.RAMIFIED}
+        ram = {p for p in PRIMES if chi(field, p) == 0}
         assert ram == {p for p in PRIMES if field.f % p == 0}
-
-
-def test_classify_rejects_composite():
-    with pytest.raises(ValueError):
-        classify_prime(make_field(3), 6)
 
 
 def test_factorization_of_d_feeds_ramified_set():

@@ -142,3 +142,9 @@ def test_residue_ring_is_a_frozen_hashable_record():
         a.modulus = 5
     with pytest.raises(ValueError):
         ResidueRing(make_field(3), 5, 0)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, -3])
+def test_residue_ring_rejects_a_non_prime(p):
+    with pytest.raises(ValueError, match="not prime"):
+        ResidueRing(make_field(3), p, 1)
