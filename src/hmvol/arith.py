@@ -62,14 +62,37 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factor(n).pairs)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below _MR_BOUND
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n at or above _MR_BOUND is refused with
+    ValueError rather than answered by a probable-prime test."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large for an exact primality test (limit {_MR_BOUND})")
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
+    for p in _MR_BASES:
         if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41, so none up to sqrt(n)
+        return True
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1 if p == 2 else 2
     return True
 
 

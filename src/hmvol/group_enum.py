@@ -407,8 +407,9 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
     t0 = time.monotonic()
     n_rows = ring.modulus ** (2 * len(lam))
     if n_rows > _MAX_ROW_TABLE:
-        raise BudgetExceeded(
-            f"candidate row table of {n_rows} rows does not fit the enumeration budget")
+        # stated as a power: a decimal n_rows can pass Python's int -> str limit
+        raise BudgetExceeded(f"candidate row table of {ring.p}^{2 * len(lam) * ring.exponent}"
+                             " rows does not fit the enumeration budget")
     meter = _Meter(budget)
     meter.bump(n_rows)
     search = _Search(_Ring(ring), lam, group == "SU", meter)

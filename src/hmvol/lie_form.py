@@ -2,19 +2,22 @@
 Gram determinants of the trace form B(X,Y) = Tr(XY), the holomorphic
 curvature constant, and the compact-group volume constants.
 
-Arithmetic is exact throughout: matrix entries live in Q(sqrt(-d)) (class
-Quad).  The curvature stays there too: the complex structure J multiplies the
-last column by i and the last row by -i, and the factors i cancel in the
-curvature ratio (see curvature_ratio).  Square roots (sqrt n, sqrt(n+1))
-never leave the squared slot of VolumeExpression.
+Arithmetic is exact and runs on ints.  Every basis entry (eps, eps-bar,
+sqrt(-d), 1, 2, 2 eps-bar) is (a + b sqrt(-d))/2 for integers a, b, kept as
+the pair (a, b) ("half units"); Fractions appear only in LieBasis.elements
+(dense matrices of Quad) and in the ratio curvature_ratio returns.  The
+complex structure J multiplies the last column by i and the last row by -i,
+and the factors i cancel in the curvature ratio (see curvature_ratio).
+Square roots (sqrt n, sqrt(n+1)) never leave the squared slot of
+VolumeExpression.
 
-Every basis element has at most two nonzero entries, so the exact kernels
-work on supports: the Lie-membership check reads only the cells of an
-element and their transposes, the Gram matrix is built from a cell ->
-elements index, and its determinant is the product of Bareiss determinants
-over the connected blocks of its sparsity pattern (one n x n block for the
-g_k, one 2 x 2 block for each (e, f) pair).  The curvature matmuls skip zero
-factors.
+Every basis element has at most two nonzero entries, so the kernels work on
+supports (cell -> half-unit pair): the Lie-membership check reads only the
+cells of an element and their transposes, the Gram matrix is built from a
+cell -> elements index, and its determinant is the product of Bareiss
+determinants over the connected blocks of its sparsity pattern (one n x n
+block for the g_k, one 2 x 2 block for each (e, f) pair).  The curvature
+matmuls skip zero factors.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .expressions import VolumeExpression
@@ -35,29 +39,13 @@ class Quad(NamedTuple):
     y: Fraction
 
 
-def _q(x=0, y=0) -> Quad:
-    return Quad(Fraction(x), Fraction(y))
+@cache
+def _quad(a: int, b: int) -> Quad:
+    """The Quad of the half-unit pair (a, b), shared between elements."""
+    return Quad(Fraction(a, 2), Fraction(b, 2))
 
 
-_ZERO = _q()
-
-
-def q_add(a: Quad, b: Quad) -> Quad:
-    return Quad(a.x + b.x, a.y + b.y)
-
-
-def q_mul(a: Quad, b: Quad, d: int) -> Quad:
-    return Quad(a.x * b.x - d * a.y * b.y, a.x * b.y + a.y * b.x)
-
-
-def q_conj(a: Quad) -> Quad:
-    return Quad(a.x, -a.y)
-
-
-def eps_of(field: FieldData) -> Quad:
-    if field.eps_kind is EpsKind.HALF_INTEGRAL:
-        return _q(Fraction(1, 2), Fraction(1, 2))
-    return _q(0, 1)
+_ZERO = _quad(0, 0)
 
 
 @dataclass(frozen=True)
@@ -67,17 +55,7 @@ class LieBasis:
     field: FieldData
     labels: tuple[str, ...]
     elements: tuple  # tuple of (n+1)x(n+1) matrices, entries Quad
-
-
-def _zero_matrix(w: int):
-    return [[_ZERO] * w for _ in range(w)]
-
-
-def _sum_q(items) -> Quad:
-    acc = _ZERO
-    for it in items:
-        acc = q_add(acc, it)
-    return acc
+    supports: tuple  # per element, its ((i, j), (a, b)) cells in half units
 
 
 def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
@@ -87,16 +65,17 @@ def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
     return (1,) * n + (-1 if lattice == "L" else -2,)
 
 
-def _check_lie_member(X, lam):
-    """X.Lam + Lam.conj(X)' = 0 and Tr X = 0, exactly.  Cell (i, j) of the
-    condition involves only X[i][j] and X[j][i], so it is read on the support
-    of X and its transpose; every other cell is 0 = 0."""
-    support = _support(X)
+def _check_lie_member(support: dict, lam):
+    """X.Lam + Lam.conj(X)' = 0 and Tr X = 0, exactly, for X given by its
+    support in half units.  Cell (i, j) of the condition involves only
+    X[i][j] and X[j][i], so it is read on the support of X and its transpose;
+    every other cell is 0 = 0."""
     for i, j in sorted(support.keys() | {(j, i) for i, j in support}):
-        a, b = X[i][j], X[j][i]
-        if a.x * lam[j] + lam[i] * b.x != 0 or a.y * lam[j] - lam[i] * b.y != 0:
+        a, b = support.get((i, j), (0, 0)), support.get((j, i), (0, 0))
+        if a[0] * lam[j] + lam[i] * b[0] != 0 or a[1] * lam[j] - lam[i] * b[1] != 0:
             raise AssertionError(f"basis element violates the Lie condition at ({i},{j})")
-    if _sum_q(v for (i, j), v in support.items() if i == j) != _ZERO:
+    diagonal = [v for (i, j), v in support.items() if i == j]
+    if sum(a for a, _ in diagonal) != 0 or sum(b for _, b in diagonal) != 0:
         raise AssertionError("basis element has nonzero trace")
 
 
@@ -107,61 +86,46 @@ def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
     if n < 1:
         raise ValueError("n must be >= 1")
     w = n + 1
-    d = field.d
-    eps = eps_of(field)
-    epsbar = q_conj(eps)
-    sqrt_md = _q(0, 1)
     lam = lattice_diag(lattice, n)
     low = 2 if lattice == "M" else 1
+    mark = "" if lattice == "L" else "'"
+    # eps in half units: (1 + sqrt(-d))/2 or sqrt(-d)
+    ea, eb = (1, 1) if field.eps_kind is EpsKind.HALF_INTEGRAL else (0, 2)
     labels: list[str] = []
-    elems = []
+    supports: list[dict] = []
 
     for k in range(n):
-        g = _zero_matrix(w)
-        g[k][k] = sqrt_md
-        g[k + 1][k + 1] = Quad(-sqrt_md.x, -sqrt_md.y)
         labels.append(f"g{k + 1}")
-        elems.append(g)
+        supports.append({(k, k): (0, 2), (k + 1, k + 1): (0, -2)})
     for i in range(n):
         for j in range(i + 1, n):
-            e = _zero_matrix(w)
-            e[i][j] = eps
-            e[j][i] = Quad(-epsbar.x, -epsbar.y)
-            labels.append(f"e{i + 1},{j + 1}")
-            elems.append(e)
-            f = _zero_matrix(w)
-            f[i][j] = _q(1)
-            f[j][i] = _q(-1)
-            labels.append(f"f{i + 1},{j + 1}")
-            elems.append(f)
+            labels += [f"e{i + 1},{j + 1}", f"f{i + 1},{j + 1}"]
+            supports += [{(i, j): (ea, eb), (j, i): (-ea, eb)},
+                         {(i, j): (2, 0), (j, i): (-2, 0)}]
     for k in range(n):
-        e = _zero_matrix(w)
-        e[k][n] = eps
-        e[n][k] = q_mul(_q(low), epsbar, d)
-        labels.append(f"e{k + 1}" if lattice == "L" else f"e'{k + 1}")
-        elems.append(e)
-        f = _zero_matrix(w)
-        f[k][n] = _q(1)
-        f[n][k] = _q(low)
-        labels.append(f"f{k + 1}" if lattice == "L" else f"f'{k + 1}")
-        elems.append(f)
+        labels += [f"e{mark}{k + 1}", f"f{mark}{k + 1}"]
+        supports += [{(k, n): (ea, eb), (n, k): (low * ea, -low * eb)},
+                     {(k, n): (2, 0), (n, k): (2 * low, 0)}]
 
-    for X in elems:
-        _check_lie_member(X, lam)
-    if len(elems) != w * w - 1:
+    for s in supports:
+        _check_lie_member(s, lam)
+    if len(supports) != w * w - 1:
         raise AssertionError("basis has the wrong cardinality")
-    return LieBasis(lattice=lattice, n=n, field=field,
-                    labels=tuple(labels), elements=tuple(tuple(map(tuple, X)) for X in elems))
+    elements = []
+    for s in supports:
+        X = [[_ZERO] * w for _ in range(w)]
+        for (i, j), v in s.items():
+            X[i][j] = _quad(*v)
+        elements.append(tuple(map(tuple, X)))
+    return LieBasis(lattice=lattice, n=n, field=field, labels=tuple(labels),
+                    elements=tuple(elements), supports=tuple(tuple(s.items()) for s in supports))
 
 
-def _support(X) -> dict:
-    return {(i, j): v for i, row in enumerate(X) for j, v in enumerate(row) if v != _ZERO}
-
-
-def _rational_integer(v: Quad) -> int:
-    if v.y != 0 or v.x.denominator != 1:
+def _rational_integer(re: int, im: int) -> int:
+    """The value (re + im sqrt(-d))/4 of a quarter-unit pair, which must be in Z."""
+    if im != 0 or re % 4 != 0:
         raise AssertionError("trace form value is not a rational integer")
-    return int(v.x)
+    return re // 4
 
 
 def gram_det(basis: LieBasis) -> int:
@@ -169,22 +133,23 @@ def gram_det(basis: LieBasis) -> int:
 
     Tr(X_i X_j) = sum X_i[r][c] X_j[c][r] can be nonzero only where a cell of
     X_j is the transpose of a cell of X_i, so G is built from a cell ->
-    elements index, which also gives its sparsity pattern.  A simultaneous
-    row/column permutation leaves det G unchanged, so it is the product of the
-    fraction-free Bareiss determinants of the pattern's connected blocks."""
+    elements index, which also gives its sparsity pattern; its entries are
+    summed in quarter units.  A simultaneous row/column permutation leaves
+    det G unchanged, so it is the product of the fraction-free Bareiss
+    determinants of the pattern's connected blocks."""
     d = basis.field.d
-    supports = [_support(X) for X in basis.elements]
     by_cell = defaultdict(list)
-    for j, s in enumerate(supports):
-        for cell, v in s.items():
+    for j, s in enumerate(basis.supports):
+        for cell, v in s:
             by_cell[cell].append((j, v))
     G = []
-    for s in supports:
-        row = {}
-        for (r, c), v in s.items():
-            for j, w in by_cell[c, r]:
-                row[j] = q_add(row.get(j, _ZERO), q_mul(v, w, d))
-        G.append({j: _rational_integer(t) for j, t in row.items()})
+    for s in basis.supports:
+        re, im = defaultdict(int), defaultdict(int)
+        for (r, c), (a, b) in s:
+            for j, (x, y) in by_cell[c, r]:
+                re[j] += a * x - d * b * y
+                im[j] += a * y + b * x
+        G.append({j: _rational_integer(t, im[j]) for j, t in re.items()})
     det = 1
     seen = [False] * len(G)
     for start in range(len(G)):
@@ -226,70 +191,81 @@ def _bareiss_det(M) -> int:
 
 
 # ---- curvature of the noncompact part ----
+# Entries are integer pairs (a, b) = a + b sqrt(-d), X scaled to integers.
 
 def _mat_mul(A, B, d: int):
     # only nonzero factors A[i][k] and B[k][j] contribute
     w = len(A)
-    b_rows = [[(j, v) for j, v in enumerate(row) if v != _ZERO] for row in B]
-    out = [[_ZERO] * w for _ in range(w)]
-    for i in range(w):
-        row = out[i]
-        for k, a in enumerate(A[i]):
-            if a == _ZERO:
-                continue
-            for j, b in b_rows[k]:
-                row[j] = q_add(row[j], q_mul(a, b, d))
+    b_rows = [[(j, u, v) for j, (u, v) in enumerate(row) if u or v] for row in B]
+    out = []
+    for a_row in A:
+        re, im = [0] * w, [0] * w
+        for (x, y), b_row in zip(a_row, b_rows):
+            if x or y:
+                for j, u, v in b_row:
+                    re[j] += x * u - d * y * v
+                    im[j] += x * v + y * u
+        out.append(list(zip(re, im)))
     return out
 
 
 def _commutator(A, B, d: int):
     AB, BA = _mat_mul(A, B, d), _mat_mul(B, A, d)
-    return [[Quad(s.x - t.x, s.y - t.y) for s, t in zip(r, q)] for r, q in zip(AB, BA)]
+    return [[(s[0] - t[0], s[1] - t[1]) for s, t in zip(r, q)] for r, q in zip(AB, BA)]
 
 
-def _trace(A, B, d: int) -> Quad:
+def _trace(A, B, d: int) -> tuple[int, int]:
     """Tr(AB) of two dense matrices."""
-    return _sum_q(q_mul(a, B[k][i], d) for i, row in enumerate(A) for k, a in enumerate(row)
-                  if a != _ZERO and B[k][i] != _ZERO)
+    re = im = 0
+    for i, row in enumerate(A):
+        for k, (x, y) in enumerate(row):
+            u, v = B[k][i]
+            re += x * u - d * y * v
+            im += x * v + y * u
+    return re, im
 
 
 def curvature_ratio(X, field: FieldData) -> Fraction:
     """B([[X,JX],X],JX) / (B(X,X) B(JX,JX)) for X in the noncompact part
     (nonzero entries only in the last row and column); equals -2 identically.
-    X is a matrix of Quad entries, e.g. a combination of the e_k, f_k basis
-    elements.
+    X is a matrix of Quad entries (or rational pairs), e.g. a combination of
+    the e_k, f_k basis elements.
 
     J multiplies the last column by i and the last row by -i, so JX = iY with
     Y the matrix X with its last row negated.  B is complex bilinear, so the
     factor i^2 = -1 appears once in the numerator and once in the denominator
     and cancels: the ratio is B([[X,Y],X],Y) / (B(X,X) B(Y,Y)), computed in
-    Q(sqrt(-d))."""
+    Q(sqrt(-d)).  It is homogeneous of degree 0, so X is first scaled to
+    integer entries by the lcm of its denominators."""
     w = len(X)
     d = field.d
-    X = [[Quad(Fraction(v[0]), Fraction(v[1])) if not isinstance(v, Quad) else v
-          for v in row] for row in X]
-    if all(v == _ZERO for row in X for v in row):
+    X = [[(Fraction(v[0]), Fraction(v[1])) for v in row] for row in X]
+    scale = lcm(*(q.denominator for row in X for v in row for q in v))
+    X = [[(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+          for x, y in row] for row in X]
+    if not any(x or y for row in X for x, y in row):
         raise ValueError("curvature ratio is undefined at X = 0")
     for i in range(w - 1):
         for j in range(w - 1):
-            if X[i][j] != _ZERO:
+            if X[i][j] != (0, 0):
                 raise ValueError("X must lie in the noncompact part (last row/column only)")
-    if X[w - 1][w - 1] != _ZERO:
+    if X[w - 1][w - 1] != (0, 0):
         raise ValueError("X must lie in the noncompact part (zero corner entry)")
     # the bottom row must be the conjugate of the top column (doubled for the
     # second form), or the matrix is not in either Lie algebra
-    if not any(all(X[w - 1][k] == q_mul(_q(low), q_conj(X[k][w - 1]), d) for k in range(w - 1))
+    top = [X[k][w - 1] for k in range(w - 1)]
+    if not any(all(v == (low * a, -low * b) for v, (a, b) in zip(X[w - 1], top))
                for low in (1, 2)):
         raise ValueError("bottom row is not the (possibly doubled) conjugate of the top column")
-    Y = X[:-1] + [[Quad(-v.x, -v.y) for v in X[-1]]]
+    Y = X[:-1] + [[(-a, -b) for a, b in X[-1]]]
     num = _trace(_commutator(_commutator(X, Y, d), X, d), Y, d)
     bxx, byy = _trace(X, X, d), _trace(Y, Y, d)
-    if any(v.y != 0 for v in (num, bxx, byy)):
+    if any(im != 0 for _, im in (num, bxx, byy)):
         raise AssertionError("trace form value is not rational")
-    den = bxx.x * byy.x
+    den = bxx[0] * byy[0]
     if den == 0:
         raise ValueError("B(X, X) vanishes; curvature ratio undefined")
-    return num.x / den
+    return Fraction(num[0], den)
 
 
 # ---- compact group volumes ----

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hmvol import arith
 from hmvol.arith import (Factorization, bernoulli, bernoulli_poly, factor,
-                         is_fundamental_discriminant, kronecker, legendre_symbol)
+                         is_fundamental_discriminant, is_prime, kronecker, legendre_symbol)
 
 FUNDAMENTAL = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -35, -39, -43, -47, -51, -52]
 
@@ -108,6 +108,24 @@ def test_factor_roundtrip_and_order():
         f = factor(n)
         assert f.value == n
         assert list(f.primes()) == sorted(set(f.primes()))
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(-2, 10**5):
+        assert is_prime(n) == (n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4 and the first 9 prime bases
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and not is_prime(2**67 - 1) and not is_prime(2**79 - 1)
+
+
+def test_is_prime_refuses_numbers_past_the_exact_range():
+    assert not is_prime(arith._MR_BOUND - 1)
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(arith._MR_BOUND)
 
 
 def test_bernoulli_memo_safe_under_concurrent_readers(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -340,6 +341,25 @@ def test_verify_refuses_an_oversized_row_table_before_allocating(capsys, oracle,
         tracemalloc.stop()
     assert code == 4 and out == "" and "row table" in err, err
     assert peak < 2**22, peak
+
+
+def test_verify_states_an_oversized_row_table_as_a_power(capsys):
+    # O/3^3000: 3^12000 rows has 5,726 digits, past Python's int -> str limit
+    code, out, err = run(capsys, "verify", "--oracle", "su-count", "--lattice", "L", "--n", "1",
+                         "--d", "3", "--p", "3", "--level", "3000")
+    assert code == 4 and out == "" and "row table of 3^12000 rows" in err, err
+
+
+def test_verify_with_a_large_prime_p_ends_promptly(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "--oracle", "su-count", "--lattice", "L", "--n", "1",
+                         "--d", "3", "--p", str(2**61 - 1))
+    assert code == 4 and out == "" and "row table" in err, err
+    assert time.monotonic() - t0 < 3.0
+    # past the range where primality is decided exactly, p is refused
+    code, out, err = run(capsys, "verify", "--oracle", "su-count", "--lattice", "L", "--n", "1",
+                         "--d", "3", "--p", str(2**89 - 1))
+    assert code == 2 and out == "" and "too large" in err, err
 
 
 def test_verify_budget_of_exactly_the_node_total_suffices(capsys):

@@ -1,23 +1,26 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmvol import lie_form
 from hmvol.expressions import VolumeExpression
-from hmvol.lie_form import (Quad, _bareiss_det, _check_lie_member, _rational_integer, _trace,
-                            build_basis, curvature_ratio, gram_det, lattice_diag, q_add, q_mul,
-                            vol_max_compact, vol_su)
+from hmvol.lie_form import (Quad, _bareiss_det, _check_lie_member, build_basis, curvature_ratio,
+                            gram_det, lattice_diag, vol_max_compact, vol_su)
 from hmvol.quadfield import make_field
+import lie_reference as ref
+from lie_reference import ZERO, q_add, q_mul
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
-ZERO = Quad(Fraction(0), Fraction(0))
 
 
 def trace_form(basis, i, j):
-    """B(X_i, X_j) from the dense trace of the two matrices, independent of
-    gram_det's cell index."""
-    return _rational_integer(_trace(basis.elements[i], basis.elements[j], basis.field.d))
+    """B(X_i, X_j) from the reference's dense Fraction trace of the two
+    matrices, independent of gram_det's cell index and integer pairs."""
+    return ref.rational_integer(ref.trace(basis.elements[i], basis.elements[j], basis.field.d))
 
 
 def killing_det_reference(lattice, n, d):
@@ -48,6 +51,28 @@ def test_gram_det_spot_values():
     assert abs(gram_det(build_basis("L", 1, F3))) == 18
     assert abs(gram_det(build_basis("L", 1, F5))) == 200
     assert abs(gram_det(build_basis("M", 1, F3))) == 72
+
+
+def test_elements_equal_the_dense_reference_basis():
+    for lattice in ("L", "M"):
+        for n in range(1, 7):
+            for d in (1, 3, 5, 7, 15):
+                b = build_basis(lattice, n, make_field(d))
+                assert b.elements == ref.dense_basis(lattice, n, b.field), (lattice, n, d)
+                # each support holds exactly the nonzero cells, in half units
+                for X, s in zip(b.elements, b.supports):
+                    cells = {(i, j): (int(2 * v.x), int(2 * v.y)) for i, row in enumerate(X)
+                             for j, v in enumerate(row) if v != ZERO}
+                    assert dict(s) == cells, (lattice, n, d)
+
+
+def test_gram_det_grid_wall_time():
+    t0 = time.monotonic()
+    for lattice in ("L", "M"):
+        for n in range(1, 10):
+            for d in (1, 3, 5, 7, 15, 167, 197):
+                gram_det(build_basis(lattice, n, make_field(d)))
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_gram_entries_match_block_structure():
@@ -84,27 +109,28 @@ def test_lie_check_rejects_perturbed_entry():
     b = build_basis("M", n, F3)
     lam = lattice_diag("M", n)
     for k in range(n):
-        X = [list(r) for r in b.elements[b.labels.index(f"e'{k + 1}")]]
-        _check_lie_member(X, lam)
-        low = X[n][k]
-        X[n][k] = Quad(low.x + 1, low.y)
+        s = dict(b.supports[b.labels.index(f"e'{k + 1}")])
+        _check_lie_member(s, lam)
+        low = s[n, k]
+        s[n, k] = (low[0] + 2, low[1])  # + 1, in half units
         with pytest.raises(AssertionError, match="Lie condition"):
-            _check_lie_member(X, lam)
+            _check_lie_member(s, lam)
         # a one-sided entry: the violated cell's transpose is zero
-        X[n][k], X[k][n] = low, ZERO
+        s[n, k] = low
+        del s[k, n]
         with pytest.raises(AssertionError, match="Lie condition"):
-            _check_lie_member(X, lam)
+            _check_lie_member(s, lam)
 
 
 def test_lie_check_rejects_nonzero_trace():
     # g1 = diag(sqrt(-d), -sqrt(-d), 0); dropping its second entry keeps the Lie
     # condition (the diagonal stays imaginary) but leaves the trace sqrt(-d)
     lam = lattice_diag("L", 2)
-    X = [list(r) for r in build_basis("L", 2, F3).elements[0]]
-    _check_lie_member(X, lam)
-    X[1][1] = ZERO
+    s = dict(build_basis("L", 2, F3).supports[0])
+    _check_lie_member(s, lam)
+    del s[1, 1]
     with pytest.raises(AssertionError, match="trace"):
-        _check_lie_member(X, lam)
+        _check_lie_member(s, lam)
 
 
 def test_curvature_on_basis_vectors():
@@ -161,6 +187,25 @@ def test_curvature_on_random_integer_combinations_n6():
                 assert curvature_ratio(acc, field) == -2, (lattice, field.d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["L", "M"]), st.integers(1, 4), st.sampled_from([1, 3, 5, 7, 15]),
+       st.data())
+def test_curvature_on_random_rational_combinations(lattice, n, d, data):
+    # rational coefficients (denominators up to 6) give entries outside the
+    # half units, so curvature_ratio must scale them to integers first
+    field = make_field(d)
+    b = build_basis(lattice, n, field)
+    ef = [X for lbl, X in zip(b.labels, b.elements) if lbl[0] in "ef" and "," not in lbl]
+    coeffs = data.draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                                min_size=len(ef), max_size=len(ef)).filter(any))
+    w = n + 1
+    acc = [[ZERO] * w for _ in range(w)]
+    for c, X in zip(coeffs, ef):
+        acc = [[q_add(acc[i][j], q_mul(Quad(c, Fraction(0)), X[i][j], d)) for j in range(w)]
+               for i in range(w)]
+    assert curvature_ratio(acc, field) == ref.curvature_ratio(acc, field) == -2
+
+
 def test_curvature_rejects_non_member():
     # scaling only the top entry by eps leaves the Lie algebra
     b = build_basis("L", 1, F3)
@@ -171,10 +216,10 @@ def test_curvature_rejects_non_member():
 
 
 def test_curvature_rejects_an_irrational_trace(monkeypatch):
-    # no Lie-algebra input reaches the check, so perturb the trace it reads
+    # no Lie-algebra input reaches the check, so perturb the integer trace it reads
     real_trace = lie_form._trace
-    monkeypatch.setattr(lie_form, "_trace", lambda A, B, d: q_add(real_trace(A, B, d),
-                                                                  Quad(Fraction(0), Fraction(1))))
+    monkeypatch.setattr(lie_form, "_trace",
+                        lambda A, B, d: (lambda t: (t[0], t[1] + 1))(real_trace(A, B, d)))
     X = [list(r) for r in build_basis("L", 1, F3).elements[2]]
     with pytest.raises(AssertionError, match="not rational"):
         curvature_ratio(X, F3)
