@@ -159,8 +159,10 @@ def _volumes(lattice: str, ns, fields: list, pipeline: str, tol, fmt: str,
     records = [_record(lat, n, field, pipeline, tol)
                for lat in lattices for n in ns for field in fields]
     code = _write(records, fmt, out)
-    if code == EXIT_OK and any(r["verdict"] == Verdict.MISMATCH.value for r in records):
-        return EXIT_MISMATCH
+    mismatched = sum(r["verdict"] == Verdict.MISMATCH.value for r in records)
+    if code == EXIT_OK and mismatched:
+        return _fail(f"pipelines disagree on {mismatched} of {len(records)} records",
+                     EXIT_MISMATCH)
     return code
 
 
@@ -207,9 +209,10 @@ def _cmd_verify(args) -> int:
     level = 1 if args.level is None else args.level
     if args.oracle == "stabilization":
         ok = stabilization_check(args.lattice, args.n, field, args.p, level, budget=budget)
-        print(f"stabilization ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, "
-              f"N={level} -> {level + 1}): {'holds' if ok else 'FAILS'}")
-        return EXIT_OK if ok else EXIT_MISMATCH
+        what = f"stabilization ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, " \
+               f"N={level} -> {level + 1})"
+        print(f"{what}: {'holds' if ok else 'FAILS'}")
+        return EXIT_OK if ok else _fail(f"{what} fails", EXIT_MISMATCH)
     if args.oracle == "su-count":
         if args.p == 2:
             return _fail("su-count compares at odd p; use --oracle tau-p for p=2",
@@ -233,7 +236,7 @@ def _verdict_lines(what: str, got, want, fmt=str) -> int:
     match = got == want
     print(f"{what}: oracle {fmt(got)}, formula {fmt(want)} -> "
           f"{'Match' if match else 'MISMATCH'}")
-    return EXIT_OK if match else EXIT_MISMATCH
+    return EXIT_OK if match else _fail(f"{what}: oracle and formula differ", EXIT_MISMATCH)
 
 
 def _cmd_lvalue(args) -> int:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmvol
@@ -574,6 +574,9 @@ def _verify_argv(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_verify_argv())
+# U counts need not stabilize from O/2 at a 2-ramified field: exit 3
+@example(["verify", "--oracle", "stabilization", "--lattice", "L", "--n", "1",
+          "--budget", "4352", "--d", "1", "--p", "2"])
 def test_verify_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

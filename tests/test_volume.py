@@ -161,7 +161,9 @@ def test_an_ambiguous_row_that_differs_is_a_mismatch(monkeypatch, capsys):
     r = compare_pipelines("M", 3, F3)
     assert r.verdict is Verdict.MISMATCH and r.table_value == 2 * r.assembled_value
     assert main(["table", "--lattice", "M", "--n-range", "3..3", "--d-list", "3"]) == 3
-    assert capsys.readouterr().out.splitlines()[1].endswith(",mismatch")
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].endswith(",mismatch")
+    assert captured.err == "hmvol: pipelines disagree on 1 of 1 records\n"
 
 
 def test_positivity_and_growth_trend():
