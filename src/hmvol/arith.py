@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 Rational = Fraction
 
@@ -42,24 +42,32 @@ def factor(n: int) -> Factorization:
     """Factor a positive integer by trial division (inputs are desk scale)."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
-    pairs = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
+    pairs, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
             pairs.append((p, e))
         p += 1 if p == 2 else 2
-    if m > 1:
-        pairs.append((m, 1))
+    if n > 1:
+        pairs.append((n, 1))
     return Factorization(tuple(pairs))
 
 
 def is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factor(n).pairs)
+    """Exact for 1 <= n <= 2^64, else ValueError.  Once the primes p, p^3 <= n, are
+    divided out, what is left has at most two prime factors: squarefree unless a square."""
+    if not 1 <= n <= 2**64:
+        raise ValueError(f"squarefree test needs 1 <= n <= 2^64, got {n}")
+    p = 2
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 # Miller-Rabin to the first 13 prime bases is exact below _MR_BOUND

@@ -23,15 +23,20 @@ unit-norm row has a unit coordinate among the unit diagonal entries.
 Writing x = s y with s its first unit coordinate, so that y's is 1, B
 depends on y only, det [x; B] = s det [y; B] and N(s) = lams[0] / h(y, y):
 the search runs over these projective rows y, about m^(2(r-1)) of them, and
-counts the s of each by its norm.  The complement Gram B G B* of every row of a level is built in
-one numpy pass and brought to a canonical form D = P G' P* (_canonical):
-unit-norm vectors are split off one at a time, each diagonal entry is scaled
-to the least element of its class modulo the norms of units, and the entries
-are sorted; a remainder with no unit-norm vector (some 2-adic blocks) is kept
-as it is.  P G' P* = D is asserted, not assumed.  The rows are grouped by
-(D, T / N(det P)) with np.unique, and each group is counted once and
-multiplied by its size.  Elements of O/m are coordinate pairs (a, b) for
-a + b eps, and _Ring holds the package's only arithmetic over O/m.
+counts the s of each by its norm.  The rows of a class, for every position of
+s, come as one stream of _CHUNK-row numpy passes.  In each pass the complement
+Grams B G B* are packed into byte keys, and only the distinct ones are brought
+to a canonical form D = P G' P* (_canonical): unit-norm vectors are split off
+one at a time, each diagonal entry is scaled to the least element of its class
+modulo the norms of units, and the entries are sorted; a remainder with no
+unit-norm vector (some 2-adic blocks) is kept as it is.  P G' P* = D is
+asserted, not assumed.  The rows are grouped by (D, T / N(det P)) on one
+packed integer key, and each group is counted once and multiplied by its size.
+Elements of O/m are coordinate pairs (a, b) for a + b eps, and _Ring holds the
+package's only arithmetic over O/m.  A matrix product is one int64 product of
+the entries packed as a + b 2^20.  Its three fields, sums of r products of
+entries in [0, m), are at most 2 r (m - 1)^2, below 2^15 under the row-table
+cap (r = 2, m = 73), so they never overlap; 2 r (m - 1)^2 < 2^20 is asserted.
 
 Work is metered in the partial assignments a row-by-row search settles,
 computed per class rather than per prefix: the m^(2w) rows of the table,
@@ -97,7 +102,7 @@ class CountReport:
     count: int
     elapsed: float
     nodes: int
-    keys: int  # distinct complement classes counted
+    keys: int  # (complement class, N(det)) pairs counted: len(_Search.counts)
 
 
 class _Meter:
@@ -141,24 +146,33 @@ class _Ring:
         self.scale = np.where(self.unit, self.rep * self.inv % m, 1)
         self._probes = {}
 
+    def _pair(self, a, b):
+        """The elements a + b eps (a, b of one shape) mod m, written into one array."""
+        out = np.empty(a.shape + (2,), dtype=np.int64)
+        out[..., 0], out[..., 1] = a, b
+        return np.remainder(out, self.m, out=out)
+
     def mul(self, x, y):
         x0, x1, y0, y1 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-        return np.stack([x0 * y0 - self.nu * x1 * y1,
-                         x0 * y1 + x1 * y0 + self.t * x1 * y1], axis=-1) % self.m
+        x1y1 = x1 * y1
+        return self._pair(x0 * y0 - self.nu * x1y1, x0 * y1 + x1 * y0 + self.t * x1y1)
 
     def conj(self, x):
         # conj(a + b eps) = (a + t b) - b eps
-        return np.stack([x[..., 0] + self.t * x[..., 1], -x[..., 1]], axis=-1) % self.m
+        return self._pair(x[..., 0] + self.t * x[..., 1], -x[..., 1])
 
     def norm(self, x):
         a, b = x[..., 0], x[..., 1]
         return (a * a + self.t * a * b + self.nu * b * b) % self.m
 
     def matmul(self, X, Y):
-        X0, X1, Y0, Y1 = X[..., 0], X[..., 1], Y[..., 0], Y[..., 1]
-        X1Y1 = X1 @ Y1
-        return np.stack([X0 @ Y0 - self.nu * X1Y1,
-                         X0 @ Y1 + X1 @ Y0 + self.t * X1Y1], axis=-1) % self.m
+        """X Y for entries in [0, m), as one int64 product of the entries packed
+        as a + b F: its fields X0 Y0, X0 Y1 + X1 Y0, X1 Y1 are <= 2 r (m - 1)^2."""
+        F, r = 1 << 20, X.shape[-2]
+        assert 2 * r * (self.m - 1) ** 2 < F, f"packed product overflows at m={self.m}, r={r}"
+        P = (X[..., 0] + X[..., 1] * F) @ (Y[..., 0] + Y[..., 1] * F)
+        hi = P >> 40
+        return self._pair((P & (F - 1)) - self.nu * hi, (P >> 20 & (F - 1)) + self.t * hi)
 
     def star(self, X):
         return self.conj(np.swapaxes(X, -2, -3))
@@ -171,30 +185,36 @@ class _Ring:
         Tr(c G_ji) (c in {1, eps}, hence c in O/p) vanishes mod p, and then so
         does every h(v, v)."""
         if r not in self._probes:
-            eye = np.zeros((r, r, 2), dtype=np.int64)
-            eye[np.arange(r), np.arange(r), 0] = 1
-            rows = list(eye)
-            for i in range(r):
-                for j in range(i + 1, r):
-                    rows.append(eye[i] + eye[j])
-                    rows.append(eye[i] + self.mul(np.array([0, 1]), eye[j]))
-            V = np.stack(rows) % self.m
+            # the rows e_j (and eps e_j = eye[j, :, ::-1]) as (r, r, 2) pairs
+            eye = np.eye(r, dtype=np.int64)[:, :, None] * np.array([1, 0])
+            V = np.array(list(eye) + [eye[i] + e for i in range(r) for j in range(i + 1, r)
+                                      for e in (eye[j], eye[j, :, ::-1])]) % self.m
             self._probes[r] = V, self.mul(V[:, :, None], self.conj(V)[:, None, :])
         return self._probes[r]
 
 
-def _product(tables):
-    """The rows (k, len(tables), 2) of the Cartesian product of the element
-    tables, _CHUNK rows at a time."""
-    sizes = [len(t) for t in tables]
-    total = math.prod(sizes)
+def _product(blocks):
+    """The rows (k, r, 2) of the Cartesian products of the element tables of
+    each block, one block after the other, _CHUNK rows at a time."""
+    sizes = [math.prod(map(len, tables)) for tables in blocks]
+    total, r = sum(sizes), len(blocks[0])
     for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        out = np.empty((idx.size, len(tables), 2), dtype=np.int64)
-        for pos in range(len(tables) - 1, -1, -1):
-            idx, digit = np.divmod(idx, sizes[pos])
-            out[:, pos] = tables[pos][digit]
+        out, start = np.empty((min(_CHUNK, total - lo), r, 2), dtype=np.int64), 0
+        for tables, size in zip(blocks, sizes):
+            a, b = max(lo, start), min(lo + len(out), start + size)
+            if a < b:
+                idx, seg = np.arange(a - start, b - start, dtype=np.int64), out[a - lo:b - lo]
+                for pos in range(r - 1, -1, -1):
+                    idx, digit = np.divmod(idx, len(tables[pos]))
+                    seg[:, pos] = tables[pos][digit]
+            start += size
         yield out
+
+
+def _packed(X):
+    """Each matrix of X (k, ...) as a byte-string key (k,) that sorts as its entries."""
+    b = X.astype(np.int8, order="C").reshape(len(X), -1)  # m <= 74 under the row-table cap
+    return b.view(np.dtype((np.void, b.shape[1])))[:, 0]
 
 
 def _complement(R: _Ring, G, v):
@@ -206,11 +226,10 @@ def _complement(R: _Ring, G, v):
     f = R.matmul(G, R.conj(v)[..., None, :])[..., 0, :]
     q = R.matmul(v[..., None, :, :], f[..., None, :])[..., 0, 0, 0]
     i0 = np.argmax(R.unit[R.norm(v)], axis=-1)
-    M = np.zeros(f.shape[:-2] + (r, r, 2), dtype=np.int64)
-    M[..., np.arange(r), np.arange(r), 0] = 1
-    M = (M - R.mul((f * R.inv[q][..., None, None])[..., :, None, :], v[..., None, :, :])) % m
     keep = np.arange(r - 1) + (np.arange(r - 1) >= i0[..., None])
-    return q, np.take_along_axis(M, keep[..., None, None], axis=-3)
+    c = np.take_along_axis(f, keep[..., None], axis=-2) * R.inv[q][..., None, None] % m
+    E = (keep[..., None] == np.arange(r))[..., None] * np.array([1, 0])
+    return q, (E - R.mul(c[..., :, None, :], v[..., None, :, :])) % m
 
 
 def _canonical(R: _Ring, G):
@@ -219,8 +238,7 @@ def _canonical(R: _Ring, G):
     off one at a time, their norms scaled to rep and sorted; the remainder
     that has none is kept as it is, after them."""
     m, (K, r) = R.m, G.shape[:2]
-    D = np.zeros_like(G)
-    P = np.zeros_like(G)
+    D, P = np.zeros_like(G), np.zeros_like(G)
     P[:, np.arange(r), np.arange(r), 0] = 1
     live, cur = np.arange(K), G
     for s in range(r):
@@ -239,16 +257,14 @@ def _canonical(R: _Ring, G):
         D[live, s, s, 0] = q
     diag = np.arange(r)
     d = D[:, diag, diag, 0]
-    unit = R.unit[d]
-    scale = np.where(unit, R.scale[d], 1)
+    scale = R.scale[d]
     nd = np.ones(K, dtype=np.int64)
     for i in range(r):
         nd = nd * scale[:, i] % m
     P = R.mul(R.root[scale][:, :, None, :], P)
-    d = np.where(unit, R.rep[d], d)
-    order = np.argsort(np.where(unit, d, m + diag), axis=1, kind="stable")
+    order = np.argsort(np.where(R.unit[d], R.rep[d], m + diag), axis=1, kind="stable")
     P = np.take_along_axis(P, order[:, :, None, None], axis=1)
-    D[:, diag, diag, 0] = np.take_along_axis(d, order, axis=1)
+    D[:, diag, diag, 0] = np.take_along_axis(R.rep[d], order, axis=1)
     assert (R.matmul(R.matmul(P, G), R.star(P)) == D).all(), "P G P* != D"
     return D, nd
 
@@ -282,12 +298,11 @@ class _Search:
             parts = [R.norm_count[a * R.inv[g] % m] for g in d[:units]]
             if units < len(d):
                 raw, h = D[units:, units:], np.zeros(m, dtype=np.int64)
-                for y in _product([R.elems] * len(raw)):
+                for y in _product([[R.elems] * len(raw)]):
                     vals = R.matmul(R.matmul(y[:, None], raw), R.conj(y)[..., None, :])
                     h += np.bincount(vals[:, 0, 0, 0], minlength=m)
                 parts.append(h)
-            dist = np.zeros(m, dtype=np.int64)
-            dist[0] = 1
+            dist = (a == 0).astype(np.int64)
             for g in parts:
                 dist = g[(a[:, None] - a) % m] @ dist
             self.dists[key] = dist
@@ -295,13 +310,12 @@ class _Search:
 
     def reps(self, key):
         """The sizes of the key's classes: representation numbers of its lams."""
-        dist = self.dist(key)
-        return [int(dist[l]) for l in self.lams(key)]
+        return self.dist(key)[list(self.lams(key))].tolist()
 
     def level(self, key):
-        """child key -> (rows, {sigma: rows}) over the rows x with x D x* = lams[0],
-        where a row's child is the canonical form of its complement, reached by
-        P, and the child's T is T * sigma, sigma = 1 / (N(s) N(det P))."""
+        """child key -> {sigma: rows} over the rows x with x D x* = lams[0], where
+        a row's child is the canonical form of its complement, reached by P, and
+        the child's T is T * sigma, sigma = 1 / (N(s) N(det P)) (0 for U)."""
         if key in self.levels:
             return self.levels[key]
         R, D = self.R, self.forms[key]
@@ -309,32 +323,32 @@ class _Search:
         groups, total = {}, 0
         # a unit-norm row has a unit coordinate among the unit diagonal entries,
         # since the remainder after them has no unit-norm vector
-        for k0 in range(int(R.unit[np.diagonal(D[..., 0])].sum())):
-            for y in _product([R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)):
-                q, B = _complement(R, D, y)
-                ns = lam0 * R.inv[q] % m  # N(s) for x = s y
-                weight = np.where(R.unit[q], R.norm_count[ns], 0)
-                keep = weight > 0
-                if not keep.any():
-                    continue
-                B, ns, weight = B[keep], ns[keep], weight[keep]
-                child, ndp = _canonical(R, R.matmul(R.matmul(B, D), R.star(B)))
-                sigma = R.inv[ns * ndp % m] if self.su else np.zeros_like(ns)
-                rows = np.concatenate([child.reshape(len(child), -1), sigma[:, None]], axis=1)
-                uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-                sums = np.zeros(len(uniq), dtype=np.int64)
-                np.add.at(sums, inverse.ravel(), weight)
-                for row, size in zip(uniq, sums.tolist()):
-                    entry = groups.setdefault(self.add(row[:-1].reshape(r - 1, r - 1, 2)), [0, {}])
-                    entry[0] += size
-                    entry[1][int(row[-1])] = entry[1].get(int(row[-1]), 0) + size
-                total += int(weight.sum())
+        units = int(R.unit[np.diagonal(D[..., 0])].sum())
+        for y in _product([[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)
+                           for k0 in range(units)]):
+            q, B = _complement(R, D, y)
+            ns = lam0 * R.inv[q] % m  # N(s) for x = s y
+            weight = np.where(R.unit[q], R.norm_count[ns], 0)
+            keep = weight > 0
+            B, ns, weight = B[keep], ns[keep], weight[keep]
+            # each distinct complement Gram is brought to its canonical form once
+            G = R.matmul(R.matmul(B, D), R.star(B))
+            _, first, gram = np.unique(_packed(G), return_index=True, return_inverse=True)
+            child, ndp = _canonical(R, G[first])
+            _, first, cls = np.unique(_packed(child), return_index=True, return_inverse=True)
+            keys = [self.add(form) for form in child[first]]  # copies: no view pins child
+            sigma = R.inv[ns * ndp[gram] % m] if self.su else 0
+            pairs, inverse = np.unique(cls[gram] * m + sigma, return_inverse=True)
+            sums = np.zeros(len(pairs), dtype=np.int64)
+            np.add.at(sums, inverse, weight)
+            for pair, size in zip(pairs.tolist(), sums.tolist()):
+                c, s = divmod(pair, m)
+                sigmas = groups.setdefault(keys[c], {})
+                sigmas[s] = sigmas.get(s, 0) + size
+            total += int(weight.sum())
         assert total == self.reps(key)[0], "projective rows missed a unit-norm row"
         self.levels[key] = groups
         return groups
-
-    def live(self, key) -> bool:
-        return min(self.reps(key)) > 0
 
     def charge(self, key, mult: int):
         """Bump mult x the partial assignments a row-by-row search settles below
@@ -350,8 +364,8 @@ class _Search:
         total = c[0] * c[1]
         if len(c) > 2:
             own, live = 0, []
-            for child, (rows, _) in self.level(key).items():
-                kept = self.reps(child)
+            for child, sigmas in self.level(key).items():
+                rows, kept = sum(sigmas.values()), self.reps(child)
                 dead = [k for k, size in enumerate(kept) if size == 0]
                 own += rows * sum(c[1:dead[0] + 2] if dead else c[1:])
                 if not dead:
@@ -371,15 +385,9 @@ class _Search:
                 value = (T * int(D[0, 0, 0]) % self.R.m == lam[0]) if self.su \
                     else self.reps(key)[0]
             else:
-                value = 0
-                for child, (rows, sigmas) in self.level(key).items():
-                    if not self.live(child):
-                        continue
-                    if self.su:
-                        value += sum(size * self.count(child, T * sigma % self.R.m)
-                                     for sigma, size in sigmas.items())
-                    else:
-                        value += rows * self.count(child, T)
+                value = sum(size * self.count(child, T * sigma % self.R.m)
+                            for child, sigmas in self.level(key).items()
+                            if min(self.reps(child)) > 0 for sigma, size in sigmas.items())
             self.counts[(key, T)] = int(value)
         return self.counts[(key, T)]
 
@@ -398,8 +406,6 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
     """Exact order of U/SU(Lam, O_K/p^N O_K) for Lam = diag(1,...,1,-1) or (1,...,1,-2)."""
     if group not in ("U", "SU"):
         raise ValueError(f"group must be 'U' or 'SU', got {group!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     lam = lattice_diag(lattice, n)
     budget = default_budget() if budget is None else budget
     if budget < 0:
@@ -431,8 +437,6 @@ def count_kernel(lattice: str, n: int, field: FieldData | None = None) -> int:
     solutions over Z/m, m = 2^k, are counted by elimination: a pivot u*2^v of
     least 2-adic valuation clears its column from the other equations and leaves
     2^v solutions for its variable; every variable without a pivot is free."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     field = make_field(5) if field is None else field
     lam = lattice_diag(lattice, n)
     m, w = _KERNEL_LEVEL[lattice], n + 1

@@ -62,6 +62,8 @@ def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
     """Diagonal of the Hermitian form: (1,...,1,-1) for L, (1,...,1,-2) for M."""
     if lattice not in ("L", "M"):
         raise ValueError(f"lattice must be 'L' or 'M', got {lattice!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return (1,) * n + (-1 if lattice == "L" else -2,)
 
 
@@ -83,8 +85,6 @@ def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
     """Integral basis in the order g_1..g_n, e_12, f_12, ..., e_1, f_1, ..., e_n, f_n
     (primed e'_k, f'_k for the lattice M, which carry 2 eps-bar and 2 below the
     diagonal).  Each element is verified against the defining system."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     w = n + 1
     lam = lattice_diag(lattice, n)
     low = 2 if lattice == "M" else 1

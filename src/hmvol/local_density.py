@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arith import factor, is_prime, legendre_symbol
 from .expressions import VolumeExpression
@@ -48,10 +49,7 @@ def _eps_char(n: int, p: int, twisted: bool) -> int:
 
 
 def _even_product(p: int, upto: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(1, upto + 1):
-        out *= 1 - Fraction(1, p ** (2 * i))
-    return out
+    return prod((1 - Fraction(1, p ** (2 * i)) for i in range(1, upto + 1)), start=Fraction(1))
 
 
 def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
@@ -64,16 +62,11 @@ def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
         raise ValueError(f"{p} is not prime")
     c = chi(field, p)
     if c != 0:
-        if lattice == "M" and p == 2:
-            # det M = -2 is not a unit at 2, shortening the generic product
-            val = Fraction(1)
-            for i in range(1, n + 1):
-                val *= 1 - Fraction(c**i, 2**i)
-            return LocalDensity(p, lattice, val)
-        val = Fraction(1)
-        for i in range(2, n + 2):
-            val *= 1 - Fraction(c**i, p**i)
-        return LocalDensity(p, lattice, val)
+        # the generic product runs over i = 2..n+1; det M = -2 is not a unit at
+        # 2, which shifts it to i = 1..n
+        first = 1 if lattice == "M" and p == 2 else 2
+        return LocalDensity(p, lattice, prod((1 - Fraction(c**i, p**i)
+                                              for i in range(first, first + n)), start=Fraction(1)))
     if p == 2:
         if lattice == "L" or n % 2 == 1:
             val = Fraction(1, 2**n) * _even_product(2, n // 2)
@@ -93,13 +86,8 @@ def _euler_local(field: FieldData, n: int, p: int) -> Fraction:
     """Product of the Euler factors at p of the zeta(even)/L(odd) string for
     arguments 2..n+1."""
     c = chi(field, p)
-    out = Fraction(1)
-    for i in range(2, n + 2):
-        if i % 2 == 0:
-            out *= 1 - Fraction(1, p**i)
-        else:
-            out *= 1 - Fraction(c, p**i)
-    return out
+    return prod((1 - Fraction(c if i % 2 else 1, p**i) for i in range(2, n + 2)),
+                start=Fraction(1))
 
 
 def special_primes(lattice: str, field: FieldData) -> tuple[int, ...]:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hmvol import arith
 from hmvol.arith import (Factorization, bernoulli, bernoulli_poly, factor,
-                         is_fundamental_discriminant, is_prime, kronecker, legendre_symbol)
+                         is_fundamental_discriminant, is_prime, is_squarefree, kronecker,
+                         legendre_symbol)
 
 FUNDAMENTAL = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -35, -39, -43, -47, -51, -52]
 
@@ -148,6 +149,22 @@ def test_bernoulli_memo_safe_under_concurrent_readers(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert results == [want[60]] * 8
     assert [bernoulli(k) for k in range(61)] == want
+
+
+def test_is_squarefree_agrees_with_factor():
+    for n in range(1, 5000):
+        assert is_squarefree(n) == all(e == 1 for _, e in factor(n).pairs), n
+
+
+def test_is_squarefree_decides_cofactors_past_the_cube_root():
+    # primes above (2^64)^(1/3), so the trial division never reaches them
+    p, q = 2**31 - 1, 2**32 - 5
+    assert is_squarefree(p * q) and is_squarefree(2**61 - 1)
+    assert not is_squarefree(p * p) and not is_squarefree(3 * p * p)
+    assert not is_squarefree(2**64)
+    for n in (0, 2**64 + 1):
+        with pytest.raises(ValueError, match="2\\^64"):
+            is_squarefree(n)
 
 
 def test_factorization_invariants_enforced():

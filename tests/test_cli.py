@@ -362,6 +362,18 @@ def test_verify_with_a_large_prime_p_ends_promptly(capsys):
     assert code == 2 and out == "" and "too large" in err, err
 
 
+def test_verify_with_a_large_d_ends_promptly(capsys):
+    # d = 2^61 - 1 is squarefree: trial division up to d^(1/3), not sqrt(d), shows it
+    argv = ["verify", "--oracle", "su-count", "--lattice", "L", "--n", "1", "--p", "3", "--d"]
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv, str(2**61 - 1))
+    assert code == 0 and "Match" in out and err == "", err
+    assert time.monotonic() - t0 < 5.0
+    # past the range where squarefreeness is decided, d is refused
+    code, out, err = run(capsys, *argv, str(2**64 + 1))
+    assert code == 2 and out == "" and "2^64" in err, err
+
+
 def test_verify_budget_of_exactly_the_node_total_suffices(capsys):
     # 65220625 nodes: L, n = 2, SU over O/5
     argv = ["verify", "--oracle", "su-count", "--lattice", "L", "--n", "2", "--d", "3",

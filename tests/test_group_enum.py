@@ -369,6 +369,44 @@ def test_complement_classes_counted(n, p, keys):
     assert count_group("L", n, ring(F3, p), "SU").keys == keys
 
 
+@pytest.mark.parametrize("p, N, w", [(73, 1, 2), (2, 6, 2), (7, 2, 2)]
+                         + [(2, 1, w) for w in range(1, 13)])
+def test_packed_product_matches_scalar_reference(p, N, w):
+    # the largest moduli the row-table cap allows at w = 2 (m = 73, 64, 49), and
+    # every width up to the widest it allows (m = 2, w = 12)
+    m = p**N
+    assert m ** (2 * w) <= _MAX_ROW_TABLE
+    rng = np.random.default_rng(1000 * m + w)
+    for d in (199, 197):  # eps^2 = eps - 50 and eps^2 = -197
+        S = ScalarRing(make_field(d), p, N)
+        R = _Ring(ResidueRing(S.field, p, N))
+        X, Y = rng.integers(0, m, size=(2, 3, w, w, 2))
+        v = rng.integers(0, m, size=(3, 1, w, 2))
+
+        def ref(A):
+            return RingMatrix(S, [[S.element(*e) for e in row] for row in A.tolist()])
+
+        XY, vX, Xv = R.matmul(X, Y), R.matmul(v, X), R.matmul(X, R.star(v))
+        XoY, Xc = R.mul(X, Y), R.conj(X)
+        for k in range(3):
+            assert ref(XY[k]) == ref(X[k]) @ ref(Y[k])
+            assert ref(vX[k]) == ref(v[k]) @ ref(X[k])
+            assert ref(Xv[k]) == ref(X[k]) @ ref(v[k]).conj_transpose()
+            x, y = ref(X[k]).rows, ref(Y[k]).rows
+            assert ref(XoY[k]).rows == tuple(tuple(S.mul(a, b) for a, b in zip(r1, r2))
+                                             for r1, r2 in zip(x, y))
+            assert ref(Xc[k]).rows == tuple(tuple(S.conj(a) for a in row) for row in x)
+
+
+def test_packed_product_refuses_a_modulus_past_the_cap():
+    # 2 r (m - 1)^2 < 2^20 holds for r = 1 and fails for r = 2 at m = 521
+    R = _Ring(ResidueRing(F3, 521, 1))
+    ones = np.ones((1, 2, 2, 2), dtype=np.int64)
+    assert R.matmul(ones[:, :, :1], ones[:, :1]).shape == (1, 2, 2, 2)
+    with pytest.raises(AssertionError, match="packed product overflows"):
+        R.matmul(ones, ones)
+
+
 @pytest.mark.parametrize("w", [2, 3, 4, 5])
 def test_row_table_cap_keeps_float32_exact(w):
     m = 2

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from mpmath import mp, mpf
 
 from hmvol.group_enum import count_group, oracle_tau_p
 from hmvol.local_density import index_u_su, special_primes, tau_infinity, tau_p
-from hmvol.quadfield import make_field
+from hmvol.quadfield import chi, make_field
 from hmvol.residue_ring import ResidueRing
 from hmvol.volume import evaluate_numeric
 
@@ -61,6 +62,30 @@ def test_oracle_conformance_n2_small():
     for d in (3, 7):
         field = make_field(d)
         assert oracle_tau_p("L", 2, field, 3) == tau_p("L", 2, field, 3).value
+
+
+@pytest.mark.parametrize("lattice", ["L", "M"])
+def test_oracle_conformance_n3_at_p3_in_every_class(lattice):
+    # p = 3 ramified (d = 3, 15), split (5, 11) and inert (1, 7); ramified p at
+    # odd n >= 3 takes the _eps_char sign that the table gate cannot check
+    fields = [make_field(d) for d in (3, 15, 5, 11, 1, 7)]
+    assert [chi(field, 3) for field in fields] == [0, 0, 1, 1, -1, -1]
+    t0 = time.monotonic()
+    for field in fields:
+        rep = count_group(lattice, 3, ResidueRing(field, 3, 1), "SU", budget=10**13)
+        assert rep.count == tau_p(lattice, 3, field, 3).value * 3**15, (lattice, field.d)
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_oracle_tau_2_at_n2_for_l_over_o8():
+    # 2 split (d = 7), inert (3) and ramified (5): the kernel-corrected count
+    # over O/8 against 2^-n prod (1 - 2^-2i) and the unramified products
+    t0 = time.monotonic()
+    for d, want in ((7, Fraction(21, 32)), (3, Fraction(27, 32)), (5, Fraction(3, 16))):
+        field = make_field(d)
+        assert oracle_tau_p("L", 2, field, 2, budget=10**11) == tau_p("L", 2, field, 2).value \
+            == want, d
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_index_matches_enumeration_n1():
