@@ -21,8 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import isfinite, mpf, nstr
-
+from . import dyadic
 from .group_enum import (BudgetExceeded, count_group, count_kernel, default_budget,
                          oracle_tau_p, stabilization_check)
 from .local_density import tau_p
@@ -57,8 +56,39 @@ def _rat_str(v: Fraction) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+def _digits(x: Fraction, n: int) -> str:
+    """The dyadic rational x to n significant digits, as mpmath's nstr(x, n)
+    writes the same value: its digits rounded toward zero (`dyadic.decimal_digits`,
+    n + 3 of them at least), then rounded half up at digit n; fixed notation for
+    a leading-digit exponent strictly between min(-(n//3), -5) and n, else
+    `e+k`/`e-k`; trailing zeros stripped, but a whole number keeps `.0`."""
+    if not x:
+        return "0.0"
+    den = x.denominator
+    assert not den & (den - 1), f"{x} is not a dyadic rational"
+    digits, exponent = dyadic.decimal_digits(abs(x.numerator), 1 - den.bit_length(), n + 3)
+    up = len(digits) > n and digits[n] >= "5"
+    digits = digits[:n]
+    if up:
+        digits = str(int(digits) + 1)
+        if len(digits) > n:  # ...999 carried into a new leading digit
+            digits, exponent = digits[:n], exponent + 1
+    split = 1
+    if min(-(n // 3), -5) < exponent < n:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+            digits += "0" * (split - n)
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    return ("-" if x < 0 else "") + digits + (f"e{exponent:+d}" if exponent else "")
+
+
 def _num_str(v) -> str:
-    return nstr(v, 13)
+    return _digits(v, 13)
 
 
 def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
@@ -79,7 +109,7 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
         "d": field.d,
         "D": field.D,
         "volume_rational": _rat_str(value),
-        # mpmath values: past 1.8e308 (n >= 39) a float would overflow to inf
+        # exact dyadic Fractions: past 1.8e308 (n >= 39) a float would overflow to inf
         "volume_numeric": numeric,
         "volume_error_bound": bound,
         "coefficient": _rat_str(expr.coeff),
@@ -92,22 +122,20 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
 
 
 def _json_dumps(records: list[dict]) -> str:
-    """The records as JSON, each mpmath value written as a number literal with
-    17 significant digits: RFC 8259 numbers have no range limit, so a volume
-    beyond the float range stays a finite number."""
+    """The records as JSON, each numeric value (a Fraction) written as a number
+    literal with 17 significant digits: RFC 8259 numbers have no range limit,
+    so a volume beyond the float range stays a finite number.  A Fraction is
+    always finite; a non-finite float is refused by allow_nan=False."""
     literals = []
 
     def stand_in(v):
-        # json.dumps never sees these values, so allow_nan=False cannot check them
-        if not isfinite(v):
-            raise ValueError(f"out of range value {v} is not JSON compliant")
-        literals.append(nstr(v, 17))
-        return f"@mpf{len(literals) - 1}@"
+        literals.append(_digits(v, 17))
+        return f"@num{len(literals) - 1}@"
 
-    text = json.dumps([{k: stand_in(v) if isinstance(v, mpf) else v for k, v in r.items()}
+    text = json.dumps([{k: stand_in(v) if isinstance(v, Fraction) else v for k, v in r.items()}
                        for r in records], indent=2, allow_nan=False)
     for i, literal in enumerate(literals):
-        text = text.replace(f'"@mpf{i}@"', literal, 1)
+        text = text.replace(f'"@num{i}@"', literal, 1)
     return text
 
 
@@ -115,14 +143,14 @@ def _text_line(r: dict) -> str:
     verdict = f" [{r['verdict']}]" if r["verdict"] else ""
     return (f"lattice={r['lattice']} n={r['n']} d={r['d']} D={r['D']} "
             f"volume={r['volume_rational']} "
-            f"(~{nstr(r['volume_numeric'], 10)} +/- {nstr(r['volume_error_bound'], 2)}) "
+            f"(~{_digits(r['volume_numeric'], 10)} +/- {_digits(r['volume_error_bound'], 2)}) "
             f"pipeline={r['provenance']}{verdict}\n")
 
 
 def _table_row(r: dict) -> list:
     agreement = r["verdict"] if r["verdict"] else r["provenance"]
     return [r["lattice"], r["n"], r["d"], r["D"], r["volume_rational"],
-            nstr(r["volume_numeric"], 12),
+            _digits(r["volume_numeric"], 12),
             ";".join(str(a) for a in r["zeta_args"]),
             ";".join(str(a) for a in r["l_args"]),
             agreement]

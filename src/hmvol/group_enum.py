@@ -213,7 +213,9 @@ def _product(blocks):
 
 def _packed(X):
     """Each matrix of X (k, ...) as a byte-string key (k,) that sorts as its entries."""
-    b = X.astype(np.int8, order="C").reshape(len(X), -1)  # m <= 74 under the row-table cap
+    # m <= 74 under the row-table cap; the width is explicit, because a pass
+    # that kept no row has len(X) = 0
+    b = X.astype(np.int8, order="C").reshape(len(X), math.prod(X.shape[1:]))
     return b.view(np.dtype((np.void, b.shape[1])))[:, 0]
 
 

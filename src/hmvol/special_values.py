@@ -12,21 +12,24 @@ through the functional equation, and that closed form is never trusted blind:
 its constant is pinned against the numeric evaluator on a fixed grid the
 first time it is used, and any disagreement is a fatal error.
 
-Working precision is WORK_DPS decimal digits (well beyond the 1e-12 scale
-tolerances used anywhere in the package), so float rounding is dominated by
-the stated truncation bounds.
+Tolerances are exact `Fraction`s down to TOL_FLOOR = 1e-40 (WORK_DPS digits,
+well beyond the 1e-12 scale tolerances used anywhere in the package); the
+fixed point of 2^-256 and the PREC-bit products of `dyadic` keep every
+rounding far below the stated truncation bounds.
 
 Each numeric value is one power sum sum_n w(n) n^-s of a weight of period f
 (chi_D for L, f = |D|; 1 for zeta), in fixed point where the integer 2^256
 stands for 1: exact over m = 1..M f, then the Euler-Maclaurin tail from the
 integer power sums of y = f/n over the f points n = M f + a.  Every floor is
 off by under one unit and is added to the bound, whose own power sum is
-rounded up; the sum becomes an mpf once.  It depends on the tolerance only
-through the cutoff M, so it is memoized on (s, weights, M), once per process.
-The correction coefficients and the tail constant are computed once per s and
-chi_D(a) once per field (`quadfield.character`).  Generalized Bernoulli
-numbers come from integer power sums of the character, k+1 `Fraction` terms in
-all, and the L closed forms are memoized on (k, field), for the process's life.
+rounded up.  The sum (an integer) and its bound (a dyadic rational) are in
+units of 2^-256 and reach the caller as exact `Fraction`s; a float only picks
+the cutoff.  It depends on the tolerance only through the cutoff M, so it is
+memoized on (s, weights, M), once per process.  The correction coefficients
+and the tail constant are computed once per s and chi_D(a) once per field
+(`quadfield.character`).  Generalized Bernoulli numbers come from integer
+power sums of the character, k+1 `Fraction` terms in all, and the L closed
+forms are memoized on (k, field), for the process's life.
 """
 
 from __future__ import annotations
@@ -34,18 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, inf, pi
 from typing import NamedTuple, Optional
 
-from mpmath import mp, mpf
-
+from . import dyadic
 from .arith import bernoulli
 from .quadfield import FieldData, character, make_field
 
 WORK_DPS = 40
-# Smallest accepted tolerance; a float, so the comparison does not depend on
-# the mpmath precision in force at the caller.
-TOL_FLOOR = mpf(10.0 ** -WORK_DPS)
+# Smallest accepted tolerance, a float; tolerances are compared with it exactly.
+TOL_FLOOR = 10.0 ** -WORK_DPS
 _EM_TERMS = 8  # J: number of B_(2j) correction terms
 _FIXED_BITS = 256  # the power sums are integers in units of 2^-256
 
@@ -59,8 +60,9 @@ class ExactForm(NamedTuple):
 
 @dataclass
 class SpecialValue:
-    numeric: mpf
-    error_bound: mpf
+    """A numeric value and its error bound, both exact dyadic rationals."""
+    numeric: Fraction
+    error_bound: Fraction
 
 
 def _rising(s: int, k: int) -> int:
@@ -71,38 +73,57 @@ def _rising(s: int, k: int) -> int:
 
 
 @cache
-def _em_constants(s: int) -> tuple[tuple[Fraction, ...], mpf]:
+def _em_constants(s: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """The correction coefficients B_2j/(2j)! (s)_(2j-1), j = 1..J, exactly, and
-    the remainder-bound constant (s)_(2J+1) 2.5 / ((2pi)^(2J+1) (s+2J)) at WORK_DPS."""
+    the remainder-bound constant (s)_(2J+1) 2.5 / ((2pi)^(2J+1) (s+2J)) as a
+    dyadic rational cut to `dyadic.PREC` bits: 2.5 exceeds the exact constant
+    2 zeta(2J+1) of the periodic Bernoulli bound by far more than that cut."""
     J = _EM_TERMS
     coeffs = tuple(bernoulli(2 * j) / factorial(2 * j) * _rising(s, 2 * j - 1)
                    for j in range(1, J + 1))
-    with mp.workdps(WORK_DPS):
-        tail = (mpf(2.5) * _rising(s, 2 * J + 1)
-                / ((2 * mp.pi) ** (2 * J + 1) * (s + 2 * J)))
-    return coeffs, tail
+    # 2.5 / 2^(2J+1) = 5 / 2^(2J+2)
+    scale = Fraction(5 * _rising(s, 2 * J + 1), 2 ** (2 * J + 2) * (s + 2 * J))
+    tail = dyadic.mul(dyadic.of_fraction(scale), dyadic.pi_power(-(2 * J + 1)))
+    return coeffs, dyadic.to_fraction(tail)
 
 
-def check_tol(tol) -> None:
-    """Reject a tolerance that no truncation can meet (<= 0), that is not a
-    number, or that lies below the working precision, where no bound means
-    anything and the Euler-Maclaurin cutoff would run to ~1e16 terms."""
-    if not (mp.isfinite(tol) and tol > 0):
+def check_tol(tol) -> Fraction:
+    """tol as an exact Fraction.  Reject a tolerance that no truncation can
+    meet (<= 0), that is not a number, or that lies below the working
+    precision, where no bound means anything and the Euler-Maclaurin cutoff
+    would run to ~1e16 terms.  A real other than int, float or Fraction (an
+    mpmath value, say) is read through float()."""
+    try:
+        t = Fraction(tol if isinstance(tol, (int, float, Fraction)) else float(tol))
+    except (TypeError, ValueError, OverflowError):
+        t = None
+    if t is None or t <= 0:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    if tol < TOL_FLOOR:
+    if t < TOL_FLOOR:
         raise ValueError(f"tolerance {tol} is below the working precision 1e-{WORK_DPS}")
+    return t
 
 
 def _em_cutoff(s: int, tol) -> int:
     J = _EM_TERMS
-    c = 2.5 * _rising(s, 2 * J + 1) / (float(2 * mp.pi) ** (2 * J + 1) * (s + 2 * J))
+    c = 2.5 * _rising(s, 2 * J + 1) / ((2 * pi) ** (2 * J + 1) * (s + 2 * J))
+    try:
+        limit = float(tol)
+    except OverflowError:  # a Fraction past the float range: no term is needed
+        limit = inf
     M = 2
-    while c * M ** (-(s + 2 * J)) > float(tol):
+    while c * M ** (-(s + 2 * J)) > limit:
         M += 1 + M // 4
     return M
 
 
-def hurwitz_numeric(s: int, a, tol) -> tuple[mpf, mpf]:
+def _units(value: int, bound: Fraction, scale: int = 1) -> tuple[Fraction, Fraction]:
+    """A power sum and its bound, in units of 2^-256, times scale."""
+    one = 1 << _FIXED_BITS
+    return Fraction(value * scale, one), Fraction(bound * scale, one)
+
+
+def hurwitz_numeric(s: int, a, tol) -> tuple[Fraction, Fraction]:
     """Hurwitz zeta(s, a) = q^s sum_(n = p mod q) n^-s for integer s >= 2 and
     rational 0 < a = p/q <= 1, with an explicit remainder bound <= tol."""
     if s < 2:
@@ -112,15 +133,14 @@ def hurwitz_numeric(s: int, a, tol) -> tuple[mpf, mpf]:
         raise ValueError("a must lie in (0, 1]")
     q = a.denominator
     weights = tuple(int(r == a.numerator % q) for r in range(q))
-    with mp.workdps(WORK_DPS):
-        value, bound = _power_sum(s, weights, _em_cutoff(s, tol))
-        return value * q**s, bound * q**s
+    return _units(*_power_sum(s, weights, _em_cutoff(s, tol)), q**s)
 
 
 @cache
-def _power_sum(s: int, weights: tuple[int, ...], M: int) -> tuple[mpf, mpf]:
+def _power_sum(s: int, weights: tuple[int, ...], M: int) -> tuple[int, Fraction]:
     """sum_(n >= 1) w(n) n^-s for w(n) = weights[n mod f] in {-1, 0, 1},
-    f = len(weights), truncated at M f, and its remainder bound.  With y = f/n,
+    f = len(weights), truncated at M f, as an integer in units of 2^-256, and
+    its remainder bound in the same units, a dyadic rational.  With y = f/n,
     n = M f + a, the tail is f^-s sum_a w(a) [y^(s-1)/(s-1) + y^s/2 +
     sum_j c_j y^(s+2j-1)], the remainder at most f^-s tail sum_(w(a) != 0) y^(s+2J)."""
     coeffs, tail = _em_constants(s)
@@ -140,15 +160,12 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> tuple[mpf, mpf]:
     # each floor is short by under one unit times its coefficient in the value,
     # and 1/(s-1) + 1/2 <= 2
     floors = (M + 2 + ceil(sum(map(abs, coeffs)))) * len(points) + 1
-    with mp.workdps(WORK_DPS):
-        bound = tail * -(-rest // scale) + floors
-        return mp.ldexp(mpf(value), -_FIXED_BITS), mp.ldexp(bound, -_FIXED_BITS)
+    return value, tail * -(-rest // scale) + floors
 
 
-def zeta_numeric(s: int, tol=mpf("1e-12")) -> SpecialValue:
+def zeta_numeric(s: int, tol=1e-12) -> SpecialValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin, remainder <= tol."""
-    check_tol(tol)
-    return SpecialValue(*hurwitz_numeric(s, 1, tol))
+    return SpecialValue(*hurwitz_numeric(s, 1, check_tol(tol)))
 
 
 def zeta_exact(s: int) -> ExactForm:
@@ -160,17 +177,16 @@ def zeta_exact(s: int) -> ExactForm:
     return ExactForm(coeff=coeff, pi_power=s, d_sqrt_power=0)
 
 
-def l_numeric(k: int, field: FieldData, tol=mpf("1e-12")) -> SpecialValue:
+def l_numeric(k: int, field: FieldData, tol=1e-12) -> SpecialValue:
     """L(k, chi_D) = sum chi_D(m) m^-k for integer k >= 2, evaluated as the power
     sum of the character with the remainder split evenly over its residues."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    check_tol(tol)
+    tol = check_tol(tol)
     weights = character(field)
-    with mp.workdps(WORK_DPS):
-        nonzero = sum(1 for c in weights if c)
-        tol_each = mpf(tol) * field.f**k / (2 * max(1, nonzero))
-        return SpecialValue(*_power_sum(k, weights, _em_cutoff(k, tol_each)))
+    nonzero = sum(1 for c in weights if c)
+    tol_each = tol * field.f**k / (2 * max(1, nonzero))
+    return SpecialValue(*_units(*_power_sum(k, weights, _em_cutoff(k, tol_each))))
 
 
 def gen_bernoulli(k: int, field: FieldData) -> Fraction:
@@ -210,12 +226,13 @@ def _l_closed_form(k: int, field: FieldData) -> ExactForm:
     return ExactForm(coeff=coeff, pi_power=k, d_sqrt_power=1 - 2 * k)
 
 
-def exact_numeric(form: ExactForm, field: Optional[FieldData] = None) -> mpf:
-    with mp.workdps(WORK_DPS):
-        v = mpf(form.coeff.numerator) / form.coeff.denominator * mp.pi ** form.pi_power
-        if form.d_sqrt_power:
-            v *= mp.sqrt(field.f) ** form.d_sqrt_power
-        return v
+def exact_numeric(form: ExactForm, field: Optional[FieldData] = None) -> Fraction:
+    """coeff pi^pi_power sqrt(|D|)^d_sqrt_power as a dyadic rational, every
+    product cut to `dyadic.PREC` bits."""
+    v = dyadic.mul(dyadic.of_fraction(form.coeff), dyadic.pi_power(form.pi_power))
+    if form.d_sqrt_power:
+        v = dyadic.mul(v, dyadic.power(field.f, Fraction(form.d_sqrt_power, 2)))
+    return dyadic.to_fraction(v)
 
 
 @cache
@@ -230,8 +247,8 @@ def _pin_l_exact() -> None:
         for d in (1, 3, 7):
             fld = make_field(d)
             closed = exact_numeric(_l_closed_form(k, fld), fld)
-            sv = l_numeric(k, fld, tol=mpf("1e-14"))
-            if abs(closed - sv.numeric) > mpf("1e-10"):
+            sv = l_numeric(k, fld, tol=1e-14)
+            if abs(closed - sv.numeric) > Fraction(1, 10**10):
                 raise AssertionError(
-                    f"L({k}, chi of d={d}): closed form {closed} disagrees with "
-                    f"numeric oracle {sv.numeric}")
+                    f"L({k}, chi of d={d}): closed form {float(closed)!r} disagrees with "
+                    f"numeric oracle {float(sv.numeric)!r}")

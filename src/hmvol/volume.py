@@ -13,11 +13,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import ceil, factorial, isqrt
 from typing import Optional
 
-from mpmath import mp, mpf
-
+from . import dyadic
 from .arith import factor
 from .expressions import VolumeExpression
 from .lie_form import vol_max_compact
@@ -155,31 +154,33 @@ def rationalize(expr: VolumeExpression, field: FieldData) -> Fraction:
     return coeff * Fraction(rn, rd)
 
 
-def evaluate_numeric(expr: VolumeExpression, field: FieldData, tol=mpf("1e-12")):
-    """Numeric value of the expression with a propagated absolute error bound.
+def evaluate_numeric(expr: VolumeExpression, field: FieldData,
+                     tol=1e-12) -> tuple[Fraction, Fraction]:
+    """Numeric value of the expression with a propagated absolute error bound,
+    both exact dyadic rationals.
 
     `tol` is checked as given, then split evenly over the zeta/L factors; each
     share, floored at the working precision, bounds that factor's truncation
-    error.  The returned bound propagates what was actually computed.
+    error.  The returned bound propagates what was actually computed: the
+    relative bounds of the factors plus 10^(8 - WORK_DPS) for the rounding of
+    the products (each cut to `dyadic.PREC` bits), doubled, rounded up.
     """
-    check_tol(tol)
-    with mp.workdps(WORK_DPS):
-        n_special = len(expr.zeta_args) + len(expr.l_args)
-        tol_each = max(mpf(tol) / (8 * max(1, n_special)), TOL_FLOOR)
-        value = (mpf(expr.coeff.numerator) / expr.coeff.denominator
-                 * mp.sqrt(mpf(expr.sqrt_sq.numerator) / expr.sqrt_sq.denominator)
-                 * mpf(field.f) ** (mpf(expr.d_power.numerator) / expr.d_power.denominator)
-                 * mp.pi ** expr.pi_power)
-        rel = mpf(10) ** (8 - WORK_DPS)
-        for s in expr.zeta_args:
-            sv = zeta_numeric(s, tol_each)
-            value *= sv.numeric
-            rel += sv.error_bound / sv.numeric
-        for k in expr.l_args:
-            sv = l_numeric(k, field, tol_each)
-            value *= sv.numeric
-            rel += sv.error_bound / sv.numeric
-        return value, abs(value) * rel * 2
+    tol = check_tol(tol)
+    n_special = len(expr.zeta_args) + len(expr.l_args)
+    tol_each = max(tol / (8 * max(1, n_special)), Fraction(TOL_FLOOR))
+    value = dyadic.mul(dyadic.mul(dyadic.of_fraction(expr.coeff),
+                                  dyadic.power(expr.sqrt_sq, Fraction(1, 2))),
+                       dyadic.mul(dyadic.power(field.f, expr.d_power),
+                                  dyadic.pi_power(expr.pi_power)))
+    specials = ([zeta_numeric(s, tol_each) for s in expr.zeta_args]
+                + [l_numeric(k, field, tol_each) for k in expr.l_args])
+    unit = 1 << dyadic.PREC  # rel in units of 2^-PREC, each term rounded up
+    rel = -(-unit // 10 ** (WORK_DPS - 8))
+    for sv in specials:
+        value = dyadic.mul(value, dyadic.of_fraction(sv.numeric))
+        rel += ceil(sv.error_bound * unit / sv.numeric)
+    bound = dyadic.cut(abs(value[0]) * rel * 2, value[1] - dyadic.PREC, up=True)
+    return dyadic.to_fraction(value), dyadic.to_fraction(bound)
 
 
 def compare_pipelines(lattice: str, n: int, field: FieldData) -> DiscrepancyReport:

@@ -20,6 +20,7 @@ from hmvol.cli import main
 from hmvol.quadfield import make_field
 from hmvol.special_values import WORK_DPS, ExactForm
 from hmvol.volume import discrepancy_report, hm_assembled, rationalize
+from numeric_reference import to_fraction, to_mpf
 
 
 def run(capsys, *argv):
@@ -104,6 +105,7 @@ def test_compute_json_beyond_the_float_range(capsys, n):
         value, bound = volume.evaluate_numeric(hm_assembled(r["lattice"], n, field), field,
                                                mpmath.mpf("1e-12"))
         assert mpmath.isfinite(r["volume_numeric"]) and mpmath.isfinite(r["volume_error_bound"])
+        value, bound = to_mpf(value), to_mpf(bound)
         assert abs(r["volume_numeric"] - value) <= r["volume_error_bound"]
         assert abs(r["volume_error_bound"] - bound) <= bound * mpmath.mpf("1e-15")
     code, out, err = run(capsys, "compute", "--lattice", "both", "--n", str(n), "--d", "3",
@@ -115,12 +117,88 @@ def test_compute_json_beyond_the_float_range(capsys, n):
     assert code == 0 and "inf" not in out, out
 
 
-@pytest.mark.parametrize("value", [mpmath.inf, -mpmath.inf, mpmath.nan])
-def test_json_refuses_a_non_finite_mpmath_value(value):
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_json_refuses_a_non_finite_value(value):
+    # numeric values are Fractions, always finite, and written past the float
+    # range; a non-finite float that reaches the writer is refused
     big = mpmath.mpf("1e400")
-    assert _strict_json(cli._json_dumps([{"x": big}]))[0]["x"] == big
+    assert _strict_json(cli._json_dumps([{"x": to_fraction(big)}]))[0]["x"] == big
     with pytest.raises(ValueError, match="JSON"):
         cli._json_dumps([{"x": value}])
+
+
+def _digit_cases(n_exp):
+    """mpf values up to 2^(+-n_exp): random binary mantissas of 1..400 bits, and
+    decimal strings ending in 5, ...9995 or zeros, parsed at 24..256 bits."""
+    def exact(bits, man, e2, sign):
+        with mpmath.mp.workprec(400):
+            return mpmath.mpf((sign * (man % 2**bits | 1), e2 - bits))
+
+    def parse(lead, body, tail, e10, prec):
+        with mpmath.mp.workprec(prec):
+            return mpmath.mpf(f"{lead}.{body}{tail}e{e10}")
+    decimal = st.builds(parse, st.integers(1, 9), st.text("0123456789", max_size=20),
+                        st.sampled_from(["", "5", "49", "95", "9995", "99995", "999999", "0000",
+                                         "00005", "50000001"]),
+                        st.integers(-n_exp * 3 // 10, n_exp * 3 // 10),
+                        st.sampled_from([24, 53, 113, 136, 256]))
+    binary = st.builds(exact, st.integers(1, 400), st.integers(1, 2**400),
+                       st.integers(-n_exp, n_exp), st.sampled_from([1, -1]))
+    return st.one_of(binary, decimal)
+
+
+def _check_digits(x):
+    v = to_fraction(x)
+    for n in (2, 10, 12, 13, 17):
+        assert cli._digits(v, n) == mpmath.nstr(x, n), (x, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digit_cases(1329))  # 1e-400 to 1e400
+@example(mpmath.mpf(100))
+@example(mpmath.mpf("3.9e-5"))
+@example(mpmath.mpf("0.99995"))
+@example(mpmath.mpf("9.99999999999999995"))
+@example(mpmath.mpf("1.35"))
+@example(mpmath.mpf(-0.125))
+@example(mpmath.mpf(0))
+def test_digits_write_a_value_as_nstr_does(x):
+    _check_digits(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_digit_cases(70000))  # past 2^+-3500 nstr first divides by a power of ten
+def test_digits_write_a_huge_or_tiny_value_as_nstr_does(x):
+    _check_digits(x)
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this hmvol."""
+    src = os.path.dirname(os.path.dirname(hmvol.__file__))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+def test_the_package_runs_without_mpmath():
+    # start-up costs what the package imports, and mpmath is only a test reference
+    script = """if True:
+        import sys
+        import hmvol, hmvol.cli
+        from hmvol.quadfield import make_field
+        from hmvol.special_values import l_exact
+        l_exact(3, make_field(3))
+        for argv in (["verify", "--oracle", "su-count", "--lattice", "L", "--n", "1",
+                      "--d", "3", "--p", "5"],
+                     ["table", "--lattice", "both", "--n-range", "1..3", "--d-list", "3,7"],
+                     ["compute", "--lattice", "both", "--n", "5", "--d", "141",
+                      "--format", "json"],
+                     ["lvalue", "--kind", "L", "--k", "5", "--d", "15"]):
+            assert hmvol.cli.main(argv) == 0, argv
+        assert "mpmath" not in sys.modules, "mpmath was imported"
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_compute_m_lattice(capsys):
@@ -206,9 +284,7 @@ def test_compute_csv_row_equals_the_table_row(capsys, lattice, n, d):
 
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_table_into_a_closed_pipe_is_exit_two(unbuffered):
-    src = os.path.dirname(os.path.dirname(hmvol.__file__))
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = _child_env()
     # buffered, the one-row table reaches the pipe only when stdout is flushed
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -261,6 +337,14 @@ def test_verify_stabilization(capsys):
     code, out, _ = run(capsys, "verify", "--oracle", "stabilization", "--lattice", "L",
                        "--n", "1", "--d", "3", "--p", "3", "--level", "1")
     assert code == 0 and "holds" in out
+
+
+def test_verify_stabilization_through_an_empty_pass(capsys):
+    # M n = 2 over O/16 at 2 inert: a row stream pass that keeps no row
+    code, out, err = run(capsys, "verify", "--oracle", "stabilization", "--lattice", "M",
+                         "--n", "2", "--d", "3", "--p", "2", "--level", "3",
+                         "--budget", "100000000000000000")
+    assert (code, out, err) == (0, "stabilization (M, n=2, d=3, p=2, N=3 -> 4): holds\n", "")
 
 
 @pytest.mark.parametrize("p", ["1", "4", "9"])
@@ -589,6 +673,9 @@ def _verify_argv(draw):
 # U counts need not stabilize from O/2 at a 2-ramified field: exit 3
 @example(["verify", "--oracle", "stabilization", "--lattice", "L", "--n", "1",
           "--budget", "4352", "--d", "1", "--p", "2"])
+# a row stream pass over O/16 that keeps no row: exit 0
+@example(["verify", "--oracle", "stabilization", "--lattice", "M", "--n", "2",
+          "--budget", "100000000000000000", "--d", "3", "--p", "2", "--level", "3"])
 def test_verify_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

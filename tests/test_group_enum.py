@@ -593,6 +593,18 @@ def test_m_lattice_two_adic_counts_at_level_three():
     assert count_group("M", 1, ring(F7, 2, 3), "SU").count == 256
 
 
+@pytest.mark.parametrize("d", [3, 11])
+def test_m_lattice_n2_counts_over_o16(d):
+    # 2 inert: a row stream pass keeps no row; U stabilizes from O/8 to O/16
+    t0 = time.monotonic()
+    r = ring(make_field(d), 2, 4)
+    u = count_group("M", 2, r, "U", budget=10**17)
+    su = count_group("M", 2, r, "SU", budget=10**17)
+    assert (u.count, su.count) == (231928233984, 4831838208)
+    assert u.nodes == su.nodes == 16544230801408
+    assert time.monotonic() - t0 < 5.0
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         count_group("X", 1, ring(F3, 5))

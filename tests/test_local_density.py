@@ -9,6 +9,7 @@ from hmvol.local_density import index_u_su, special_primes, tau_infinity, tau_p
 from hmvol.quadfield import chi, make_field
 from hmvol.residue_ring import ResidueRing
 from hmvol.volume import evaluate_numeric
+from numeric_reference import to_mpf
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
@@ -74,6 +75,18 @@ def test_oracle_conformance_n3_at_p3_in_every_class(lattice):
     for field in fields:
         rep = count_group(lattice, 3, ResidueRing(field, 3, 1), "SU", budget=10**13)
         assert rep.count == tau_p(lattice, 3, field, 3).value * 3**15, (lattice, field.d)
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_oracle_conformance_n4_at_p3():
+    # n = 4 at p = 3 ramified (d = 3): the even-n ramified branch at n = 4,
+    # #SU = tau_3 * 3^24; the row-by-row meter charges each count about 1.1e13
+    # nodes, far past the default budget, for a search of well under a second
+    field = make_field(3)
+    t0 = time.monotonic()
+    for lattice in ("L", "M"):
+        rep = count_group(lattice, 4, ResidueRing(field, 3, 1), "SU", budget=10**14)
+        assert rep.count == tau_p(lattice, 4, field, 3).value * 3**24 == 247949112960, lattice
     assert time.monotonic() - t0 < 5.0
 
 
@@ -147,6 +160,7 @@ def test_tau_infinity_numeric_matches_truncated_euler_product():
                 v = tau_p(lattice, n, field, p).value
                 prod *= mpf(v.numerator) / v.denominator
             value, _ = evaluate_numeric(tau_infinity(lattice, n, field), field, mpf("1e-20"))
+            value = to_mpf(value)
             rel = abs(value - 1 / prod) / value
             assert rel < mpf("1e-3"), (lattice, n, field.d, float(rel))
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 
 from hmvol import volume
 from hmvol.arith import is_squarefree
@@ -10,6 +10,8 @@ from hmvol.expressions import VolumeExpression
 from hmvol.quadfield import make_field
 from hmvol.volume import (Verdict, compare_pipelines, discrepancy_report, evaluate_numeric,
                           hm_assembled, hm_ratio, hm_table, rationalize)
+import numeric_reference
+from numeric_reference import to_mpf
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 GRID_D = (1, 3, 5, 7, 11, 13, 15)
@@ -104,7 +106,8 @@ def test_evaluate_numeric_consistent_with_rationalize():
         expr = hm_assembled(lattice, n, field)
         exact = rationalize(expr, field)
         value, bound = evaluate_numeric(expr, field, mpf("1e-12"))
-        assert abs(value - mpf(exact.numerator) / exact.denominator) <= bound + mpf("1e-12")
+        assert abs(to_mpf(value) - mpf(exact.numerator) / exact.denominator) \
+            <= to_mpf(bound) + mpf("1e-12")
 
 
 def test_evaluate_numeric_is_multiplicative():
@@ -113,7 +116,7 @@ def test_evaluate_numeric_is_multiplicative():
     va, _ = evaluate_numeric(a, F3, mpf("1e-14"))
     vb, _ = evaluate_numeric(b, F3, mpf("1e-14"))
     vab, _ = evaluate_numeric(a * b, F3, mpf("1e-14"))
-    assert abs(vab - va * vb) < mpf("1e-12")
+    assert abs(to_mpf(vab - va * vb)) < mpf("1e-12")
 
 
 def test_discrepancy_report_verdicts():
@@ -189,8 +192,26 @@ def test_numeric_volume_lies_within_its_bound(tol):
                 value, bound = evaluate_numeric(expr, field, mpf(tol))
                 exact = rationalize(expr, field)
                 with mp.workdps(60):
-                    assert abs(value - mpf(exact.numerator) / exact.denominator) <= bound, \
-                        (lattice, n, field.d)
+                    assert abs(to_mpf(value) - mpf(exact.numerator) / exact.denominator) \
+                        <= to_mpf(bound), (lattice, n, field.d)
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-20", "1e-39"])
+def test_evaluate_numeric_matches_the_mpf_reference(tol):
+    # the dyadic evaluation against the mpf one it replaced, on the same special
+    # values: values within 1e-35 relative, bounds equal to 17 digits
+    cases = [(lattice, n, d) for lattice in "LM" for n in range(1, 6)
+             for d in (1, 3, 7, 15, 141, 799)]
+    cases += [(lattice, n, 3) for lattice in "LM" for n in (20, 40, 90)]
+    for lattice, n, d in cases:
+        field = make_field(d)
+        for expr in (hm_assembled(lattice, n, field), hm_table(lattice, n, field).expr):
+            value, bound = evaluate_numeric(expr, field, float(tol))
+            ref_value, ref_bound = numeric_reference.evaluate_numeric(expr, field, float(tol))
+            with mp.workdps(60):
+                assert abs(to_mpf(value) - ref_value) <= mpf("1e-35") * abs(ref_value), \
+                    (lattice, n, d)
+            assert nstr(to_mpf(bound), 17) == nstr(ref_bound, 17), (lattice, n, d)
 
 
 def test_evaluate_numeric_checks_the_tolerance_it_was_given():
