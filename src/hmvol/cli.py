@@ -6,20 +6,32 @@ before anything is opened or written, then one writer to stdout or --out.
 Inputs are checked where their values are defined (make_field, ResidueRing,
 the volume and count functions); their ValueError is exit 2.
 
+The command line is read from one option table, _COMMANDS: each command's
+handler, help line and flags, each flag with its converter (int, float or
+str), its choices and its default or _REQUIRED.  One loop reads argv against
+it into the namespace the handlers read (--n-range as args.n_range): a flag
+takes one value, as --flag value or --flag=value, by its name or a unique
+prefix (an exact name wins), the last of a repeated flag winning; a value may
+be a negative number.  -h/--help prints help built from the same table.  Any
+malformed command line is a ValueError, so it ends like every invalid input.
+
 Exit codes are the only failure channel: 0 success, 2 invalid input,
 3 verification mismatch or violated invariant, 4 enumeration budget exceeded.
-In json/csv modes stdout carries only the payload; diagnostics go to stderr.
+Every non-zero exit writes one `hmvol: ...` line to stderr.  In json/csv
+modes stdout carries only the payload; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import dyadic
 from .group_enum import (BudgetExceeded, count_group, count_kernel, default_budget,
@@ -175,7 +187,7 @@ def _write(records: list[dict], fmt: str, out: str | None) -> int:
         with open(out, "w", newline="") as fh:
             fh.write(text)
     except OSError as e:
-        return _fail(f"cannot write {out}: {e}", EXIT_INVALID)
+        return _fail(f"cannot write {out!r}: {e}", EXIT_INVALID)
     return EXIT_OK
 
 
@@ -205,14 +217,12 @@ def _cmd_table(args) -> int:
         ns = range(int(lo), int(hi) + 1)
         d_list = [int(x) for x in args.d_list.split(",") if x]
     except ValueError:
-        return _fail(f"bad range/list: --n-range {args.n_range} --d-list {args.d_list}",
+        return _fail(f"bad range/list: --n-range {args.n_range!r} --d-list {args.d_list!r}",
                      EXIT_INVALID)
     if not ns or not d_list:
         return _fail("invalid n range or empty d list", EXIT_INVALID)
     fields = [make_field(d) for d in d_list]
-    if args.format != "csv":
-        return _fail("table output is csv only", EXIT_INVALID)
-    return _volumes(args.lattice, ns, fields, "both", args.tol, "csv", args.out)
+    return _volumes(args.lattice, ns, fields, "both", args.tol, args.format, args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -297,56 +307,176 @@ _VOLUME_TOL_HELP = ("truncation tolerance of the special values (default %(defau
                     "reports the propagated absolute bound on the volume as "
                     "volume_error_bound")
 
+_REQUIRED = object()
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hmvol",
-                                 description="Hirzebruch-Mumford volumes of ball quotients "
-                                             "for the forms diag(1,...,1,-1) and diag(1,...,1,-2)")
-    sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("compute", help="volume of one case")
-    c.add_argument("--lattice", choices=["L", "M", "both"], required=True)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--d", type=int, required=True)
-    c.add_argument("--pipeline", choices=["table", "assembled", "both"], default="assembled")
-    c.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    c.add_argument("--tol", type=float, default=1e-12, help=_VOLUME_TOL_HELP)
-    c.set_defaults(func=_cmd_compute)
+class _Flag(NamedTuple):
+    """One flag of a command: its converter, the values it allows (any when
+    empty), its default or _REQUIRED, and a help text with %(default)s."""
+    convert: Callable[[str], object] = str
+    choices: tuple = ()
+    default: object = _REQUIRED
+    help: str = ""
+    metavar: str = ""
 
-    t = sub.add_parser("table", help="volume table as CSV")
-    t.add_argument("--lattice", choices=["L", "M", "both"], required=True)
-    t.add_argument("--n-range", required=True, metavar="a..b")
-    t.add_argument("--d-list", required=True, metavar="d1,d2,...")
-    t.add_argument("--format", default="csv")
-    t.add_argument("--out", default=None)
-    t.add_argument("--tol", type=float, default=1e-12, help=_VOLUME_TOL_HELP)
-    t.set_defaults(func=_cmd_table)
 
-    v = sub.add_parser("verify", help="run the enumeration oracle against a closed form")
-    v.add_argument("--oracle", choices=["su-count", "tau-p", "kernel", "stabilization"],
-                   required=True)
-    v.add_argument("--lattice", choices=["L", "M"], required=True)
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--d", type=int, default=None)
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--level", type=int, default=None)
-    v.add_argument("--budget", type=int, default=None)
-    v.set_defaults(func=_cmd_verify)
+class _Command(NamedTuple):
+    func: Callable[[SimpleNamespace], int]
+    help: str
+    flags: dict[str, _Flag]
 
-    lv = sub.add_parser("lvalue", help="special values zeta(k), L(k, chi_D)")
-    lv.add_argument("--kind", choices=["zeta", "L"], required=True)
-    lv.add_argument("--k", type=int, required=True)
-    lv.add_argument("--d", type=int, default=None)
-    lv.add_argument("--tol", type=float, default=1e-10,
-                    help="bound on the truncation error of the value (default %(default)s, "
-                         "at least 1e-40)")
-    lv.set_defaults(func=_cmd_lvalue)
-    return ap
+
+_LATTICES = ("L", "M", "both")
+_VOLUME_TOL = _Flag(float, default=1e-12, help=_VOLUME_TOL_HELP)
+
+# The whole CLI: each command's handler, help line and flags.  A handler reads
+# flag --n-range as args.n_range.
+_COMMANDS = {
+    "compute": _Command(_cmd_compute, "volume of one case", {
+        "--lattice": _Flag(choices=_LATTICES),
+        "--n": _Flag(int),
+        "--d": _Flag(int),
+        "--pipeline": _Flag(choices=("table", "assembled", "both"), default="assembled"),
+        "--format": _Flag(choices=("text", "json", "csv"), default="text"),
+        "--tol": _VOLUME_TOL,
+    }),
+    "table": _Command(_cmd_table, "volume table as CSV", {
+        "--lattice": _Flag(choices=_LATTICES),
+        "--n-range": _Flag(metavar="a..b"),
+        "--d-list": _Flag(metavar="d1,d2,..."),
+        "--format": _Flag(choices=("csv",), default="csv"),
+        "--out": _Flag(default=None, metavar="PATH"),
+        "--tol": _VOLUME_TOL,
+    }),
+    "verify": _Command(_cmd_verify, "run the enumeration oracle against a closed form", {
+        "--oracle": _Flag(choices=("su-count", "tau-p", "kernel", "stabilization")),
+        "--lattice": _Flag(choices=("L", "M")),
+        "--n": _Flag(int),
+        "--d": _Flag(int, default=None),
+        "--p": _Flag(int, default=None),
+        "--level": _Flag(int, default=None),
+        "--budget": _Flag(int, default=None),
+    }),
+    "lvalue": _Command(_cmd_lvalue, "special values zeta(k), L(k, chi_D)", {
+        "--kind": _Flag(choices=("zeta", "L")),
+        "--k": _Flag(int),
+        "--d": _Flag(int, default=None),
+        "--tol": _Flag(float, default=1e-10,
+                       help="bound on the truncation error of the value (default %(default)s, "
+                            "at least 1e-40)"),
+    }),
+}
+
+_HELP = ("-h", "--help")
+# where a value is due, a token that starts with "-" is a flag unless it is a
+# negative number, so --d -3 reads -3 and --d --p 3 is a missing value
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+_USAGE = """usage: hmvol COMMAND [--flag value ...]
+
+Hirzebruch-Mumford volumes of ball quotients for the forms
+diag(1,...,1,-1) and diag(1,...,1,-2).
+
+A flag takes one value, as --flag value or --flag=value.  A unique prefix of
+a flag will do, an exact name winning, and the last of a repeated flag wins.
+-h or --help after a command prints that command's flags.  Exit codes:
+0 success, 2 invalid input, 3 verification mismatch, 4 enumeration budget
+exceeded.
+"""
+
+
+def _usage(command: str | None) -> str:
+    """The help text of one command, or of hmvol and all its commands."""
+    import textwrap  # only help is wrapped; no command run pays for the import
+    lines = [_USAGE] if command is None else []
+    for name in [command] if command else _COMMANDS:
+        cmd = _COMMANDS[name]
+        lines.append(f"hmvol {name}: {cmd.help}")
+        for flag, opt in cmd.flags.items():
+            shape = "{" + ",".join(opt.choices) + "}" if opt.choices \
+                else opt.metavar or opt.convert.__name__.upper()
+            note = "required" if opt.default is _REQUIRED \
+                else "optional" if opt.default is None else f"default {opt.default}"
+            lines.append(f"  {flag} {shape} ({note})")
+            lines += textwrap.wrap(opt.help % {"default": opt.default}, 79,
+                                   initial_indent=" " * 6, subsequent_indent=" " * 6)
+        lines.append("")
+    return "\n".join(lines)
+
+
+def _cmd_help(args) -> int:
+    sys.stdout.write(_usage(args.command))
+    return EXIT_OK
+
+
+def _resolve(name: str, command: str, flags: dict) -> str:
+    """The flag that name stands for: itself, or the one flag it is a prefix of."""
+    if name in flags or name in _HELP:
+        return name
+    matches = [f for f in (*flags, "--help") if f.startswith(name)] \
+        if name.startswith("--") and len(name) > 2 else []
+    if len(matches) > 1:
+        raise ValueError(f"{command}: ambiguous flag {name!r} could match {', '.join(matches)}")
+    if not matches:
+        raise ValueError(f"{command}: unrecognized flag {name!r}")
+    return matches[0]
+
+
+def _convert(command: str, flag: str, opt: _Flag, raw: str):
+    try:
+        value = opt.convert(raw)
+    except ValueError:
+        raise ValueError(f"{command} {flag}: invalid {opt.convert.__name__} value {raw!r}") \
+            from None
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"{command} {flag}: invalid choice {raw!r} "
+                         f"(choose from {', '.join(opt.choices)})")
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argv as the namespace a handler reads: the command, its handler as
+    func, and one attribute per flag of the command, given or defaulted.
+    Help is the handler _cmd_help.  A malformed command line is a ValueError."""
+    command, rest = (argv[0], argv[1:]) if argv else (None, [])
+    if command in _HELP:
+        return SimpleNamespace(command=None, func=_cmd_help)
+    if command not in _COMMANDS:
+        got = "" if command is None else f", got {command!r}"
+        raise ValueError(f"expected a command ({', '.join(_COMMANDS)}){got}")
+    flags = _COMMANDS[command].flags
+    values = {}
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if not token.startswith("-"):
+            raise ValueError(f"{command}: unexpected argument {token!r}")
+        name, eq, raw = token.partition("=") if token.startswith("--") else (token, "", "")
+        flag = _resolve(name, command, flags)
+        if flag in _HELP:
+            if eq:
+                raise ValueError(f"{command}: {flag} takes no value")
+            return SimpleNamespace(command=command, func=_cmd_help)
+        if not eq:
+            if i == len(rest) or rest[i].startswith("-") and not _NEGATIVE.fullmatch(rest[i]):
+                raise ValueError(f"{command}: {flag} expects a value")
+            raw = rest[i]
+            i += 1
+        values[flag] = _convert(command, flag, flags[flag], raw)
+    missing = [f for f, opt in flags.items() if opt.default is _REQUIRED and f not in values]
+    if missing:
+        raise ValueError(f"{command}: the following flags are required: {', '.join(missing)}")
+    args = SimpleNamespace(command=command, func=_COMMANDS[command].func)
+    for flag, opt in flags.items():
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, opt.default))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         code = args.func(args)
         # flush here, so that a closed stdout raises inside the handler below
         sys.stdout.flush()

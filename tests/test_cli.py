@@ -20,6 +20,7 @@ from hmvol.cli import main
 from hmvol.quadfield import make_field
 from hmvol.special_values import WORK_DPS, ExactForm
 from hmvol.volume import discrepancy_report, hm_assembled, rationalize
+from argparse_reference import build_parser
 from numeric_reference import to_fraction, to_mpf
 
 
@@ -180,7 +181,8 @@ def _child_env():
 
 
 def test_the_package_runs_without_mpmath():
-    # start-up costs what the package imports, and mpmath is only a test reference
+    # start-up costs what the package imports; mpmath is only a test reference,
+    # and so is argparse, which the option table replaced
     script = """if True:
         import sys
         import hmvol, hmvol.cli
@@ -195,6 +197,7 @@ def test_the_package_runs_without_mpmath():
                      ["lvalue", "--kind", "L", "--k", "5", "--d", "15"]):
             assert hmvol.cli.main(argv) == 0, argv
         assert "mpmath" not in sys.modules, "mpmath was imported"
+        assert "argparse" not in sys.modules, "argparse was imported"
     """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=_child_env(), timeout=120)
@@ -620,8 +623,30 @@ def test_failed_l_pin_is_exit_three(capsys, monkeypatch, cold_memos):
     assert code == 3 and _one_line_failure(out, err) and "AssertionError" in err
 
 
+def _corrupt(draw, argv):
+    """argv as given or with one flag misspelled or its value dropped: a
+    malformed command line, which must end in one `hmvol:` line and exit 2."""
+    how = draw(st.sampled_from(["keep", "keep", "keep", "misspell", "drop"]))
+    if how == "keep":
+        return argv
+    i = draw(st.sampled_from([i for i, a in enumerate(argv) if a.startswith("--")]))
+    if how == "misspell":
+        return argv[:i] + [argv[i] + "x"] + argv[i + 1:]
+    return argv[:i + 1] + argv[i + 2:]
+
+
+def _ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("hmvol: ") and err.getvalue().count("\n") == 1
+
+
 @st.composite
-def _argv(draw):
+def _argv(draw, corrupt=True):
     command = draw(st.sampled_from(["compute", "table", "lvalue"]))
     n, d = draw(st.integers(0, 6)), str(draw(st.integers(-3, 60)))
     lattice = draw(st.sampled_from(["L", "M", "both"]))
@@ -637,23 +662,18 @@ def _argv(draw):
                 "--d", d]
     tol = draw(st.sampled_from(["0", "-1", "nan", "1e-300", "9e-41", "1e-39", "1e-12",
                                 "1e-3"]))
-    return argv + ["--tol", tol]
+    argv += ["--tol", tol]
+    return _corrupt(draw, argv) if corrupt else argv
 
 
 @settings(max_examples=40, deadline=None)
 @given(_argv())
 def test_main_ends_in_a_documented_exit_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    if code != 0:
-        assert err.getvalue().startswith("hmvol: ")
+    _ends_in_a_documented_exit_code(argv)
 
 
 @st.composite
-def _verify_argv(draw):
+def _verify_argv(draw, corrupt=True):
     argv = ["verify", "--oracle", draw(st.sampled_from(["su-count", "tau-p", "kernel",
                                                         "stabilization"])),
             "--lattice", draw(st.sampled_from(["L", "M"])), "--n", str(draw(st.integers(0, 8))),
@@ -665,7 +685,7 @@ def _verify_argv(draw):
         value = draw(st.sampled_from(values))
         if value is not None:
             argv += [flag, str(value)]
-    return argv
+    return _corrupt(draw, argv) if corrupt else argv
 
 
 @settings(max_examples=60, deadline=None)
@@ -676,11 +696,107 @@ def _verify_argv(draw):
 # a row stream pass over O/16 that keeps no row: exit 0
 @example(["verify", "--oracle", "stabilization", "--lattice", "M", "--n", "2",
           "--budget", "100000000000000000", "--d", "3", "--p", "2", "--level", "3"])
+# a misspelled flag and a dropped value: exit 2 from the parser
+@example(["verify", "--oracle", "kernel", "--lattice", "M", "--nx", "1"])
+@example(["verify", "--oracle", "kernel", "--lattice", "--n", "1"])
 def test_verify_ends_in_a_documented_exit_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    if code != 0:
-        assert err.getvalue().startswith("hmvol: ")
+    _ends_in_a_documented_exit_code(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--oracle", "kernel", "--lattice", "M", "--n", "1", "--bogus", "3"],
+                 id="unknown-flag"),
+    pytest.param(["verify", "--oracle", "kernel", "--lattice", "M", "--n"], id="missing-value"),
+    pytest.param(["verify", "--oracle", "kernel", "--lattice", "--n", "1"],
+                 id="flag-for-a-value"),
+    pytest.param(["verify", "--oracle", "bogus", "--lattice", "L", "--n", "1"],
+                 id="bad-oracle-choice"),
+    pytest.param(["compute", "--lattice", "L", "--n", "x", "--d", "3"], id="n-not-an-int"),
+    pytest.param(["compute", "--n", "1", "--d", "3"], id="missing-lattice"),
+    pytest.param([], id="no-command"),
+    pytest.param(["--n", "1"], id="flag-before-a-command"),
+    pytest.param(["volume", "--n", "1"], id="unknown-command"),
+    pytest.param(["verify", "--oracle", "kernel", "--l", "M", "--n", "1"],
+                 id="ambiguous-prefix"),
+    pytest.param(["table", "--lattice", "L", "--n-range", "1..2", "--d-list", "3",
+                  "--format", "json"], id="table-format-not-csv"),
+    pytest.param(["lvalue", "--kind", "zeta", "--k", "3", "7"], id="stray-argument"),
+    pytest.param(["lvalue", "--kind", "zeta", "--k", "3", "--tol", "-1e-3"],
+                 id="negative-exponent-as-a-flag"),
+    pytest.param(["lvalue", "--kind", "zeta", "--k", "3", "--help=yes"], id="help-with-a-value"),
+    # a value is quoted, so a newline in it cannot start a second line
+    pytest.param(["table", "--lattice", "L", "--n-range", "x\ny..2", "--d-list", "3"],
+                 id="n-range-with-a-newline"),
+    pytest.param(["table", "--lattice", "L", "--n-range", "1..1", "--d-list", "3",
+                  "--out", os.devnull + "/a\nb"], id="out-path-with-a-newline"),
+])
+def test_a_malformed_command_line_is_one_line_and_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("hmvol: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (["-h"], cli._COMMANDS), (["--help"], cli._COMMANDS), (["--help", "compute"], cli._COMMANDS),
+    (["compute", "--help"], ["compute"]), (["table", "--he"], ["table"]),
+    (["verify", "--oracle", "kernel", "-h", "--bogus"], ["verify"]), (["lvalue", "-h"], ["lvalue"]),
+])
+def test_help_lists_the_option_table(capsys, argv, commands):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    words = " ".join(out.split())
+    for command, spec in cli._COMMANDS.items():
+        assert (f"hmvol {command}: {spec.help}" in words) == (command in commands)
+    for command in commands:
+        assert all(flag in words for flag in cli._COMMANDS[command].flags)
+    if "compute" in commands:
+        assert cli._VOLUME_TOL_HELP % {"default": 1e-12} in words
+
+
+_OTHER_VALUES = {int: st.integers(-9, 99).map(str), float: st.sampled_from(["1e-5", "0.25"]),
+                 str: st.sampled_from(["1..2", "3,7", "volumes.csv"])}
+
+
+def _spellings(command, flag):
+    """flag and each unique prefix of it, as argparse matched them."""
+    names = (*cli._COMMANDS[command].flags, "--help")
+    return [flag[:k] for k in range(3, len(flag) + 1)
+            if flag[:k] == flag or [g for g in names if g.startswith(flag[:k])] == [flag]]
+
+
+@st.composite
+def _respelled(draw, argv):
+    """A valid argv, respelled as argparse read it too: the flags in any order,
+    each as --flag value or --flag=value, by its name or a unique prefix, one
+    flag perhaps given first with another value (the last one wins), and --d
+    and --tol perhaps negative."""
+    command, flags = argv[0], cli._COMMANDS[argv[0]].flags
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if "--d" in flags and draw(st.booleans()):
+        pairs["--d"] = str(draw(st.integers(-60, -1)))
+    if "--tol" in flags and draw(st.booleans()):
+        pairs["--tol"] = draw(st.sampled_from(["-1", "-0.5", "-.5"]))
+    items = draw(st.permutations(list(pairs.items())))
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(pairs)))
+        opt = flags[flag]
+        earlier = st.sampled_from(opt.choices) if opt.choices else _OTHER_VALUES[opt.convert]
+        items = [(flag, draw(earlier))] + items
+    respelled = [command]
+    for flag, value in items:
+        name = draw(st.sampled_from(_spellings(command, flag)))
+        respelled += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return respelled
+
+
+def _attributes(args):
+    # repr, so that a nan tolerance equals itself
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_argv(corrupt=False), _verify_argv(corrupt=False)).flatmap(_respelled))
+@example(["table", "--n", "1..5", "--lat", "both", "--d-list=3,7", "--d-list", "5"])
+@example(["lvalue", "--k", "3", "--kin=L", "--d", "-3", "--tol", "-1"])
+def test_the_option_table_parses_as_argparse_did(argv):
+    assert _attributes(cli._parse(argv)) == _attributes(build_parser().parse_args(argv))

@@ -535,6 +535,25 @@ def test_stabilization_examples():
         stabilization_check("L", 1, F3, 3, 0)
 
 
+@pytest.mark.parametrize("lattice, n, d, p, level", [
+    *[("L", 1, d, 2, 3) for d in (3, 5, 7)],   # O/8 -> O/16
+    *[("M", 1, d, 2, 5) for d in (3, 5, 7)],   # O/32 -> O/64
+    ("L", 2, 3, 3, 1), ("M", 2, 15, 3, 1),     # O/3 -> O/9
+    ("L", 2, 7, 2, 3),                         # O/8 -> O/16
+])
+def test_su_counts_stabilize(lattice, n, d, p, level):
+    # Hensel stabilization in SU form, #SU(O/p^(N+1)) = p^dim #SU(O/p^N) with
+    # dim = (n+1)^2 - 1, from the level where the 2-adic densities are read
+    # off; U need not stabilize from O/2 at a 2-ramified field (d = 5)
+    t0 = time.monotonic()
+    r_lo, r_hi = ring(make_field(d), p, level), ring(make_field(d), p, level + 1)
+    lo = count_group(lattice, n, r_lo, "SU", budget=10**20)
+    hi = count_group(lattice, n, r_hi, "SU", budget=10**20)
+    assert lo.count > 0
+    assert hi.count == p ** ((n + 1) ** 2 - 1) * lo.count
+    assert time.monotonic() - t0 < 5.0
+
+
 @pytest.mark.parametrize("p", [1, 4, 9])
 def test_stabilization_rejects_a_non_prime(p):
     with pytest.raises(ValueError, match="not prime"):
