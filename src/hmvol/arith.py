@@ -7,39 +7,13 @@ values are arbitrary precision and all equalities are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-Rational = Fraction
 
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as a strictly increasing tuple of (prime, exponent)."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        primes = [p for p, _ in self.pairs]
-        if primes != sorted(primes) or len(set(primes)) != len(primes):
-            raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in self.pairs):
-            raise ValueError("exponents must be positive")
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-
-def factor(n: int) -> Factorization:
-    """Factor a positive integer by trial division (inputs are desk scale)."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of a positive integer, primes increasing, by
+    trial division (inputs are desk scale)."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
     pairs, p = [], 2
@@ -52,7 +26,7 @@ def factor(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if n > 1:
         pairs.append((n, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def is_squarefree(n: int) -> bool:
@@ -138,7 +112,7 @@ def kronecker(D: int, m: int) -> int:
     if m < 1:
         raise ValueError(f"kronecker symbol defined here for m >= 1 only, got {m}")
     out = 1
-    for p, e in factor(m).pairs:
+    for p, e in factor(m):
         if p == 2:
             if D % 2 == 0:
                 return 0

@@ -34,9 +34,8 @@ asserted, not assumed.  The rows are grouped by (D, T / N(det P)) on one
 packed integer key, and each group is counted once and multiplied by its size.
 Elements of O/m are coordinate pairs (a, b) for a + b eps, and _Ring holds the
 package's only arithmetic over O/m.  A matrix product is one int64 product of
-the entries packed as a + b 2^20.  Its three fields, sums of r products of
-entries in [0, m), are at most 2 r (m - 1)^2, below 2^15 under the row-table
-cap (r = 2, m = 73), so they never overlap; 2 r (m - 1)^2 < 2^20 is asserted.
+the entries packed as a + b 2^20, whose three fields are sums of r products of
+entries in [0, m) (bounded at _MAX_ROW_TABLE).
 
 Work is metered in the partial assignments a row-by-row search settles,
 computed per class rather than per prefix: the m^(2w) rows of the table,
@@ -68,7 +67,10 @@ from .residue_ring import ResidueRing
 DEFAULT_BUDGET = 10**9
 # Hard cap on m^(2w), the number of rows of (O/m)^w, independent of the
 # budget; the meter charges every one of them, and rings beyond it are
-# refused before any table is built.
+# refused before any table is built.  Every count has w >= 2, so the cap gives
+# m^4 <= 3e7, a prime power m <= 73, and the largest r (m - 1)^2 it allows
+# falls as w grows.  That is inside the int8 keys of _packed (m <= 127) and the
+# fields of the packed product (2 r (m - 1)^2 < 2^20, asserted in _Ring.matmul).
 _MAX_ROW_TABLE = 3 * 10**7
 # Rows per numpy pass of a level, so that its temporaries stay small.
 _CHUNK = 1 << 12
@@ -95,10 +97,6 @@ def default_budget() -> int:
 
 @dataclass
 class CountReport:
-    ring: ResidueRing
-    lattice: str
-    n: int
-    group: str
     count: int
     elapsed: float
     nodes: int
@@ -213,8 +211,7 @@ def _product(blocks):
 
 def _packed(X):
     """Each matrix of X (k, ...) as a byte-string key (k,) that sorts as its entries."""
-    # m <= 74 under the row-table cap; the width is explicit, because a pass
-    # that kept no row has len(X) = 0
+    # the width is explicit, because a pass that kept no row has len(X) = 0
     b = X.astype(np.int8, order="C").reshape(len(X), math.prod(X.shape[1:]))
     return b.view(np.dtype((np.void, b.shape[1])))[:, 0]
 
@@ -282,7 +279,7 @@ class _Search:
         self.forms, self.dists, self.levels, self.charges, self.counts = {}, {}, {}, {}, {}
 
     def add(self, D) -> bytes:
-        key = D.astype(np.int8).tobytes()  # m <= 74 under the row-table cap
+        key = _packed(D[None])[0].tobytes()
         self.forms.setdefault(key, D)
         return key
 
@@ -413,21 +410,23 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     t0 = time.monotonic()
-    n_rows = ring.modulus ** (2 * len(lam))
-    if n_rows > _MAX_ROW_TABLE:
-        # stated as a power: a decimal n_rows can pass Python's int -> str limit
-        raise BudgetExceeded(f"candidate row table of {ring.p}^{2 * len(lam) * ring.exponent}"
+    power = 2 * len(lam) * ring.exponent
+    # p >= 2, so a power of 2 past the cap refuses before p^power is formed
+    if power >= _MAX_ROW_TABLE.bit_length() or ring.p**power > _MAX_ROW_TABLE:
+        # stated as a power: a decimal row count can pass Python's int -> str limit
+        raise BudgetExceeded(f"candidate row table of {ring.p}^{power}"
                              " rows does not fit the enumeration budget")
     meter = _Meter(budget)
-    meter.bump(n_rows)
+    meter.bump(ring.p**power)
     search = _Search(_Ring(ring), lam, group == "SU", meter)
     count = search.run()
-    return CountReport(ring=ring, lattice=lattice, n=n, group=group, count=count,
-                       elapsed=time.monotonic() - t0, nodes=meter.visited,
+    return CountReport(count=count, elapsed=time.monotonic() - t0, nodes=meter.visited,
                        keys=len(search.counts))
 
 
-_KERNEL_LEVEL = {"L": 2, "M": 4}
+# The 2-adic density of each form is #SU over O/2^N with the kernel of the
+# last certified reduction counted over O/2^k: lattice -> (N, k).
+_TWO_ADIC_LEVELS = {"L": (3, 1), "M": (5, 2)}
 
 
 def count_kernel(lattice: str, n: int, field: FieldData | None = None) -> int:
@@ -441,7 +440,7 @@ def count_kernel(lattice: str, n: int, field: FieldData | None = None) -> int:
     2^v solutions for its variable; every variable without a pivot is free."""
     field = make_field(5) if field is None else field
     lam = lattice_diag(lattice, n)
-    m, w = _KERNEL_LEVEL[lattice], n + 1
+    m, w = 2 ** _TWO_ADIC_LEVELS[lattice][1], n + 1
     t = field.trace_eps % m
     # Sparse rows {variable: coefficient}, a_ij being variable 2(w i + j) and b_ij
     # the next.  Equation (i, j) is lam_j B_ij + lam_i conj(B_ji) = 0 with
@@ -483,9 +482,9 @@ def oracle_tau_p(lattice: str, n: int, field: FieldData, p: int,
     if p != 2:
         rep = count_group(lattice, n, ResidueRing(field, p, 1), "SU", budget=budget)
         return Fraction(rep.count, p**dim)
-    level, power = (3, 2) if lattice == "L" else (5, 3)
+    level, k = _TWO_ADIC_LEVELS[lattice]
     rep = count_group(lattice, n, ResidueRing(field, 2, level), "SU", budget=budget)
-    return Fraction(rep.count, 2**(power * dim) * count_kernel(lattice, n, field=field))
+    return Fraction(rep.count, 2**((level - k) * dim) * count_kernel(lattice, n, field=field))
 
 
 def stabilization_check(lattice: str, n: int, field: FieldData, p: int,

@@ -1,6 +1,6 @@
 """Integral bases of the special-unitary Lie algebras for both forms, exact
 Gram determinants of the trace form B(X,Y) = Tr(XY), the holomorphic
-curvature constant, and the compact-group volume constants.
+curvature constant, and the volume of the maximal compact subgroup.
 
 Arithmetic is exact and runs on ints.  Every basis entry (eps, eps-bar,
 sqrt(-d), 1, 2, 2 eps-bar) is (a + b sqrt(-d))/2 for integers a, b, kept as
@@ -30,7 +30,7 @@ from math import factorial, lcm
 from typing import NamedTuple
 
 from .expressions import VolumeExpression
-from .quadfield import EpsKind, FieldData
+from .quadfield import FieldData
 
 
 class Quad(NamedTuple):
@@ -50,8 +50,6 @@ _ZERO = _quad(0, 0)
 
 @dataclass(frozen=True)
 class LieBasis:
-    lattice: str
-    n: int
     field: FieldData
     labels: tuple[str, ...]
     elements: tuple  # tuple of (n+1)x(n+1) matrices, entries Quad
@@ -90,7 +88,7 @@ def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
     low = 2 if lattice == "M" else 1
     mark = "" if lattice == "L" else "'"
     # eps in half units: (1 + sqrt(-d))/2 or sqrt(-d)
-    ea, eb = (1, 1) if field.eps_kind is EpsKind.HALF_INTEGRAL else (0, 2)
+    ea, eb = (1, 1) if field.trace_eps == 1 else (0, 2)
     labels: list[str] = []
     supports: list[dict] = []
 
@@ -117,8 +115,8 @@ def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
         for (i, j), v in s.items():
             X[i][j] = _quad(*v)
         elements.append(tuple(map(tuple, X)))
-    return LieBasis(lattice=lattice, n=n, field=field, labels=tuple(labels),
-                    elements=tuple(elements), supports=tuple(tuple(s.items()) for s in supports))
+    return LieBasis(field=field, labels=tuple(labels), elements=tuple(elements),
+                    supports=tuple(tuple(s.items()) for s in supports))
 
 
 def _rational_integer(re: int, im: int) -> int:
@@ -268,18 +266,7 @@ def curvature_ratio(X, field: FieldData) -> Fraction:
     return Fraction(num[0], den)
 
 
-# ---- compact group volumes ----
-
-def vol_su(n: int) -> VolumeExpression:
-    """Vol(SU(n)) under the trace form: sqrt(n) (2pi)^((n^2+n-2)/2) / prod i!."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    e = (n * n + n - 2) // 2
-    coeff = Fraction(2**e)
-    for i in range(1, n):
-        coeff /= factorial(i)
-    return VolumeExpression(coeff=coeff, sqrt_sq=n, pi_power=e)
-
+# ---- compact group volume ----
 
 def vol_max_compact(n: int) -> VolumeExpression:
     """Vol(S(U(n) x U(1))), an n-sheet quotient of SU(n) x circle:

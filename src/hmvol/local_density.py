@@ -21,8 +21,6 @@ from .quadfield import FieldData, chi
 
 @dataclass(frozen=True)
 class LocalDensity:
-    p: int
-    lattice: str
     value: Fraction
 
 
@@ -65,21 +63,21 @@ def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
         # the generic product runs over i = 2..n+1; det M = -2 is not a unit at
         # 2, which shifts it to i = 1..n
         first = 1 if lattice == "M" and p == 2 else 2
-        return LocalDensity(p, lattice, prod((1 - Fraction(c**i, p**i)
-                                              for i in range(first, first + n)), start=Fraction(1)))
+        return LocalDensity(prod((1 - Fraction(c**i, p**i) for i in range(first, first + n)),
+                                 start=Fraction(1)))
     if p == 2:
         if lattice == "L" or n % 2 == 1:
             val = Fraction(1, 2**n) * _even_product(2, n // 2)
         else:
             val = Fraction(1, 2**n) * _even_product(2, (n - 2) // 2)
-        return LocalDensity(p, lattice, val)
+        return LocalDensity(val)
     # odd ramified p
     if n % 2 == 0:
         val = _even_product(p, n // 2)
     else:
         eps = _eps_char(n, p, twisted=(lattice == "M"))
         val = (1 - Fraction(eps, p ** ((n + 1) // 2))) * _even_product(p, (n - 1) // 2)
-    return LocalDensity(p, lattice, val)
+    return LocalDensity(val)
 
 
 def _euler_local(field: FieldData, n: int, p: int) -> Fraction:
@@ -92,7 +90,7 @@ def _euler_local(field: FieldData, n: int, p: int) -> Fraction:
 
 def special_primes(lattice: str, field: FieldData) -> tuple[int, ...]:
     """Primes whose local factor differs from the generic unramified product."""
-    ps = set(factor(field.f).primes())
+    ps = {p for p, _ in factor(field.f)}
     if lattice == "M":
         ps.add(2)
     return tuple(sorted(ps))

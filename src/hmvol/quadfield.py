@@ -4,7 +4,6 @@ ring generator, conductor, and the splitting behaviour of rational primes.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
@@ -12,22 +11,16 @@ from math import isqrt
 from .arith import is_squarefree, kronecker
 
 
-class EpsKind(enum.Enum):
-    # eps = (1 + sqrt(-d))/2, ring O = Z + Z.eps, when d = 3 (mod 4)
-    HALF_INTEGRAL = "half-integral"
-    # eps = sqrt(-d), when d = 1 (mod 4)
-    INTEGRAL = "integral"
-
-
 @dataclass(frozen=True)
 class FieldData:
     """Invariants of Q(sqrt(-d)): minimal polynomial of eps is
-    x^2 - trace_eps*x + norm_eps, of discriminant D."""
+    x^2 - trace_eps*x + norm_eps, of discriminant D.  The ring O = Z + Z.eps has
+    eps = (1 + sqrt(-d))/2 (trace_eps = 1) when d = 3 (mod 4) and eps = sqrt(-d)
+    (trace_eps = 0) when d = 1 (mod 4)."""
 
     d: int
     D: int
     f: int  # conductor, |D|
-    eps_kind: EpsKind
     trace_eps: int
     norm_eps: int
 
@@ -37,10 +30,8 @@ def make_field(d: int) -> FieldData:
     if d < 1 or d % 2 == 0 or not is_squarefree(d):
         raise ValueError(f"d must be a positive odd squarefree integer, got {d}")
     if d % 4 == 3:
-        return FieldData(d=d, D=-d, f=d, eps_kind=EpsKind.HALF_INTEGRAL,
-                         trace_eps=1, norm_eps=(1 + d) // 4)
-    return FieldData(d=d, D=-4 * d, f=4 * d, eps_kind=EpsKind.INTEGRAL,
-                     trace_eps=0, norm_eps=d)
+        return FieldData(d=d, D=-d, f=d, trace_eps=1, norm_eps=(1 + d) // 4)
+    return FieldData(d=d, D=-4 * d, f=4 * d, trace_eps=0, norm_eps=d)
 
 
 def chi(field: FieldData, m: int) -> int:

@@ -88,14 +88,13 @@ def _em_constants(s: int) -> tuple[tuple[Fraction, ...], Fraction]:
 
 
 def check_tol(tol) -> Fraction:
-    """tol as an exact Fraction.  Reject a tolerance that no truncation can
-    meet (<= 0), that is not a number, or that lies below the working
-    precision, where no bound means anything and the Euler-Maclaurin cutoff
-    would run to ~1e16 terms.  A real other than int, float or Fraction (an
-    mpmath value, say) is read through float()."""
+    """tol (an int, float or Fraction) as an exact Fraction.  Reject a
+    tolerance that no truncation can meet (<= 0), that is not one of those
+    numbers, or that lies below the working precision, where no bound means
+    anything and the Euler-Maclaurin cutoff would run to ~1e16 terms."""
     try:
-        t = Fraction(tol if isinstance(tol, (int, float, Fraction)) else float(tol))
-    except (TypeError, ValueError, OverflowError):
+        t = Fraction(tol) if isinstance(tol, (int, float, Fraction)) else None
+    except (ValueError, OverflowError):
         t = None
     if t is None or t <= 0:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")

@@ -14,14 +14,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, isqrt
-from typing import Optional
 
 from . import dyadic
 from .arith import factor
 from .expressions import VolumeExpression
 from .lie_form import vol_max_compact
-from .local_density import tau_p, tau_infinity, _alternating_args, _eps_char
-from .quadfield import FieldData, chi, make_field
+from .local_density import tau_infinity, _alternating_args, _eps_char
+from .quadfield import FieldData, chi
 from .special_values import (TOL_FLOOR, WORK_DPS, check_tol, l_exact, l_numeric, zeta_exact,
                              zeta_numeric)
 
@@ -43,7 +42,7 @@ class DiscrepancyReport:
     lattice: str
     n: int
     d: int
-    table_value: Optional[Fraction]
+    table_value: Fraction
     assembled: VolumeExpression
     assembled_value: Fraction
     verdict: Verdict
@@ -62,7 +61,7 @@ def _table_prefix(n: int, field: FieldData) -> VolumeExpression:
 def _ramified_correction(n: int, field: FieldData, twisted: bool) -> Fraction:
     """prod_(p|d) (1 + eps(p) p^(-(n+1)/2)) in the odd-n table rows."""
     out = Fraction(1)
-    for p in factor(field.d).primes():
+    for p, _ in factor(field.d):
         out *= 1 + Fraction(_eps_char(n, p, twisted), p ** ((n + 1) // 2))
     return out
 
@@ -114,16 +113,6 @@ def hm_assembled(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     if lattice == "M":
         expr = expr.scaled(2**n)
     return expr
-
-
-def hm_ratio(n: int, field: FieldData) -> Fraction:
-    """Vol(second form)/Vol(first form) = tau_2(G)/tau_2(G') *
-    prod_(p|d) tau_p(G)/tau_p(G') * 2^n, exact."""
-    out = Fraction(2**n)
-    out *= tau_p("L", n, field, 2).value / tau_p("M", n, field, 2).value
-    for p in factor(field.d).primes():
-        out *= tau_p("L", n, field, p).value / tau_p("M", n, field, p).value
-    return out
 
 
 def rationalize(expr: VolumeExpression, field: FieldData) -> Fraction:
@@ -199,10 +188,3 @@ def compare_pipelines(lattice: str, n: int, field: FieldData) -> DiscrepancyRepo
     return DiscrepancyReport(lattice=lattice, n=n, d=field.d, table_value=tv,
                              assembled=assembled, assembled_value=av, verdict=verdict)
 
-
-def discrepancy_report(n_max: int, d_list, lattices=("L", "M")) -> list[DiscrepancyReport]:
-    """compare_pipelines over the grid; a Mismatch is a hard failure for the
-    caller."""
-    fields = [make_field(d) for d in d_list]
-    return [compare_pipelines(lattice, n, field)
-            for lattice in lattices for n in range(1, n_max + 1) for field in fields]

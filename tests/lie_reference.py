@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hmvol.lie_form import Quad
-from hmvol.quadfield import EpsKind, FieldData
+from hmvol.quadfield import FieldData
 
 
 def q(x=0, y=0) -> Quad:
@@ -43,7 +43,7 @@ def sum_q(items) -> Quad:
 
 
 def eps_of(field: FieldData) -> Quad:
-    if field.eps_kind is EpsKind.HALF_INTEGRAL:
+    if field.trace_eps == 1:  # eps = (1 + sqrt(-d))/2, else sqrt(-d)
         return q(Fraction(1, 2), Fraction(1, 2))
     return q(0, 1)
 

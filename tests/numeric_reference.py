@@ -31,7 +31,7 @@ def exact_numeric(form, field=None) -> mpf:
         return v
 
 
-def evaluate_numeric(expr, field, tol=mpf("1e-12")) -> tuple[mpf, mpf]:
+def evaluate_numeric(expr, field, tol=1e-12) -> tuple[mpf, mpf]:
     check_tol(tol)
     with mp.workdps(WORK_DPS):
         n_special = len(expr.zeta_args) + len(expr.l_args)
@@ -41,8 +41,9 @@ def evaluate_numeric(expr, field, tol=mpf("1e-12")) -> tuple[mpf, mpf]:
                  * mpf(field.f) ** (mpf(expr.d_power.numerator) / expr.d_power.denominator)
                  * mp.pi ** expr.pi_power)
         rel = mpf(10) ** (8 - WORK_DPS)
-        specials = ([zeta_numeric(s, tol_each) for s in expr.zeta_args]
-                    + [l_numeric(k, field, tol_each) for k in expr.l_args])
+        # the package reads a tolerance as an int, float or Fraction
+        specials = ([zeta_numeric(s, float(tol_each)) for s in expr.zeta_args]
+                    + [l_numeric(k, field, float(tol_each)) for k in expr.l_args])
         for sv in specials:
             numeric = to_mpf(sv.numeric)
             value *= numeric

@@ -16,8 +16,9 @@ from hmvol.local_density import index_u_su, tau_p
 from hmvol.quadfield import make_field
 from hmvol.residue_ring import ResidueRing
 from hmvol.special_values import exact_numeric, l_exact, l_numeric, zeta_exact, zeta_numeric
-from hmvol.volume import (Verdict, discrepancy_report, hm_assembled, hm_ratio, rationalize)
+from hmvol.volume import Verdict, hm_assembled, rationalize
 from numeric_reference import to_mpf
+from volume_reference import discrepancy_report, hm_ratio
 
 GRID_D = (1, 3, 5, 7, 11, 13, 15)
 
@@ -141,15 +142,15 @@ def test_criterion_7_curvature():
 def test_criterion_8_special_values():
     with mp.workdps(40):
         for s in (2, 4, 6, 8, 10, 12):
-            sv = zeta_numeric(s, mpf("1e-12"))
+            sv = zeta_numeric(s, 1e-12)
             assert abs(to_mpf(sv.numeric - exact_numeric(zeta_exact(s)))) <= mpf("2e-12"), s
         for k in (3, 5, 7):
             for d in (1, 3, 7, 11):
                 field = make_field(d)
-                sv = l_numeric(k, field, mpf("1e-10"))
+                sv = l_numeric(k, field, 1e-10)
                 assert abs(to_mpf(sv.numeric - exact_numeric(l_exact(k, field), field))) \
                     <= mpf("2e-10"), (k, d)
-        spot = l_numeric(3, make_field(3), mpf("1e-10"))
+        spot = l_numeric(3, make_field(3), 1e-10)
         assert abs(to_mpf(spot.numeric) - mpf("0.884024")) <= mpf("1e-5")
         # Euler product over p <= 1e5 within its truncation bound
         P = 10**5
@@ -164,7 +165,7 @@ def test_criterion_8_special_values():
             c = kronecker(field.D, p)
             if c:
                 prod /= 1 - mpf(c) * mpf(p) ** (-3)
-        sv = l_numeric(3, field, mpf("1e-14"))
+        sv = l_numeric(3, field, 1e-14)
         assert abs(prod - to_mpf(sv.numeric)) <= 4 * mpf(P) ** (-2) / 2 + to_mpf(sv.error_bound)
     _report(8, True, "zeta within 2e-12 of exact (even s <= 12); L within 2e-10 of "
                      "exact (k in {3,5,7}, d in {1,3,7,11}); L(3,chi_-3) = 0.884024 "

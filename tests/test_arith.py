@@ -1,16 +1,15 @@
 import sys
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmvol import arith
-from hmvol.arith import (Factorization, bernoulli, bernoulli_poly, factor,
-                         is_fundamental_discriminant, is_prime, is_squarefree, kronecker,
-                         legendre_symbol)
+from hmvol.arith import (bernoulli, bernoulli_poly, factor, is_fundamental_discriminant,
+                         is_prime, is_squarefree, kronecker, legendre_symbol)
 
 FUNDAMENTAL = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -35, -39, -43, -47, -51, -52]
 
@@ -99,16 +98,20 @@ def test_bernoulli_poly_difference_identity(k, x):
 
 
 def test_factor_examples():
-    assert factor(15).pairs == ((3, 1), (5, 1))
-    assert factor(1).pairs == ()
-    assert factor(44).pairs == ((2, 2), (11, 1))
+    assert factor(15) == ((3, 1), (5, 1))
+    assert factor(1) == ()
+    assert factor(44) == ((2, 2), (11, 1))
+    with pytest.raises(ValueError):
+        factor(0)
 
 
 def test_factor_roundtrip_and_order():
     for n in range(1, 600):
-        f = factor(n)
-        assert f.value == n
-        assert list(f.primes()) == sorted(set(f.primes()))
+        pairs = factor(n)
+        assert prod(p**e for p, e in pairs) == n
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes)) and all(e >= 1 for _, e in pairs)
+        assert all(is_prime(p) for p in primes)
 
 
 def test_is_prime_agrees_with_trial_division():
@@ -153,7 +156,7 @@ def test_bernoulli_memo_safe_under_concurrent_readers(monkeypatch):
 
 def test_is_squarefree_agrees_with_factor():
     for n in range(1, 5000):
-        assert is_squarefree(n) == all(e == 1 for _, e in factor(n).pairs), n
+        assert is_squarefree(n) == all(e == 1 for _, e in factor(n)), n
 
 
 def test_is_squarefree_decides_cofactors_past_the_cube_root():
@@ -165,12 +168,3 @@ def test_is_squarefree_decides_cofactors_past_the_cube_root():
     for n in (0, 2**64 + 1):
         with pytest.raises(ValueError, match="2\\^64"):
             is_squarefree(n)
-
-
-def test_factorization_invariants_enforced():
-    with pytest.raises(ValueError):
-        Factorization(((5, 1), (3, 1)))
-    with pytest.raises(ValueError):
-        Factorization(((3, 0),))
-    with pytest.raises(ValueError):
-        factor(0)

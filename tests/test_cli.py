@@ -19,9 +19,10 @@ from hmvol import cli, special_values, volume
 from hmvol.cli import main
 from hmvol.quadfield import make_field
 from hmvol.special_values import WORK_DPS, ExactForm
-from hmvol.volume import discrepancy_report, hm_assembled, rationalize
+from hmvol.volume import hm_assembled, rationalize
 from argparse_reference import build_parser
 from numeric_reference import to_fraction, to_mpf
+from volume_reference import discrepancy_report
 
 
 def run(capsys, *argv):
@@ -103,8 +104,7 @@ def test_compute_json_beyond_the_float_range(capsys, n):
     assert code == 0, err
     field = make_field(3)
     for r in _strict_json(out):
-        value, bound = volume.evaluate_numeric(hm_assembled(r["lattice"], n, field), field,
-                                               mpmath.mpf("1e-12"))
+        value, bound = volume.evaluate_numeric(hm_assembled(r["lattice"], n, field), field, 1e-12)
         assert mpmath.isfinite(r["volume_numeric"]) and mpmath.isfinite(r["volume_error_bound"])
         value, bound = to_mpf(value), to_mpf(bound)
         assert abs(r["volume_numeric"] - value) <= r["volume_error_bound"]
@@ -198,6 +198,20 @@ def test_the_package_runs_without_mpmath():
             assert hmvol.cli.main(argv) == 0, argv
         assert "mpmath" not in sys.modules, "mpmath was imported"
         assert "argparse" not in sys.modules, "argparse was imported"
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_importing_the_package_loads_no_module():
+    # hmvol re-exports nothing: each caller imports the modules it uses
+    script = """if True:
+        import sys
+        import hmvol
+        loaded = sorted(m for m in sys.modules if m.startswith("hmvol."))
+        assert not loaded, loaded
+        assert "numpy" not in sys.modules, "numpy was imported"
     """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=_child_env(), timeout=120)
@@ -449,6 +463,16 @@ def test_verify_with_a_large_prime_p_ends_promptly(capsys):
     assert code == 2 and out == "" and "too large" in err, err
 
 
+@pytest.mark.parametrize("oracle", ["su-count", "stabilization"])
+def test_verify_with_a_large_level_ends_promptly(capsys, oracle):
+    # the ring is refused on its exponent, before 5^(10^9) is ever formed
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "--oracle", oracle, "--lattice", "L", "--n", "1",
+                         "--d", "3", "--p", "5", "--level", str(10**9))
+    assert code == 4 and out == "" and "row table of 5^4000000000 rows" in err, err
+    assert time.monotonic() - t0 < 3.0
+
+
 def test_verify_with_a_large_d_ends_promptly(capsys):
     # d = 2^61 - 1 is squarefree: trial division up to d^(1/3), not sqrt(d), shows it
     argv = ["verify", "--oracle", "su-count", "--lattice", "L", "--n", "1", "--p", "3", "--d"]
@@ -681,7 +705,7 @@ def _verify_argv(draw, corrupt=True):
             "--budget", str(draw(st.integers(0, 10**6)))]
     for flag, values in (("--d", [None, 1, 3, 4, 5, 7]),
                          ("--p", [None, 1, 2, 3, 4, 5, 9, 31, 1009]),
-                         ("--level", [None, -1, 0, 1, 2])):
+                         ("--level", [None, -1, 0, 1, 2, 10**9])):
         value = draw(st.sampled_from(values))
         if value is not None:
             argv += [flag, str(value)]

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from hmvol import lie_form
 from hmvol.expressions import VolumeExpression
 from hmvol.lie_form import (Quad, _bareiss_det, _check_lie_member, build_basis, curvature_ratio,
-                            gram_det, lattice_diag, vol_max_compact, vol_su)
+                            gram_det, lattice_diag, vol_max_compact)
 from hmvol.quadfield import make_field
 import lie_reference as ref
 from lie_reference import ZERO, q_add, q_mul
+from volume_reference import vol_su
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 

@@ -159,7 +159,7 @@ def test_tau_infinity_numeric_matches_truncated_euler_product():
             for p in primes:
                 v = tau_p(lattice, n, field, p).value
                 prod *= mpf(v.numerator) / v.denominator
-            value, _ = evaluate_numeric(tau_infinity(lattice, n, field), field, mpf("1e-20"))
+            value, _ = evaluate_numeric(tau_infinity(lattice, n, field), field, 1e-20)
             value = to_mpf(value)
             rel = abs(value - 1 / prod) / value
             assert rel < mpf("1e-3"), (lattice, n, field.d, float(rel))

@@ -1,18 +1,19 @@
 import pytest
 
 from hmvol.arith import factor, kronecker
-from hmvol.quadfield import EpsKind, character, chi, make_field
+from hmvol.quadfield import character, chi, make_field
 
 PRIMES = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
 
 
 def test_make_field_examples():
+    # eps = (1 + sqrt(-d))/2 (trace 1) for d = 3 mod 4, sqrt(-d) (trace 0) for d = 1 mod 4
     f = make_field(3)
-    assert (f.D, f.eps_kind, f.norm_eps, f.trace_eps) == (-3, EpsKind.HALF_INTEGRAL, 1, 1)
+    assert (f.D, f.norm_eps, f.trace_eps) == (-3, 1, 1)
     f = make_field(5)
-    assert (f.D, f.eps_kind, f.norm_eps, f.trace_eps) == (-20, EpsKind.INTEGRAL, 5, 0)
+    assert (f.D, f.norm_eps, f.trace_eps) == (-20, 5, 0)
     f = make_field(15)
-    assert (f.D, f.eps_kind, f.norm_eps) == (-15, EpsKind.HALF_INTEGRAL, 4)
+    assert (f.D, f.norm_eps, f.trace_eps) == (-15, 4, 1)
 
 
 def test_gaussian_field_accepted():
@@ -54,7 +55,7 @@ def test_ramified_exactly_at_divisors_of_discriminant():
 
 def test_factorization_of_d_feeds_ramified_set():
     field = make_field(15)
-    assert set(factor(field.d).primes()) == {3, 5}
+    assert factor(field.d) == ((3, 1), (5, 1))
 
 
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 15, 141])

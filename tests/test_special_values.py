@@ -18,7 +18,7 @@ F1, F3, F7, F11 = make_field(1), make_field(3), make_field(7), make_field(11)
 def test_zeta_numeric_classical_values():
     with mp.workdps(40):
         for s, ref in [(2, mp.pi**2 / 6), (4, mp.pi**4 / 90), (3, mpmath.zeta(3))]:
-            sv = zeta_numeric(s, mpf("1e-12"))
+            sv = zeta_numeric(s, 1e-12)
             assert abs(to_mpf(sv.numeric) - ref) <= to_mpf(sv.error_bound)
             assert to_mpf(sv.error_bound) <= mpf("1e-12")
 
@@ -26,7 +26,7 @@ def test_zeta_numeric_classical_values():
 def test_zeta_error_bound_is_honest():
     with mp.workdps(50):
         for s in range(2, 13):
-            sv = zeta_numeric(s, mpf("1e-14"))
+            sv = zeta_numeric(s, 1e-14)
             assert abs(to_mpf(sv.numeric) - mpmath.zeta(s)) <= to_mpf(sv.error_bound)
 
 
@@ -35,7 +35,7 @@ def test_hurwitz_against_mpmath():
         for s, a in [(2, Fraction(1, 3)), (5, Fraction(3, 4)), (3, Fraction(1, 7))]:
             ref = mpmath.zeta(s, mpf(a.numerator) / a.denominator)
             for evaluate in (hurwitz_numeric, hurwitz_reference.hurwitz_numeric):
-                v, b = evaluate(s, a, mpf("1e-16"))
+                v, b = evaluate(s, a, 1e-16)
                 if evaluate is hurwitz_numeric:
                     v, b = to_mpf(v), to_mpf(b)
                 assert abs(v - ref) <= b
@@ -51,14 +51,14 @@ def test_zeta_exact_values():
 
 def test_zeta_numeric_vs_exact_even_arguments():
     for s in (2, 4, 6, 8, 10, 12):
-        sv = zeta_numeric(s, mpf("1e-12"))
+        sv = zeta_numeric(s, 1e-12)
         assert abs(to_mpf(sv.numeric - exact_numeric(zeta_exact(s)))) <= 2 * mpf("1e-12")
 
 
 def test_l_numeric_spot_values():
-    sv = l_numeric(3, F3, mpf("1e-10"))
+    sv = l_numeric(3, F3, 1e-10)
     assert abs(to_mpf(sv.numeric) - mpf("0.884023811750")) < mpf("1e-6")
-    cat = l_numeric(2, F1, mpf("1e-10"))
+    cat = l_numeric(2, F1, 1e-10)
     assert abs(to_mpf(cat.numeric) - mpmath.catalan) <= to_mpf(cat.error_bound)
 
 
@@ -81,8 +81,8 @@ def _l_partial(k, field, tol):
 def test_l_numeric_modes_agree():
     # the Hurwitz evaluation against the partial-sum reference
     for k, field in [(3, F3), (5, F3), (2, F1), (4, F7)]:
-        a = l_numeric(k, field, mpf("1e-10"))
-        value, bound = _l_partial(k, field, mpf("1e-10"))
+        a = l_numeric(k, field, 1e-10)
+        value, bound = _l_partial(k, field, 1e-10)
         assert abs(to_mpf(a.numeric) - value) <= to_mpf(a.error_bound) + bound
 
 
@@ -130,7 +130,7 @@ def test_l_exact_matches_numeric_oracle():
     for k in (3, 5, 7):
         for d in (1, 3, 7, 11):
             field = make_field(d)
-            sv = l_numeric(k, field, mpf("1e-10"))
+            sv = l_numeric(k, field, 1e-10)
             closed = exact_numeric(l_exact(k, field), field)
             assert abs(to_mpf(sv.numeric - closed)) <= 2 * mpf("1e-10"), (k, d)
 
@@ -152,7 +152,7 @@ def test_euler_product_cross_check():
                 c = kronecker(field.D, p)
                 if c:
                     prod /= 1 - mpf(c) * mpf(p) ** (-k)
-            sv = l_numeric(k, field, mpf("1e-14"))
+            sv = l_numeric(k, field, 1e-14)
             tail = 4 * mpf(P) ** (1 - k) / (k - 1)
             assert abs(prod - to_mpf(sv.numeric)) <= tail + to_mpf(sv.error_bound), (k, field.d)
 
@@ -166,7 +166,9 @@ def test_rejects_bad_arguments():
         l_exact(2, F3)
     with pytest.raises(ValueError):
         gen_bernoulli(0, F3)
-    for tol in (0, -1, float("nan"), float("inf"), mpf("-1e-12")):
+    # a tolerance is an int, float or Fraction: a string or an mpf is refused
+    for tol in (0, -1, float("nan"), float("inf"), Fraction(-1, 10**12), "1e-12",
+                mpf("1e-12")):
         with pytest.raises(ValueError):
             zeta_numeric(2, tol)
         with pytest.raises(ValueError):
@@ -191,8 +193,8 @@ def test_warm_memo_returns_the_cold_values(cold_memos):
     cold = []
     for k, field, tol in cases:
         cold_memos()
-        sv = l_numeric(k, field, mpf(tol))
-        z = zeta_numeric(k, mpf(tol))
+        sv = l_numeric(k, field, float(tol))
+        z = zeta_numeric(k, float(tol))
         cold.append((sv.numeric, sv.error_bound, z.numeric, z.error_bound,
                      l_exact(3, field), gen_bernoulli(k, field)))
     cold_memos()
@@ -200,8 +202,8 @@ def test_warm_memo_returns_the_cold_values(cold_memos):
         warm = {}
         for i in reversed(range(len(cases))):
             k, field, tol = cases[i]
-            sv = l_numeric(k, field, mpf(tol))
-            z = zeta_numeric(k, mpf(tol))
+            sv = l_numeric(k, field, float(tol))
+            z = zeta_numeric(k, float(tol))
             warm[i] = (sv.numeric, sv.error_bound, z.numeric, z.error_bound,
                        l_exact(3, field), gen_bernoulli(k, field))
             sv.numeric = z.numeric = mpf(0)  # a returned value is the caller's own
@@ -210,10 +212,10 @@ def test_warm_memo_returns_the_cold_values(cold_memos):
 
 def test_memo_never_hands_back_a_looser_bound():
     for tol in ("1e-10", "1e-20"):
-        assert to_mpf(l_numeric(3, F3, mpf(tol)).error_bound) <= mpf(tol)
-        assert to_mpf(zeta_numeric(3, mpf(tol)).error_bound) <= mpf(tol)
-        assert to_mpf(hurwitz_numeric(3, Fraction(1, 3), mpf(tol))[1]) <= mpf(tol)
-        assert hurwitz_reference.hurwitz_numeric(3, Fraction(1, 3), mpf(tol))[1] <= mpf(tol)
+        assert to_mpf(l_numeric(3, F3, float(tol)).error_bound) <= mpf(tol)
+        assert to_mpf(zeta_numeric(3, float(tol)).error_bound) <= mpf(tol)
+        assert to_mpf(hurwitz_numeric(3, Fraction(1, 3), float(tol))[1]) <= mpf(tol)
+        assert hurwitz_reference.hurwitz_numeric(3, Fraction(1, 3), float(tol))[1] <= mpf(tol)
 
 
 @pytest.mark.parametrize("d", [1, 3, 7, 141, 199, 563, 797])
@@ -227,7 +229,7 @@ def test_power_sums_match_the_hurwitz_reference(d):
         if d == 1:
             cases += [(s, zeta_numeric, hurwitz_reference.zeta_numeric) for s in range(2, 14)]
         for k, evaluate, reference in cases:
-            sv = evaluate(k, mpf(tol))
-            value, bound = reference(k, mpf(tol))
+            sv = evaluate(k, float(tol))
+            value, bound = reference(k, float(tol))
             assert abs(to_mpf(sv.numeric) - value) <= mpf("1e-35") * abs(value), (d, k, tol)
             assert nstr(to_mpf(sv.error_bound), 17) == nstr(bound, 17), (d, k, tol)

@@ -8,10 +8,11 @@ from hmvol.arith import is_squarefree
 from hmvol.cli import main
 from hmvol.expressions import VolumeExpression
 from hmvol.quadfield import make_field
-from hmvol.volume import (Verdict, compare_pipelines, discrepancy_report, evaluate_numeric,
-                          hm_assembled, hm_ratio, hm_table, rationalize)
+from hmvol.volume import (Verdict, compare_pipelines, evaluate_numeric, hm_assembled, hm_table,
+                          rationalize)
 import numeric_reference
 from numeric_reference import to_mpf
+from volume_reference import discrepancy_report, hm_ratio
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 GRID_D = (1, 3, 5, 7, 11, 13, 15)
@@ -105,7 +106,7 @@ def test_evaluate_numeric_consistent_with_rationalize():
     for lattice, n, field in [("L", 1, F3), ("L", 2, F3), ("M", 3, F5), ("L", 4, F7)]:
         expr = hm_assembled(lattice, n, field)
         exact = rationalize(expr, field)
-        value, bound = evaluate_numeric(expr, field, mpf("1e-12"))
+        value, bound = evaluate_numeric(expr, field, 1e-12)
         assert abs(to_mpf(value) - mpf(exact.numerator) / exact.denominator) \
             <= to_mpf(bound) + mpf("1e-12")
 
@@ -113,9 +114,9 @@ def test_evaluate_numeric_consistent_with_rationalize():
 def test_evaluate_numeric_is_multiplicative():
     a = hm_assembled("L", 1, F3)
     b = hm_assembled("L", 2, F3)
-    va, _ = evaluate_numeric(a, F3, mpf("1e-14"))
-    vb, _ = evaluate_numeric(b, F3, mpf("1e-14"))
-    vab, _ = evaluate_numeric(a * b, F3, mpf("1e-14"))
+    va, _ = evaluate_numeric(a, F3, 1e-14)
+    vb, _ = evaluate_numeric(b, F3, 1e-14)
+    vab, _ = evaluate_numeric(a * b, F3, 1e-14)
     assert abs(to_mpf(vab - va * vb)) < mpf("1e-12")
 
 
@@ -189,7 +190,7 @@ def test_numeric_volume_lies_within_its_bound(tol):
         for n in (1, 2, 3, 5):
             for field in (F1, F3, F7):
                 expr = hm_assembled(lattice, n, field)
-                value, bound = evaluate_numeric(expr, field, mpf(tol))
+                value, bound = evaluate_numeric(expr, field, float(tol))
                 exact = rationalize(expr, field)
                 with mp.workdps(60):
                     assert abs(to_mpf(value) - mpf(exact.numerator) / exact.denominator) \
