@@ -21,6 +21,13 @@ CASES = [
     ("compute_both_n5_d141_tol1e-20.json",
      ["compute", "--lattice", "both", "--n", "5", "--d", "141", "--format", "json",
       "--tol", "1e-20"]),
+    # n = 40 reaches exponents past the float range of the numeric value
+    ("compute_both_n40_d3.json",
+     ["compute", "--lattice", "both", "--n", "40", "--d", "3", "--format", "json"]),
+    # a conductor near 800 (f = 3188) at a tolerance below the default
+    ("compute_both_n7_d797_tol1e-25.json",
+     ["compute", "--lattice", "both", "--n", "7", "--d", "797", "--format", "json",
+      "--tol", "1e-25"]),
     ("lvalue_L_k5_d15.txt", ["lvalue", "--kind", "L", "--k", "5", "--d", "15", "--tol", "1e-30"]),
     ("lvalue_zeta_k13.txt", ["lvalue", "--kind", "zeta", "--k", "13", "--tol", "1e-30"]),
     ("compute_both_n3_d7_both.txt",
