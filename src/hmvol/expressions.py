@@ -20,9 +20,11 @@ class VolumeExpression:
     l_args: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "sqrt_sq", Fraction(self.sqrt_sq))
-        object.__setattr__(self, "d_power", Fraction(self.d_power))
+        # the operands of a product are Fractions already; wrap only the rest
+        for name in ("coeff", "sqrt_sq", "d_power"):
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
         object.__setattr__(self, "zeta_args", tuple(sorted(self.zeta_args)))
         object.__setattr__(self, "l_args", tuple(sorted(self.l_args)))
         if self.sqrt_sq <= 0:

@@ -268,6 +268,7 @@ def curvature_ratio(X, field: FieldData) -> Fraction:
 
 # ---- compact group volume ----
 
+@cache
 def vol_max_compact(n: int) -> VolumeExpression:
     """Vol(S(U(n) x U(1))), an n-sheet quotient of SU(n) x circle:
     sqrt(n+1) (2pi)^((n^2+n)/2) / prod i!."""

@@ -6,12 +6,18 @@ tau_infinity is always assembled from the Euler product, never transcribed:
 unramified factors collapse into zeta(even i) and L(odd i) for i = 2..n+1,
 and every prime with a non-generic local factor contributes the exact
 rational correction euler_local(p)/tau_p.
+
+Every value here depends on (lattice, n, field, p) alone and is immutable,
+so each is memoized for the process's life: a `table` row and its twin for
+the other lattice share the field's primes and Euler factors, and a run over
+several fields makes each n-only piece once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 from .arith import factor, is_prime, legendre_symbol
@@ -50,6 +56,7 @@ def _even_product(p: int, upto: int) -> Fraction:
     return prod((1 - Fraction(1, p ** (2 * i)) for i in range(1, upto + 1)), start=Fraction(1))
 
 
+@cache
 def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
     """Closed-form local volume, dispatching on prime class and parity of n."""
     if lattice not in ("L", "M"):
@@ -80,6 +87,7 @@ def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
     return LocalDensity(val)
 
 
+@cache
 def _euler_local(field: FieldData, n: int, p: int) -> Fraction:
     """Product of the Euler factors at p of the zeta(even)/L(odd) string for
     arguments 2..n+1."""
@@ -88,6 +96,7 @@ def _euler_local(field: FieldData, n: int, p: int) -> Fraction:
                 start=Fraction(1))
 
 
+@cache
 def special_primes(lattice: str, field: FieldData) -> tuple[int, ...]:
     """Primes whose local factor differs from the generic unramified product."""
     ps = {p for p, _ in factor(field.f)}
@@ -102,6 +111,7 @@ def _alternating_args(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(i for i in range(3, n + 2) if i % 2 == 1))
 
 
+@cache
 def tau_infinity(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     """1/prod_p tau_p as a symbolic volume: zeta(even i), L(odd i) for
     i in [2, n+1], with all non-generic local factors folded into the exact

@@ -25,9 +25,13 @@ off by under one unit and is added to the bound, whose own power sum is
 rounded up.  The sum (an integer) and its bound (a dyadic rational) are in
 units of 2^-256 and reach the caller as exact `Fraction`s; a float only picks
 the cutoff.  It depends on the tolerance only through the cutoff M, so it is
-memoized on (s, weights, M), once per process.  The correction coefficients
-and the tail constant are computed once per s and chi_D(a) once per field
-(`quadfield.character`).  Generalized Bernoulli numbers come from integer
+memoized on (s, weights, M), once per process, as the immutable `SpecialValue`
+every caller shares.  `zeta_numeric` and `l_numeric` are memoized on their
+arguments, so a repeated (s, tol) or (k, field, tol) costs one lookup and its
+tolerance is checked on the first call only.  The correction coefficients
+and the tail constant are computed once per s, chi_D(a) and the count of its
+nonzero values once per field (`quadfield.character`), and the exact
+zeta(2k) once per k.  Generalized Bernoulli numbers come from integer
 power sums of the character, k+1 `Fraction` terms in all, and the L closed
 forms are memoized on (k, field), for the process's life.
 """
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import ceil, comb, factorial, inf, pi
 from typing import NamedTuple, Optional
 
@@ -45,8 +49,10 @@ from .arith import bernoulli
 from .quadfield import FieldData, character, make_field
 
 WORK_DPS = 40
-# Smallest accepted tolerance, a float; tolerances are compared with it exactly.
+# Smallest accepted tolerance, a float, and the same value as the Fraction that
+# tolerances are compared with.
 TOL_FLOOR = 10.0 ** -WORK_DPS
+EXACT_TOL_FLOOR = Fraction(TOL_FLOOR)
 _EM_TERMS = 8  # J: number of B_(2j) correction terms
 _FIXED_BITS = 256  # the power sums are integers in units of 2^-256
 
@@ -58,9 +64,10 @@ class ExactForm(NamedTuple):
     d_sqrt_power: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecialValue:
-    """A numeric value and its error bound, both exact dyadic rationals."""
+    """A numeric value and its error bound, both exact dyadic rationals.  The
+    memos hand the same instance to every caller, so it is immutable."""
     numeric: Fraction
     error_bound: Fraction
 
@@ -98,7 +105,7 @@ def check_tol(tol) -> Fraction:
         t = None
     if t is None or t <= 0:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    if t < TOL_FLOOR:
+    if t < EXACT_TOL_FLOOR:
         raise ValueError(f"tolerance {tol} is below the working precision 1e-{WORK_DPS}")
     return t
 
@@ -116,12 +123,6 @@ def _em_cutoff(s: int, tol) -> int:
     return M
 
 
-def _units(value: int, bound: Fraction, scale: int = 1) -> tuple[Fraction, Fraction]:
-    """A power sum and its bound, in units of 2^-256, times scale."""
-    one = 1 << _FIXED_BITS
-    return Fraction(value * scale, one), Fraction(bound * scale, one)
-
-
 def hurwitz_numeric(s: int, a, tol) -> tuple[Fraction, Fraction]:
     """Hurwitz zeta(s, a) = q^s sum_(n = p mod q) n^-s for integer s >= 2 and
     rational 0 < a = p/q <= 1, with an explicit remainder bound <= tol."""
@@ -132,14 +133,16 @@ def hurwitz_numeric(s: int, a, tol) -> tuple[Fraction, Fraction]:
         raise ValueError("a must lie in (0, 1]")
     q = a.denominator
     weights = tuple(int(r == a.numerator % q) for r in range(q))
-    return _units(*_power_sum(s, weights, _em_cutoff(s, tol)), q**s)
+    sv = _power_sum(s, weights, _em_cutoff(s, tol))
+    scale = q**s
+    return sv.numeric * scale, sv.error_bound * scale
 
 
 @cache
-def _power_sum(s: int, weights: tuple[int, ...], M: int) -> tuple[int, Fraction]:
+def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     """sum_(n >= 1) w(n) n^-s for w(n) = weights[n mod f] in {-1, 0, 1},
-    f = len(weights), truncated at M f, as an integer in units of 2^-256, and
-    its remainder bound in the same units, a dyadic rational.  With y = f/n,
+    f = len(weights), truncated at M f, and its remainder bound, both summed as
+    integers in units of 2^-256 and returned as Fractions.  With y = f/n,
     n = M f + a, the tail is f^-s sum_a w(a) [y^(s-1)/(s-1) + y^s/2 +
     sum_j c_j y^(s+2j-1)], the remainder at most f^-s tail sum_(w(a) != 0) y^(s+2J)."""
     coeffs, tail = _em_constants(s)
@@ -159,14 +162,18 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> tuple[int, Fraction]
     # each floor is short by under one unit times its coefficient in the value,
     # and 1/(s-1) + 1/2 <= 2
     floors = (M + 2 + ceil(sum(map(abs, coeffs)))) * len(points) + 1
-    return value, tail * -(-rest // scale) + floors
+    return SpecialValue(Fraction(value, one), (tail * -(-rest // scale) + floors) / one)
 
 
+# typed: a hit needs a tolerance of the type that passed check_tol, not merely
+# an equal one (an mpf equal to an accepted float is still refused)
+@lru_cache(maxsize=None, typed=True)
 def zeta_numeric(s: int, tol=1e-12) -> SpecialValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin, remainder <= tol."""
     return SpecialValue(*hurwitz_numeric(s, 1, check_tol(tol)))
 
 
+@cache
 def zeta_exact(s: int) -> ExactForm:
     """zeta(2k) = (-1)^(k+1) B_2k 2^(2k-1)/(2k)! * pi^2k; odd arguments rejected."""
     if s < 2 or s % 2 != 0:
@@ -176,16 +183,20 @@ def zeta_exact(s: int) -> ExactForm:
     return ExactForm(coeff=coeff, pi_power=s, d_sqrt_power=0)
 
 
+@lru_cache(maxsize=None, typed=True)
 def l_numeric(k: int, field: FieldData, tol=1e-12) -> SpecialValue:
     """L(k, chi_D) = sum chi_D(m) m^-k for integer k >= 2, evaluated as the power
     sum of the character with the remainder split evenly over its residues."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    tol = check_tol(tol)
-    weights = character(field)
-    nonzero = sum(1 for c in weights if c)
-    tol_each = tol * field.f**k / (2 * max(1, nonzero))
-    return SpecialValue(*_units(*_power_sum(k, weights, _em_cutoff(k, tol_each))))
+    tol_each = check_tol(tol) * field.f**k / (2 * _nonzero_residues(field))
+    return _power_sum(k, character(field), _em_cutoff(k, tol_each))
+
+
+@cache
+def _nonzero_residues(field: FieldData) -> int:
+    """The number of residues a mod f with chi_D(a) != 0, at least 1."""
+    return max(1, sum(1 for c in character(field) if c))
 
 
 def gen_bernoulli(k: int, field: FieldData) -> Fraction:

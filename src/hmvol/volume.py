@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, factorial, isqrt
 
 from . import dyadic
@@ -21,8 +22,8 @@ from .expressions import VolumeExpression
 from .lie_form import vol_max_compact
 from .local_density import tau_infinity, _alternating_args, _eps_char
 from .quadfield import FieldData, chi
-from .special_values import (TOL_FLOOR, WORK_DPS, check_tol, l_exact, l_numeric, zeta_exact,
-                             zeta_numeric)
+from .special_values import (EXACT_TOL_FLOOR, WORK_DPS, SpecialValue, check_tol, l_exact,
+                             l_numeric, zeta_exact, zeta_numeric)
 
 
 class Verdict(enum.Enum):
@@ -48,16 +49,20 @@ class DiscrepancyReport:
     verdict: Verdict
 
 
-def _table_prefix(n: int, field: FieldData) -> VolumeExpression:
-    """|D|^((n^2+3n)/4) prod_j j!/(2pi)^(j+1)."""
-    coeff = Fraction(1)
+@cache
+def _table_prefix(n: int) -> VolumeExpression:
+    """|D|^((n^2+3n)/4) prod_j j!/(2pi)^(j+1) times the zeta(even)/L(odd)
+    string of the row, the part of every row that depends on n alone."""
+    coeff = 1
     for j in range(1, n + 1):
         coeff *= factorial(j)
     e = n * (n + 3) // 2  # sum of (j+1)
-    return VolumeExpression(coeff=coeff / 2**e, pi_power=-e,
-                            d_power=Fraction(n * n + 3 * n, 4))
+    zargs, largs = _alternating_args(n)
+    return VolumeExpression(coeff=Fraction(coeff, 2**e), pi_power=-e,
+                            d_power=Fraction(n * n + 3 * n, 4), zeta_args=zargs, l_args=largs)
 
 
+@cache
 def _ramified_correction(n: int, field: FieldData, twisted: bool) -> Fraction:
     """prod_(p|d) (1 + eps(p) p^(-(n+1)/2)) in the odd-n table rows."""
     out = Fraction(1)
@@ -71,32 +76,29 @@ def hm_table(lattice: str, n: int, field: FieldData) -> TableRow:
     products expanded as the alternating zeta(even)/L(odd) string."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    zargs, largs = _alternating_args(n)
-    expr = _table_prefix(n, field) * VolumeExpression(zeta_args=zargs, l_args=largs)
     ramified_two = field.d % 4 == 1  # D = -4d
     ambiguous = False
+    scale = Fraction(1)
     if n % 2 == 1:
-        expr = expr.scaled(_ramified_correction(n, field, twisted=(lattice == "M")))
+        scale *= _ramified_correction(n, field, twisted=(lattice == "M"))
         if ramified_two:
-            expr = expr.scaled(1 - Fraction(1, 2 ** (n + 1)))
+            scale *= 1 - Fraction(1, 2 ** (n + 1))
             ambiguous = n >= 3
         elif lattice == "M":
             ambiguous = n >= 3
     if lattice == "M":
         if n % 2 == 0:
             if ramified_two:
-                expr = expr.scaled(2**n - 1)
+                scale *= 2**n - 1
             else:
                 c = chi(field, 2)
-                expr = expr.scaled(2**n * (1 - Fraction(c ** (n + 1), 2 ** (n + 1)))
-                                   / (1 - Fraction(c, 2)))
+                scale *= 2**n * (1 - Fraction(c ** (n + 1), 2 ** (n + 1))) / (1 - Fraction(c, 2))
         else:
-            expr = expr.scaled(2**n)
+            scale *= 2**n
             if not ramified_two:
                 c = chi(field, 2)
-                expr = expr.scaled((1 - Fraction(c ** (n + 1), 2 ** (n + 1)))
-                                   / (1 - Fraction(c, 2)))
-    return TableRow(expr=expr, ambiguous=ambiguous)
+                scale *= (1 - Fraction(c ** (n + 1), 2 ** (n + 1))) / (1 - Fraction(c, 2))
+    return TableRow(expr=_table_prefix(n).scaled(scale), ambiguous=ambiguous)
 
 
 def hm_assembled(lattice: str, n: int, field: FieldData) -> VolumeExpression:
@@ -104,15 +106,20 @@ def hm_assembled(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     factors cancel exactly and the second form carries the Killing ratio 2^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    expr = _assembly_prefix(n) * tau_infinity(lattice, n, field)
+    # the (4pi)^n branch divides by 2^n, and the Killing ratio of M multiplies by it
+    twos = (lattice == "M") - (field.d % 4 == 1)
+    return expr.scaled(Fraction(2) ** (twos * n)) if twos else expr
+
+
+@cache
+def _assembly_prefix(n: int) -> VolumeExpression:
+    """n! |D|^((n^2+3n)/4) sqrt(n+1) / ((2pi)^n Vol(K)), the part of the
+    assembly that depends on n alone."""
     core = VolumeExpression(coeff=factorial(n), sqrt_sq=n + 1,
                             d_power=Fraction(n * n + 3 * n, 4))
-    expr = core * tau_infinity(lattice, n, field) * vol_max_compact(n).reciprocal()
-    expr = expr * VolumeExpression(coeff=Fraction(1, 2**n), pi_power=-n)  # (2pi)^-n
-    if field.d % 4 == 1:
-        expr = expr.scaled(Fraction(1, 2**n))  # (4pi)^n branch
-    if lattice == "M":
-        expr = expr.scaled(2**n)
-    return expr
+    return (core * vol_max_compact(n).reciprocal()
+            * VolumeExpression(coeff=Fraction(1, 2**n), pi_power=-n))  # (2pi)^-n
 
 
 def rationalize(expr: VolumeExpression, field: FieldData) -> Fraction:
@@ -120,8 +127,8 @@ def rationalize(expr: VolumeExpression, field: FieldData) -> Fraction:
     the |D| exponent must land on an integer (absorbed into the coefficient),
     anything else is a fatal invariant violation."""
     coeff = expr.coeff
-    pi_power = Fraction(expr.pi_power)
-    d_power = Fraction(expr.d_power)
+    pi_power = expr.pi_power
+    d_sqrt_power = 0
     for s in expr.zeta_args:
         form = zeta_exact(s)
         coeff *= form.coeff
@@ -130,7 +137,8 @@ def rationalize(expr: VolumeExpression, field: FieldData) -> Fraction:
         form = l_exact(k, field)
         coeff *= form.coeff
         pi_power += form.pi_power
-        d_power += Fraction(form.d_sqrt_power, 2)
+        d_sqrt_power += form.d_sqrt_power
+    d_power = expr.d_power + Fraction(d_sqrt_power, 2)
     if pi_power != 0:
         raise ArithmeticError(f"residual pi exponent {pi_power} after substitution")
     if d_power.denominator != 1:
@@ -156,20 +164,40 @@ def evaluate_numeric(expr: VolumeExpression, field: FieldData,
     """
     tol = check_tol(tol)
     n_special = len(expr.zeta_args) + len(expr.l_args)
-    tol_each = max(tol / (8 * max(1, n_special)), Fraction(TOL_FLOOR))
-    value = dyadic.mul(dyadic.mul(dyadic.of_fraction(expr.coeff),
-                                  dyadic.power(expr.sqrt_sq, Fraction(1, 2))),
-                       dyadic.mul(dyadic.power(field.f, expr.d_power),
-                                  dyadic.pi_power(expr.pi_power)))
+    tol_each = max(tol / (8 * max(1, n_special)), EXACT_TOL_FLOOR)
+    root, powers = _dyadic_scale(expr.sqrt_sq, field.f, expr.d_power, expr.pi_power)
+    value = dyadic.mul(dyadic.mul(dyadic.of_fraction(expr.coeff), root), powers)
     specials = ([zeta_numeric(s, tol_each) for s in expr.zeta_args]
                 + [l_numeric(k, field, tol_each) for k in expr.l_args])
-    unit = 1 << dyadic.PREC  # rel in units of 2^-PREC, each term rounded up
-    rel = -(-unit // 10 ** (WORK_DPS - 8))
+    rel = _ROUNDING
     for sv in specials:
-        value = dyadic.mul(value, dyadic.of_fraction(sv.numeric))
-        rel += ceil(sv.error_bound * unit / sv.numeric)
+        factor, factor_rel = _dyadic_factor(sv)
+        value = dyadic.mul(value, factor)
+        rel += factor_rel
     bound = dyadic.cut(abs(value[0]) * rel * 2, value[1] - dyadic.PREC, up=True)
     return dyadic.to_fraction(value), dyadic.to_fraction(bound)
+
+
+# relative bounds are summed in units of 2^-PREC, each term rounded up; this
+# one is 10^(8 - WORK_DPS), for the rounding of the products
+_ROUNDING = -(-(1 << dyadic.PREC) // 10 ** (WORK_DPS - 8))
+
+
+@cache
+def _dyadic_scale(sqrt_sq: Fraction, f: int, d_power: Fraction,
+                  pi_power: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """sqrt(sqrt_sq), and |D|^d_power pi^pi_power, as dyadic factors: the part
+    of a numeric volume that depends on (n, field) alone."""
+    return (dyadic.power(sqrt_sq, Fraction(1, 2)),
+            dyadic.mul(dyadic.power(f, d_power), dyadic.pi_power(pi_power)))
+
+
+@cache
+def _dyadic_factor(sv: SpecialValue) -> tuple[tuple[int, int], int]:
+    """A special value as a dyadic factor, and its relative error bound in
+    units of 2^-PREC, rounded up."""
+    return (dyadic.of_fraction(sv.numeric),
+            ceil(sv.error_bound * (1 << dyadic.PREC) / sv.numeric))
 
 
 def compare_pipelines(lattice: str, n: int, field: FieldData) -> DiscrepancyReport:

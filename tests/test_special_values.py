@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath
@@ -206,7 +207,9 @@ def test_warm_memo_returns_the_cold_values(cold_memos):
             z = zeta_numeric(k, float(tol))
             warm[i] = (sv.numeric, sv.error_bound, z.numeric, z.error_bound,
                        l_exact(3, field), gen_bernoulli(k, field))
-            sv.numeric = z.numeric = mpf(0)  # a returned value is the caller's own
+            for value in (sv, z):  # every caller shares one value, so none may change it
+                with pytest.raises(FrozenInstanceError):
+                    value.numeric = mpf(0)
         assert [warm[i] for i in range(len(cases))] == cold
 
 
