@@ -15,6 +15,7 @@ from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
 from hmvol.quadfield import chi, make_field
 from hmvol.residue_ring import ResidueRing
+import kernel_reference
 from scalar_ring import RingMatrix, ScalarRing
 from sweep_reference import (Engine, backtrack_count, blocked_count_rec, cartesian_count, classes,
                              cofactor_map, count_last_two, count_rec, divisible, exact_in_float32,
@@ -504,6 +505,23 @@ def test_kernel_closed_forms(n):
         field = make_field(d)
         assert count_kernel("L", n, field=field) == 2**(n * n + 3 * n), d
         assert count_kernel("M", n, field=field) == 2**(2 * n * n + 5 * n), d
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 15])
+def test_kernel_elimination_equals_the_full_scan_reference(d):
+    field = make_field(d)
+    for n in range(1, 13):
+        for lattice in ("L", "M"):
+            assert (count_kernel(lattice, n, field=field)
+                    == kernel_reference.count_kernel(lattice, n, field=field)), (lattice, n)
+
+
+def test_kernel_closed_forms_at_n80_in_time():
+    # the full-scan elimination took about 16 s for M at n = 80
+    t0 = time.monotonic()
+    assert count_kernel("L", 80) == 2**(80 * 80 + 3 * 80)
+    assert count_kernel("M", 80) == 2**(2 * 80 * 80 + 5 * 80)
+    assert time.monotonic() - t0 < 2.0
 
 
 def test_kernel_counts():
