@@ -62,7 +62,6 @@ def _table_prefix(n: int) -> VolumeExpression:
                             d_power=Fraction(n * n + 3 * n, 4), zeta_args=zargs, l_args=largs)
 
 
-@cache
 def _ramified_correction(n: int, field: FieldData, twisted: bool) -> Fraction:
     """prod_(p|d) (1 + eps(p) p^(-(n+1)/2)) in the odd-n table rows."""
     out = Fraction(1)
