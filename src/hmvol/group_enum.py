@@ -465,8 +465,8 @@ def count_kernel(lattice: str, n: int, field: FieldData | None = None) -> int:
     wherever it stands, so the rows holding one are kept in a set and any of
     them gives the next pivot; once none is left, every entry is even and
     stays even, and the least valuation is found by a scan.  A column -> rows
-    index finds the equations a pivot clears, so the work is linear in the
-    fill-in rather than O(n^4)."""
+    index finds the equations a pivot clears, so no pivot scans every row
+    (the full scans made the elimination O(n^4))."""
     rows, m, free = _kernel_system(lattice, n, field)
     rows = dict(enumerate(rows))
     by_col: dict[int, set[int]] = {}
