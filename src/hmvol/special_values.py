@@ -49,10 +49,9 @@ from .arith import bernoulli
 from .quadfield import FieldData, character, make_field
 
 WORK_DPS = 40
-# Smallest accepted tolerance, a float, and the same value as the Fraction that
-# tolerances are compared with.
-TOL_FLOOR = 10.0 ** -WORK_DPS
-EXACT_TOL_FLOOR = Fraction(TOL_FLOOR)
+# Smallest accepted tolerance: the float 1e-40 as an exact Fraction, made once
+# so that no check converts it again.
+TOL_FLOOR = Fraction(10.0 ** -WORK_DPS)
 _EM_TERMS = 8  # J: number of B_(2j) correction terms
 _FIXED_BITS = 256  # the power sums are integers in units of 2^-256
 
@@ -105,7 +104,7 @@ def check_tol(tol) -> Fraction:
         t = None
     if t is None or t <= 0:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    if t < EXACT_TOL_FLOOR:
+    if t < TOL_FLOOR:
         raise ValueError(f"tolerance {tol} is below the working precision 1e-{WORK_DPS}")
     return t
 

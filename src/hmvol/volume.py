@@ -22,8 +22,8 @@ from .expressions import VolumeExpression
 from .lie_form import vol_max_compact
 from .local_density import tau_infinity, _alternating_args, _eps_char
 from .quadfield import FieldData, chi
-from .special_values import (EXACT_TOL_FLOOR, WORK_DPS, SpecialValue, check_tol, l_exact,
-                             l_numeric, zeta_exact, zeta_numeric)
+from .special_values import (TOL_FLOOR, WORK_DPS, SpecialValue, check_tol, l_exact, l_numeric,
+                             zeta_exact, zeta_numeric)
 
 
 class Verdict(enum.Enum):
@@ -163,7 +163,7 @@ def evaluate_numeric(expr: VolumeExpression, field: FieldData,
     """
     tol = check_tol(tol)
     n_special = len(expr.zeta_args) + len(expr.l_args)
-    tol_each = max(tol / (8 * max(1, n_special)), EXACT_TOL_FLOOR)
+    tol_each = max(tol / (8 * max(1, n_special)), TOL_FLOOR)
     root, powers = _dyadic_scale(expr.sqrt_sq, field.f, expr.d_power, expr.pi_power)
     value = dyadic.mul(dyadic.mul(dyadic.of_fraction(expr.coeff), root), powers)
     specials = ([zeta_numeric(s, tol_each) for s in expr.zeta_args]

@@ -35,7 +35,7 @@ def evaluate_numeric(expr, field, tol=1e-12) -> tuple[mpf, mpf]:
     check_tol(tol)
     with mp.workdps(WORK_DPS):
         n_special = len(expr.zeta_args) + len(expr.l_args)
-        tol_each = max(mpf(tol) / (8 * max(1, n_special)), mpf(TOL_FLOOR))
+        tol_each = max(mpf(tol) / (8 * max(1, n_special)), to_mpf(TOL_FLOOR))
         value = (mpf(expr.coeff.numerator) / expr.coeff.denominator
                  * mp.sqrt(mpf(expr.sqrt_sq.numerator) / expr.sqrt_sq.denominator)
                  * mpf(field.f) ** (mpf(expr.d_power.numerator) / expr.d_power.denominator)
