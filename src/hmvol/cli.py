@@ -57,13 +57,15 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _rat_str(v: Fraction) -> str:
-    # the volume coefficients outgrow Python's int -> str digit limit (4300
-    # digits) from n = 90 on; lift it for the package's own rationals only
+def _exact_str(v: int | Fraction) -> str:
+    """An int as its digits, a Fraction as numerator/denominator (even over 1).
+    The volume coefficients outgrow Python's int -> str digit limit (4300
+    digits) from n = 90 on, and the kernel counts from n = 84 (M) or 119 (L);
+    the limit is lifted for the package's own numbers only."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return f"{v.numerator}/{v.denominator}"
+        return str(v) if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -120,12 +122,12 @@ def _record(lattice: str, n: int, field, pipeline: str, tol) -> dict:
         "n": n,
         "d": field.d,
         "D": field.D,
-        "volume_rational": _rat_str(value),
+        "volume_rational": _exact_str(value),
         # exact dyadic Fractions: past 1.8e308 (n >= 39) a float would overflow to inf
         "volume_numeric": numeric,
         "volume_error_bound": bound,
-        "coefficient": _rat_str(expr.coeff),
-        "d_power": _rat_str(expr.d_power),
+        "coefficient": _exact_str(expr.coeff),
+        "d_power": _exact_str(expr.d_power),
         "zeta_args": list(expr.zeta_args),
         "l_args": list(expr.l_args),
         "provenance": pipeline,
@@ -267,12 +269,12 @@ def _cmd_verify(args) -> int:
     got = oracle_tau_p(args.lattice, args.n, field, args.p, budget=budget)
     want = tau_p(args.lattice, args.n, field, args.p).value
     return _verdict_lines(f"tau_p ({args.lattice}, n={args.n}, d={field.d}, p={args.p})",
-                          got, want, fmt=_rat_str)
+                          got, want)
 
 
-def _verdict_lines(what: str, got, want, fmt=str) -> int:
+def _verdict_lines(what: str, got, want) -> int:
     match = got == want
-    print(f"{what}: oracle {fmt(got)}, formula {fmt(want)} -> "
+    print(f"{what}: oracle {_exact_str(got)}, formula {_exact_str(want)} -> "
           f"{'Match' if match else 'MISMATCH'}")
     return EXIT_OK if match else _fail(f"{what}: oracle and formula differ", EXIT_MISMATCH)
 
@@ -285,7 +287,7 @@ def _cmd_lvalue(args) -> int:
         form = zeta_exact(args.k) if args.k % 2 == 0 else None
         print(f"zeta({args.k}) = {_num_str(sv.numeric)}  (error <= {_num_str(sv.error_bound)})")
         if form is not None:
-            print(f"exact: ({_rat_str(form.coeff)}) * pi^{form.pi_power}")
+            print(f"exact: ({_exact_str(form.coeff)}) * pi^{form.pi_power}")
         return EXIT_OK
     if args.d is None:
         return _fail("--kind L requires --d", EXIT_INVALID)
@@ -296,7 +298,7 @@ def _cmd_lvalue(args) -> int:
     print(f"L({args.k}, chi_{field.D}) = {_num_str(sv.numeric)}  "
           f"(error <= {_num_str(sv.error_bound)})")
     if form is not None:
-        print(f"exact: ({_rat_str(form.coeff)}) * pi^{form.pi_power} * "
+        print(f"exact: ({_exact_str(form.coeff)}) * pi^{form.pi_power} * "
               f"|D|^({form.d_sqrt_power}/2) = {_num_str(exact_numeric(form, field))}")
     return EXIT_OK
 

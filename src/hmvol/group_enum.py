@@ -30,8 +30,18 @@ to a canonical form D = P G' P* (_canonical): unit-norm vectors are split off
 one at a time, each diagonal entry is scaled to the least element of its class
 modulo the norms of units, and the entries are sorted; a remainder with no
 unit-norm vector (some 2-adic blocks) is kept as it is.  P G' P* = D is
-asserted, not assumed.  The rows are grouped by (D, T / N(det P)) on one
-packed integer key, and each group is counted once and multiplied by its size.
+asserted, not assumed.  The last 1 x 1 entry [g] is copied, not split off:
+a unit g would be split off by e_1 with q = g, a non-unit g kept, and either
+way D ends in g with P unchanged, so a 1 x 1 form needs no probe or split.
+The rows are grouped by (D, T / N(det P)) on one packed integer key, and
+each group is counted once and multiplied by its size.
+
+The top form diag(lam), w = n + 1 entries, is not canonicalized (P = I, so
+T = 1): its unit entries come first, and after them at most a diagonal of
+non-units (-2 for M at p = 2), which has no unit-norm vector, so it already
+has the layout that level and dist read; and as the only class of size w
+its key is never compared with another.  The layout is asserted.
+
 Elements of O/m are coordinate pairs (a, b) for a + b eps, and _Ring holds the
 package's only arithmetic over O/m.  A matrix product is one int64 product of
 the entries packed as a + b 2^20, whose three fields are sums of r products of
@@ -235,12 +245,14 @@ def _canonical(R: _Ring, G):
     """The canonical forms D (k, r, r, 2) of the Hermitian forms G (k, r, r, 2),
     with N(det P) for the P that gives D = P G P*: unit-norm vectors are split
     off one at a time, their norms scaled to rep and sorted; the remainder
-    that has none is kept as it is, after them."""
+    that has none is kept as it is, after them.  The last 1 x 1 remainder [g]
+    is copied: a unit g would be split off by v = e_1 with q = g, a non-unit g
+    kept, and either way D[r-1, r-1] = g with P unchanged."""
     m, (K, r) = R.m, G.shape[:2]
     D, P = np.zeros_like(G), np.zeros_like(G)
     P[:, np.arange(r), np.arange(r), 0] = 1
     live, cur = np.arange(K), G
-    for s in range(r):
+    for s in range(r - 1):
         V, O = R.probes(r - s)
         vals = (np.einsum("pab,kab->kp", O[..., 0], cur[..., 0])
                 - R.nu * np.einsum("pab,kab->kp", O[..., 1], cur[..., 1])) % m
@@ -254,6 +266,7 @@ def _canonical(R: _Ring, G):
         P[live, s:] = R.matmul(np.concatenate([v[:, None], B], axis=1), P[live, s:])
         cur = R.matmul(R.matmul(B, cur), R.star(B))
         D[live, s, s, 0] = q
+    D[live, r - 1, r - 1] = cur[:, 0, 0]
     diag = np.arange(r)
     d = D[:, diag, diag, 0]
     scale = R.scale[d]
@@ -391,13 +404,16 @@ class _Search:
         return self.counts[(key, T)]
 
     def run(self) -> int:
-        w = len(self.lam)
-        Lam = np.zeros((1, w, w, 2), dtype=np.int64)
-        Lam[0, np.arange(w), np.arange(w), 0] = self.lam
-        D, nd = _canonical(self.R, Lam)
-        key = self.add(D[0])
+        # diag(lam) is the top form as it stands (P = I, so T = 1 for SU): its
+        # unit entries come first, and a diagonal of non-units has no unit-norm
+        # vector; no other class has size w, so its key meets no other key
+        w, unit = len(self.lam), self.R.unit[list(self.lam)]
+        assert (unit[:-1] >= unit[1:]).all(), f"a unit of {self.lam} after a non-unit"
+        Lam = np.zeros((w, w, 2), dtype=np.int64)
+        Lam[np.arange(w), np.arange(w), 0] = self.lam
+        key = self.add(Lam)
         self.charge(key, 1)
-        return self.count(key, int(self.R.inv[nd[0]]) if self.su else 0)
+        return self.count(key, 1 if self.su else 0)
 
 
 def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",

@@ -343,6 +343,20 @@ def test_verify_kernel_needs_no_budget(capsys, lattice, n, want):
     assert code == 0 and f"oracle {want}" in out and "Match" in out and err == ""
 
 
+@pytest.mark.parametrize("lattice", ["L", "M"])
+def test_verify_kernel_past_the_int_str_digit_limit(capsys, lattice):
+    # at n = 160 the count has about 7,850 (L) or 15,650 (M) digits, past
+    # Python's 4300-digit int -> str limit; printing lifts the limit and restores it
+    limit = sys.get_int_max_str_digits()
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "--oracle", "kernel", "--lattice", lattice,
+                         "--n", "160")
+    elapsed = time.monotonic() - t0
+    assert code == 0 and "Match" in out and err == "", err
+    assert sys.get_int_max_str_digits() == limit
+    assert elapsed < 5.0, elapsed
+
+
 def test_verify_tau_p(capsys):
     code, out, _ = run(capsys, "verify", "--oracle", "tau-p", "--lattice", "M",
                        "--n", "1", "--d", "3", "--p", "3")

@@ -15,6 +15,7 @@ from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
 from hmvol.quadfield import chi, make_field
 from hmvol.residue_ring import ResidueRing
+import canonical_reference
 import kernel_reference
 from scalar_ring import RingMatrix, ScalarRing
 from sweep_reference import (Engine, backtrack_count, blocked_count_rec, cartesian_count, classes,
@@ -161,20 +162,25 @@ def test_plane_kernels_match_scalar_reference(case):
 
 
 @st.composite
-def _hermitian_cases(draw):
-    # forms small enough that every vector can be enumerated
-    m = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
-    p, N = _MODULI[m]
-    R = ScalarRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N)
-    r = draw(st.integers(1, 3 if m <= 3 else 2))
-    coord = st.integers(0, m - 1)
+def _hermitian_forms(draw, R, r, coord=None):
+    coord = st.integers(0, R.modulus - 1) if coord is None else coord
     G = [[None] * r for _ in range(r)]
     for i in range(r):
         G[i][i] = R.element(draw(coord))
         for j in range(i + 1, r):
             G[i][j] = R.element(draw(coord), draw(coord))
             G[j][i] = R.conj(G[i][j])
-    return R, G
+    return G
+
+
+@st.composite
+def _hermitian_cases(draw, moduli=(2, 3, 4, 5, 7, 8, 9), max_r=None):
+    # by default, forms small enough that every vector can be enumerated
+    m = draw(st.sampled_from(moduli))
+    p, N = _MODULI[m]
+    R = ScalarRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N)
+    r = draw(st.integers(1, max_r or (3 if m <= 3 else 2)))
+    return R, draw(_hermitian_forms(R, r))
 
 
 def _value_counts(R, G):
@@ -212,6 +218,28 @@ def test_canonical_form_keeps_the_value_counts(case):
     if raw:
         counts = _value_counts(R, raw)
         assert not any(counts[g] for g in range(m) if math.gcd(g, m) == 1)
+
+
+@st.composite
+def _hermitian_batches(draw):
+    R, G = draw(_hermitian_cases(moduli=(3, 4, 5, 8, 9, 25), max_r=3))
+    # multiples of p are drawn often, so that forms without a unit-norm vector occur
+    m, p = R.modulus, R.p
+    coord = st.one_of(st.integers(0, m - 1), st.integers(0, m // p - 1).map(lambda x: x * p))
+    return R, [G] + draw(st.lists(_hermitian_forms(R, len(G), coord), max_size=15))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hermitian_batches())
+def test_canonical_matches_the_full_loop_reference(case):
+    # the last 1 x 1 entry is copied rather than split off: the forms D, and so
+    # the memo keys of a count, and N(det P) are the full loop's
+    R, forms = case
+    ring_ = _Ring(ResidueRing(R.field, R.p, R.exponent))
+    G = np.array([[[tuple(x) for x in row] for row in form] for form in forms], dtype=np.int64)
+    D, nd = _canonical(ring_, G)
+    want_D, want_nd = canonical_reference.canonical(ring_, G)
+    assert (D == want_D).all() and (nd == want_nd).all()
 
 
 def _fields_by_class(p, candidates=(1, 3, 5, 7, 11, 13, 15)):
@@ -363,11 +391,20 @@ def test_odd_n_three_counts_over_o3():
     assert elapsed < 5.0, elapsed
 
 
-@pytest.mark.parametrize("n, p, keys", [(2, 5, 3), (3, 3, 4)])
-def test_complement_classes_counted(n, p, keys):
+@pytest.mark.parametrize("lattice, n, ring_, keys, nodes", [
+    pytest.param("L", 2, ring(F3, 5), 3, 65220625, id="2-5-3"),
+    pytest.param("L", 3, ring(F3, 3), 4, 655450461, id="3-3-4"),
+    pytest.param("M", 1, ring(make_field(111), 2, 3), 5, 167936, id="M-1-O8-5"),
+    pytest.param("M", 1, ring(make_field(111), 2, 4), 9, 10551296, id="M-1-O16-9"),
+    pytest.param("L", 4, ring(F3, 3), 7, 11468947501017, id="L-4-O3-7"),
+])
+def test_complement_classes_counted(lattice, n, ring_, keys, nodes):
     # every first row of L over O/5 (3,150 of them at n = 2) falls into one
-    # complement class; keys counts the (class, norm of det) pairs evaluated
-    assert count_group("L", n, ring(F3, p), "SU").keys == keys
+    # complement class; keys counts the (class, norm of det) pairs evaluated.
+    # The top form is diag(lam) as it stands: over O/5 that is diag(1, 1, -1),
+    # not its canonical form I, and the 2-adic M pins end in the non-unit -2
+    rep = count_group(lattice, n, ring_, "SU", budget=10**14)
+    assert (rep.keys, rep.nodes) == (keys, nodes)
 
 
 @pytest.mark.parametrize("p, N, w", [(73, 1, 2), (2, 6, 2), (7, 2, 2)]
