@@ -131,17 +131,35 @@ def kronecker(D: int, m: int) -> int:
 _BERNOULLI: tuple[Fraction, ...] = (Fraction(1),)
 
 
+def _tangent_numbers(n: int) -> list[int]:
+    """The tangent numbers T_j = tan^(2j-1)(0), j = 1..n, at T[j], by the
+    integer recurrence of Brent and Harvey ("Fast computation of Bernoulli,
+    Tangent and Secant numbers", 2013), in place in one list."""
+    T = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        T[j] = (j - 1) * T[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            T[j] = (j - i) * T[j - 1] + (j - i + 2) * T[j]
+    return T
+
+
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number via the defining recurrence, exact."""
+    """k-th Bernoulli number, exact: B_1 = -1/2, B_k = 0 for odd k >= 3, and
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from the tangent numbers T_j.
+    The table is rebuilt up to k when k is past it, so a caller that reads
+    B_0..B_k should ask for B_k first."""
     global _BERNOULLI
     if k < 0:
         raise ValueError("bernoulli index must be nonnegative")
     table = _BERNOULLI
     if k >= len(table):
-        table = list(table)
-        for j in range(len(table), k + 1):
-            acc = sum(comb(j + 1, i) * table[i] for i in range(j))
-            table.append(Fraction(-acc, j + 1))
+        T = _tangent_numbers(k // 2)
+        table = [Fraction(1), Fraction(-1, 2)]
+        for i in range(2, k + 1):
+            j = i // 2
+            table.append(Fraction(0) if i % 2 else
+                         Fraction((-1) ** (j - 1) * 2 * j * T[j], 4**j * (4**j - 1)))
         _BERNOULLI = table = tuple(table)
     return table[k]
 
@@ -151,4 +169,5 @@ def bernoulli_poly(k: int, x) -> Fraction:
     if k < 0:
         raise ValueError("bernoulli_poly index must be nonnegative")
     x = Fraction(x)
+    bernoulli(k)  # the table up to B_k in one extension, not one per j
     return sum((comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1)), Fraction(0))

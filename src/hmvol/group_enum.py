@@ -36,6 +36,15 @@ way D ends in g with P unchanged, so a 1 x 1 form needs no probe or split.
 The rows are grouped by (D, T / N(det P)) on one packed integer key, and
 each group is counted once and multiplied by its size.
 
+A binary class (r = 2) needs no basis, Gram product or canonical form
+(_binary): [y; B] D [y; B]* = diag(q, B D B*) with det [y; B] = +-1, so
+q det(B D B*) = det D, and the child of a row y is the 1 x 1 form [g],
+g = det D / q, where det D = D00 D11 - N(D01).  Its canonical form is
+[rep[g]], reached with N(det P) = scale[g], which is what _canonical returns
+for [g]; so a binary level computes only q = h(y, y) per row.  Every level
+of an n = 1 count is binary, and so is every level below the top of an
+n = 2 count.
+
 The top form diag(lam), w = n + 1 entries, is not canonicalized (P = I, so
 T = 1): its unit entries come first, and after them at most a diagonal of
 non-units (-2 for M at p = 2), which has no unit-norm vector, so it already
@@ -241,6 +250,17 @@ def _complement(R: _Ring, G, v):
     return q, (E - R.mul(c[..., :, None, :], v[..., None, :, :])) % m
 
 
+def _binary(R: _Ring, D, y):
+    """For rows y (k, 2, 2) of a 2 x 2 form D whose first unit coordinate is 1:
+    q = h(y, y) and g = det D / q, 0 where q is not a unit.  With _complement's
+    basis B, [y; B] D [y; B]* = diag(q, B D B*) and det [y; B] = +-1, so
+    q det(B D B*) = det D and the complement of a unit q is the 1 x 1 form [g]."""
+    m = R.m
+    q = R.mul(R.matmul(y[:, None], D)[:, 0], R.conj(y)).sum(axis=1)[:, 0] % m
+    det = (D[0, 0, 0] * D[1, 1, 0] - R.norm(D[0, 1])) % m
+    return q, det * R.inv[q] % m
+
+
 def _canonical(R: _Ring, G):
     """The canonical forms D (k, r, r, 2) of the Hermitian forms G (k, r, r, 2),
     with N(det P) for the P that gives D = P G P*: unit-norm vectors are split
@@ -327,7 +347,8 @@ class _Search:
     def level(self, key):
         """child key -> {sigma: rows} over the rows x with x D x* = lams[0], where
         a row's child is the canonical form of its complement, reached by P, and
-        the child's T is T * sigma, sigma = 1 / (N(s) N(det P)) (0 for U)."""
+        the child's T is T * sigma, sigma = 1 / (N(s) N(det P)) (0 for U).  A
+        binary class reads its children off det D / q (_binary)."""
         if key in self.levels:
             return self.levels[key]
         R, D = self.R, self.forms[key]
@@ -338,19 +359,31 @@ class _Search:
         units = int(R.unit[np.diagonal(D[..., 0])].sum())
         for y in _product([[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)
                            for k0 in range(units)]):
-            q, B = _complement(R, D, y)
+            if r == 2:
+                q, g = _binary(R, D, y)
+            else:
+                q, B = _complement(R, D, y)
             ns = lam0 * R.inv[q] % m  # N(s) for x = s y
             weight = np.where(R.unit[q], R.norm_count[ns], 0)
             keep = weight > 0
-            B, ns, weight = B[keep], ns[keep], weight[keep]
-            # each distinct complement Gram is brought to its canonical form once
-            G = R.matmul(R.matmul(B, D), R.star(B))
-            _, first, gram = np.unique(_packed(G), return_index=True, return_inverse=True)
-            child, ndp = _canonical(R, G[first])
-            _, first, cls = np.unique(_packed(child), return_index=True, return_inverse=True)
-            keys = [self.add(form) for form in child[first]]  # copies: no view pins child
-            sigma = R.inv[ns * ndp[gram] % m] if self.su else 0
-            pairs, inverse = np.unique(cls[gram] * m + sigma, return_inverse=True)
+            ns, weight = ns[keep], weight[keep]
+            if r == 2:
+                # the canonical form of [g] is [rep[g]], reached with N(det P) = scale[g]
+                g = g[keep]
+                child, cls = np.unique(R.rep[g], return_inverse=True)
+                keys = [self.add(np.array([[[c, 0]]], dtype=np.int64)) for c in child.tolist()]
+                ndp = R.scale[g]
+            else:
+                # each distinct complement Gram is brought to its canonical form once
+                B = B[keep]
+                G = R.matmul(R.matmul(B, D), R.star(B))
+                _, first, gram = np.unique(_packed(G), return_index=True, return_inverse=True)
+                child, ndp = _canonical(R, G[first])
+                _, first, cls = np.unique(_packed(child), return_index=True, return_inverse=True)
+                keys = [self.add(form) for form in child[first]]  # copies: no view pins child
+                cls, ndp = cls[gram], ndp[gram]
+            sigma = R.inv[ns * ndp % m] if self.su else 0
+            pairs, inverse = np.unique(cls * m + sigma, return_inverse=True)
             sums = np.zeros(len(pairs), dtype=np.int64)
             np.add.at(sums, inverse, weight)
             for pair, size in zip(pairs.tolist(), sums.tolist()):

@@ -44,9 +44,25 @@ def chi(field: FieldData, m: int) -> int:
 def character(field: FieldData) -> tuple[int, ...]:
     """chi_D(a) for a = 0..f-1.  chi_D is periodic mod f = |D| and chi_D(0) = 0,
     so chi_D(m) = character(field)[m % f] for every m >= 1.  chi_D is completely
-    multiplicative, so only the primes below f need a Kronecker symbol."""
-    table = [0, 1]
-    for a in range(2, field.f):
-        p = next((q for q in range(2, isqrt(a) + 1) if a % q == 0), a)
-        table.append(kronecker(field.D, a) if p == a else table[p] * table[a // p])
+    multiplicative, so a smallest-prime-factor sieve reduces it to the primes
+    below f: 0 at a prime dividing D, the mod-8 rule at 2, and Euler's
+    criterion at an odd prime."""
+    f, D = field.f, field.D
+    # spf[a] is the least prime factor of a composite a, 0 for a prime: the
+    # multiples of q from q^2 on are marked by every q <= sqrt(f), the larger
+    # q first, so the least divisor of a with square <= a, a prime, marks last
+    spf = [0] * f
+    for q in range(isqrt(f - 1), 1, -1):
+        spf[q * q::q] = [q] * len(range(q * q, f, q))
+    table = [0, 1] + [0] * (f - 2)
+    for a in range(2, f):
+        q = spf[a]
+        if q:
+            table[a] = table[q] * table[a // q]
+        elif D % a == 0:
+            table[a] = 0
+        elif a == 2:
+            table[a] = 1 if D % 8 in (1, 7) else -1
+        else:
+            table[a] = 1 if pow(D % a, (a - 1) // 2, a) == 1 else -1
     return tuple(table)

@@ -215,6 +215,7 @@ def gen_bernoulli(k: int, field: FieldData) -> Fraction:
             for m in range(k + 1):
                 sums[m] += power
                 power *= a
+    bernoulli(k)  # the table up to B_k in one extension, not one per j
     total = sum(comb(k, j) * bernoulli(j) * f**j * sums[k - j] for j in range(k + 1))
     return total / f
 

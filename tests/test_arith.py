@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hmvol import arith
 from hmvol.arith import (bernoulli, bernoulli_poly, factor, is_fundamental_discriminant,
                          is_prime, is_squarefree, kronecker, legendre_symbol)
+from bernoulli_reference import bernoulli_numbers
 
 FUNDAMENTAL = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -35, -39, -43, -47, -51, -52]
 
@@ -81,6 +82,16 @@ def test_bernoulli_values():
 def test_bernoulli_recurrence_self_consistency():
     for k in range(1, 25):
         assert sum(comb(k + 1, j) * bernoulli(j) for j in range(k + 1)) == 0
+
+
+def test_bernoulli_from_tangent_numbers_matches_the_recurrence(monkeypatch):
+    want = bernoulli_numbers(300)
+    # from a cold table: one extension per k, then one extension to B_300
+    monkeypatch.setattr(arith, "_BERNOULLI", (Fraction(1),))
+    assert [bernoulli(k) for k in range(301)] == want
+    monkeypatch.setattr(arith, "_BERNOULLI", (Fraction(1),))
+    assert bernoulli(300) == want[300]
+    assert arith._BERNOULLI == tuple(want)
 
 
 def test_bernoulli_poly_examples():

@@ -536,6 +536,14 @@ def test_lvalue_zeta(capsys):
     assert "1.64493406684" in out and "1/6" in out
 
 
+def test_lvalue_zeta_at_a_large_k_ends_promptly(capsys, cold_memos):
+    # B_1000 from tangent numbers; the O(k^2) Fraction recurrence took about 10 s
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "lvalue", "--kind", "zeta", "--k", "1000")
+    assert code == 0 and "zeta(1000) = 1.0" in out and "pi^1000" in out, err
+    assert time.monotonic() - t0 < 3.0
+
+
 def test_lvalue_l(capsys):
     code, out, _ = run(capsys, "lvalue", "--kind", "L", "--k", "3", "--d", "3",
                        "--tol", "1e-10")

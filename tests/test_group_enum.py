@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search, _canonical,
-                              count_group, count_kernel, default_budget, oracle_tau_p,
+from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search, _binary,
+                              _canonical, _complement, count_group, count_kernel, default_budget, oracle_tau_p,
                               stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
@@ -17,6 +17,7 @@ from hmvol.quadfield import chi, make_field
 from hmvol.residue_ring import ResidueRing
 import canonical_reference
 import kernel_reference
+import level_reference
 from scalar_ring import RingMatrix, ScalarRing
 from sweep_reference import (Engine, backtrack_count, blocked_count_rec, cartesian_count, classes,
                              cofactor_map, count_last_two, count_rec, divisible, exact_in_float32,
@@ -241,6 +242,55 @@ def test_canonical_matches_the_full_loop_reference(case):
     want_D, want_nd = canonical_reference.canonical(ring_, G)
     assert (D == want_D).all() and (nd == want_nd).all()
 
+
+
+@st.composite
+def _binary_cases(draw):
+    # a 2 x 2 form G whose first diagonal entry is a unit, and its canonical
+    # form D, in the layout level reads: a unit entry first, then a unit or a
+    # non-unit remainder; multiples of p make non-units common
+    m = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25, 32)))
+    p, N = _MODULI[m]
+    R = _Ring(ResidueRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N))
+    coord = st.one_of(st.integers(0, m - 1), st.integers(0, m // p - 1).map(lambda x: x * p))
+    unit = st.integers(0, m - 1).filter(lambda x: math.gcd(x, m) == 1)
+    G = np.zeros((2, 2, 2), dtype=np.int64)
+    G[0, 0, 0], G[1, 1, 0], G[0, 1] = draw(unit), draw(coord), (draw(coord), draw(coord))
+    G[1, 0] = R.conj(G[0, 1])
+    return R, G, _canonical(R, G[None])[0][0], (draw(unit), draw(st.integers(0, m - 1)))
+
+
+@pytest.mark.parametrize("su", [False, True], ids=["U", "SU"])
+@settings(max_examples=60, deadline=None)
+@given(_binary_cases())
+def test_binary_level_matches_the_canonical_complement(su, case):
+    # a binary class reads each row's child off det D / q: per row, [rep[g]]
+    # and N(det P) = scale[g] are _canonical(B D B*) on _complement's basis
+    # (for G too, whose off-diagonal entry is not cleared), and the level is
+    # the one every class used to build
+    R, G, D, lam = case
+    for form in (G, D):
+        for y in level_reference.rows(R, form):
+            q, g = _binary(R, form, y)
+            want_q, B = _complement(R, form, y)
+            assert (q == want_q).all()
+            B, g = B[R.unit[q]], g[R.unit[q]]
+            want, nd = _canonical(R, R.matmul(R.matmul(B, form), R.star(B)))
+            child = np.zeros_like(want)
+            child[:, 0, 0, 0] = R.rep[g]
+            assert (child == want).all() and (nd == R.scale[g]).all()
+    search, ref = (_Search(R, lam, su, _Meter(0)) for _ in range(2))
+    assert search.level(search.add(D)) == level_reference.level(ref, ref.add(D))
+
+
+@pytest.mark.parametrize("lattice, ring_, group, pin", [
+    pytest.param("L", ring(F3, 5, 2), "U", (450000, 225390625, 2), id="L-1-O25-U"),
+    pytest.param("M", ring(F3, 2, 5), "SU", (49152, 1209008128, 12), id="M-1-O32-SU"),
+])
+def test_binary_levels_keep_counts_nodes_and_keys(lattice, ring_, group, pin):
+    # every level of an n = 1 count is binary
+    rep = count_group(lattice, 1, ring_, group, budget=2 * 10**9)
+    assert (rep.count, rep.nodes, rep.keys) == pin
 
 def _fields_by_class(p, candidates=(1, 3, 5, 7, 11, 13, 15)):
     """One field per behaviour of p (split, inert, ramified) that occurs among

@@ -1,7 +1,8 @@
 import pytest
 
-from hmvol.arith import factor, kronecker
+from hmvol.arith import factor, is_squarefree, kronecker
 from hmvol.quadfield import character, chi, make_field
+import character_reference
 
 PRIMES = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
 
@@ -65,3 +66,11 @@ def test_character_table_is_the_kronecker_symbol(d):
     assert len(table) == field.f
     for a in range(1, 3 * field.f + 1):
         assert table[a % field.f] == kronecker(field.D, a), (d, a)
+
+
+def test_character_sieve_matches_the_trial_division_reference():
+    # every field with d < 2000: f runs over 3..7996, both d mod 4 classes
+    for d in range(1, 2000, 2):
+        if is_squarefree(d):
+            field = make_field(d)
+            assert character(field) == character_reference.character(field), d
