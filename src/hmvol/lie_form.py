@@ -5,28 +5,26 @@ curvature constant, and the volume of the maximal compact subgroup.
 Arithmetic is exact and runs on ints.  Every basis entry (eps, eps-bar,
 sqrt(-d), 1, 2, 2 eps-bar) is (a + b sqrt(-d))/2 for integers a, b, kept as
 the pair (a, b) ("half units"); Fractions appear only in LieBasis.elements
-(dense matrices of Quad) and in the ratio curvature_ratio returns.  The
-complex structure J multiplies the last column by i and the last row by -i,
-and the factors i cancel in the curvature ratio (see curvature_ratio).
-Square roots (sqrt n, sqrt(n+1)) never leave the squared slot of
-VolumeExpression.
+(dense matrices of Quad, built from the supports on first read) and in the
+ratio curvature_ratio returns.  J multiplies the last column by i and the
+last row by -i; the factors i cancel in the curvature ratio.  Square roots
+(sqrt n, sqrt(n+1)) never leave the squared slot of VolumeExpression.
 
 Every basis element has at most two nonzero entries, so the kernels work on
 supports (cell -> half-unit pair): the Lie-membership check reads only the
-cells of an element and their transposes, the Gram matrix is built from a
-cell -> elements index, and its determinant is the product of Bareiss
-determinants over the connected blocks of its sparsity pattern (one n x n
-block for the g_k, one 2 x 2 block for each (e, f) pair).  The curvature
-matmuls skip zero factors.
+cells of an element, the Gram matrix is built from a cell -> elements index,
+and its determinant is the product of those of the connected blocks of its
+sparsity pattern: each (e, f) pair's 2 x 2 block is solved directly, the
+n x n block of the g_k by Bareiss.  The curvature kernel scales only the
+last row and column to integers, and its matmuls skip zero factors.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import factorial, lcm
+from functools import cache, cached_property
+from math import factorial, isqrt, lcm
 from typing import NamedTuple
 
 from .expressions import VolumeExpression
@@ -52,8 +50,17 @@ _ZERO = _quad(0, 0)
 class LieBasis:
     field: FieldData
     labels: tuple[str, ...]
-    elements: tuple  # tuple of (n+1)x(n+1) matrices, entries Quad
     supports: tuple  # per element, its ((i, j), (a, b)) cells in half units
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The (n+1)x(n+1) matrices of Quad, built from supports on first read."""
+        w = isqrt(len(self.supports) + 1)
+        dense = [[[_ZERO] * w for _ in range(w)] for _ in self.supports]
+        for X, s in zip(dense, self.supports):
+            for (i, j), v in s:
+                X[i][j] = _quad(*v)
+        return tuple(tuple(map(tuple, X)) for X in dense)
 
 
 def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
@@ -68,14 +75,16 @@ def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
 def _check_lie_member(support: dict, lam):
     """X.Lam + Lam.conj(X)' = 0 and Tr X = 0, exactly, for X given by its
     support in half units.  Cell (i, j) of the condition involves only
-    X[i][j] and X[j][i], so it is read on the support of X and its transpose;
-    every other cell is 0 = 0."""
-    for i, j in sorted(support.keys() | {(j, i) for i, j in support}):
-        a, b = support.get((i, j), (0, 0)), support.get((j, i), (0, 0))
+    X[i][j] and X[j][i], and cell (j, i) gives the same two equations, so it
+    is read on the support of X alone; every other cell is 0 = 0."""
+    tr_a = tr_b = 0
+    for (i, j), a in support.items():
+        b = support.get((j, i), (0, 0))
         if a[0] * lam[j] + lam[i] * b[0] != 0 or a[1] * lam[j] - lam[i] * b[1] != 0:
             raise AssertionError(f"basis element violates the Lie condition at ({i},{j})")
-    diagonal = [v for (i, j), v in support.items() if i == j]
-    if sum(a for a, _ in diagonal) != 0 or sum(b for _, b in diagonal) != 0:
+        if i == j:
+            tr_a, tr_b = tr_a + a[0], tr_b + a[1]
+    if tr_a != 0 or tr_b != 0:
         raise AssertionError("basis element has nonzero trace")
 
 
@@ -109,45 +118,36 @@ def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
         _check_lie_member(s, lam)
     if len(supports) != w * w - 1:
         raise AssertionError("basis has the wrong cardinality")
-    elements = []
-    for s in supports:
-        X = [[_ZERO] * w for _ in range(w)]
-        for (i, j), v in s.items():
-            X[i][j] = _quad(*v)
-        elements.append(tuple(map(tuple, X)))
-    return LieBasis(field=field, labels=tuple(labels), elements=tuple(elements),
+    return LieBasis(field=field, labels=tuple(labels),
                     supports=tuple(tuple(s.items()) for s in supports))
-
-
-def _rational_integer(re: int, im: int) -> int:
-    """The value (re + im sqrt(-d))/4 of a quarter-unit pair, which must be in Z."""
-    if im != 0 or re % 4 != 0:
-        raise AssertionError("trace form value is not a rational integer")
-    return re // 4
 
 
 def gram_det(basis: LieBasis) -> int:
     """Exact determinant of G = [Tr(X_i X_j)].
 
     Tr(X_i X_j) = sum X_i[r][c] X_j[c][r] can be nonzero only where a cell of
-    X_j is the transpose of a cell of X_i, so G is built from a cell ->
-    elements index, which also gives its sparsity pattern; its entries are
-    summed in quarter units.  A simultaneous row/column permutation leaves
-    det G unchanged, so it is the product of the fraction-free Bareiss
-    determinants of the pattern's connected blocks."""
+    X_j is the transpose of a cell of X_i, so G is built in one pass over a
+    cell -> elements index, which also gives its sparsity pattern; its entries
+    are summed in quarter units.  A simultaneous row/column permutation leaves
+    det G unchanged, so it is the product of the determinants of the
+    pattern's connected blocks: a 1 x 1 block is its entry, a 2 x 2 block
+    ad - bc, and a larger one (the g_k) goes through fraction-free Bareiss."""
     d = basis.field.d
-    by_cell = defaultdict(list)
+    by_cell = {}
     for j, s in enumerate(basis.supports):
         for cell, v in s:
-            by_cell[cell].append((j, v))
+            by_cell.setdefault(cell, []).append((j, v))
     G = []
     for s in basis.supports:
-        re, im = defaultdict(int), defaultdict(int)
+        row = {}
         for (r, c), (a, b) in s:
-            for j, (x, y) in by_cell[c, r]:
-                re[j] += a * x - d * b * y
-                im[j] += a * y + b * x
-        G.append({j: _rational_integer(t, im[j]) for j, t in re.items()})
+            for j, (x, y) in by_cell.get((c, r), ()):
+                re, im = row.get(j, (0, 0))
+                row[j] = (re + a * x - d * b * y, im + a * y + b * x)
+        # (re + im sqrt(-d))/4 must be a rational integer
+        if any(im or re % 4 for re, im in row.values()):
+            raise AssertionError("trace form value is not a rational integer")
+        G.append({j: re // 4 for j, (re, _) in row.items()})
     det = 1
     seen = [False] * len(G)
     for start in range(len(G)):
@@ -162,8 +162,9 @@ def gram_det(basis: LieBasis) -> int:
                 if not seen[j]:
                     seen[j] = True
                     todo.append(j)
-        block.sort()
-        det *= _bareiss_det([[G[i].get(j, 0) for j in block] for i in block])
+        g = [[G[i].get(j, 0) for j in block] for i in block]
+        det *= (g[0][0] if len(g) == 1 else g[0][0] * g[1][1] - g[0][1] * g[1][0]
+                if len(g) == 2 else _bareiss_det(g))
     return det
 
 
@@ -233,28 +234,28 @@ def curvature_ratio(X, field: FieldData) -> Fraction:
     Y the matrix X with its last row negated.  B is complex bilinear, so the
     factor i^2 = -1 appears once in the numerator and once in the denominator
     and cancels: the ratio is B([[X,Y],X],Y) / (B(X,X) B(Y,Y)), computed in
-    Q(sqrt(-d)).  It is homogeneous of degree 0, so X is first scaled to
-    integer entries by the lcm of its denominators."""
+    Q(sqrt(-d)).  It is homogeneous of degree 0, so the last row and column
+    are first scaled to integers by the lcm of their denominators."""
     w = len(X)
     d = field.d
-    X = [[(Fraction(v[0]), Fraction(v[1])) for v in row] for row in X]
-    scale = lcm(*(q.denominator for row in X for v in row for q in v))
-    X = [[(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-          for x, y in row] for row in X]
-    if not any(x or y for row in X for x, y in row):
-        raise ValueError("curvature ratio is undefined at X = 0")
-    for i in range(w - 1):
-        for j in range(w - 1):
-            if X[i][j] != (0, 0):
-                raise ValueError("X must lie in the noncompact part (last row/column only)")
-    if X[w - 1][w - 1] != (0, 0):
+    if any(v[0] or v[1] for row in X[:-1] for v in row[:-1]):
+        raise ValueError("X must lie in the noncompact part (last row/column only)")
+    if X[-1][-1][0] or X[-1][-1][1]:
         raise ValueError("X must lie in the noncompact part (zero corner entry)")
+    # the last column above the corner, then the last row left of it
+    edge = [(Fraction(x), Fraction(y)) for x, y in [r[-1] for r in X[:-1]] + list(X[-1][:-1])]
+    scale = lcm(*(q.denominator for v in edge for q in v))
+    edge = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in edge]
+    if not any(x or y for x, y in edge):
+        raise ValueError("curvature ratio is undefined at X = 0")
     # the bottom row must be the conjugate of the top column (doubled for the
     # second form), or the matrix is not in either Lie algebra
-    top = [X[k][w - 1] for k in range(w - 1)]
-    if not any(all(v == (low * a, -low * b) for v, (a, b) in zip(X[w - 1], top))
+    top, bottom = edge[:w - 1], edge[w - 1:]
+    if not any(all(v == (low * a, -low * b) for v, (a, b) in zip(bottom, top))
                for low in (1, 2)):
         raise ValueError("bottom row is not the (possibly doubled) conjugate of the top column")
+    X = [[(0, 0)] * (w - 1) + [v] for v in top] + [bottom + [(0, 0)]]
     Y = X[:-1] + [[(-a, -b) for a, b in X[-1]]]
     num = _trace(_commutator(_commutator(X, Y, d), X, d), Y, d)
     bxx, byy = _trace(X, X, d), _trace(Y, Y, d)

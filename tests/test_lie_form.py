@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -67,6 +68,18 @@ def test_elements_equal_the_dense_reference_basis():
                     assert dict(s) == cells, (lattice, n, d)
 
 
+def test_gram_path_never_builds_the_dense_view():
+    for lattice in ("L", "M"):
+        for n in (1, 3, 6):
+            for d in (1, 3, 15):
+                b = build_basis(lattice, n, make_field(d))
+                gram_det(b)
+                assert "elements" not in vars(b), (lattice, n, d)
+                # built on the first read, and not part of the basis's equality
+                assert b.elements == ref.dense_basis(lattice, n, b.field), (lattice, n, d)
+                assert "elements" in vars(b) and b == build_basis(lattice, n, b.field)
+
+
 def test_gram_det_grid_wall_time():
     t0 = time.monotonic()
     for lattice in ("L", "M"):
@@ -103,6 +116,44 @@ def test_blockwise_gram_det_equals_dense_bareiss():
                 k = len(b.elements)
                 dense = [[trace_form(b, i, j) for j in range(k)] for i in range(k)]
                 assert gram_det(b) == _bareiss_det(dense), (lattice, n, d)
+
+
+# d = 1 and every odd squarefree d <= 200
+ODD_SQUAREFREE_D = [d for d in range(1, 201, 2) if all(d % (p * p) for p in range(3, 15, 2))]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["L", "M"]), st.integers(1, 7), st.sampled_from(ODD_SQUAREFREE_D),
+       st.data())
+def test_kernels_match_the_dense_reference(lattice, n, d, data):
+    # the blockwise determinant, with its direct 1 x 1 and 2 x 2 blocks, against
+    # Bareiss on the full dense trace-form matrix, and the integer curvature
+    # kernel against the dense Fraction reference on a drawn e_k/f_k combination
+    field = make_field(d)
+    b = build_basis(lattice, n, field)
+    k = len(b.supports)
+    dense = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):  # B is symmetric
+            dense[i][j] = dense[j][i] = trace_form(b, i, j)
+    assert gram_det(b) == _bareiss_det(dense)
+    ef = [X for lbl, X in zip(b.labels, b.elements) if lbl[0] in "ef" and "," not in lbl]
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(ef), max_size=len(ef))
+                       .filter(any))
+    w = n + 1
+    acc = [[ZERO] * w for _ in range(w)]
+    for c, X in zip(coeffs, ef):
+        acc = [[q_add(acc[i][j], q_mul(Quad(Fraction(c), Fraction(0)), X[i][j], d))
+                for j in range(w)] for i in range(w)]
+    assert curvature_ratio(acc, field) == ref.curvature_ratio(acc, field)
+
+
+def test_gram_det_rejects_a_non_integral_trace_form():
+    # g1 with entries +-sqrt(-d)/2 has Tr(g1 g1) = -d/2, no rational integer
+    b = build_basis("L", 1, F3)
+    half_g1 = (((0, 0), (0, 1)), ((1, 1), (0, -1)))
+    with pytest.raises(AssertionError, match="not a rational integer"):
+        gram_det(dataclasses.replace(b, supports=(half_g1,) + b.supports[1:]))
 
 
 def test_lie_check_rejects_perturbed_entry():
