@@ -66,7 +66,14 @@ Exceeding the budget raises BudgetExceeded, which deliberately distinguishes
 "infeasible under this budget" from a zero count.
 
 count_kernel counts the reduction kernels of the 2-adic densities by exact
-elimination over Z/2^k, not by enumeration, so it needs no budget.
+elimination over Z/2^k, not by enumeration, so it needs no budget.  The
+system splits into blocks that share no variable: for each pair i < j the two
+rows of lam_j B_ij + lam_i conj(B_ji) = 0 read only a_ij, b_ij, a_ji, b_ji and
+depend only on (lam_i, lam_j), and the diagonal rows lam_i (2 a_ii + t b_ii)
+= 0 are tied together only by the two rows of Tr B = 0.  So the count is the
+product of the blocks' counts, and with lam = (1, ..., 1, lam_w) it is
+c(1, 1)^C(n, 2) c(1, lam_w)^n c_diag: three small systems, each eliminated
+from its rows by a full scan.
 """
 
 from __future__ import annotations
@@ -478,83 +485,53 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
 _TWO_ADIC_LEVELS = {"L": (3, 1), "M": (5, 2)}
 
 
-def _kernel_system(lattice: str, n: int, field: FieldData | None = None):
-    """The linearized reduction-kernel system {-B.Lam = Lam.conj(B)', Tr B = 0}
-    over Z/m, m = 2^k (k from _TWO_ADIC_LEVELS), in the coordinates of
-    B_ij = a_ij + b_ij*eps: its nonzero sparse rows {variable: coefficient},
-    m, and the number of variables."""
+def _solutions(rows: list[dict[int, int]], m: int, free: int) -> int:
+    """Solutions over Z/m, m = 2^k, of the Z-linear rows {variable: coefficient}
+    in `free` variables, by elimination: a pivot u*2^v of least 2-adic valuation,
+    found by a scan of every row, clears its column from the other rows and
+    leaves 2^v solutions for its variable; every variable without a pivot is
+    free."""
+    rows = [{var: c % m for var, c in r.items() if c % m} for r in rows]
+    count = 1
+    while any(rows):
+        # c & -c is 2^v for an entry of valuation v
+        low, k, col = min((c & -c, k, var) for k, r in enumerate(rows) for var, c in r.items())
+        pivot = rows.pop(k)
+        inv = pow(pivot[col] // low, -1, m)
+        for r in rows:
+            if col in r:
+                f = r[col] // low * inv
+                for var, c in pivot.items():
+                    r[var] = (r.get(var, 0) - f * c) % m
+                    if not r[var]:
+                        del r[var]
+        count *= low
+        free -= 1
+    return count * m**free
+
+
+def count_kernel(lattice: str, n: int, field: FieldData | None = None) -> int:
+    """Solutions B, B_ij = a_ij + b_ij*eps, of the linearized reduction-kernel
+    system {-B.Lam = Lam.conj(B)', Tr B = 0} over O/2O (L) or O/4O (M), counted
+    block by block (see the module docstring).  For 2-ramified fields this is
+    2^(n^2+3n) for L and 2^(2n^2+5n) for M."""
     field = make_field(5) if field is None else field
     lam = lattice_diag(lattice, n)
     m, w = 2 ** _TWO_ADIC_LEVELS[lattice][1], n + 1
     t = field.trace_eps % m
-    # a_ij is variable 2(w i + j) and b_ij the next.  Equation (i, j) is
-    # lam_j B_ij + lam_i conj(B_ji) = 0 with conj(a + b eps) = (a + t b) - b eps;
-    # equation (j, i) is its conjugate, so i <= j suffices, and on the diagonal
-    # only lam_i (2 a_ii + t b_ii) = 0 remains.
-    rows = [{2 * (w + 1) * i + s: 1 for i in range(w)} for s in (0, 1)]  # Tr B = 0
-    for i in range(w):
-        rows.append({2 * (w + 1) * i: 2 * lam[i], 2 * (w + 1) * i + 1: lam[i] * t})
-        for j in range(i + 1, w):
-            ij, ji = 2 * (w * i + j), 2 * (w * j + i)
-            rows.append({ij: lam[j], ji: lam[i], ji + 1: lam[i] * t})
-            rows.append({ij + 1: lam[j], ji + 1: -lam[i]})
-    rows = [r for r in ({var: c % m for var, c in r.items() if c % m} for r in rows) if r]
-    return rows, m, 2 * w * w
 
+    def pair(li: int, lj: int) -> int:
+        # lam_j B_ij + lam_i conj(B_ji) = 0 with conj(a + b eps) = (a + t b) - b eps,
+        # in a_ij, b_ij, a_ji, b_ji (variables 0..3); equation (j, i) is its conjugate
+        return _solutions([{0: lj, 2: li, 3: li * t}, {1: lj, 3: -li}], m, 4)
 
-def count_kernel(lattice: str, n: int, field: FieldData | None = None) -> int:
-    """Solutions B of the linearized reduction-kernel system (_kernel_system) over
-    O/2O (L) or O/4O (M).  For 2-ramified fields this is 2^(n^2+3n) for L and
-    2^(2n^2+5n) for M.
-
-    The system is Z-linear, so its solutions over Z/m, m = 2^k, are counted by
-    elimination: a pivot u*2^v of least 2-adic valuation clears its column
-    from the other equations and leaves 2^v solutions for its variable; every
-    variable without a pivot is free.  A unit entry has the least valuation
-    wherever it stands, so the rows holding one are kept in a set and any of
-    them gives the next pivot; once none is left, every entry is even and
-    stays even, and the least valuation is found by a scan.  A column -> rows
-    index finds the equations a pivot clears, so no pivot scans every row
-    (the full scans made the elimination O(n^4))."""
-    rows, m, free = _kernel_system(lattice, n, field)
-    rows = dict(enumerate(rows))
-    by_col: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for var in r:
-            by_col.setdefault(var, set()).add(i)
-    units = {i for i, r in rows.items() if any(c & 1 for c in r.values())}
-    count = 1
-    while rows:
-        if units:
-            k, v = units.pop(), 0
-            col = next(var for var, c in rows[k].items() if c & 1)
-        else:
-            v, k, col = min(((c & -c).bit_length() - 1, i, var)
-                            for i, r in rows.items() for var, c in r.items())
-        pivot = rows.pop(k)
-        for var in pivot:
-            by_col[var].discard(k)
-        inv = pow(pivot[col] >> v, -1, m)
-        for i in list(by_col[col]):
-            r = rows[i]
-            f = (r[col] >> v) * inv
-            for var, c in pivot.items():
-                x = (r.get(var, 0) - f * c) % m
-                if x:
-                    r[var] = x
-                    by_col[var].add(i)
-                elif var in r:
-                    del r[var]
-                    by_col[var].discard(i)
-            if not r:
-                del rows[i]
-            if any(c & 1 for c in r.values()):
-                units.add(i)
-            else:
-                units.discard(i)
-        count *= 2**v
-        free -= 1
-    return count * m**free
+    # a_ii is variable 2i and b_ii the next
+    diag = [{2 * i + s: 1 for i in range(w)} for s in (0, 1)]  # Tr B = 0
+    diag += [{2 * i: 2 * lam[i], 2 * i + 1: lam[i] * t} for i in range(w)]
+    count = pair(1, lam[-1]) ** n * _solutions(diag, m, 2 * w)
+    # the C(n, 2) pairs i < j < n have lam_i = lam_j = 1; at n = 1 there are
+    # none, and that block is not eliminated at all
+    return count * pair(1, 1) ** math.comb(n, 2) if n > 1 else count
 
 
 def oracle_tau_p(lattice: str, n: int, field: FieldData, p: int,
