@@ -36,14 +36,21 @@ way D ends in g with P unchanged, so a 1 x 1 form needs no probe or split.
 The rows are grouped by (D, T / N(det P)) on one packed integer key, and
 each group is counted once and multiplied by its size.
 
-A binary class (r = 2) needs no basis, Gram product or canonical form
-(_binary): [y; B] D [y; B]* = diag(q, B D B*) with det [y; B] = +-1, so
-q det(B D B*) = det D, and the child of a row y is the 1 x 1 form [g],
-g = det D / q, where det D = D00 D11 - N(D01).  Its canonical form is
-[rep[g]], reached with N(det P) = scale[g], which is what _canonical returns
-for [g]; so a binary level computes only q = h(y, y) per row.  Every level
-of an n = 1 count is binary, and so is every level below the top of an
-n = 2 count.
+A binary class (r = 2), and at odd p every class, needs no basis, Gram
+product or canonical form (_short): [y; B] D [y; B]* = diag(q, B D B*) with
+det [y; B] = +-1, so q det(B D B*) = det D, and the child of a row y has the
+determinant g = det D / q.  At r = 2 it is the 1 x 1 form [g], where det D =
+D00 D11 - N(D01), whose canonical form is [rep[g]], reached with N(det P) =
+scale[g] (what _canonical returns for [g]).  At odd p every class is a
+diagonal of units: diag(lam) is, and the child of a unit q has the unit
+determinant g.  A unimodular form of rank >= 2 represents every unit (reduced
+mod p it is a nondegenerate form over the residue ring, and Hensel's lemma
+lifts the representation), so it splits off norm-1 vectors down to
+diag(1, ..., 1, g) (Jacobowitz, Amer. J. Math. 84, 1962: such a form is fixed
+by its rank and the norm class of its determinant), and scaling the last
+coordinate by root[scale[g]] gives diag(1, ..., 1, rep[g]), again reached
+with N(det P) = scale[g].  Every level of an n = 1 count is binary, and so
+is every level below the top of an n = 2 count.
 
 The top form diag(lam), w = n + 1 entries, is not canonicalized (P = I, so
 T = 1): its unit entries come first, and after them at most a diagonal of
@@ -257,15 +264,20 @@ def _complement(R: _Ring, G, v):
     return q, (E - R.mul(c[..., :, None, :], v[..., None, :, :])) % m
 
 
-def _binary(R: _Ring, D, y):
-    """For rows y (k, 2, 2) of a 2 x 2 form D whose first unit coordinate is 1:
-    q = h(y, y) and g = det D / q, 0 where q is not a unit.  With _complement's
-    basis B, [y; B] D [y; B]* = diag(q, B D B*) and det [y; B] = +-1, so
-    q det(B D B*) = det D and the complement of a unit q is the 1 x 1 form [g]."""
+def _short(R: _Ring, D, y):
+    """For rows y (k, r, 2) of a form D, 2 x 2 or diagonal, whose first unit
+    coordinate is 1: q = h(y, y) and g = det D / q, 0 where q is not a unit.
+    With _complement's basis B, [y; B] D [y; B]* = diag(q, B D B*) and
+    det [y; B] = +-1, so q det(B D B*) = det D."""
     m = R.m
     q = R.mul(R.matmul(y[:, None], D)[:, 0], R.conj(y)).sum(axis=1)[:, 0] % m
-    det = (D[0, 0, 0] * D[1, 1, 0] - R.norm(D[0, 1])) % m
+    det = (math.prod(np.diagonal(D[..., 0]).tolist()) - R.norm(D[0, 1])) % m
     return q, det * R.inv[q] % m
+
+
+def _diag(values):
+    """The diagonal form diag(values), (r, r, 2)."""
+    return np.diag(values)[..., None] * np.array([1, 0])
 
 
 def _canonical(R: _Ring, G):
@@ -355,7 +367,8 @@ class _Search:
         """child key -> {sigma: rows} over the rows x with x D x* = lams[0], where
         a row's child is the canonical form of its complement, reached by P, and
         the child's T is T * sigma, sigma = 1 / (N(s) N(det P)) (0 for U).  A
-        binary class reads its children off det D / q (_binary)."""
+        binary class, and every class at odd p, reads its children off
+        det D / q (_short)."""
         if key in self.levels:
             return self.levels[key]
         R, D = self.R, self.forms[key]
@@ -363,22 +376,26 @@ class _Search:
         groups, total = {}, 0
         # a unit-norm row has a unit coordinate among the unit diagonal entries,
         # since the remainder after them has no unit-norm vector
-        units = int(R.unit[np.diagonal(D[..., 0])].sum())
+        d = np.diagonal(D[..., 0])
+        units = int(R.unit[d].sum())
+        short = r == 2 or m % 2 == 1
+        assert r == 2 or m % 2 == 0 or (units == r and (D == _diag(d)).all()), \
+            "a class at odd p is not a diagonal of units"
         for y in _product([[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)
                            for k0 in range(units)]):
-            if r == 2:
-                q, g = _binary(R, D, y)
+            if short:
+                q, g = _short(R, D, y)
             else:
                 q, B = _complement(R, D, y)
             ns = lam0 * R.inv[q] % m  # N(s) for x = s y
             weight = np.where(R.unit[q], R.norm_count[ns], 0)
             keep = weight > 0
             ns, weight = ns[keep], weight[keep]
-            if r == 2:
-                # the canonical form of [g] is [rep[g]], reached with N(det P) = scale[g]
+            if short:
+                # the child is diag(1, ..., 1, rep[g]), reached with N(det P) = scale[g]
                 g = g[keep]
                 child, cls = np.unique(R.rep[g], return_inverse=True)
-                keys = [self.add(np.array([[[c, 0]]], dtype=np.int64)) for c in child.tolist()]
+                keys = [self.add(_diag([1] * (r - 2) + [c])) for c in child.tolist()]
                 ndp = R.scale[g]
             else:
                 # each distinct complement Gram is brought to its canonical form once
@@ -449,9 +466,7 @@ class _Search:
         # vector; no other class has size w, so its key meets no other key
         w, unit = len(self.lam), self.R.unit[list(self.lam)]
         assert (unit[:-1] >= unit[1:]).all(), f"a unit of {self.lam} after a non-unit"
-        Lam = np.zeros((w, w, 2), dtype=np.int64)
-        Lam[np.arange(w), np.arange(w), 0] = self.lam
-        key = self.add(Lam)
+        key = self.add(_diag(self.lam))
         self.charge(key, 1)
         return self.count(key, 1 if self.su else 0)
 

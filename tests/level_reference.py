@@ -1,8 +1,13 @@
-"""The level `hmvol.group_enum._Search.level` replaced at rank 2, kept as a
-test reference: every class, binary ones included, brings the complement Gram
-B D B* of each row to its canonical form, where the package reads the child
-of a binary class off det D / q.  Both must return the same
-{child key: {sigma: rows}}, so that a count meets the same memo keys.
+"""The level `hmvol.group_enum._Search.level` replaced at rank 2 and, at odd
+p, at every rank, kept as a test reference: every class brings the complement
+Gram B D B* of each row to its canonical form, where the package reads the
+child off det D / q.  At rank 2 both return the same {child key: {sigma:
+rows}}, so that a count meets the same memo keys.  At odd p and rank >= 3 the
+package's child diag(1, ..., 1, rep[g]) is isometric to the reference's, with
+the same rank and rep[det], and its sigma differs by det D_ref / rep[g]; so a
+search on either level has the same count and node total, and the package's
+may merge isometric keys.  A search uses this level in place of its own with
+`search.level = lambda key: level(search, key)`.
 """
 
 from __future__ import annotations
@@ -20,23 +25,33 @@ def rows(R, D):
                      for k0 in range(units)])
 
 
-def level(search, key):
+def level(search, key, check=None):
+    """{child key: {sigma: rows}} of the class `key`, memoized on the search.
+    check(D, y, q, child, ndp), if given, sees each pass of rows y with their
+    q = h(y, y) and, row by row for the rows whose q is a unit, the canonical
+    form of the complement Gram B D B* and N(det P)."""
+    if key in search.levels:
+        return search.levels[key]
     R, D = search.R, search.forms[key]
     m, lam0 = R.m, search.lams(key)[0]
     groups, total = {}, 0
     for y in rows(R, D):
         q, B = _complement(R, D, y)
-        ns = lam0 * R.inv[q] % m
-        weight = np.where(R.unit[q], R.norm_count[ns], 0)
-        keep = weight > 0
-        B, ns, weight = B[keep], ns[keep], weight[keep]
+        B = B[R.unit[q]]
         G = R.matmul(R.matmul(B, D), R.star(B))
         _, first, gram = np.unique(_packed(G), return_index=True, return_inverse=True)
         child, ndp = _canonical(R, G[first])
+        child, ndp = child[gram], ndp[gram]
+        if check:
+            check(D, y, q, child, ndp)
+        ns = lam0 * R.inv[q[R.unit[q]]] % m
+        weight = R.norm_count[ns]
+        keep = weight > 0
+        child, ndp, ns, weight = child[keep], ndp[keep], ns[keep], weight[keep]
         _, first, cls = np.unique(_packed(child), return_index=True, return_inverse=True)
         keys = [search.add(form) for form in child[first]]
-        sigma = R.inv[ns * ndp[gram] % m] if search.su else 0
-        pairs, inverse = np.unique(cls[gram] * m + sigma, return_inverse=True)
+        sigma = R.inv[ns * ndp % m] if search.su else 0
+        pairs, inverse = np.unique(cls * m + sigma, return_inverse=True)
         sums = np.zeros(len(pairs), dtype=np.int64)
         np.add.at(sums, inverse, weight)
         for pair, size in zip(pairs.tolist(), sums.tolist()):
@@ -45,4 +60,5 @@ def level(search, key):
             sigmas[s] = sigmas.get(s, 0) + size
         total += int(weight.sum())
     assert total == search.reps(key)[0], "projective rows missed a unit-norm row"
+    search.levels[key] = groups
     return groups

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search, _binary,
+from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search, _short,
                               _canonical, _complement, count_group, count_kernel, default_budget, oracle_tau_p,
                               stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
@@ -271,7 +271,7 @@ def test_binary_level_matches_the_canonical_complement(su, case):
     R, G, D, lam = case
     for form in (G, D):
         for y in level_reference.rows(R, form):
-            q, g = _binary(R, form, y)
+            q, g = _short(R, form, y)
             want_q, B = _complement(R, form, y)
             assert (q == want_q).all()
             B, g = B[R.unit[q]], g[R.unit[q]]
@@ -291,6 +291,65 @@ def test_binary_levels_keep_counts_nodes_and_keys(lattice, ring_, group, pin):
     # every level of an n = 1 count is binary
     rep = count_group(lattice, 1, ring_, group, budget=2 * 10**9)
     assert (rep.count, rep.nodes, rep.keys) == pin
+
+
+# (m, n) at odd p with n = 2..4 under count_group's row-table cap, less n = 4
+# over O/5, whose reference search alone takes 7-11 s, plus n = 2 over O/25,
+# which the cap refuses but a _Search streams in about 1.5 s
+_ODD_SIZES = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3), (9, 2), (25, 2)]
+
+
+@st.composite
+def _odd_cases(draw):
+    m, n = draw(st.sampled_from(_ODD_SIZES))
+    p, N = _MODULI[m]
+    field = draw(st.sampled_from(_fields_by_class(p)))
+    return _Ring(ResidueRing(field, p, N)), draw(st.sampled_from("LM")), n, draw(st.booleans())
+
+
+@settings(max_examples=10, deadline=None)
+@given(_odd_cases())
+def test_odd_p_levels_match_the_canonical_complement(case):
+    # at odd p every level reads each row's child off det D / q: per row, the
+    # child diag(1, ..., 1, rep[g]) has the rank and rep[det] of the
+    # reference's _canonical(B D B*), a unit diagonal, and N(det P) = scale[g]
+    # is the reference's times rep[g] / det D_ref, so sigma differs by
+    # det D_ref / rep[g]; a search on the reference level keeps every count
+    # and node total, and the package's merges isometric keys
+    R, lattice, n, su = case
+    m = R.m
+
+    def check(D, y, q, child, ndp):
+        want_q, g = _short(R, D, y)
+        assert (q == want_q).all()
+        g, eye = g[R.unit[q]], np.eye(D.shape[0] - 1, dtype=bool)
+        diag = child[:, eye, 0]
+        assert not child[:, ~eye].any() and not child[:, eye, 1].any() and R.unit[diag].all()
+        det = np.ones(len(g), dtype=np.int64)
+        for column in diag.T:
+            det = det * column % m
+        assert (R.rep[det] == R.rep[g]).all()
+        assert (R.scale[g] == ndp * R.rep[g] * R.inv[det] % m).all()
+
+    search, ref = (_Search(R, lattice_diag(lattice, n), su, _Meter(10**30)) for _ in range(2))
+    ref.level = lambda key: level_reference.level(ref, key, check)
+    assert search.run() == ref.run()
+    assert search.meter.visited == ref.meter.visited
+    assert len(search.counts) <= len(ref.counts)
+
+
+def test_odd_p_reach_matches_tau_p():
+    # SU counts the short levels make cheap, with the budget lifted: each
+    # count is tau_p p^dim exactly, and every node total is pinned
+    t0 = time.monotonic()
+    for n, field, p, nodes in [(4, F3, 3, 11468947501017), (5, F3, 3, 1956442013834001669),
+                               (3, F3, 5, 5104242390625), (3, F5, 5, 4938750390625)]:
+        rep = count_group("L", n, ring(field, p), "SU", budget=10**19)
+        density = Fraction(rep.count, p ** ((n + 1) ** 2 - 1))
+        assert (density, rep.nodes) == (tau_p("L", n, field, p).value, nodes), (n, field.d, p)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 2.0, elapsed
+
 
 def _fields_by_class(p, candidates=(1, 3, 5, 7, 11, 13, 15)):
     """One field per behaviour of p (split, inert, ramified) that occurs among
@@ -446,7 +505,7 @@ def test_odd_n_three_counts_over_o3():
     pytest.param("L", 3, ring(F3, 3), 4, 655450461, id="3-3-4"),
     pytest.param("M", 1, ring(make_field(111), 2, 3), 5, 167936, id="M-1-O8-5"),
     pytest.param("M", 1, ring(make_field(111), 2, 4), 9, 10551296, id="M-1-O16-9"),
-    pytest.param("L", 4, ring(F3, 3), 7, 11468947501017, id="L-4-O3-7"),
+    pytest.param("L", 4, ring(F3, 3), 5, 11468947501017, id="L-4-O3-7"),
 ])
 def test_complement_classes_counted(lattice, n, ring_, keys, nodes):
     # every first row of L over O/5 (3,150 of them at n = 2) falls into one

@@ -8,6 +8,7 @@ from hmvol.arith import is_squarefree
 from hmvol.cli import main
 from hmvol.expressions import VolumeExpression
 from hmvol.quadfield import make_field
+from hmvol.special_values import l_exact
 from hmvol.volume import (Verdict, compare_pipelines, evaluate_numeric, hm_assembled, hm_table,
                           rationalize)
 import numeric_reference
@@ -63,6 +64,25 @@ def test_derived_volume_values():
     assert rationalize(hm_assembled("L", 2, F3), F3) == Fraction(1, 216)
     assert rationalize(hm_assembled("M", 2, F3), F3) == Fraction(1, 72)
     assert rationalize(hm_assembled("L", 1, F7), F7) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 11, 13, 15, 19, 23])
+def test_l_at_n2_matches_published_picard_volumes(d):
+    """External anchors for L at n = 2, where SU(L) and PU(2, 1; O_K) have the
+    same quotient and chi = 3 Vol_HM.  The published values were recalled, not
+    derived in this repo, which cannot re-derive them:
+    - d = 3: chi = 1/72, the Eisenstein-Picard group (Parker, Duke Math. J. 94,
+      1998; pinned in test_derived_volume_values);
+    - d = 1: chi = 1/32, so Vol_HM = 1/96, the Gauss-Picard group (Falbel,
+      Francsics and Parker, Math. Ann. 349, 2011);
+    - every d: chi = |D|^(5/2) L(3, chi_D) / (32 pi^3) (Holzapfel, Ball and
+      Surface Arithmetics, 1998), which is l_exact(3).coeff / 32 exactly,
+      since l_exact(3) = coeff pi^3 |D|^(-5/2)."""
+    field = make_field(d)
+    vol = rationalize(hm_assembled("L", 2, field), field)
+    if d == 1:
+        assert vol == Fraction(1, 96)
+    assert 3 * vol == l_exact(3, field).coeff / 32
 
 
 def test_hm_ratio_examples():
