@@ -23,13 +23,14 @@ unit-norm row has a unit coordinate among the unit diagonal entries.
 Writing x = s y with s its first unit coordinate, so that y's is 1, B
 depends on y only, det [x; B] = s det [y; B] and N(s) = lams[0] / h(y, y):
 the search runs over these projective rows y, about m^(2(r-1)) of them, and
-counts the s of each by its norm.  The rows of a class, for every position of
-s, come as one stream of _CHUNK-row numpy passes.  In each pass the complement
-Grams B G B* are packed into byte keys, and only the distinct ones are brought
-to a canonical form D = P G' P* (_canonical): unit-norm vectors are split off
-one at a time, each diagonal entry is scaled to the least element of its class
-modulo the norms of units, and the entries are sorted; a remainder with no
-unit-norm vector (some 2-adic blocks) is kept as it is.  P G' P* = D is
+counts the s of each by its norm.  The rows of a class (but a short one,
+below), for every position of s, come as one stream of _CHUNK-row numpy
+passes.  In each pass the complement Grams B G B* are packed into byte keys,
+and only the distinct ones are brought to a canonical form D = P G' P*
+(_canonical): unit-norm vectors are split off one at a time, each diagonal
+entry is scaled to the least element of its class modulo the norms of units,
+and the entries are sorted; a remainder with no unit-norm vector (some 2-adic
+blocks) is kept as it is.  P G' P* = D is
 asserted, not assumed.  The last 1 x 1 entry [g] is copied, not split off:
 a unit g would be split off by e_1 with q = g, a non-unit g kept, and either
 way D ends in g with P unchanged, so a 1 x 1 form needs no probe or split.
@@ -37,12 +38,13 @@ The rows are grouped by (D, T / N(det P)) on one packed integer key, and
 each group is counted once and multiplied by its size.
 
 A binary class (r = 2), and at odd p every class, needs no basis, Gram
-product or canonical form (_short): [y; B] D [y; B]* = diag(q, B D B*) with
+product or canonical form: [y; B] D [y; B]* = diag(q, B D B*) with
 det [y; B] = +-1, so q det(B D B*) = det D, and the child of a row y has the
-determinant g = det D / q.  At r = 2 it is the 1 x 1 form [g], where det D =
-D00 D11 - N(D01), whose canonical form is [rep[g]], reached with N(det P) =
-scale[g] (what _canonical returns for [g]).  At odd p every class is a
-diagonal of units: diag(lam) is, and the child of a unit q has the unit
+determinant g = det D / q.  Such a class is diagonal (at r = 2 the canonical
+form splits off a unit entry and keeps a 1 x 1 remainder), so at r = 2 the
+child is the 1 x 1 form [g], whose canonical form is [rep[g]], reached with
+N(det P) = scale[g] (what _canonical returns for [g]).  At odd p every class
+is a diagonal of units: diag(lam) is, and the child of a unit q has the unit
 determinant g.  A unimodular form of rank >= 2 represents every unit (reduced
 mod p it is a nondegenerate form over the residue ring, and Hensel's lemma
 lifts the representation), so it splits off norm-1 vectors down to
@@ -51,6 +53,16 @@ by its rank and the norm class of its determinant), and scaling the last
 coordinate by root[scale[g]] gives diag(1, ..., 1, rep[g]), again reached
 with N(det P) = scale[g].  Every level of an n = 1 count is binary, and so
 is every level below the top of an n = 2 count.
+
+So the child, weight and sigma of a row of such a class depend on q = h(y, y)
+only, and its rows are counted by value, not streamed: on diag(d), q =
+sum_i d_i N(y_i), and the number of projective rows with first unit
+coordinate i0 and value q is the cyclic convolution over Z/m of a point mass
+at d_i0 (y_i0 = 1), the norm counts of the non-unit-norm elements scaled by
+d_i for i < i0, and the full norm counts scaled by d_i for i > i0
+(_Ring.rows).  The convolution of the scaled norm counts of every entry also
+gives the representation numbers of a diagonal form, unit entries or not
+(dist); only a remainder that is not diagonal is enumerated.
 
 The top form diag(lam), w = n + 1 entries, is not canonicalized (P = I, so
 T = 1): its unit entries come first, and after them at most a diagonal of
@@ -165,6 +177,9 @@ class _Ring:
         norms = self.norm(self.elems)
         self.norm_count = np.bincount(norms, minlength=m)
         self.nonunits = self.elems[~self.unit[norms]]
+        # the norm counts of the non-unit-norm elements and of {1}
+        self.nonunit_count = np.where(self.unit, 0, self.norm_count)
+        self.one_count = (a == 1).astype(np.int64)
         self.one = np.array([[1 % m, 0]], dtype=np.int64)
         # root[g] is an element of norm g, for every norm g that occurs (root[1] = 1)
         self.root = np.zeros((m, 2), dtype=np.int64)
@@ -207,6 +222,22 @@ class _Ring:
 
     def star(self, X):
         return self.conj(np.swapaxes(X, -2, -3))
+
+    def values(self, d, counts):
+        """The ways sum_i d_i g_i takes each value of Z/m, g_i taking the value g
+        in counts[i][g] ways: the cyclic convolution of the d_i-scaled counts."""
+        m, a = self.m, np.arange(self.m)
+        out = (a == 0).astype(np.int64)
+        for di, c in zip(d, counts):
+            h = np.bincount(int(di) * a % m, weights=c, minlength=m).astype(np.int64)
+            out = h[(a[:, None] - a) % m] @ out
+        return out
+
+    def rows(self, d, units):
+        """rows[q] = #{y : h(y, y) = q} over level's projective rows y of diag(d):
+        y_i0 = 1 for an i0 < units, non-unit norms before it, anything after."""
+        return sum(self.values(d, [self.nonunit_count] * i0 + [self.one_count]
+                               + [self.norm_count] * (len(d) - 1 - i0)) for i0 in range(units))
 
     def probes(self, r: int):
         """The rows V (k, r, 2) e_i, then e_i + e_j and e_i + eps e_j for i < j,
@@ -262,17 +293,6 @@ def _complement(R: _Ring, G, v):
     c = np.take_along_axis(f, keep[..., None], axis=-2) * R.inv[q][..., None, None] % m
     E = (keep[..., None] == np.arange(r))[..., None] * np.array([1, 0])
     return q, (E - R.mul(c[..., :, None, :], v[..., None, :, :])) % m
-
-
-def _short(R: _Ring, D, y):
-    """For rows y (k, r, 2) of a form D, 2 x 2 or diagonal, whose first unit
-    coordinate is 1: q = h(y, y) and g = det D / q, 0 where q is not a unit.
-    With _complement's basis B, [y; B] D [y; B]* = diag(q, B D B*) and
-    det [y; B] = +-1, so q det(B D B*) = det D."""
-    m = R.m
-    q = R.mul(R.matmul(y[:, None], D)[:, 0], R.conj(y)).sum(axis=1)[:, 0] % m
-    det = (math.prod(np.diagonal(D[..., 0]).tolist()) - R.norm(D[0, 1])) % m
-    return q, det * R.inv[q] % m
 
 
 def _diag(values):
@@ -340,23 +360,20 @@ class _Search:
 
     def dist(self, key):
         """dist[g] = #{y : y D y* = g}: the convolution of the norm counts of the
-        unit diagonal entries and of the enumerated remainder."""
+        diagonal entries and, past the unit entries of a form that is not
+        diagonal, of its enumerated remainder."""
         if key not in self.dists:
             R, D = self.R, self.forms[key]
-            m, a = R.m, np.arange(R.m)
             d = np.diagonal(D[..., 0])
-            units = int(R.unit[d].sum())
-            parts = [R.norm_count[a * R.inv[g] % m] for g in d[:units]]
-            if units < len(d):
-                raw, h = D[units:, units:], np.zeros(m, dtype=np.int64)
+            k = len(d) if (D == _diag(d)).all() else int(R.unit[d].sum())
+            scales, parts = list(d[:k]), [R.norm_count] * k
+            if k < len(d):
+                raw, h = D[k:, k:], np.zeros(R.m, dtype=np.int64)
                 for y in _product([[R.elems] * len(raw)]):
                     vals = R.matmul(R.matmul(y[:, None], raw), R.conj(y)[..., None, :])
-                    h += np.bincount(vals[:, 0, 0, 0], minlength=m)
-                parts.append(h)
-            dist = (a == 0).astype(np.int64)
-            for g in parts:
-                dist = g[(a[:, None] - a) % m] @ dist
-            self.dists[key] = dist
+                    h += np.bincount(vals[:, 0, 0, 0], minlength=R.m)
+                scales, parts = scales + [1], parts + [h]
+            self.dists[key] = R.values(scales, parts)
         return self.dists[key]
 
     def reps(self, key):
@@ -367,8 +384,8 @@ class _Search:
         """child key -> {sigma: rows} over the rows x with x D x* = lams[0], where
         a row's child is the canonical form of its complement, reached by P, and
         the child's T is T * sigma, sigma = 1 / (N(s) N(det P)) (0 for U).  A
-        binary class, and every class at odd p, reads its children off
-        det D / q (_short)."""
+        binary class, and every class at odd p, is diagonal and reads its
+        children off det D / q, with its rows counted by value (R.rows)."""
         if key in self.levels:
             return self.levels[key]
         R, D = self.R, self.forms[key]
@@ -379,21 +396,24 @@ class _Search:
         d = np.diagonal(D[..., 0])
         units = int(R.unit[d].sum())
         short = r == 2 or m % 2 == 1
-        assert r == 2 or m % 2 == 0 or (units == r and (D == _diag(d)).all()), \
-            "a class at odd p is not a diagonal of units"
-        for y in _product([[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)
-                           for k0 in range(units)]):
-            if short:
-                q, g = _short(R, D, y)
-            else:
-                q, B = _complement(R, D, y)
+        if short:
+            assert (D == _diag(d)).all() and (r == 2 or units == r), \
+                "a short class is not diagonal, or at odd p not a diagonal of units"
+            # a row's child, weight and sigma depend on q = h(y, y) only: one
+            # pass over the values q, each weighted by its number of rows
+            det = math.prod(d.tolist()) % m
+            passes = [(np.arange(m), None, R.rows(d, units))]
+        else:
+            passes = ((*_complement(R, D, y), 1) for y in _product(
+                [[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0) for k0 in range(units)]))
+        for q, B, rows in passes:
             ns = lam0 * R.inv[q] % m  # N(s) for x = s y
-            weight = np.where(R.unit[q], R.norm_count[ns], 0)
+            weight = np.where(R.unit[q], R.norm_count[ns], 0) * rows
             keep = weight > 0
             ns, weight = ns[keep], weight[keep]
             if short:
-                # the child is diag(1, ..., 1, rep[g]), reached with N(det P) = scale[g]
-                g = g[keep]
+                # child diag(1, ..., 1, rep[g]), g = det D / q, N(det P) = scale[g]
+                g = det * R.inv[q[keep]] % m
                 child, cls = np.unique(R.rep[g], return_inverse=True)
                 keys = [self.add(_diag([1] * (r - 2) + [c])) for c in child.tolist()]
                 ndp = R.scale[g]

@@ -1,16 +1,21 @@
 """The level `hmvol.group_enum._Search.level` replaced at rank 2 and, at odd
-p, at every rank, kept as a test reference: every class brings the complement
-Gram B D B* of each row to its canonical form, where the package reads the
-child off det D / q.  At rank 2 both return the same {child key: {sigma:
-rows}}, so that a count meets the same memo keys.  At odd p and rank >= 3 the
-package's child diag(1, ..., 1, rep[g]) is isometric to the reference's, with
-the same rank and rep[det], and its sigma differs by det D_ref / rep[g]; so a
-search on either level has the same count and node total, and the package's
-may merge isometric keys.  A search uses this level in place of its own with
+p, at every rank, kept as a test reference: it streams every projective row
+y of a class, and brings the complement Gram B D B* of each row to its
+canonical form, where the package counts the rows of a diagonal class by the
+value q = h(y, y) (`_Ring.rows`) and reads the child off det D / q.  `short`
+is the per-row form of that reading: it returns q and det D / q row by row.
+At rank 2 both levels return the same {child key: {sigma: rows}}, so that a
+count meets the same memo keys.  At odd p and rank >= 3 the package's child
+diag(1, ..., 1, rep[g]) is isometric to the reference's, with the same rank
+and rep[det], and its sigma differs by det D_ref / rep[g]; so a search on
+either level has the same count and node total, and the package's may merge
+isometric keys.  A search uses this level in place of its own with
 `search.level = lambda key: level(search, key)`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,6 +28,17 @@ def rows(R, D):
     units = int(R.unit[np.diagonal(D[..., 0])].sum())
     return _product([[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)
                      for k0 in range(units)])
+
+
+def short(R, D, y):
+    """For rows y (k, r, 2) of a form D, 2 x 2 or diagonal, whose first unit
+    coordinate is 1: q = h(y, y) and g = det D / q, 0 where q is not a unit,
+    row by row.  With _complement's basis B, [y; B] D [y; B]* = diag(q, B D B*)
+    and det [y; B] = +-1, so q det(B D B*) = det D."""
+    m = R.m
+    q = R.mul(R.matmul(y[:, None], D)[:, 0], R.conj(y)).sum(axis=1)[:, 0] % m
+    det = (math.prod(np.diagonal(D[..., 0]).tolist()) - R.norm(D[0, 1])) % m
+    return q, det * R.inv[q] % m
 
 
 def level(search, key, check=None):

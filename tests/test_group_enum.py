@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search, _short,
-                              _canonical, _complement, count_group, count_kernel, default_budget, oracle_tau_p,
+from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search,
+                              _canonical, _complement, _diag, _product, count_group,
+                              count_kernel, default_budget, oracle_tau_p,
                               stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, tau_p
@@ -271,7 +272,7 @@ def test_binary_level_matches_the_canonical_complement(su, case):
     R, G, D, lam = case
     for form in (G, D):
         for y in level_reference.rows(R, form):
-            q, g = _short(R, form, y)
+            q, g = level_reference.short(R, form, y)
             want_q, B = _complement(R, form, y)
             assert (q == want_q).all()
             B, g = B[R.unit[q]], g[R.unit[q]]
@@ -320,7 +321,7 @@ def test_odd_p_levels_match_the_canonical_complement(case):
     m = R.m
 
     def check(D, y, q, child, ndp):
-        want_q, g = _short(R, D, y)
+        want_q, g = level_reference.short(R, D, y)
         assert (q == want_q).all()
         g, eye = g[R.unit[q]], np.eye(D.shape[0] - 1, dtype=bool)
         diag = child[:, eye, 0]
@@ -338,15 +339,59 @@ def test_odd_p_levels_match_the_canonical_complement(case):
     assert len(search.counts) <= len(ref.counts)
 
 
+def _hermitian_values(R, D, y):
+    """y D y* for rows y (k, r, 2), as elements of Z/m."""
+    return R.matmul(R.matmul(y[:, None], D), R.conj(y)[..., None, :])[:, 0, 0, 0]
+
+
+@st.composite
+def _diagonal_cases(draw):
+    # a diagonal form, its unit entries first and then multiples of p, small
+    # enough that every vector of (O/m)^r can be enumerated
+    m = draw(st.sampled_from((2, 3, 4, 5, 8, 9, 16, 25, 32)))
+    p, N = _MODULI[m]
+    R = _Ring(ResidueRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N))
+    r = draw(st.integers(1, max(k for k in (1, 2, 3) if m ** (2 * k) <= 2**20)))
+    units = draw(st.integers(0, r))
+    unit = st.integers(0, m - 1).filter(lambda x: math.gcd(x, m) == 1)
+    nonunit = st.integers(0, m // p - 1).map(lambda x: x * p)
+    d = (draw(st.lists(unit, min_size=units, max_size=units))
+         + draw(st.lists(nonunit, min_size=r - units, max_size=r - units)))
+    return R, np.array(d, dtype=np.int64), units
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_cases())
+def test_value_counts_by_convolution_match_enumeration(case):
+    # dist convolves the scaled norm counts of every diagonal entry, unit or
+    # not, and a short level counts its projective rows by value the same
+    # way, with non-unit norms before the first unit coordinate: each equals
+    # a bincount of h(y, y) over the vectors it counts
+    R, d, units = case
+    D, m = _diag(d), R.m
+    search = _Search(R, (1,) * len(d), False, _Meter(0))
+    want = sum(np.bincount(_hermitian_values(R, D, y), minlength=m)
+               for y in _product([[R.elems] * len(d)]))
+    assert search.dist(search.add(D)).tolist() == want.tolist()
+    if units:
+        want = sum(np.bincount(_hermitian_values(R, D, y), minlength=m)
+                   for y in level_reference.rows(R, D))
+        assert R.rows(d, units).tolist() == want.tolist()
+
+
 def test_odd_p_reach_matches_tau_p():
     # SU counts the short levels make cheap, with the budget lifted: each
     # count is tau_p p^dim exactly, and every node total is pinned
     t0 = time.monotonic()
-    for n, field, p, nodes in [(4, F3, 3, 11468947501017), (5, F3, 3, 1956442013834001669),
-                               (3, F3, 5, 5104242390625), (3, F5, 5, 4938750390625)]:
-        rep = count_group("L", n, ring(field, p), "SU", budget=10**19)
+    for lattice, n, field, p, nodes in [
+            ("L", 4, F3, 3, 11468947501017), ("L", 5, F3, 3, 1956442013834001669),
+            ("L", 3, F3, 5, 5104242390625), ("L", 3, F5, 5, 4938750390625),
+            ("L", 3, F3, 7, 2021813694552001), ("L", 2, F5, 17, 38075711919337),
+            ("M", 3, F7, 5, 5104242390625)]:
+        rep = count_group(lattice, n, ring(field, p), "SU", budget=10**19)
         density = Fraction(rep.count, p ** ((n + 1) ** 2 - 1))
-        assert (density, rep.nodes) == (tau_p("L", n, field, p).value, nodes), (n, field.d, p)
+        assert (density, rep.nodes) == (tau_p(lattice, n, field, p).value, nodes), \
+            (lattice, n, field.d, p)
     elapsed = time.monotonic() - t0
     assert elapsed < 2.0, elapsed
 
