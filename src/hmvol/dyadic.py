@@ -48,7 +48,9 @@ def to_fraction(x: tuple[int, int]) -> Fraction:
 
 
 def _root(n: int, b: int) -> int:
-    """floor(n^(1/b)) by Newton's method, from above."""
+    """floor(n^(1/b)): math.isqrt for b = 2, else Newton's method from above."""
+    if b == 2:
+        return math.isqrt(n)
     y = 1 << -(-n.bit_length() // b)
     while True:
         z = ((b - 1) * y + n // y ** (b - 1)) // b

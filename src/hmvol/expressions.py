@@ -41,7 +41,8 @@ class VolumeExpression:
         )
 
     def scaled(self, c) -> "VolumeExpression":
-        return self * VolumeExpression(coeff=Fraction(c))
+        return VolumeExpression(self.coeff * Fraction(c), self.sqrt_sq, self.d_power,
+                                self.pi_power, self.zeta_args, self.l_args)
 
     def reciprocal(self) -> "VolumeExpression":
         """Inverse of an expression carrying no zeta/L factors."""

@@ -7,10 +7,11 @@ unramified factors collapse into zeta(even i) and L(odd i) for i = 2..n+1,
 and every prime with a non-generic local factor contributes the exact
 rational correction euler_local(p)/tau_p.
 
-Every value here depends on (lattice, n, field, p) alone and is immutable,
-so each is memoized for the process's life: a `table` row and its twin for
-the other lattice share the field's primes and Euler factors, and a run over
-several fields makes each n-only piece once.
+Each local factor is one integer numerator over one denominator, normalized
+once.  Every value here depends on (lattice, n, field, p) alone and is
+immutable, so each is memoized for the process's life: a `table` row and its
+twin for the other lattice share the field's primes and Euler factors, and a
+run over several fields makes each n-only piece once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import prod
 
 from .arith import factor, is_prime, legendre_symbol
 from .expressions import VolumeExpression
@@ -52,13 +52,25 @@ def _eps_char(n: int, p: int, twisted: bool) -> int:
     return legendre_symbol(a, p)
 
 
-def _even_product(p: int, upto: int) -> Fraction:
-    return prod((1 - Fraction(1, p ** (2 * i)) for i in range(1, upto + 1)), start=Fraction(1))
+def _even_product(p: int, upto: int) -> tuple[int, int]:
+    """prod_(i = 1..upto) (1 - p^(-2i)) as a numerator over a denominator."""
+    return _generic_product(p, ((2 * i, 1) for i in range(1, upto + 1)))
+
+
+def _generic_product(p: int, signs) -> tuple[int, int]:
+    """prod_i (1 - sign_i p^(-i)) over the pairs (i, sign_i) as the integer
+    prod (p^i - sign_i) over the denominator p^(sum i)."""
+    num, e = 1, 0
+    for i, sign in signs:
+        num *= p**i - sign
+        e += i
+    return num, p**e
 
 
 @cache
 def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
-    """Closed-form local volume, dispatching on prime class and parity of n."""
+    """Closed-form local volume, dispatching on prime class and parity of n;
+    each is one integer numerator over one denominator, normalized once."""
     if lattice not in ("L", "M"):
         raise ValueError(f"lattice must be 'L' or 'M', got {lattice!r}")
     if n < 1:
@@ -70,21 +82,18 @@ def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
         # the generic product runs over i = 2..n+1; det M = -2 is not a unit at
         # 2, which shifts it to i = 1..n
         first = 1 if lattice == "M" and p == 2 else 2
-        return LocalDensity(prod((1 - Fraction(c**i, p**i) for i in range(first, first + n)),
-                                 start=Fraction(1)))
-    if p == 2:
-        if lattice == "L" or n % 2 == 1:
-            val = Fraction(1, 2**n) * _even_product(2, n // 2)
-        else:
-            val = Fraction(1, 2**n) * _even_product(2, (n - 2) // 2)
-        return LocalDensity(val)
-    # odd ramified p
-    if n % 2 == 0:
-        val = _even_product(p, n // 2)
+        num, den = _generic_product(p, ((i, c**i) for i in range(first, first + n)))
+    elif p == 2:
+        num, den = _even_product(2, n // 2 if lattice == "L" or n % 2 == 1 else (n - 2) // 2)
+        den <<= n
+    elif n % 2 == 0:  # odd ramified p
+        num, den = _even_product(p, n // 2)
     else:
-        eps = _eps_char(n, p, twisted=(lattice == "M"))
-        val = (1 - Fraction(eps, p ** ((n + 1) // 2))) * _even_product(p, (n - 1) // 2)
-    return LocalDensity(val)
+        h = (n + 1) // 2
+        num, den = _even_product(p, h - 1)
+        num *= p**h - _eps_char(n, p, twisted=(lattice == "M"))
+        den *= p**h
+    return LocalDensity(Fraction(num, den))
 
 
 @cache
@@ -92,8 +101,7 @@ def _euler_local(field: FieldData, n: int, p: int) -> Fraction:
     """Product of the Euler factors at p of the zeta(even)/L(odd) string for
     arguments 2..n+1."""
     c = chi(field, p)
-    return prod((1 - Fraction(c if i % 2 else 1, p**i) for i in range(2, n + 2)),
-                start=Fraction(1))
+    return Fraction(*_generic_product(p, ((i, c if i % 2 else 1) for i in range(2, n + 2))))
 
 
 @cache
@@ -117,7 +125,9 @@ def tau_infinity(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     i in [2, n+1], with all non-generic local factors folded into the exact
     rational coefficient."""
     zeta_args, l_args = _alternating_args(n)
-    coeff = Fraction(1)
+    num = den = 1
     for p in special_primes(lattice, field):
-        coeff *= _euler_local(field, n, p) / tau_p(lattice, n, field, p).value
-    return VolumeExpression(coeff=coeff, zeta_args=zeta_args, l_args=l_args)
+        euler, tau = _euler_local(field, n, p), tau_p(lattice, n, field, p).value
+        num *= euler.numerator * tau.denominator
+        den *= euler.denominator * tau.numerator
+    return VolumeExpression(coeff=Fraction(num, den), zeta_args=zeta_args, l_args=l_args)

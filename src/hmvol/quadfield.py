@@ -34,9 +34,12 @@ def make_field(d: int) -> FieldData:
     return FieldData(d=d, D=-4 * d, f=4 * d, trace_eps=0, norm_eps=d)
 
 
+@cache
 def chi(field: FieldData, m: int) -> int:
     """The quadratic character chi_D(m), i.e. the Kronecker symbol (D/m).  At a
-    prime p it gives the behaviour of p: 0 ramified, 1 split, -1 inert."""
+    prime p it gives the behaviour of p: 0 ramified, 1 split, -1 inert.
+    Memoized on (field, m): the volume path asks for the same few primes of
+    every field again and again."""
     return kronecker(field.D, m)
 
 

@@ -20,7 +20,8 @@ rounding far below the stated truncation bounds.
 Each numeric value is one power sum sum_n w(n) n^-s of a weight of period f
 (chi_D for L, f = |D|; 1 for zeta), in fixed point where the integer 2^256
 stands for 1: exact over m = 1..M f, then the Euler-Maclaurin tail from the
-integer power sums of y = f/n over the f points n = M f + a.  Every floor is
+integer power sums of y = f/n over the f points n = M f + a, each n^e one
+product from the exponent before.  Every floor is
 off by under one unit and is added to the bound, whose own power sum is
 rounded up.  The sum (an integer) and its bound (a dyadic rational) are in
 units of 2^-256 and reach the caller as exact `Fraction`s; a float only picks
@@ -41,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import ceil, comb, factorial, inf, pi
+from math import ceil, comb, factorial, inf, lcm, pi
+from operator import mul
 from typing import NamedTuple, Optional
 
 from . import dyadic
@@ -93,6 +95,17 @@ def _em_constants(s: int) -> tuple[tuple[Fraction, ...], Fraction]:
     return coeffs, dyadic.to_fraction(tail)
 
 
+@cache
+def _tail_weights(s: int) -> tuple[tuple[int, ...], int, int]:
+    """The tail's coefficients 1/(s-1), 1/2, c_1, ..., c_J as integers over one
+    common denominator, that denominator, and ceil(sum_j |c_j|)."""
+    coeffs, _ = _em_constants(s)
+    fracs = (Fraction(1, s - 1), Fraction(1, 2)) + coeffs
+    den = lcm(*(c.denominator for c in fracs))
+    return (tuple(c.numerator * (den // c.denominator) for c in fracs), den,
+            ceil(sum(map(abs, coeffs))))
+
+
 def check_tol(tol) -> Fraction:
     """tol (an int, float or Fraction) as an exact Fraction.  Reject a
     tolerance that no truncation can meet (<= 0), that is not one of those
@@ -125,6 +138,7 @@ def _em_cutoff(s: int, tol) -> int:
 def hurwitz_numeric(s: int, a, tol) -> tuple[Fraction, Fraction]:
     """Hurwitz zeta(s, a) = q^s sum_(n = p mod q) n^-s for integer s >= 2 and
     rational 0 < a = p/q <= 1, with an explicit remainder bound <= tol."""
+    tol = check_tol(tol)
     if s < 2:
         raise ValueError("s must be >= 2")
     a = Fraction(a)
@@ -143,24 +157,33 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     f = len(weights), truncated at M f, and its remainder bound, both summed as
     integers in units of 2^-256 and returned as Fractions.  With y = f/n,
     n = M f + a, the tail is f^-s sum_a w(a) [y^(s-1)/(s-1) + y^s/2 +
-    sum_j c_j y^(s+2j-1)], the remainder at most f^-s tail sum_(w(a) != 0) y^(s+2J)."""
-    coeffs, tail = _em_constants(s)
+    sum_j c_j y^(s+2j-1)], the remainder at most f^-s tail sum_(w(a) != 0) y^(s+2J).
+    Each tail point's n^e is its n^(e-1) times n or its n^(e-2) times n^2."""
     f, one = len(weights), 1 << _FIXED_BITS
-    head = sum(w * (one // m**s) for m in range(1, M * f + 1) if (w := weights[m % f]))
-    points = [(w, M * f + a) for a in range(1, f + 1) if (w := weights[a % f])]
+    # the residues a = 1..f of weight 1 and of weight -1
+    plus = [a for a in range(1, f + 1) if weights[a % f] == 1]
+    minus = [a for a in range(1, f + 1) if weights[a % f] == -1]
+    head = (sum(one // (j * f + a) ** s for j in range(M) for a in plus)
+            - sum(one // (j * f + a) ** s for j in range(M) for a in minus))
+    ns = [M * f + a for a in plus + minus]  # the tail points, weight 1 first
+    k = len(plus)
+    squares = list(map(mul, ns, ns))
+    powers = [n ** (s - 1) for n in ns]
     sums = []  # T_e = sum_a w(a) floor(2^256 y^e)
     for e in (s - 1, s) + tuple(range(s + 1, s + 2 * _EM_TERMS, 2)):
+        if e >= s:
+            powers = list(map(mul, powers, ns if e <= s + 1 else squares))
         num = one * f**e
-        sums.append(sum(w * (num // n**e) for w, n in points))
-    last = s + 2 * _EM_TERMS
-    rest = -sum(-one * f**last // n**last for _, n in points)  # sum_a y^last, rounded up
+        sums.append(sum(num // p for p in powers[:k]) - sum(num // p for p in powers[k:]))
+    num = one * f ** (s + 2 * _EM_TERMS)
+    rest = -sum(-num // p for p in map(mul, powers, ns))  # sum_a y^(s+2J), rounded up
     scale = f**s
-    tail_sum = (Fraction(sums[0], s - 1) + Fraction(sums[1], 2)
-                + sum(c * t for c, t in zip(coeffs, sums[2:])))
-    value = head + tail_sum.numerator // (tail_sum.denominator * scale)
+    tail_coeffs, den, coeff_sum = _tail_weights(s)
+    value = head + sum(map(mul, tail_coeffs, sums)) // (den * scale)
     # each floor is short by under one unit times its coefficient in the value,
     # and 1/(s-1) + 1/2 <= 2
-    floors = (M + 2 + ceil(sum(map(abs, coeffs)))) * len(points) + 1
+    floors = (M + 2 + coeff_sum) * len(ns) + 1
+    tail = _em_constants(s)[1]
     return SpecialValue(Fraction(value, one), (tail * -(-rest // scale) + floors) / one)
 
 
@@ -169,7 +192,7 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
 @lru_cache(maxsize=None, typed=True)
 def zeta_numeric(s: int, tol=1e-12) -> SpecialValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin, remainder <= tol."""
-    return SpecialValue(*hurwitz_numeric(s, 1, check_tol(tol)))
+    return SpecialValue(*hurwitz_numeric(s, 1, tol))
 
 
 @cache

@@ -658,10 +658,15 @@ def _one_line_failure(out, err):
 
 
 @pytest.mark.parametrize("pipeline", ["assembled", "both"])
-def test_rationalize_invariant_violation_is_exit_three(capsys, monkeypatch, pipeline):
+def test_rationalize_invariant_violation_is_exit_three(capsys, monkeypatch, cold_memos,
+                                                      pipeline):
+    # rationalize keeps the product of the exact forms of each (zeta_args,
+    # l_args, field): from warm memos it would never call the patch, and the
+    # products made with the patch must not outlive it
     monkeypatch.setattr(volume, "zeta_exact", lambda s: ExactForm(Fraction(1), s + 1, 0))
     code, out, err = run(capsys, "compute", "--lattice", "L", "--n", "1", "--d", "3",
                          "--pipeline", pipeline, "--format", "json")
+    cold_memos()
     assert code == 3 and _one_line_failure(out, err) and "pi exponent" in err
 
 

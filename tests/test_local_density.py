@@ -2,14 +2,18 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from hmvol.arith import is_squarefree
 from hmvol.group_enum import count_group, oracle_tau_p
-from hmvol.local_density import index_u_su, special_primes, tau_infinity, tau_p
+from hmvol.local_density import _euler_local, index_u_su, special_primes, tau_infinity, tau_p
 from hmvol.quadfield import chi, make_field
 from hmvol.residue_ring import ResidueRing
 from hmvol.volume import evaluate_numeric
 from numeric_reference import to_mpf
+import volume_reference
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
@@ -183,3 +187,32 @@ def test_invalid_inputs():
         tau_p("L", 1, F3, 9)
     with pytest.raises(ValueError):
         index_u_su(F3, 3, 0)
+
+
+def _assert_densities_match_the_chains(field, p):
+    for lattice in ("L", "M"):
+        for n in range(1, 11):
+            assert (tau_p(lattice, n, field, p).value
+                    == volume_reference.tau_p_chain(lattice, n, field, p)), (lattice, n, p)
+            assert _euler_local(field, n, p) == volume_reference.euler_local(field, n, p)
+
+
+def test_integer_densities_match_the_fraction_chains():
+    # every prime class at 2 and at odd p: D = -4d ramifies 2, d = 3 (mod 8)
+    # leaves it inert and d = 7 (mod 8) splits it
+    classes = set()
+    for d in (1, 3, 5, 7, 15, 29, 119, 141, 199):
+        field = make_field(d)
+        for p in (2, 3, 5, 7, 11, 13, 17, 29, 199):
+            classes.add((p == 2, chi(field, p)))
+            _assert_densities_match_the_chains(field, p)
+    assert classes == {(two, c) for two in (True, False) for c in (-1, 0, 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([d for d in range(1, 801, 2) if is_squarefree(d)]))
+def test_integer_densities_match_the_fraction_chains_on_drawn_fields(data, d):
+    field = make_field(d)
+    # the ramified primes of the field, 2 and a few that split or stay inert
+    p = data.draw(st.sampled_from(special_primes("M", field) + (3, 5, 7, 11, 13, 101)))
+    _assert_densities_match_the_chains(field, p)

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, nstr
 
 from hmvol import special_values
-from hmvol.arith import bernoulli_poly, kronecker
-from hmvol.quadfield import make_field
+from hmvol.arith import bernoulli_poly, is_squarefree, kronecker
+from hmvol.quadfield import character, make_field
 from hmvol.special_values import (exact_numeric, gen_bernoulli, hurwitz_numeric,
                                   l_exact, l_numeric, zeta_exact, zeta_numeric)
 import hurwitz_reference
 from numeric_reference import to_mpf
+from power_sum_reference import power_sum
 
 F1, F3, F7, F11 = make_field(1), make_field(3), make_field(7), make_field(11)
 
@@ -174,6 +177,9 @@ def test_rejects_bad_arguments():
             zeta_numeric(2, tol)
         with pytest.raises(ValueError):
             l_numeric(3, F3, tol)
+        # checked before the cutoff search, which would never end at these
+        with pytest.raises(ValueError):
+            hurwitz_numeric(2, 1, tol)
 
 
 def test_failed_pin_raises_again_on_every_use(monkeypatch):
@@ -236,3 +242,26 @@ def test_power_sums_match_the_hurwitz_reference(d):
             value, bound = reference(k, float(tol))
             assert abs(to_mpf(sv.numeric) - value) <= mpf("1e-35") * abs(value), (d, k, tol)
             assert nstr(to_mpf(sv.error_bound), 17) == nstr(bound, 17), (d, k, tol)
+
+
+_ODD_SQUAREFREE = [d for d in range(1, 801, 2) if is_squarefree(d)]
+_WEIGHTS = st.one_of(
+    # chi_D of a field of each class mod 4, so f = d and f = 4d both occur
+    *[st.sampled_from([d for d in _ODD_SQUAREFREE if d % 4 == r]).map(
+        lambda d: character(make_field(d))) for r in (1, 3)],
+    st.just((1,)),  # zeta
+    # the one-hot weight of Hurwitz zeta(s, r/q)
+    st.integers(2, 12).flatmap(lambda q: st.integers(0, q - 1).map(
+        lambda r: tuple(int(i == r) for i in range(q)))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(2, 8), weights=_WEIGHTS, M=st.integers(2, 12))
+def test_power_sum_matches_the_fresh_power_reference(s, weights, M):
+    # each tail power built from the previous exponent floors exactly as a
+    # fresh n**e does; __wrapped__ skips the memo, so every draw is computed
+    got = special_values._power_sum.__wrapped__(s, weights, M)
+    want = power_sum(s, weights, M)
+    assert got.numeric == want.numeric
+    assert got.error_bound == want.error_bound

@@ -7,12 +7,14 @@ from hmvol import volume
 from hmvol.arith import is_squarefree
 from hmvol.cli import main
 from hmvol.expressions import VolumeExpression
+from hmvol.local_density import tau_infinity
 from hmvol.quadfield import make_field
 from hmvol.special_values import l_exact
 from hmvol.volume import (Verdict, compare_pipelines, evaluate_numeric, hm_assembled, hm_table,
                           rationalize)
 import numeric_reference
 from numeric_reference import to_mpf
+import volume_reference
 from volume_reference import discrepancy_report, hm_ratio
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
@@ -241,3 +243,17 @@ def test_evaluate_numeric_checks_the_tolerance_it_was_given():
         evaluate_numeric(expr, F3, tol)
     with pytest.raises(ValueError, match="9e-41"):
         evaluate_numeric(expr, F3, 9e-41)
+
+
+def test_memoized_products_match_the_fraction_chains():
+    # tau_inf from integer densities, and rationalize from the memoized zeta/L
+    # products and powers of |D|, against the one-factor-at-a-time chains
+    for d in (1, 3, 5, 7, 29, 119, 141, 199):
+        field = make_field(d)
+        for lattice in ("L", "M"):
+            for n in range(1, 11):
+                assert (tau_infinity(lattice, n, field)
+                        == volume_reference.tau_infinity(lattice, n, field)), (lattice, n, d)
+                for expr in (hm_assembled(lattice, n, field), hm_table(lattice, n, field).expr):
+                    assert (rationalize(expr, field)
+                            == volume_reference.rationalize(expr, field)), (lattice, n, d)
