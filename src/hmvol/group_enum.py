@@ -62,7 +62,9 @@ at d_i0 (y_i0 = 1), the norm counts of the non-unit-norm elements scaled by
 d_i for i < i0, and the full norm counts scaled by d_i for i > i0
 (_Ring.rows).  The convolution of the scaled norm counts of every entry also
 gives the representation numbers of a diagonal form, unit entries or not
-(dist); only a remainder that is not diagonal is enumerated.
+(dist); only a remainder that is not diagonal is enumerated.  A diagonal form
+is stored as the tuple of its entries, keyed by the bytes _packed gives its
+matrix, so a class met by a stream and by a short level has one key.
 
 The top form diag(lam), w = n + 1 entries, is not canonicalized (P = I, so
 T = 1): its unit entries come first, and after them at most a diagonal of
@@ -70,10 +72,14 @@ non-units (-2 for M at p = 2), which has no unit-norm vector, so it already
 has the layout that level and dist read; and as the only class of size w
 its key is never compared with another.  The layout is asserted.
 
-Elements of O/m are coordinate pairs (a, b) for a + b eps, and _Ring holds the
-package's only arithmetic over O/m.  A matrix product is one int64 product of
-the entries packed as a + b 2^20, whose three fields are sums of r products of
-entries in [0, m) (bounded at _MAX_ROW_TABLE).
+_Ring holds the package's only arithmetic over O/m.  Its tables of Z/m and
+of the norm are lists of Python ints, and a short class reads nothing else,
+so its counts are exact at any size.  numpy is read only by the streaming
+level, _canonical and the enumerated remainder of dist, on coordinate pairs
+(a, b) for a + b eps in int64 arrays, from arrays built on first read.  A
+matrix product is one int64 product of the entries packed as a + b 2^20,
+whose three fields are sums of r products of entries in [0, m); it and the
+streamed int64 row weights are kept exact by _MAX_ROW_TABLE.
 
 Work is metered in the partial assignments a row-by-row search settles,
 computed per class rather than per prefix: the m^(2w) rows of the table,
@@ -102,6 +108,8 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -115,7 +123,9 @@ DEFAULT_BUDGET = 10**9
 # refused before any table is built.  Every count has w >= 2, so the cap gives
 # m^4 <= 3e7, a prime power m <= 73, and the largest r (m - 1)^2 it allows
 # falls as w grows.  That is inside the int8 keys of _packed (m <= 127) and the
-# fields of the packed product (2 r (m - 1)^2 < 2^20, asserted in _Ring.matmul).
+# fields of the packed product (2 r (m - 1)^2 < 2^20, asserted in _Ring.matmul),
+# and it keeps the streaming level's int64 row weights below 2^63; the short
+# classes count on Python ints and need no such bound.
 _MAX_ROW_TABLE = 3 * 10**7
 # Rows per numpy pass of a level, so that its temporaries stay small.
 _CHUNK = 1 << 12
@@ -161,36 +171,57 @@ class _Meter:
 
 
 class _Ring:
-    """O/m on coordinate pairs: int64 arrays (..., 2) holding (a, b) for
-    a + b eps, and matrices (..., rows, cols, 2), with the tables of Z/m and
-    of the norm the search reads."""
+    """O/m: the tables of Z/m and of the norm, lists of Python ints, and the
+    numpy arithmetic of the streaming level on int64 pairs (..., 2) holding
+    (a, b) for a + b eps and matrices (..., rows, cols, 2).  Every numpy
+    object is built on first read, which a count of short classes never makes."""
 
     def __init__(self, ring: ResidueRing):
         m = self.m = ring.modulus
-        self.t, self.nu = ring.trace_eps, ring.norm_eps
-        a = np.arange(m)
-        self.unit = np.gcd(a, m) == 1
-        self.inv = np.array([pow(int(x), -1, m) if u else 0 for x, u in zip(a, self.unit)],
-                            dtype=np.int64)
-        idx = np.arange(m * m, dtype=np.int64)
-        self.elems = np.stack([idx % m, idx // m], axis=-1)
-        norms = self.norm(self.elems)
-        self.norm_count = np.bincount(norms, minlength=m)
-        self.nonunits = self.elems[~self.unit[norms]]
+        t, nu = self.t, self.nu = ring.trace_eps, ring.norm_eps
+        self.unit = [math.gcd(a, m) == 1 for a in range(m)]
+        self.inv = [pow(a, -1, m) if u else 0 for a, u in enumerate(self.unit)]
+        self.norm_count = [0] * m
+        for b in range(m):
+            for a in range(m):
+                self.norm_count[(a * a + t * a * b + nu * b * b) % m] += 1
         # the norm counts of the non-unit-norm elements and of {1}
-        self.nonunit_count = np.where(self.unit, 0, self.norm_count)
-        self.one_count = (a == 1).astype(np.int64)
-        self.one = np.array([[1 % m, 0]], dtype=np.int64)
-        # root[g] is an element of norm g, for every norm g that occurs (root[1] = 1)
-        self.root = np.zeros((m, 2), dtype=np.int64)
-        values, first = np.unique(norms, return_index=True)
-        self.root[values] = self.elems[first]
+        self.nonunit_count = [0 if u else c for u, c in zip(self.unit, self.norm_count)]
+        self.one_count = [int(a == 1) for a in range(m)]
         # rep[g] is the least element of g N(units) for a unit g, and scale[g] the
         # norm of a unit taking g to it; non-units are left as they are
-        unit_norms = a[self.unit & (self.norm_count > 0)]
-        self.rep = np.where(self.unit, (a[:, None] * unit_norms % m).min(axis=1), a)
-        self.scale = np.where(self.unit, self.rep * self.inv % m, 1)
+        unit_norms = [a for a, c in enumerate(self.norm_count) if c and self.unit[a]]
+        self.rep = [min(g * u % m for u in unit_norms) if self.unit[g] else g for g in range(m)]
+        self.scale = [r * i % m if i else 1 for r, i in zip(self.rep, self.inv)]
         self._probes = {}
+
+    @cached_property
+    def arrays(self):
+        """unit, inv, norm_count, rep and scale as numpy arrays."""
+        return SimpleNamespace(**{name: np.array(getattr(self, name)) for name in
+                                  ("unit", "inv", "norm_count", "rep", "scale")})
+
+    @cached_property
+    def elems(self):
+        """Every element, (m^2, 2), a + b eps at a + b m."""
+        idx = np.arange(self.m * self.m, dtype=np.int64)
+        return np.stack([idx % self.m, idx // self.m], axis=-1)
+
+    @cached_property
+    def nonunits(self):
+        return self.elems[~self.arrays.unit[self.norm(self.elems)]]
+
+    @cached_property
+    def one(self):
+        return np.array([[1 % self.m, 0]], dtype=np.int64)
+
+    @cached_property
+    def root(self):
+        """root[g] is an element of norm g, for every norm g that occurs (root[1] = 1)."""
+        root = np.zeros((self.m, 2), dtype=np.int64)
+        values, first = np.unique(self.norm(self.elems), return_index=True)
+        root[values] = self.elems[first]
+        return root
 
     def _pair(self, a, b):
         """The elements a + b eps (a, b of one shape) mod m, written into one array."""
@@ -225,19 +256,23 @@ class _Ring:
 
     def values(self, d, counts):
         """The ways sum_i d_i g_i takes each value of Z/m, g_i taking the value g
-        in counts[i][g] ways: the cyclic convolution of the d_i-scaled counts."""
-        m, a = self.m, np.arange(self.m)
-        out = (a == 0).astype(np.int64)
+        in counts[i][g] ways: the exact cyclic convolution of the d_i-scaled
+        counts, over their nonzero terms only."""
+        m, out = self.m, {0: 1}
         for di, c in zip(d, counts):
-            h = np.bincount(int(di) * a % m, weights=c, minlength=m).astype(np.int64)
-            out = h[(a[:, None] - a) % m] @ out
-        return out
+            h, acc = [(di * g, k) for g, k in enumerate(c) if k], [0] * m
+            for a, x in out.items():
+                for b, y in h:
+                    acc[(a + b) % m] += x * y
+            out = {a: x for a, x in enumerate(acc) if x}
+        return [out.get(a, 0) for a in range(m)]
 
     def rows(self, d, units):
         """rows[q] = #{y : h(y, y) = q} over level's projective rows y of diag(d):
         y_i0 = 1 for an i0 < units, non-unit norms before it, anything after."""
-        return sum(self.values(d, [self.nonunit_count] * i0 + [self.one_count]
-                               + [self.norm_count] * (len(d) - 1 - i0)) for i0 in range(units))
+        return [sum(col) for col in zip(*(
+            self.values(d, [self.nonunit_count] * i0 + [self.one_count]
+                        + [self.norm_count] * (len(d) - 1 - i0)) for i0 in range(units)))]
 
     def probes(self, r: int):
         """The rows V (k, r, 2) e_i, then e_i + e_j and e_i + eps e_j for i < j,
@@ -288,9 +323,9 @@ def _complement(R: _Ring, G, v):
     m, r = R.m, v.shape[-2]
     f = R.matmul(G, R.conj(v)[..., None, :])[..., 0, :]
     q = R.matmul(v[..., None, :, :], f[..., None, :])[..., 0, 0, 0]
-    i0 = np.argmax(R.unit[R.norm(v)], axis=-1)
+    i0 = np.argmax(R.arrays.unit[R.norm(v)], axis=-1)
     keep = np.arange(r - 1) + (np.arange(r - 1) >= i0[..., None])
-    c = np.take_along_axis(f, keep[..., None], axis=-2) * R.inv[q][..., None, None] % m
+    c = np.take_along_axis(f, keep[..., None], axis=-2) * R.arrays.inv[q][..., None, None] % m
     E = (keep[..., None] == np.arange(r))[..., None] * np.array([1, 0])
     return q, (E - R.mul(c[..., :, None, :], v[..., None, :, :])) % m
 
@@ -315,7 +350,7 @@ def _canonical(R: _Ring, G):
         V, O = R.probes(r - s)
         vals = (np.einsum("pab,kab->kp", O[..., 0], cur[..., 0])
                 - R.nu * np.einsum("pab,kab->kp", O[..., 1], cur[..., 1])) % m
-        ok = R.unit[vals]
+        ok = R.arrays.unit[vals]
         found = ok.any(axis=1)
         D[live[~found], s:, s:] = cur[~found]
         live, cur, v = live[found], cur[found], V[ok.argmax(axis=1)[found]]
@@ -328,22 +363,32 @@ def _canonical(R: _Ring, G):
     D[live, r - 1, r - 1] = cur[:, 0, 0]
     diag = np.arange(r)
     d = D[:, diag, diag, 0]
-    scale = R.scale[d]
+    scale = R.arrays.scale[d]
     nd = np.ones(K, dtype=np.int64)
     for i in range(r):
         nd = nd * scale[:, i] % m
     P = R.mul(R.root[scale][:, :, None, :], P)
-    order = np.argsort(np.where(R.unit[d], R.rep[d], m + diag), axis=1, kind="stable")
+    order = np.argsort(np.where(R.arrays.unit[d], R.arrays.rep[d], m + diag), axis=1,
+                       kind="stable")
     P = np.take_along_axis(P, order[:, :, None, None], axis=1)
-    D[:, diag, diag, 0] = np.take_along_axis(R.rep[d], order, axis=1)
+    D[:, diag, diag, 0] = np.take_along_axis(R.arrays.rep[d], order, axis=1)
     assert (R.matmul(R.matmul(P, G), R.star(P)) == D).all(), "P G P* != D"
     return D, nd
+
+
+def _diag_key(d) -> bytes:
+    """The key _packed gives diag(d) as an (r, r, 2) matrix, for entries below 128."""
+    r = len(d)
+    key = bytearray(2 * r * r)
+    key[::2 * r + 2] = d
+    return bytes(key)
 
 
 class _Search:
     """One count: the complement classes met, keyed by their canonical forms,
     with memo tables for their value distributions, levels, meter charges and
-    counts.  A class of size r has the diagonal lam[w - r:]."""
+    counts.  A class of size r has the diagonal lam[w - r:].  A diagonal form
+    is stored as the tuple of its entries, any other as its matrix."""
 
     def __init__(self, R: _Ring, lam, su: bool, meter: _Meter):
         self.R, self.su, self.meter = R, su, meter
@@ -351,12 +396,18 @@ class _Search:
         self.forms, self.dists, self.levels, self.charges, self.counts = {}, {}, {}, {}, {}
 
     def add(self, D) -> bytes:
-        key = _packed(D[None])[0].tobytes()
+        """The key of the form D, a tuple (diagonal) or an (r, r, 2) matrix."""
+        if isinstance(D, tuple):
+            key = _diag_key(D)
+        else:
+            key = _packed(D[None])[0].tobytes()
+            d = tuple(key[::2 * len(D) + 2])
+            D = d if key == _diag_key(d) else D
         self.forms.setdefault(key, D)
         return key
 
     def lams(self, key):
-        return self.lam[len(self.lam) - self.forms[key].shape[0]:]
+        return self.lam[len(self.lam) - len(self.forms[key]):]
 
     def dist(self, key):
         """dist[g] = #{y : y D y* = g}: the convolution of the norm counts of the
@@ -364,21 +415,23 @@ class _Search:
         diagonal, of its enumerated remainder."""
         if key not in self.dists:
             R, D = self.R, self.forms[key]
-            d = np.diagonal(D[..., 0])
-            k = len(d) if (D == _diag(d)).all() else int(R.unit[d].sum())
-            scales, parts = list(d[:k]), [R.norm_count] * k
-            if k < len(d):
+            if isinstance(D, tuple):
+                scales, parts = D, [R.norm_count] * len(D)
+            else:
+                d = np.diagonal(D[..., 0]).tolist()
+                k = sum(R.unit[g] for g in d)
                 raw, h = D[k:, k:], np.zeros(R.m, dtype=np.int64)
                 for y in _product([[R.elems] * len(raw)]):
                     vals = R.matmul(R.matmul(y[:, None], raw), R.conj(y)[..., None, :])
                     h += np.bincount(vals[:, 0, 0, 0], minlength=R.m)
-                scales, parts = scales + [1], parts + [h]
+                scales, parts = d[:k] + [1], [R.norm_count] * k + [h.tolist()]
             self.dists[key] = R.values(scales, parts)
         return self.dists[key]
 
     def reps(self, key):
         """The sizes of the key's classes: representation numbers of its lams."""
-        return self.dist(key)[list(self.lams(key))].tolist()
+        dist = self.dist(key)
+        return [dist[l] for l in self.lams(key)]
 
     def level(self, key):
         """child key -> {sigma: rows} over the rows x with x D x* = lams[0], where
@@ -389,35 +442,38 @@ class _Search:
         if key in self.levels:
             return self.levels[key]
         R, D = self.R, self.forms[key]
-        m, r, lam0 = R.m, D.shape[0], self.lams(key)[0]
-        groups, total = {}, 0
+        m, r, lam0 = R.m, len(D), self.lams(key)[0]
+        groups = {}
         # a unit-norm row has a unit coordinate among the unit diagonal entries,
         # since the remainder after them has no unit-norm vector
-        d = np.diagonal(D[..., 0])
-        units = int(R.unit[d].sum())
-        short = r == 2 or m % 2 == 1
-        if short:
-            assert (D == _diag(d)).all() and (r == 2 or units == r), \
+        d = D if isinstance(D, tuple) else np.diagonal(D[..., 0]).tolist()
+        units = sum(R.unit[g] for g in d)
+        if r == 2 or m % 2 == 1:
+            assert isinstance(D, tuple) and (r == 2 or units == r), \
                 "a short class is not diagonal, or at odd p not a diagonal of units"
             # a row's child, weight and sigma depend on q = h(y, y) only: one
             # pass over the values q, each weighted by its number of rows
-            det = math.prod(d.tolist()) % m
-            passes = [(np.arange(m), None, R.rows(d, units))]
+            det, sizes = math.prod(D) % m, {}
+            for q, rows in enumerate(R.rows(D, units)):
+                ns = lam0 * R.inv[q] % m  # N(s) for x = s y
+                weight = R.norm_count[ns] * rows if R.unit[q] else 0
+                if weight:
+                    # child diag(1, ..., 1, rep[g]), g = det D / q, N(det P) = scale[g]
+                    g = det * R.inv[q] % m
+                    pair = R.rep[g], R.inv[ns * R.scale[g] % m] if self.su else 0
+                    sizes[pair] = sizes.get(pair, 0) + weight
+            for (c, sigma), size in sorted(sizes.items()):
+                groups.setdefault(self.add((1,) * (r - 2) + (c,)), {})[sigma] = size
+            total = sum(sizes.values())
         else:
-            passes = ((*_complement(R, D, y), 1) for y in _product(
-                [[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0) for k0 in range(units)]))
-        for q, B, rows in passes:
-            ns = lam0 * R.inv[q] % m  # N(s) for x = s y
-            weight = np.where(R.unit[q], R.norm_count[ns], 0) * rows
-            keep = weight > 0
-            ns, weight = ns[keep], weight[keep]
-            if short:
-                # child diag(1, ..., 1, rep[g]), g = det D / q, N(det P) = scale[g]
-                g = det * R.inv[q[keep]] % m
-                child, cls = np.unique(R.rep[g], return_inverse=True)
-                keys = [self.add(_diag([1] * (r - 2) + [c])) for c in child.tolist()]
-                ndp = R.scale[g]
-            else:
+            total, A, D = 0, R.arrays, _diag(D) if isinstance(D, tuple) else D
+            for y in _product([[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)
+                               for k0 in range(units)]):
+                q, B = _complement(R, D, y)
+                ns = lam0 * A.inv[q] % m  # N(s) for x = s y
+                weight = np.where(A.unit[q], A.norm_count[ns], 0)
+                keep = weight > 0
+                ns, weight = ns[keep], weight[keep]
                 # each distinct complement Gram is brought to its canonical form once
                 B = B[keep]
                 G = R.matmul(R.matmul(B, D), R.star(B))
@@ -426,15 +482,15 @@ class _Search:
                 _, first, cls = np.unique(_packed(child), return_index=True, return_inverse=True)
                 keys = [self.add(form) for form in child[first]]  # copies: no view pins child
                 cls, ndp = cls[gram], ndp[gram]
-            sigma = R.inv[ns * ndp % m] if self.su else 0
-            pairs, inverse = np.unique(cls * m + sigma, return_inverse=True)
-            sums = np.zeros(len(pairs), dtype=np.int64)
-            np.add.at(sums, inverse, weight)
-            for pair, size in zip(pairs.tolist(), sums.tolist()):
-                c, s = divmod(pair, m)
-                sigmas = groups.setdefault(keys[c], {})
-                sigmas[s] = sigmas.get(s, 0) + size
-            total += int(weight.sum())
+                sigma = A.inv[ns * ndp % m] if self.su else 0
+                pairs, inverse = np.unique(cls * m + sigma, return_inverse=True)
+                sums = np.zeros(len(pairs), dtype=np.int64)
+                np.add.at(sums, inverse, weight)
+                for pair, size in zip(pairs.tolist(), sums.tolist()):
+                    c, s = divmod(pair, m)
+                    sigmas = groups.setdefault(keys[c], {})
+                    sigmas[s] = sigmas.get(s, 0) + size
+                total += int(weight.sum())
         assert total == self.reps(key)[0], "projective rows missed a unit-norm row"
         self.levels[key] = groups
         return groups
@@ -470,9 +526,8 @@ class _Search:
         """count(D, lams, t) for N(t) = T (SU); T is unused for U."""
         if (key, T) not in self.counts:
             D, lam = self.forms[key], self.lams(key)
-            if D.shape[0] == 1:
-                value = (T * int(D[0, 0, 0]) % self.R.m == lam[0]) if self.su \
-                    else self.reps(key)[0]
+            if len(D) == 1:
+                value = (T * D[0] % self.R.m == lam[0]) if self.su else self.reps(key)[0]
             else:
                 value = sum(size * self.count(child, T * sigma % self.R.m)
                             for child, sigmas in self.level(key).items()
@@ -484,9 +539,9 @@ class _Search:
         # diag(lam) is the top form as it stands (P = I, so T = 1 for SU): its
         # unit entries come first, and a diagonal of non-units has no unit-norm
         # vector; no other class has size w, so its key meets no other key
-        w, unit = len(self.lam), self.R.unit[list(self.lam)]
-        assert (unit[:-1] >= unit[1:]).all(), f"a unit of {self.lam} after a non-unit"
-        key = self.add(_diag(self.lam))
+        unit = [self.R.unit[l] for l in self.lam]
+        assert unit == sorted(unit, reverse=True), f"a unit of {self.lam} after a non-unit"
+        key = self.add(self.lam)
         self.charge(key, 1)
         return self.count(key, 1 if self.su else 0)
 

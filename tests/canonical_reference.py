@@ -20,7 +20,7 @@ def canonical(R, G):
         V, O = R.probes(r - s)
         vals = (np.einsum("pab,kab->kp", O[..., 0], cur[..., 0])
                 - R.nu * np.einsum("pab,kab->kp", O[..., 1], cur[..., 1])) % m
-        ok = R.unit[vals]
+        ok = R.arrays.unit[vals]
         found = ok.any(axis=1)
         D[live[~found], s:, s:] = cur[~found]
         live, cur, v = live[found], cur[found], V[ok.argmax(axis=1)[found]]
@@ -32,13 +32,14 @@ def canonical(R, G):
         D[live, s, s, 0] = q
     diag = np.arange(r)
     d = D[:, diag, diag, 0]
-    scale = R.scale[d]
+    scale = R.arrays.scale[d]
     nd = np.ones(K, dtype=np.int64)
     for i in range(r):
         nd = nd * scale[:, i] % m
     P = R.mul(R.root[scale][:, :, None, :], P)
-    order = np.argsort(np.where(R.unit[d], R.rep[d], m + diag), axis=1, kind="stable")
+    order = np.argsort(np.where(R.arrays.unit[d], R.arrays.rep[d], m + diag), axis=1,
+                       kind="stable")
     P = np.take_along_axis(P, order[:, :, None, None], axis=1)
-    D[:, diag, diag, 0] = np.take_along_axis(R.rep[d], order, axis=1)
+    D[:, diag, diag, 0] = np.take_along_axis(R.arrays.rep[d], order, axis=1)
     assert (R.matmul(R.matmul(P, G), R.star(P)) == D).all(), "P G P* != D"
     return D, nd

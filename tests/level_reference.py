@@ -19,13 +19,13 @@ import math
 
 import numpy as np
 
-from hmvol.group_enum import _canonical, _complement, _packed, _product
+from hmvol.group_enum import _canonical, _complement, _diag, _packed, _product
 
 
 def rows(R, D):
     """The projective rows y of the form D that level streams, pass by pass."""
     r = D.shape[0]
-    units = int(R.unit[np.diagonal(D[..., 0])].sum())
+    units = int(R.arrays.unit[np.diagonal(D[..., 0])].sum())
     return _product([[R.nonunits] * k0 + [R.one] + [R.elems] * (r - 1 - k0)
                      for k0 in range(units)])
 
@@ -38,7 +38,7 @@ def short(R, D, y):
     m = R.m
     q = R.mul(R.matmul(y[:, None], D)[:, 0], R.conj(y)).sum(axis=1)[:, 0] % m
     det = (math.prod(np.diagonal(D[..., 0]).tolist()) - R.norm(D[0, 1])) % m
-    return q, det * R.inv[q] % m
+    return q, det * R.arrays.inv[q] % m
 
 
 def level(search, key, check=None):
@@ -49,24 +49,25 @@ def level(search, key, check=None):
     if key in search.levels:
         return search.levels[key]
     R, D = search.R, search.forms[key]
-    m, lam0 = R.m, search.lams(key)[0]
+    D = _diag(D) if isinstance(D, tuple) else D
+    m, A, lam0 = R.m, R.arrays, search.lams(key)[0]
     groups, total = {}, 0
     for y in rows(R, D):
         q, B = _complement(R, D, y)
-        B = B[R.unit[q]]
+        B = B[A.unit[q]]
         G = R.matmul(R.matmul(B, D), R.star(B))
         _, first, gram = np.unique(_packed(G), return_index=True, return_inverse=True)
         child, ndp = _canonical(R, G[first])
         child, ndp = child[gram], ndp[gram]
         if check:
             check(D, y, q, child, ndp)
-        ns = lam0 * R.inv[q[R.unit[q]]] % m
-        weight = R.norm_count[ns]
+        ns = lam0 * A.inv[q[A.unit[q]]] % m
+        weight = A.norm_count[ns]
         keep = weight > 0
         child, ndp, ns, weight = child[keep], ndp[keep], ns[keep], weight[keep]
         _, first, cls = np.unique(_packed(child), return_index=True, return_inverse=True)
         keys = [search.add(form) for form in child[first]]
-        sigma = R.inv[ns * ndp % m] if search.su else 0
+        sigma = A.inv[ns * ndp % m] if search.su else 0
         pairs, inverse = np.unique(cls * m + sigma, return_inverse=True)
         sums = np.zeros(len(pairs), dtype=np.int64)
         np.add.at(sums, inverse, weight)

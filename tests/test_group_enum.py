@@ -2,12 +2,14 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmvol import group_enum
 from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search,
                               _canonical, _complement, _diag, _product, count_group,
                               count_kernel, default_budget, oracle_tau_p,
@@ -19,6 +21,7 @@ from hmvol.residue_ring import ResidueRing
 import canonical_reference
 import kernel_reference
 import level_reference
+import values_reference
 from scalar_ring import RingMatrix, ScalarRing
 from sweep_reference import (Engine, backtrack_count, blocked_count_rec, cartesian_count, classes,
                              cofactor_map, count_last_two, count_rec, divisible, exact_in_float32,
@@ -212,7 +215,7 @@ def test_canonical_form_keeps_the_value_counts(case):
     assert math.gcd(int(nd[0]), m) == 1
     search = _Search(ring_, (1,) * r, False, _Meter(0))
     want = _value_counts(R, G)
-    assert search.dist(search.add(D[0])).tolist() == want
+    assert search.dist(search.add(D[0])) == want
     diag = [int(D[0, i, i, 0]) for i in range(r)]
     units = sum(math.gcd(g, m) == 1 for g in diag)
     assert all(math.gcd(g, m) == 1 for g in diag[:units])
@@ -275,11 +278,12 @@ def test_binary_level_matches_the_canonical_complement(su, case):
             q, g = level_reference.short(R, form, y)
             want_q, B = _complement(R, form, y)
             assert (q == want_q).all()
-            B, g = B[R.unit[q]], g[R.unit[q]]
+            A = R.arrays
+            B, g = B[A.unit[q]], g[A.unit[q]]
             want, nd = _canonical(R, R.matmul(R.matmul(B, form), R.star(B)))
             child = np.zeros_like(want)
-            child[:, 0, 0, 0] = R.rep[g]
-            assert (child == want).all() and (nd == R.scale[g]).all()
+            child[:, 0, 0, 0] = A.rep[g]
+            assert (child == want).all() and (nd == A.scale[g]).all()
     search, ref = (_Search(R, lam, su, _Meter(0)) for _ in range(2))
     assert search.level(search.add(D)) == level_reference.level(ref, ref.add(D))
 
@@ -318,19 +322,19 @@ def test_odd_p_levels_match_the_canonical_complement(case):
     # det D_ref / rep[g]; a search on the reference level keeps every count
     # and node total, and the package's merges isometric keys
     R, lattice, n, su = case
-    m = R.m
+    m, A = R.m, R.arrays
 
     def check(D, y, q, child, ndp):
         want_q, g = level_reference.short(R, D, y)
         assert (q == want_q).all()
-        g, eye = g[R.unit[q]], np.eye(D.shape[0] - 1, dtype=bool)
+        g, eye = g[A.unit[q]], np.eye(D.shape[0] - 1, dtype=bool)
         diag = child[:, eye, 0]
-        assert not child[:, ~eye].any() and not child[:, eye, 1].any() and R.unit[diag].all()
+        assert not child[:, ~eye].any() and not child[:, eye, 1].any() and A.unit[diag].all()
         det = np.ones(len(g), dtype=np.int64)
         for column in diag.T:
             det = det * column % m
-        assert (R.rep[det] == R.rep[g]).all()
-        assert (R.scale[g] == ndp * R.rep[g] * R.inv[det] % m).all()
+        assert (A.rep[det] == A.rep[g]).all()
+        assert (A.scale[g] == ndp * A.rep[g] * A.inv[det] % m).all()
 
     search, ref = (_Search(R, lattice_diag(lattice, n), su, _Meter(10**30)) for _ in range(2))
     ref.level = lambda key: level_reference.level(ref, key, check)
@@ -357,7 +361,7 @@ def _diagonal_cases(draw):
     nonunit = st.integers(0, m // p - 1).map(lambda x: x * p)
     d = (draw(st.lists(unit, min_size=units, max_size=units))
          + draw(st.lists(nonunit, min_size=r - units, max_size=r - units)))
-    return R, np.array(d, dtype=np.int64), units
+    return R, d, units
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,11 +376,11 @@ def test_value_counts_by_convolution_match_enumeration(case):
     search = _Search(R, (1,) * len(d), False, _Meter(0))
     want = sum(np.bincount(_hermitian_values(R, D, y), minlength=m)
                for y in _product([[R.elems] * len(d)]))
-    assert search.dist(search.add(D)).tolist() == want.tolist()
+    assert search.dist(search.add(D)) == want.tolist()
     if units:
         want = sum(np.bincount(_hermitian_values(R, D, y), minlength=m)
                    for y in level_reference.rows(R, D))
-        assert R.rows(d, units).tolist() == want.tolist()
+        assert R.rows(d, units) == want.tolist()
 
 
 def test_odd_p_reach_matches_tau_p():
@@ -395,6 +399,108 @@ def test_odd_p_reach_matches_tau_p():
     elapsed = time.monotonic() - t0
     assert elapsed < 2.0, elapsed
 
+
+
+def test_short_counts_stay_exact_past_int64(monkeypatch):
+    # a count of short classes runs on Python ints: with the row-table cap
+    # lifted, L n = 20 over O/3 and n = 14 over O/5 (near 2^700 and 2^520) are
+    # tau_p p^dim exactly, where int64 value counts wrapped and tripped the
+    # "missed a unit-norm row" assertion
+    monkeypatch.setattr(group_enum, "_MAX_ROW_TABLE", 10**30)
+    t0 = time.monotonic()
+    for n, p in [(20, 3), (14, 5)]:
+        rep = count_group("L", n, ring(F3, p), "SU", budget=10**300)
+        assert rep.count == tau_p("L", n, F3, p).value * p ** ((n + 1) ** 2 - 1), (n, p)
+        assert rep.count > 2**500
+    elapsed = time.monotonic() - t0
+    assert elapsed < 2.0, elapsed
+
+
+# every prime power m <= 64, as m -> (p, N)
+_SMALL_MODULI = {p**N: (p, N) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                        53, 59, 61) for N in range(1, 7) if p**N <= 64}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23, 35, 39]),
+       st.sampled_from(sorted(_SMALL_MODULI)))
+def test_ring_tables_match_the_scalar_reference(d, m):
+    # every int table of _Ring, element by element on ScalarRing, and each
+    # array form and root, built on first read, against the lists
+    p, N = _SMALL_MODULI[m]
+    S = ScalarRing(make_field(d), p, N)
+    R = _Ring(ResidueRing(S.field, S.p, S.exponent))
+    elems = [S.element(a, b) for a in range(m) for b in range(m)]
+    unit = [math.gcd(g, p) == 1 for g in range(m)]
+    norm_count = [sum(S.norm(x) == g for x in elems) for g in range(m)]
+    unit_norms = sorted({S.norm(x) for x in elems if S.is_unit(x)})
+    rep = [min(g * u % m for u in unit_norms) if unit[g] else g for g in range(m)]
+    assert R.unit == unit
+    assert R.inv == [next((x for x in range(m) if g * x % m == 1), 0) for g in range(m)]
+    assert R.norm_count == norm_count
+    assert R.nonunit_count == [0 if u else c for u, c in zip(unit, norm_count)]
+    assert R.one_count == [int(g == 1) for g in range(m)]
+    assert R.rep == rep
+    assert R.scale == [next(u for u in unit_norms if g * u % m == rep[g]) if unit[g] else 1
+                       for g in range(m)]
+    for name in ("unit", "inv", "norm_count", "rep", "scale"):
+        assert getattr(R.arrays, name).tolist() == getattr(R, name), name
+    assert all(S.norm(S.element(*R.root[g])) == g for g in range(m) if norm_count[g])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_SMALL_MODULI)), st.data())
+def test_value_convolution_matches_the_numpy_reference(m, data):
+    # on counts small enough for the float64 bincount, the exact convolution
+    # on Python ints equals the numpy one it replaced
+    R = _Ring(ring(F3, *_SMALL_MODULI[m]))
+    d = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
+    counts = data.draw(st.lists(st.lists(st.integers(0, 255), min_size=m, max_size=m),
+                                min_size=len(d), max_size=len(d)))
+    assert R.values(d, counts) == values_reference.values(m, d, counts).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([m for m in sorted(_SMALL_MODULI) if m <= 16]), st.data())
+def test_value_convolution_is_exact_past_int64(m, data):
+    # counts of 2^40 and more: every value past 2^63 equals the sum over
+    # every (g_1, ..., g_r) of the product of its counts
+    R = _Ring(ring(F3, *_SMALL_MODULI[m]))
+    d = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=3))
+    count = st.lists(st.one_of(st.just(0), st.integers(2**40, 2**80)),
+                     min_size=m, max_size=m).filter(any)
+    counts = data.draw(st.lists(count, min_size=len(d), max_size=len(d)))
+    want = [0] * m
+    for g in itertools.product(range(m), repeat=len(d)):
+        want[sum(di * gi for di, gi in zip(d, g)) % m] += math.prod(
+            c[gi] for c, gi in zip(counts, g))
+    assert R.values(d, counts) == want
+    assert max(want) > 2**63
+
+
+@pytest.mark.parametrize("lattice, n, ring_, budget", [
+    ("L", 2, ring(F3, 3), None), ("L", 2, ring(F3, 5), None),
+    ("M", 1, ring(F3, 2, 5), 2 * 10**9)])
+def test_short_counts_build_no_numpy(monkeypatch, lattice, n, ring_, budget):
+    # a count of short classes reads only the int tables: none of the numpy
+    # objects _Ring builds on first read is built, and no probe; a p = 2
+    # count with a rank-3 level, which streams its rows, builds them
+    made = []
+
+    class Recorded(_Ring):
+        def __init__(self, ring):
+            super().__init__(ring)
+            made.append(self)
+
+    monkeypatch.setattr(group_enum, "_Ring", Recorded)
+    lazy = {name for name, attr in vars(_Ring).items() if isinstance(attr, cached_property)}
+    assert lazy == {"arrays", "elems", "nonunits", "one", "root"}
+    count_group(lattice, n, ring_, "SU", budget=budget)
+    count_group("L", 2, ring(F3, 2, 2), "SU")
+    short, streamed = made
+    assert not lazy & vars(short).keys() and not short._probes
+    assert not any(isinstance(v, np.ndarray) for v in vars(short).values())
+    assert lazy <= vars(streamed).keys() and streamed._probes
 
 def _fields_by_class(p, candidates=(1, 3, 5, 7, 11, 13, 15)):
     """One field per behaviour of p (split, inert, ramified) that occurs among
