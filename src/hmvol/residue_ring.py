@@ -2,9 +2,8 @@
 
 An element a + b*eps is a pair of coordinates in Z/p^N; the only arithmetic on
 them is :mod:`hmvol.group_enum`'s, with eps^2 = trace_eps * eps - norm_eps.
-It keeps the tables of Z/p^N and of the norm as lists of Python ints, and
-holds elements and matrices as int64 coordinate pairs only in the numpy
-passes of its streaming level.
+It reads a ring through the tables of Z/p^N and of the norm, lists of Python
+ints, and holds no element or matrix.
 A ring is a frozen, hashable record, so it can key a memo table.
 """
 

@@ -1,6 +1,6 @@
-"""The canonicalization `hmvol.group_enum._canonical` replaced, kept as a test
+"""The canonicalization `stream_reference.canonical` replaced, kept as a test
 reference: its split loop runs over every position, the last 1 x 1 remainder
-included, where the package copies that entry instead.  Both must return the
+included, where `canonical` copies that entry instead.  Both must return the
 same (D, nd), so that a count meets the same memo keys.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hmvol.group_enum import _complement
+from stream_reference import complement
 
 
 def canonical(R, G):
@@ -26,7 +26,7 @@ def canonical(R, G):
         live, cur, v = live[found], cur[found], V[ok.argmax(axis=1)[found]]
         if not live.size:
             break
-        q, B = _complement(R, cur, v)
+        q, B = complement(R, cur, v)
         P[live, s:] = R.matmul(np.concatenate([v[:, None], B], axis=1), P[live, s:])
         cur = R.matmul(R.matmul(B, cur), R.star(B))
         D[live, s, s, 0] = q
