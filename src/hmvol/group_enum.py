@@ -17,21 +17,20 @@ with det t one-to-one onto those with det u t, so the SU count depends on t
 only through T = N(t), a unit of Z/m, and every determinant below is carried
 as its norm.
 
-Every class the search meets is a diagonal form D = diag(d): its unit entries
-first, then at most a diagonal of non-units, which adds only non-units to a
-value, so a unit-norm row has a unit coordinate among the unit entries.  A
-class is stored as the tuple d, which is its own key.  Writing x = s y with s
-its first unit coordinate, so that y's is 1, B depends on y only,
+Every class the search meets is D = diag(1, ..., 1, g) of some rank r, keyed
+(r, g); the top form diag(lam) is (w, lam[-1]), w = n + 1, as it stands
+(P = I, so T = 1).  A non-unit g adds only non-units to a value, so a
+unit-norm row has a unit coordinate among the unit entries.  Writing x = s y
+with s its first unit coordinate, so that y's is 1, B depends on y only,
 det [x; B] = s det [y; B] and N(s) = lams[0] / h(y, y): the search runs over
 these projective rows y and counts the s of each by its norm.  Since
-[y; B] D [y; B]* = diag(q, B D B*) with det [y; B] = +-1, q det(B D B*) =
-det D, and the child of a row y is read off g = det D / q: it is
-diag(1, ..., 1, rep[g]) (a non-unit g is kept as it is), reached by a P with
-N(det P) = scale[g], and the child's T is T sigma, sigma = 1 / (N(s) N(det P)).
-That the complement B D B* is this form, or counts as it does, holds class by
-class:
-- A binary class (r = 2) has the 1 x 1 complement [g], and scaling it by an
-  element of norm scale[g] gives [rep[g]].  Every level of an n = 1 count is
+[y; B] D [y; B]* = diag(q, B D B*) with det [y; B] = +-1, q det(B D B*) = g,
+and the child of a row y is read off g' = g / q: it is (r - 1, rep[g']) (a
+non-unit g' is kept as it is), reached by a P with N(det P) = scale[g'], and
+the child's T is T sigma, sigma = 1 / (N(s) N(det P)).  That the complement
+B D B* is this form, or counts as it does, holds class by class:
+- A binary class (r = 2) has the 1 x 1 complement [g'], and scaling it by an
+  element of norm scale[g'] gives [rep[g']].  Every level of an n = 1 count is
   binary, and so is every level below the top of an n = 2 count.
 - At odd p every class is a diagonal of units.  A unimodular form of rank
   >= 2 represents every unit (reduced mod p it is a nondegenerate form over
@@ -49,38 +48,35 @@ class:
   harmless: diag(1, ..., 1, u) with N(u) = 1 + m/2 maps diag(1, ..., 1, g)
   to itself, so its SU counts are the same at T and T (1 + m/2).
 - At a ramified 2 (trace_eps even) Tr(O) lies in 2 Z_2, so x -> h(x, x) mod 2
-  is additive.  The units of Z/m are odd, so it is h(x, c) mod pi, for the
-  uniformizer pi and c the vector with a 1 at each unit entry and 0 elsewhere.
+  is additive.  The units of Z/m are odd, so it is h(x, e) mod pi, for the
+  uniformizer pi and e the vector with a 1 at each unit entry and 0 elsewhere.
   As D = O y ⊥ y^⊥, the complement y^⊥ has no unit-norm vector exactly when
-  h(., c) vanishes mod pi on it, that is, when c = y mod pi at the unit
+  h(., e) vanishes mod pi on it, that is, when e = y mod pi at the unit
   entries: when every coordinate of y at a unit entry is a unit.  Such a
   child of rank >= 2 is dead, because its lams[0] = 1 needs a unit-norm
   vector.  Its rows are counted apart (_Ring.dead) and billed to one dead
-  child, the zero diagonal, whose reps[0] is 0, so the meter charges each of
-  them the c[1] it charged every dead child.  Every other child is odd: L's
-  is odd unimodular and so fixed by its rank and determinant class
-  (Jacobowitz, ramified case), and M's is odd unimodular ⊥ <2u>, whose
-  representation numbers and SU counts the tests check against the canonical
-  forms of a row-by-row reference.
+  child, the zero diagonal keyed (r - 1, -1), which sorts first and whose
+  reps[0] is 0, so the meter charges each of them the c[1] it charged every
+  dead child.  Every other child is odd: L's is odd unimodular and so fixed
+  by its rank and determinant class (Jacobowitz, ramified case), and M's is
+  odd unimodular ⊥ <2u>, whose representation numbers and SU counts the
+  tests check against the canonical forms of a row-by-row reference.
 
 So the child, weight and sigma of a row depend on q = h(y, y) only, and the
-rows of a class are counted by value, not one by one: on diag(d), q =
-sum_i d_i N(y_i), and the number of projective rows with first unit
-coordinate i0 and value q is the cyclic convolution over Z/m of a point mass
-at d_i0 (y_i0 = 1), the norm counts of the non-unit-norm elements scaled by
-d_i for i < i0, and the full norm counts scaled by d_i for i > i0
-(_Ring.rows).  The dead rows at a ramified 2 have i0 = 0 and unit-norm
-coordinates at every other unit entry, and are the same kind of convolution.
-The convolution of the scaled norm counts of every entry gives the
-representation numbers of a class (dist).
-
-The top form diag(lam), w = n + 1 entries, is the first class as it stands
-(P = I, so T = 1): its unit entries come first, and after them at most a
-diagonal of non-units (-2 for M at p = 2).  The layout is asserted.
-
-_Ring holds the package's only arithmetic over O/m: the tables of Z/m and of
-the norm, as lists of Python ints.  A count reads nothing else, so it is
-exact at any size.
+rows of a class are counted by value, not one by one, by recurrences on rank
+over the first coordinate y_0.  Write N, U and T for the norm counts of all
+elements, of the non-unit-norm ones and of the unit-norm ones, X_g for the
+counts of g v (_Ring.scaled), X * Y for the cyclic convolution over Z/m
+(_Ring.convolve) and shift_1 for adding 1 to every value.  On the class (r, g):
+- its vectors (_Ring.dist): dist(1, g) = N_g, dist(r, g) = N * dist(r - 1, g);
+- its projective rows (_Ring.rows): rows(1, g) = delta_g for a unit g, else
+  0, and rows(r, g) = shift_1(dist(r - 1, g)) + U * rows(r - 1, g), for
+  y_0 = 1 and any rest, or N(y_0) a non-unit and the rest projective;
+- its dead rows (_Ring.dead): dead(2, g) = shift_1(T_g), or shift_1(N_g) for
+  a non-unit g, and dead(r, g) = T * dead(r - 1, g).
+_Ring memoizes each by (r, g) and holds the package's only arithmetic over
+O/m, on lists of Python ints.  A count reads nothing else, so it is exact at
+any size.
 
 Work is metered in the partial assignments a row-by-row search settles,
 computed per class rather than per prefix: the m^(2w) rows of the table,
@@ -109,6 +105,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .lie_form import lattice_diag
 from .quadfield import FieldData, make_field
@@ -162,7 +159,8 @@ class _Meter:
 
 
 class _Ring:
-    """O/m: the tables of Z/m and of the norm, lists of Python ints."""
+    """O/m: the tables of Z/m and of the norm, lists of Python ints, and the
+    value counts of the classes diag(1, ..., 1, g) by recurrences on rank."""
 
     def __init__(self, ring: ResidueRing):
         m = self.m = ring.modulus
@@ -173,95 +171,97 @@ class _Ring:
         for b in range(m):
             for a in range(m):
                 self.norm_count[(a * a + t * a * b + nu * b * b) % m] += 1
-        # the norm counts of the unit-norm elements, of the others and of {1}
+        # the norm counts of the unit-norm elements and of the others
         self.unit_count = [c if u else 0 for u, c in zip(self.unit, self.norm_count)]
         self.nonunit_count = [0 if u else c for u, c in zip(self.unit, self.norm_count)]
-        self.one_count = [int(a == 1) for a in range(m)]
         # rep[g] is the least element of g N(units) for a unit g, and scale[g] the
         # norm of a unit taking g to it; non-units are left as they are
         unit_norms = [a for a, c in enumerate(self.unit_count) if c]
         self.rep = [min(g * u % m for u in unit_norms) if self.unit[g] else g for g in range(m)]
         self.scale = [r * i % m if i else 1 for r, i in zip(self.rep, self.inv)]
+        # the value counts of the classes, memoized for this count by (rank, g)
+        self.dist, self.rows, self.dead = cache(self.dist), cache(self.rows), cache(self.dead)
 
-    def values(self, d, counts):
-        """The ways sum_i d_i g_i takes each value of Z/m, g_i taking the value g
-        in counts[i][g] ways: the exact cyclic convolution of the d_i-scaled
-        counts, over their nonzero terms only."""
-        m, out = self.m, {0: 1}
-        for di, c in zip(d, counts):
-            h, acc = [(di * g, k) for g, k in enumerate(c) if k], [0] * m
-            for a, x in out.items():
-                for b, y in h:
-                    acc[(a + b) % m] += x * y
-            out = {a: x for a, x in enumerate(acc) if x}
-        return [out.get(a, 0) for a in range(m)]
+    def convolve(self, a, b):
+        """The ways x + y takes each value of Z/m, x and y taking the value v in
+        a[v] and b[v] ways: the exact cyclic convolution, over nonzero terms."""
+        m, out, h = self.m, [0] * self.m, [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in h:
+                    out[(i + j) % m] += x * y
+        return out
 
-    def rows(self, d, units):
-        """rows[q] = #{y : h(y, y) = q} over level's projective rows y of diag(d):
-        y_i0 = 1 for an i0 < units, non-unit norms before it, anything after."""
-        return [sum(col) for col in zip(*(
-            self.values(d, [self.nonunit_count] * i0 + [self.one_count]
-                        + [self.norm_count] * (len(d) - 1 - i0)) for i0 in range(units)))]
+    def scaled(self, counts, g, shift=0):
+        """The counts of shift + g v, v taking the value a in counts[a] ways."""
+        out = [0] * self.m
+        for a, c in enumerate(counts):
+            out[(shift + g * a) % self.m] += c
+        return out
 
-    def dead(self, d, units):
-        """dead[q] = #{y : h(y, y) = q} over the projective rows y of diag(d) whose
-        every coordinate at a unit entry is a unit: at a ramified 2, the rows
-        whose complement has no unit-norm vector."""
-        return self.values(d, [self.one_count] + [self.unit_count] * (units - 1)
-                           + [self.norm_count] * (len(d) - units))
+    def dist(self, r, g):
+        """dist[a] = #{y : h(y, y) = a} on diag(1, ..., 1, g) of rank r: N^(r-1) N_g."""
+        if r == 1:
+            return self.scaled(self.norm_count, g)
+        return self.convolve(self.norm_count, self.dist(r - 1, g))
+
+    def rows(self, r, g):
+        """rows[q] = #{y : h(y, y) = q} over level's projective rows y of
+        diag(1, ..., 1, g): y_0 = 1 and any rest, or N(y_0) a non-unit and the
+        rest projective; at rank 1, y_0 = 1 if g is a unit."""
+        if r == 1:
+            return [int(a == g and self.unit[g]) for a in range(self.m)]
+        return [x + y for x, y in zip(self.scaled(self.dist(r - 1, g), 1, 1),
+                                      self.convolve(self.nonunit_count, self.rows(r - 1, g)))]
+
+    def dead(self, r, g):
+        """dead[q] = #{y : h(y, y) = q} over the projective rows y of
+        diag(1, ..., 1, g), r >= 2, whose coordinates at the unit entries are all
+        units: at a ramified 2, the rows whose complement has no unit-norm vector."""
+        if r > 2:
+            return self.convolve(self.unit_count, self.dead(r - 1, g))
+        return self.scaled(self.unit_count if self.unit[g] else self.norm_count, g, 1)
 
 
 class _Search:
-    """One count: the complement classes met, each a diagonal form keyed by the
-    tuple of its entries, with memo tables for their value distributions,
-    levels, meter charges and counts.  A class of size r has the diagonal
-    lam[w - r:]."""
+    """One count: the classes met, keyed (r, g) for diag(1, ..., 1, g) or (r, -1)
+    for the dead zero diagonal, with memo tables for their levels, meter
+    charges and counts.  A class of rank r has the diagonal lam[w - r:]."""
 
     def __init__(self, R: _Ring, lam, su: bool, meter: _Meter):
         self.R, self.su, self.meter = R, su, meter
         self.lam = tuple(l % R.m for l in lam)
-        self.dists, self.levels, self.charges, self.counts = {}, {}, {}, {}
+        self.levels, self.charges, self.counts = {}, {}, {}
 
     def lams(self, key):
-        return self.lam[len(self.lam) - len(key):]
-
-    def dist(self, key):
-        """dist[g] = #{y : y D y* = g}: the convolution of the norm counts scaled
-        by the diagonal entries."""
-        if key not in self.dists:
-            self.dists[key] = self.R.values(key, [self.R.norm_count] * len(key))
-        return self.dists[key]
+        return self.lam[len(self.lam) - key[0]:]
 
     def reps(self, key):
         """The sizes of the key's classes: representation numbers of its lams."""
-        dist = self.dist(key)
+        r, g = key  # (r, -1) is the zero diagonal, whose every vector has the value 0
+        dist = self.R.dist(r, g) if g >= 0 else [self.R.m ** (2 * r)] + [0] * (self.R.m - 1)
         return [dist[l] for l in self.lams(key)]
 
     def level(self, key):
         """child key -> {sigma: rows} over the rows x with x D x* = lams[0], where
-        a row's child is diag(1, ..., 1, rep[g]), g = det D / q, and the child's
-        T is T * sigma, sigma = 1 / (N(s) N(det P)) (0 for U); at a ramified 2
-        the rows whose complement has no unit-norm vector go to the zero
-        diagonal instead.  The rows are counted by value (R.rows, R.dead)."""
+        a row's child is (r - 1, rep[g]), g = det D / q, and the child's T is
+        T * sigma, sigma = 1 / (N(s) N(det P)) (0 for U); at a ramified 2 the
+        rows whose complement has no unit-norm vector go to the dead child
+        (r - 1, -1) instead.  The rows are counted by value (R.rows, R.dead)."""
         if key in self.levels:
             return self.levels[key]
-        R = self.R
-        m, r, lam0 = R.m, len(key), self.lams(key)[0]
-        units = sum(R.unit[g] for g in key)
-        assert r == 2 or units == r or m % 2 == 0 and units == r - 1, \
-            "a class of rank >= 3 has a non-unit entry at odd p, or two at p = 2"
+        R, m, (r, det), lam0 = self.R, self.R.m, key, self.lams(key)[0]
         # at a ramified 2 a child of rank >= 2 may have no unit-norm vector
-        ramified_2 = m % 2 == 0 and R.t % 2 == 0
-        dead = R.dead(key, units) if r >= 3 and ramified_2 else [0] * m
-        det, sizes, zero = math.prod(key) % m, {}, ((0,) * (r - 1), 0)  # the dead child
-        for q, (rows, lost) in enumerate(zip(R.rows(key, units), dead)):
+        dead = R.dead(r, det) if r >= 3 and m % 2 == 0 and R.t % 2 == 0 else [0] * m
+        sizes, zero = {}, ((r - 1, -1), 0)  # the dead child sorts first
+        for q, (rows, lost) in enumerate(zip(R.rows(r, det), dead)):
             ns = lam0 * R.inv[q] % m  # N(s) for x = s y
             weight = R.norm_count[ns] if R.unit[q] else 0
             if not weight:
                 continue
             # child diag(1, ..., 1, rep[g]), g = det D / q, N(det P) = scale[g]
             g = det * R.inv[q] % m
-            live = (1,) * (r - 2) + (R.rep[g],), R.inv[ns * R.scale[g] % m] if self.su else 0
+            live = (r - 1, R.rep[g]), R.inv[ns * R.scale[g] % m] if self.su else 0
             for pair, size in ((live, rows - lost), (zero, lost)):
                 if size:
                     sizes[pair] = sizes.get(pair, 0) + weight * size
@@ -302,9 +302,9 @@ class _Search:
     def count(self, key, T: int) -> int:
         """count(D, lams, t) for N(t) = T (SU); T is unused for U."""
         if (key, T) not in self.counts:
-            lam = self.lams(key)
-            if len(key) == 1:
-                value = (T * key[0] % self.R.m == lam[0]) if self.su else self.reps(key)[0]
+            r, g = key
+            if r == 1:
+                value = (T * g % self.R.m == self.lams(key)[0]) if self.su else self.reps(key)[0]
             else:
                 value = sum(size * self.count(child, T * sigma % self.R.m)
                             for child, sigmas in self.level(key).items()
@@ -313,12 +313,10 @@ class _Search:
         return self.counts[(key, T)]
 
     def run(self) -> int:
-        # diag(lam) is the top form as it stands (P = I, so T = 1 for SU): its
-        # unit entries come first, and a diagonal of non-units adds no unit value
-        unit = [self.R.unit[l] for l in self.lam]
-        assert unit == sorted(unit, reverse=True), f"a unit of {self.lam} after a non-unit"
-        self.charge(self.lam, 1)
-        return self.count(self.lam, 1 if self.su else 0)
+        # the top form diag(lam) = diag(1, ..., 1, lam[-1]) as it stands: P = I, T = 1
+        top = (len(self.lam), self.lam[-1])
+        self.charge(top, 1)
+        return self.count(top, 1 if self.su else 0)
 
 
 def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",

@@ -17,6 +17,7 @@ from functools import cache
 from math import ceil, factorial, isqrt
 
 from . import dyadic
+from .arith import bernoulli
 from .expressions import VolumeExpression
 from .lie_form import vol_max_compact
 from .local_density import _alternating_args, _eps_char, special_primes, tau_infinity
@@ -147,6 +148,7 @@ def _exact_product(zeta_args: tuple[int, ...], l_args: tuple[int, ...],
     pi power, sqrt|D| power): the table row and the assembly of both
     lattices at one (n, field) share it."""
     coeff, pi_power, d_sqrt_power = Fraction(1), 0, 0
+    bernoulli(max(zeta_args + l_args, default=0))  # the table in one build, not one per form
     for form in [zeta_exact(s) for s in zeta_args] + [l_exact(k, field) for k in l_args]:
         coeff *= form.coeff
         pi_power += form.pi_power

@@ -5,11 +5,14 @@ counts the rows of a class by the value q = h(y, y) (`_Ring.rows`) and reads
 the child off det D / q.  `short` is the per-row form of that reading: it
 returns q and det D / q row by row.
 
-`Search` is a `_Search` on this level.  Its classes are canonical forms, and
-a form that is not diagonal (a 2-adic remainder with no unit-norm vector) has
-its representation numbers enumerated.  At rank 2 both levels return the same
-{child key: {sigma: rows}}, so that a count meets the same memo keys.  At
-rank >= 3 the package's child diag(1, ..., 1, rep[g]) has the rank and the
+`Search` is a `_Search` on this level.  Its classes are canonical forms,
+keyed (r, x) by `search_key`: x = g for diag(1, ..., 1, g), as the package
+keys it, and the stream_reference form_key of any other form.  Their
+representation numbers are the exact convolutions of values_reference, and
+a form that is not diagonal (a 2-adic remainder with no unit-norm vector)
+has those of its remainder enumerated.  At rank 2 both levels return the
+same {child key: {sigma: rows}}, so that a count meets the same memo keys.
+At rank >= 3 the package's child (r - 1, rep[g]) has the rank and the
 representation numbers of the reference's, and its sigma may differ; a
 search on either level has the same count and node total, and the package's
 may merge keys.
@@ -22,7 +25,22 @@ import math
 import numpy as np
 
 from hmvol.group_enum import _Search
-from stream_reference import canonical, complement, form_key, matrix, packed, product
+from stream_reference import canonical, complement, diag, form_key, matrix, packed, product
+import values_reference
+
+
+def search_key(D):
+    """The Search key (r, x) of the form D (r, r, 2)."""
+    key = form_key(D)
+    if not isinstance(key[0], tuple) and all(a == 1 for a in key[:-1]):
+        return len(key), key[-1]
+    return len(key), key
+
+
+def search_form(key):
+    """The form (r, r, 2) of a Search key."""
+    r, x = key
+    return matrix(x) if isinstance(x, tuple) else diag((1,) * (r - 1) + (x,))
 
 
 def rows(R, D):
@@ -52,28 +70,37 @@ class Search(_Search):
 
     def __init__(self, R, lam, su, meter, check=None):
         super().__init__(R, lam, su, meter)
-        self.check = check
+        self.check, self.dists = check, {}
 
     def dist(self, key):
-        """A form that is not diagonal convolves the norm counts of its unit
-        diagonal entries with the values of its enumerated remainder."""
-        if key in self.dists or not isinstance(key[0], tuple):
-            return super().dist(key)
-        R, D = self.R, matrix(key)
-        d = np.diagonal(D[..., 0]).tolist()
-        k = sum(R.unit[g] for g in d)
-        raw, h = D[k:, k:], np.zeros(R.m, dtype=np.int64)
-        for y in product([[R.elems] * len(raw)]):
-            vals = R.matmul(R.matmul(y[:, None], raw), R.conj(y)[..., None, :])
-            h += np.bincount(vals[:, 0, 0, 0], minlength=R.m)
-        self.dists[key] = R.values(d[:k] + [1], [R.norm_count] * k + [h.tolist()])
+        """dist[g] = #{y : y D y* = g} on the form D of the key: the convolution
+        of the norm counts scaled by its diagonal if it is diagonal, else of
+        those of its unit diagonal entries and the values of its remainder,
+        enumerated."""
+        if key not in self.dists:
+            R, D = self.R, search_form(key)
+            d = np.diagonal(D[..., 0]).tolist()
+            if (D == diag(d)).all():
+                self.dists[key] = values_reference.dist(R, d)
+            else:
+                k = sum(R.unit[g] for g in d)
+                raw, h = D[k:, k:], np.zeros(R.m, dtype=np.int64)
+                for y in product([[R.elems] * len(raw)]):
+                    vals = R.matmul(R.matmul(y[:, None], raw), R.conj(y)[..., None, :])
+                    h += np.bincount(vals[:, 0, 0, 0], minlength=R.m)
+                self.dists[key] = values_reference.exact_values(
+                    R.m, d[:k] + [1], [R.norm_count] * k + [h.tolist()])
         return self.dists[key]
+
+    def reps(self, key):
+        dist = self.dist(key)
+        return [dist[l] for l in self.lams(key)]
 
     def level(self, key):
         """{child key: {sigma: rows}} of the class `key`, memoized."""
         if key in self.levels:
             return self.levels[key]
-        R, D = self.R, matrix(key)
+        R, D = self.R, search_form(key)
         m, A, lam0 = R.m, R.arrays, self.lams(key)[0]
         groups, total = {}, 0
         for y in rows(R, D):
@@ -90,7 +117,7 @@ class Search(_Search):
             keep = weight > 0
             child, ndp, ns, weight = child[keep], ndp[keep], ns[keep], weight[keep]
             _, first, cls = np.unique(packed(child), return_index=True, return_inverse=True)
-            keys = [form_key(form) for form in child[first]]
+            keys = [search_key(form) for form in child[first]]
             sigma = A.inv[ns * ndp % m] if self.su else 0
             pairs, inverse = np.unique(cls * m + sigma, return_inverse=True)
             sums = np.zeros(len(pairs), dtype=np.int64)

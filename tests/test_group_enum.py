@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -13,13 +14,12 @@ from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Se
                               count_group, count_kernel, default_budget, oracle_tau_p,
                               stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
-from hmvol.local_density import index_u_su, tau_p
+from hmvol.local_density import index_u_su, special_primes, tau_p
 from hmvol.quadfield import chi, make_field
 from hmvol.residue_ring import ResidueRing
 import canonical_reference
 import kernel_reference
 import level_reference
-import stream_reference
 import values_reference
 from scalar_ring import RingMatrix, ScalarRing
 from stream_reference import StreamRing, canonical, complement, diag, product
@@ -215,7 +215,7 @@ def test_canonical_form_keeps_the_value_counts(case):
     assert math.gcd(int(nd[0]), m) == 1
     search = level_reference.Search(ring_, (1,) * r, False, _Meter(0))
     want = _value_counts(R, G)
-    assert search.dist(stream_reference.form_key(D[0])) == want
+    assert search.dist(level_reference.search_key(D[0])) == want
     diag = [int(D[0, i, i, 0]) for i in range(r)]
     units = sum(math.gcd(g, m) == 1 for g in diag)
     assert all(math.gcd(g, m) == 1 for g in diag[:units])
@@ -272,7 +272,8 @@ def test_binary_level_matches_the_canonical_complement(su, case):
     # a binary class reads each row's child off det D / q: per row, [rep[g]]
     # and N(det P) = scale[g] are canonical(B D B*) on complement's basis
     # (for G too, whose off-diagonal entry is not cleared), and the level is
-    # the one every class used to build
+    # the one every class used to build; the package keys diag(1, g) only, so
+    # the levels are compared on diag(1, D_11), which is D when D_00 = 1
     R, G, D, lam = case
     for form in (G, D):
         for y in level_reference.rows(R, form):
@@ -286,7 +287,7 @@ def test_binary_level_matches_the_canonical_complement(su, case):
             child[:, 0, 0, 0] = A.rep[g]
             assert (child == want).all() and (nd == A.scale[g]).all()
     search, ref = _Search(R, lam, su, _Meter(0)), level_reference.Search(R, lam, su, _Meter(0))
-    key = stream_reference.form_key(D)
+    key = (2, int(D[1, 1, 0]))
     assert search.level(key) == ref.level(key)
 
 
@@ -371,20 +372,24 @@ def _diagonal_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(_diagonal_cases())
 def test_value_counts_by_convolution_match_enumeration(case):
-    # dist convolves the scaled norm counts of every diagonal entry, unit or
-    # not, and a short level counts its projective rows by value the same
-    # way, with non-unit norms before the first unit coordinate: each equals
-    # a bincount of h(y, y) over the vectors it counts
+    # the reference dist convolves the scaled norm counts of every diagonal
+    # entry, unit or not, and its rows count a level's projective rows by
+    # value the same way, with non-unit norms before the first unit
+    # coordinate: each equals a bincount of h(y, y) over the vectors it
+    # counts, and so do the package's recurrences on diag(1, ..., 1, g)
     R, d, units = case
-    D, m = diag(d), R.m
-    search = _Search(R, (1,) * len(d), False, _Meter(0))
+    D, m, ones = diag(d), R.m, all(g == 1 for g in d[:-1])
     want = sum(np.bincount(_hermitian_values(R, D, y), minlength=m)
                for y in product([[R.elems] * len(d)]))
-    assert search.dist(tuple(d)) == want.tolist()
+    assert values_reference.dist(R, d) == want.tolist()
+    if ones:
+        assert R.dist(len(d), d[-1]) == want.tolist()
     if units:
         want = sum(np.bincount(_hermitian_values(R, D, y), minlength=m)
                    for y in level_reference.rows(R, D))
-        assert R.rows(d, units) == want.tolist()
+        assert values_reference.rows(R, d, units) == want.tolist()
+        if ones:
+            assert R.rows(len(d), d[-1]) == want.tolist()
 
 
 # (n, m) at p = 2 under count_group's row-table cap, less L n = 2 over O/16
@@ -437,8 +442,9 @@ def _ramified_diagonals(draw):
 def test_dead_rows_match_the_streaming_reference(case):
     # at a ramified 2 the complement of a row y has no unit-norm vector exactly
     # when every coordinate of y at a unit entry is a unit: at each unit q, the
-    # rows whose canonical complement keeps a non-unit first entry are R.dead's
-    # convolution, and a level bills them all to the zero diagonal
+    # rows whose canonical complement keeps a non-unit first entry are the
+    # reference dead's convolution, and R.dead's on diag(1, ..., 1, g), whose
+    # level bills them all to the zero diagonal
     R, d, units = case
     D, m, A = diag(d), R.m, R.arrays
     want = np.zeros(m, dtype=np.int64)
@@ -447,13 +453,14 @@ def test_dead_rows_match_the_streaming_reference(case):
         q, B = q[A.unit[q]], B[A.unit[q]]
         child, _ = canonical(R, R.matmul(R.matmul(B, D), R.star(B)))
         want += np.bincount(q[~A.unit[child[:, 0, 0, 0]]], minlength=m)
-    dead = R.dead(d, units)
+    dead = values_reference.dead(R, d, units)
     assert [dead[q] if R.unit[q] else 0 for q in range(m)] == want.tolist()
-    if units >= len(d) - 1:
-        # the layouts a search meets; lams[0] = 1, so the rows of each q carry
+    if all(g == 1 for g in d[:-1]):
+        # the classes a search meets; lams[0] = 1, so the rows of each q carry
         # the norm count of 1 / q
-        level = _Search(R, (1,) * len(d), False, _Meter(0)).level(tuple(d))
-        billed = sum(level.get((0,) * (len(d) - 1), {}).values())
+        assert R.dead(len(d), d[-1]) == dead
+        level = _Search(R, (1,) * len(d), False, _Meter(0)).level((len(d), d[-1]))
+        billed = sum(level.get((len(d) - 1, -1), {}).values())
         assert billed == sum(R.norm_count[R.inv[q]] * int(want[q]) for q in range(m))
 
 
@@ -493,6 +500,23 @@ def test_two_adic_reach_matches_tau_p(monkeypatch):
             for n in range(1, 7):
                 assert (oracle_tau_p(lattice, n, field, 2, budget=10**300)
                         == tau_p(lattice, n, field, 2).value), (d, lattice, n)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, elapsed
+
+
+def test_rank_recurrence_reach_matches_tau_p(monkeypatch):
+    # with the row-table cap lifted, the densities of L at n = 40 and 80 and of
+    # M at n = 40 are counted at every special prime and at 2 and 3, and equal
+    # tau_p; they took about 40 s in all when each level ran one r-entry
+    # convolution per first unit coordinate
+    monkeypatch.setattr(group_enum, "_MAX_ROW_TABLE", 10**1000)
+    t0 = time.monotonic()
+    for lattice, n in [("L", 40), ("L", 80), ("M", 40)]:
+        for d in (3, 5, 105):
+            field = make_field(d)
+            for p in sorted(set(special_primes(lattice, field)) | {2, 3}):
+                assert (oracle_tau_p(lattice, n, field, p, budget=10**100000)
+                        == tau_p(lattice, n, field, p).value), (lattice, n, d, p)
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, elapsed
 
@@ -554,7 +578,6 @@ def test_ring_tables_match_the_scalar_reference(d, m):
     assert R.norm_count == norm_count
     assert R.unit_count == [c if u else 0 for u, c in zip(unit, norm_count)]
     assert R.nonunit_count == [0 if u else c for u, c in zip(unit, norm_count)]
-    assert R.one_count == [int(g == 1) for g in range(m)]
     assert R.rep == rep
     assert R.scale == [next(u for u in unit_norms if g * u % m == rep[g]) if unit[g] else 1
                        for g in range(m)]
@@ -563,16 +586,40 @@ def test_ring_tables_match_the_scalar_reference(d, m):
     assert all(S.norm(S.element(*R.root[g])) == g for g in range(m) if norm_count[g])
 
 
+def _convolved(R, d, counts):
+    """The ways sum_i d_i g_i takes each value, g_i taking the value g in
+    counts[i][g] ways, from _Ring's two-list steps."""
+    return functools.reduce(R.convolve, [R.scaled(c, di) for di, c in zip(d, counts)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SMALL_MODULI)), st.integers(1, 5), st.data())
+def test_rank_recurrences_match_the_convolution_reference(m, r, data):
+    # on diag(1, ..., 1, g), at both kinds of 2 and at split, inert and
+    # ramified odd p, the recurrences on rank count the vectors, the
+    # projective rows and the dead rows by value as the r-entry convolutions
+    # of the reference do
+    p, N = _SMALL_MODULI[m]
+    field = data.draw(st.sampled_from(_fields_by_class(p, (1, 3, 5, 7, 11, 13, 15, 19, 23))))
+    R = _Ring(ring(field, p, N))
+    g = data.draw(st.integers(0, m - 1))
+    d, units = (1,) * (r - 1) + (g,), r - 1 + R.unit[g]
+    assert R.dist(r, g) == values_reference.dist(R, d)
+    assert R.rows(r, g) == (values_reference.rows(R, d, units) or [0] * m)
+    if r >= 2:
+        assert R.dead(r, g) == values_reference.dead(R, d, units)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(_SMALL_MODULI)), st.data())
 def test_value_convolution_matches_the_numpy_reference(m, data):
-    # on counts small enough for the float64 bincount, the exact convolution
-    # on Python ints equals the numpy one it replaced
+    # on counts small enough for the float64 bincount, the exact scaling and
+    # convolution on Python ints equal the numpy ones they replaced
     R = _Ring(ring(F3, *_SMALL_MODULI[m]))
     d = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
     counts = data.draw(st.lists(st.lists(st.integers(0, 255), min_size=m, max_size=m),
                                 min_size=len(d), max_size=len(d)))
-    assert R.values(d, counts) == values_reference.values(m, d, counts).tolist()
+    assert _convolved(R, d, counts) == values_reference.values(m, d, counts).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -589,7 +636,7 @@ def test_value_convolution_is_exact_past_int64(m, data):
     for g in itertools.product(range(m), repeat=len(d)):
         want[sum(di * gi for di, gi in zip(d, g)) % m] += math.prod(
             c[gi] for c, gi in zip(counts, g))
-    assert R.values(d, counts) == want
+    assert _convolved(R, d, counts) == want
     assert max(want) > 2**63
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, nstr
 
-from hmvol import volume
+from hmvol import arith, volume
 from hmvol.arith import is_squarefree
 from hmvol.cli import main
 from hmvol.expressions import VolumeExpression
@@ -257,3 +257,16 @@ def test_memoized_products_match_the_fraction_chains():
                 for expr in (hm_assembled(lattice, n, field), hm_table(lattice, n, field).expr):
                     assert (rationalize(expr, field)
                             == volume_reference.rationalize(expr, field)), (lattice, n, d)
+
+
+def test_compute_builds_the_bernoulli_table_once(capsys, cold_memos, monkeypatch):
+    # the exact zeta/L product asks for its largest argument first, so a cold
+    # compute at n = 60 builds the Bernoulli table up to B_61 once, where
+    # asking in rising order rebuilt it for each argument (31 builds)
+    calls = []
+    tangent_numbers = arith._tangent_numbers
+    monkeypatch.setattr(arith, "_tangent_numbers", lambda n: calls.append(n) or tangent_numbers(n))
+    assert main(["compute", "--lattice", "L", "--n", "60", "--d", "3"]) == 0
+    assert calls == [30]
+    assert len(arith._BERNOULLI) == 62
+    capsys.readouterr()
