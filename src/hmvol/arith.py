@@ -8,25 +8,81 @@ values are arbitrary precision and all equalities are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from itertools import count
+from math import comb, gcd, isqrt, prod
+
+
+# trial division up to this bound factors every n < 1000^2 alone, every
+# conductor of the volume path (f <= 3188) among them
+_TRIAL_BOUND = 1000
 
 
 def factor(n: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of a positive integer, primes increasing, by
-    trial division (inputs are desk scale)."""
+    """The (prime, exponent) pairs of a positive integer, primes increasing:
+    trial division up to _TRIAL_BOUND, then is_prime and Brent's rho on what
+    is left (a cofactor past is_prime's limit is refused with ValueError)."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
     pairs, p = [], 2
-    while p * p <= n:
+    while p * p <= n and p < _TRIAL_BOUND:
         e = 0
         while n % p == 0:
             n, e = n // p, e + 1
         if e:
             pairs.append((p, e))
         p += 1 if p == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return tuple(pairs)
+    if p * p > n:  # what is left is 1 or a prime
+        return tuple(pairs + [(n, 1)] if n > 1 else pairs)
+    rest, primes = [n], []
+    while rest:  # every prime factor of what is left exceeds the bound
+        m = rest.pop()
+        if p * p > m or is_prime(m):
+            primes.append(m)
+        else:
+            q = _rho(m)
+            rest += [q, m // q]
+    return tuple(pairs) + tuple((q, primes.count(q)) for q in sorted(set(primes)))
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of Pollard's
+    rho (Brent, BIT 20, 1980): f(y) = y^2 + c mod n from y = 2, the
+    differences multiplied in batches of 128 before each gcd."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g, k = gcd(q, n), k + 128
+            r *= 2
+        if g == n:  # the batch overshot: step again from its start, one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def ratio(num: int, den: int) -> Fraction:
+    """num / den (both nonzero) as a Fraction, the power of 2 they share shifted
+    out first: the gcd that normalizes a Fraction costs the product of both
+    sizes, and a product of factorials over a power of 2 shares thousands."""
+    t = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    return Fraction(num >> t, den >> t)
+
+
+def product(xs: list[int]) -> int:
+    """prod(xs), halves first, so that large factors are multiplied in pairs
+    of like size (math.prod adds one factor at a time)."""
+    return prod(xs) if len(xs) < 8 else product(xs[:len(xs) // 2]) * product(xs[len(xs) // 2:])
 
 
 def is_squarefree(n: int) -> bool:

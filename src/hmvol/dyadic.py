@@ -35,8 +35,8 @@ def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 
 def of_fraction(q) -> tuple[int, int]:
-    """The rational q to PREC bits, rounded down."""
-    num, den = Fraction(q).as_integer_ratio()
+    """The rational q (a Fraction or an int) to PREC bits, rounded down."""
+    num, den = q.as_integer_ratio()
     s = PREC + den.bit_length() - num.bit_length()
     return cut((num << s) // den if s >= 0 else num // (den << -s), -s)
 
@@ -87,8 +87,10 @@ def _pi() -> tuple[int, int]:
     return cut(16 * acot(5) - 4 * acot(239), -w)
 
 
+@cache
 def pi_power(k: int) -> tuple[int, int]:
-    """pi^k for any integer k, by squaring with a cut after each product."""
+    """pi^k for any integer k, by squaring with a cut after each product;
+    memoized, since every volume of one n shares its power of pi."""
     x, out = _pi(), (1, 0)
     for bit in bin(abs(k))[2:]:
         out = mul(out, out)

@@ -27,6 +27,7 @@ from functools import cache, cached_property
 from math import factorial, isqrt, lcm
 from typing import NamedTuple
 
+from .arith import product, ratio
 from .expressions import VolumeExpression
 from .quadfield import FieldData
 
@@ -276,7 +277,5 @@ def vol_max_compact(n: int) -> VolumeExpression:
     if n < 1:
         raise ValueError("n must be >= 1")
     e = (n * n + n) // 2
-    coeff = Fraction(2**e)
-    for i in range(1, n):
-        coeff /= factorial(i)
-    return VolumeExpression(coeff=coeff, sqrt_sq=n + 1, pi_power=e)
+    return VolumeExpression(coeff=ratio(1 << e, product(list(map(factorial, range(1, n))))),
+                            sqrt_sq=n + 1, pi_power=e)

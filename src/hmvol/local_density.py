@@ -7,11 +7,12 @@ unramified factors collapse into zeta(even i) and L(odd i) for i = 2..n+1,
 and every prime with a non-generic local factor contributes the exact
 rational correction euler_local(p)/tau_p.
 
-Each local factor is one integer numerator over one denominator, normalized
-once.  Every value here depends on (lattice, n, field, p) alone and is
-immutable, so each is memoized for the process's life: a `table` row and its
-twin for the other lattice share the field's primes and Euler factors, and a
-run over several fields makes each n-only piece once.
+Each local factor is one integer numerator over one denominator, and
+tau_infinity multiplies them as integers and normalizes its coefficient once;
+only `tau_p`, the public density, is a `Fraction` of its own.  Every value
+here depends on (lattice, n, field, p) alone and is immutable, so `tau_p`,
+`tau_infinity` and the field's special primes are memoized for the process's
+life: a `table` row and its twin for the other lattice share the primes.
 """
 
 from __future__ import annotations
@@ -69,8 +70,12 @@ def _generic_product(p: int, signs) -> tuple[int, int]:
 
 @cache
 def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
-    """Closed-form local volume, dispatching on prime class and parity of n;
-    each is one integer numerator over one denominator, normalized once."""
+    """Closed-form local volume, dispatching on prime class and parity of n."""
+    return LocalDensity(Fraction(*_density(lattice, n, field, p)))
+
+
+def _density(lattice: str, n: int, field: FieldData, p: int) -> tuple[int, int]:
+    """tau_p as one integer numerator over one denominator, not normalized."""
     if lattice not in ("L", "M"):
         raise ValueError(f"lattice must be 'L' or 'M', got {lattice!r}")
     if n < 1:
@@ -82,26 +87,22 @@ def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
         # the generic product runs over i = 2..n+1; det M = -2 is not a unit at
         # 2, which shifts it to i = 1..n
         first = 1 if lattice == "M" and p == 2 else 2
-        num, den = _generic_product(p, ((i, c**i) for i in range(first, first + n)))
-    elif p == 2:
+        return _generic_product(p, ((i, c**i) for i in range(first, first + n)))
+    if p == 2:
         num, den = _even_product(2, n // 2 if lattice == "L" or n % 2 == 1 else (n - 2) // 2)
-        den <<= n
-    elif n % 2 == 0:  # odd ramified p
-        num, den = _even_product(p, n // 2)
-    else:
-        h = (n + 1) // 2
-        num, den = _even_product(p, h - 1)
-        num *= p**h - _eps_char(n, p, twisted=(lattice == "M"))
-        den *= p**h
-    return LocalDensity(Fraction(num, den))
+        return num, den << n
+    if n % 2 == 0:  # odd ramified p
+        return _even_product(p, n // 2)
+    h = (n + 1) // 2
+    num, den = _even_product(p, h - 1)
+    return num * (p**h - _eps_char(n, p, twisted=(lattice == "M"))), den * p**h
 
 
-@cache
-def _euler_local(field: FieldData, n: int, p: int) -> Fraction:
+def _euler_local(field: FieldData, n: int, p: int) -> tuple[int, int]:
     """Product of the Euler factors at p of the zeta(even)/L(odd) string for
-    arguments 2..n+1."""
+    arguments 2..n+1, as a numerator over a denominator, not normalized."""
     c = chi(field, p)
-    return Fraction(*_generic_product(p, ((i, c if i % 2 else 1) for i in range(2, n + 2))))
+    return _generic_product(p, ((i, c if i % 2 else 1) for i in range(2, n + 2)))
 
 
 @cache
@@ -123,11 +124,12 @@ def _alternating_args(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def tau_infinity(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     """1/prod_p tau_p as a symbolic volume: zeta(even i), L(odd i) for
     i in [2, n+1], with all non-generic local factors folded into the exact
-    rational coefficient."""
+    rational coefficient, normalized once."""
     zeta_args, l_args = _alternating_args(n)
     num = den = 1
     for p in special_primes(lattice, field):
-        euler, tau = _euler_local(field, n, p), tau_p(lattice, n, field, p).value
-        num *= euler.numerator * tau.denominator
-        den *= euler.denominator * tau.numerator
-    return VolumeExpression(coeff=Fraction(num, den), zeta_args=zeta_args, l_args=l_args)
+        euler_num, euler_den = _euler_local(field, n, p)
+        tau_num, tau_den = _density(lattice, n, field, p)
+        num *= euler_num * tau_den
+        den *= euler_den * tau_num
+    return VolumeExpression.of(Fraction(num, den), zeta_args=zeta_args, l_args=l_args)

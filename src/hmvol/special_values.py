@@ -12,29 +12,26 @@ through the functional equation, and that closed form is never trusted blind:
 its constant is pinned against the numeric evaluator on a fixed grid the
 first time it is used, and any disagreement is a fatal error.
 
-Tolerances are exact `Fraction`s down to TOL_FLOOR = 1e-40 (WORK_DPS digits,
-well beyond the 1e-12 scale tolerances used anywhere in the package); the
-fixed point of 2^-256 and the PREC-bit products of `dyadic` keep every
-rounding far below the stated truncation bounds.
+Tolerances are exact down to TOL_FLOOR = 1e-40 (WORK_DPS digits); the fixed
+point of 2^-256 and the PREC-bit products of `dyadic` keep every rounding far
+below the stated truncation bounds.  `check_tol` checks and converts each
+tolerance once per process; past it a tolerance travels as an integer ratio
+num/den, and a float (num / den, correctly rounded) only picks the cutoff.
 
 Each numeric value is one power sum sum_n w(n) n^-s of a weight of period f
 (chi_D for L, f = |D|; 1 for zeta), in fixed point where the integer 2^256
 stands for 1: exact over m = 1..M f, then the Euler-Maclaurin tail from the
 integer power sums of y = f/n over the f points n = M f + a, each n^e one
-product from the exponent before.  Every floor is
-off by under one unit and is added to the bound, whose own power sum is
-rounded up.  The sum (an integer) and its bound (a dyadic rational) are in
-units of 2^-256 and reach the caller as exact `Fraction`s; a float only picks
-the cutoff.  It depends on the tolerance only through the cutoff M, so it is
-memoized on (s, weights, M), once per process, as the immutable `SpecialValue`
-every caller shares.  `zeta_numeric` and `l_numeric` are memoized on their
-arguments, so a repeated (s, tol) or (k, field, tol) costs one lookup and its
-tolerance is checked on the first call only.  The correction coefficients
-and the tail constant are computed once per s, chi_D(a) and the count of its
-nonzero values once per field (`quadfield.character`), and the exact
-zeta(2k) once per k.  Generalized Bernoulli numbers come from integer
-power sums of the character, k+1 `Fraction` terms in all, and the L closed
-forms are memoized on (k, field), for the process's life.
+product from the exponent before.  Every floor is off by under one unit and
+is added to the bound, whose own power sum is rounded up.  The sum and its
+bound reach the caller as exact `Fraction`s.  They depend on the tolerance
+only through M, so they are memoized on (s, weights, M) as the immutable
+`SpecialValue` every caller shares, and a head summed at one M is extended,
+not summed again, at a larger one.  The correction coefficients and the tail
+constant are computed once per s, chi_D(a) once per field
+(`quadfield.character`), and the exact zeta(2k) once per k.  Generalized
+Bernoulli numbers come from integer power sums of the character, over one
+common denominator, and the L closed forms are memoized on (k, field).
 """
 
 from __future__ import annotations
@@ -87,8 +84,10 @@ def _em_constants(s: int) -> tuple[tuple[Fraction, ...], Fraction]:
     dyadic rational cut to `dyadic.PREC` bits: 2.5 exceeds the exact constant
     2 zeta(2J+1) of the periodic Bernoulli bound by far more than that cut."""
     J = _EM_TERMS
-    coeffs = tuple(bernoulli(2 * j) / factorial(2 * j) * _rising(s, 2 * j - 1)
-                   for j in range(1, J + 1))
+    bernoulli(2 * J)  # the table up to B_2J in one build, not one per j
+    bs = [bernoulli(2 * j) for j in range(1, J + 1)]
+    coeffs = tuple(Fraction(b.numerator * _rising(s, 2 * j - 1), b.denominator * factorial(2 * j))
+                   for j, b in enumerate(bs, 1))
     # 2.5 / 2^(2J+1) = 5 / 2^(2J+2)
     scale = Fraction(5 * _rising(s, 2 * J + 1), 2 ** (2 * J + 2) * (s + 2 * J))
     tail = dyadic.mul(dyadic.of_fraction(scale), dyadic.pi_power(-(2 * J + 1)))
@@ -106,11 +105,15 @@ def _tail_weights(s: int) -> tuple[tuple[int, ...], int, int]:
             ceil(sum(map(abs, coeffs))))
 
 
+# typed: a hit needs a tolerance of the type that passed, not merely an equal
+# one (an mpf equal to an accepted float is still refused)
+@lru_cache(maxsize=None, typed=True)
 def check_tol(tol) -> Fraction:
     """tol (an int, float or Fraction) as an exact Fraction.  Reject a
     tolerance that no truncation can meet (<= 0), that is not one of those
     numbers, or that lies below the working precision, where no bound means
-    anything and the Euler-Maclaurin cutoff would run to ~1e16 terms."""
+    anything and the Euler-Maclaurin cutoff would run to ~1e16 terms.  Each
+    accepted tolerance is checked and converted once per process."""
     try:
         t = Fraction(tol) if isinstance(tol, (int, float, Fraction)) else None
     except (ValueError, OverflowError):
@@ -122,12 +125,14 @@ def check_tol(tol) -> Fraction:
     return t
 
 
-def _em_cutoff(s: int, tol) -> int:
+def _em_cutoff(s: int, num: int, den: int) -> int:
+    """The cutoff M for a truncation error of at most num/den, read as the
+    float nearest to num/den (int / int rounds correctly)."""
     J = _EM_TERMS
     c = 2.5 * _rising(s, 2 * J + 1) / ((2 * pi) ** (2 * J + 1) * (s + 2 * J))
     try:
-        limit = float(tol)
-    except OverflowError:  # a Fraction past the float range: no term is needed
+        limit = num / den
+    except OverflowError:  # a ratio past the float range: no term is needed
         limit = inf
     M = 2
     while c * M ** (-(s + 2 * J)) > limit:
@@ -138,7 +143,7 @@ def _em_cutoff(s: int, tol) -> int:
 def hurwitz_numeric(s: int, a, tol) -> tuple[Fraction, Fraction]:
     """Hurwitz zeta(s, a) = q^s sum_(n = p mod q) n^-s for integer s >= 2 and
     rational 0 < a = p/q <= 1, with an explicit remainder bound <= tol."""
-    tol = check_tol(tol)
+    t = check_tol(tol)
     if s < 2:
         raise ValueError("s must be >= 2")
     a = Fraction(a)
@@ -146,7 +151,7 @@ def hurwitz_numeric(s: int, a, tol) -> tuple[Fraction, Fraction]:
         raise ValueError("a must lie in (0, 1]")
     q = a.denominator
     weights = tuple(int(r == a.numerator % q) for r in range(q))
-    sv = _power_sum(s, weights, _em_cutoff(s, tol))
+    sv = _power_sum(s, weights, _em_cutoff(s, t.numerator, t.denominator))
     scale = q**s
     return sv.numeric * scale, sv.error_bound * scale
 
@@ -158,13 +163,15 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     integers in units of 2^-256 and returned as Fractions.  With y = f/n,
     n = M f + a, the tail is f^-s sum_a w(a) [y^(s-1)/(s-1) + y^s/2 +
     sum_j c_j y^(s+2j-1)], the remainder at most f^-s tail sum_(w(a) != 0) y^(s+2J).
-    Each tail point's n^e is its n^(e-1) times n or its n^(e-2) times n^2."""
+    Each tail point's n^e is its n^(e-1) times n or its n^(e-2) times n^2.
+    The head at M extends the largest head summed below M, since head(M') =
+    head(M) plus the terms j = M..M'-1, exactly."""
     f, one = len(weights), 1 << _FIXED_BITS
-    # the residues a = 1..f of weight 1 and of weight -1
-    plus = [a for a in range(1, f + 1) if weights[a % f] == 1]
-    minus = [a for a in range(1, f + 1) if weights[a % f] == -1]
-    head = (sum(one // (j * f + a) ** s for j in range(M) for a in plus)
-            - sum(one // (j * f + a) ** s for j in range(M) for a in minus))
+    plus, minus, heads = _residues(weights)
+    start = max((m for t, m in heads if t == s and m <= M), default=0)
+    head = heads[s, M] = (heads.get((s, start), 0)
+                          + sum(one // (j * f + a) ** s for j in range(start, M) for a in plus)
+                          - sum(one // (j * f + a) ** s for j in range(start, M) for a in minus))
     ns = [M * f + a for a in plus + minus]  # the tail points, weight 1 first
     k = len(plus)
     squares = list(map(mul, ns, ns))
@@ -173,10 +180,10 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     for e in (s - 1, s) + tuple(range(s + 1, s + 2 * _EM_TERMS, 2)):
         if e >= s:
             powers = list(map(mul, powers, ns if e <= s + 1 else squares))
-        num = one * f**e
-        sums.append(sum(num // p for p in powers[:k]) - sum(num // p for p in powers[k:]))
-    num = one * f ** (s + 2 * _EM_TERMS)
-    rest = -sum(-num // p for p in map(mul, powers, ns))  # sum_a y^(s+2J), rounded up
+        floor = (one * f**e).__floordiv__
+        sums.append(sum(map(floor, powers[:k])) - sum(map(floor, powers[k:])))
+    floor = (-one * f ** (s + 2 * _EM_TERMS)).__floordiv__
+    rest = -sum(map(floor, map(mul, powers, ns)))  # sum_a y^(s+2J), rounded up
     scale = f**s
     tail_coeffs, den, coeff_sum = _tail_weights(s)
     value = head + sum(map(mul, tail_coeffs, sums)) // (den * scale)
@@ -184,15 +191,32 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     # and 1/(s-1) + 1/2 <= 2
     floors = (M + 2 + coeff_sum) * len(ns) + 1
     tail = _em_constants(s)[1]
-    return SpecialValue(Fraction(value, one), (tail * -(-rest // scale) + floors) / one)
+    return SpecialValue(Fraction(value, one), Fraction(
+        tail.numerator * -(-rest // scale) + floors * tail.denominator, tail.denominator * one))
 
 
-# typed: a hit needs a tolerance of the type that passed check_tol, not merely
-# an equal one (an mpf equal to an accepted float is still refused)
+@cache
+def _residues(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
+    """The residues a = 1..f of weight 1 and those of weight -1, and the heads
+    of the weight's power sums summed so far, by (s, M)."""
+    f = len(weights)
+    return (tuple(a for a in range(1, f + 1) if weights[a % f] == 1),
+            tuple(a for a in range(1, f + 1) if weights[a % f] == -1), {})
+
+
+# typed, as check_tol: an mpf equal to an accepted float is still refused
 @lru_cache(maxsize=None, typed=True)
 def zeta_numeric(s: int, tol=1e-12) -> SpecialValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin, remainder <= tol."""
-    return SpecialValue(*hurwitz_numeric(s, 1, tol))
+    t = check_tol(tol)
+    if s < 2:
+        raise ValueError("s must be >= 2")
+    return _zeta(s, t.numerator, t.denominator)
+
+
+def _zeta(s: int, num: int, den: int) -> SpecialValue:
+    """zeta(s) with a remainder of at most num/den."""
+    return _power_sum(s, (1,), _em_cutoff(s, num, den))
 
 
 @cache
@@ -211,14 +235,17 @@ def l_numeric(k: int, field: FieldData, tol=1e-12) -> SpecialValue:
     sum of the character with the remainder split evenly over its residues."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    tol_each = check_tol(tol) * field.f**k / (2 * _nonzero_residues(field))
-    return _power_sum(k, character(field), _em_cutoff(k, tol_each))
+    t = check_tol(tol)
+    return _l(k, field, t.numerator, t.denominator)
 
 
-@cache
-def _nonzero_residues(field: FieldData) -> int:
-    """The number of residues a mod f with chi_D(a) != 0, at least 1."""
-    return max(1, sum(1 for c in character(field) if c))
+def _l(k: int, field: FieldData, num: int, den: int) -> SpecialValue:
+    """L(k, chi_D) with a remainder of at most num/den: each residue's share,
+    num f^k / (2 den #{a : chi_D(a) != 0}), picks the cutoff."""
+    weights = character(field)
+    plus, minus, _ = _residues(weights)
+    return _power_sum(k, weights, _em_cutoff(k, num * field.f**k,
+                                             2 * den * max(1, len(plus) + len(minus))))
 
 
 def gen_bernoulli(k: int, field: FieldData) -> Fraction:
@@ -231,16 +258,19 @@ def gen_bernoulli(k: int, field: FieldData) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     f = field.f
-    sums = [0] * (k + 1)
-    for a, c in enumerate(character(field)):
-        if c:
-            power = c
-            for m in range(k + 1):
-                sums[m] += power
-                power *= a
+    plus, minus, _ = _residues(character(field))  # chi(f) = 0, so a = 1..f-1
+    residues, sums = plus + minus, []
+    powers = [1] * len(residues)
+    for _ in range(k + 1):
+        sums.append(sum(powers[:len(plus)]) - sum(powers[len(plus):]))
+        powers = list(map(mul, powers, residues))
     bernoulli(k)  # the table up to B_k in one extension, not one per j
-    total = sum(comb(k, j) * bernoulli(j) * f**j * sums[k - j] for j in range(k + 1))
-    return total / f
+    # B_j = num_j / den_j over one common denominator, so the sum is on integers
+    bs = [bernoulli(j) for j in range(k + 1)]
+    den = lcm(*(b.denominator for b in bs))
+    total = sum(comb(k, j) * (den // b.denominator * b.numerator) * f**j * sums[k - j]
+                for j, b in enumerate(bs) if b)
+    return Fraction(total, den * f)
 
 
 def l_exact(k: int, field: FieldData) -> ExactForm:
@@ -276,6 +306,7 @@ def _pin_l_exact() -> None:
     constant is wrong, and nothing downstream may use the closed form.  Only a
     pin that passes is cached, so a failed one is run again on the next use.
     """
+    bernoulli(2 * _EM_TERMS)  # the table the numeric values need, in one build
     for k in (3, 5):
         for d in (1, 3, 7):
             fld = make_field(d)

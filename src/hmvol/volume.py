@@ -6,24 +6,29 @@ d = 1 (mod 4) branch and an extra 2^n Killing factor for the second form.
 The assembly pipeline is authoritative; table rows whose trailing product is
 abbreviated without a visible L-factor (odd n >= 3 except the first form at
 D = -d) are flagged TableAmbiguous when they agree and are a mismatch when not.
+
+Both pipelines carry their exact pieces as integer numerators, denominators
+and exponents, and make a `Fraction` only for a value they return: a row's
+coefficient, its rational volume; the numeric path splits its tolerance into
+integer ratios and works on dyadic integer pairs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, isqrt
+from math import factorial, isqrt
 
 from . import dyadic
-from .arith import bernoulli
+from .arith import bernoulli, product, ratio
 from .expressions import VolumeExpression
 from .lie_form import vol_max_compact
 from .local_density import _alternating_args, _eps_char, special_primes, tau_infinity
 from .quadfield import FieldData, chi
-from .special_values import (TOL_FLOOR, WORK_DPS, SpecialValue, check_tol, l_exact, l_numeric,
-                             zeta_exact, zeta_numeric)
+from .special_values import (_EM_TERMS, TOL_FLOOR, WORK_DPS, _l, _zeta, check_tol, l_exact,
+                             zeta_exact)
 
 
 class Verdict(enum.Enum):
@@ -32,34 +37,22 @@ class Verdict(enum.Enum):
     MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class TableRow:
-    expr: VolumeExpression
-    ambiguous: bool
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    lattice: str
-    n: int
-    d: int
-    table_value: Fraction
-    assembled: VolumeExpression
-    assembled_value: Fraction
-    verdict: Verdict
+# a row's expression and whether its trailing product is abbreviated
+TableRow = namedtuple("TableRow", "expr ambiguous")
+# one case: its table value, assembled expression and value (Fractions), and Verdict
+DiscrepancyReport = namedtuple(
+    "DiscrepancyReport", "lattice n d table_value assembled assembled_value verdict")
 
 
 @cache
 def _table_prefix(n: int) -> VolumeExpression:
     """|D|^((n^2+3n)/4) prod_j j!/(2pi)^(j+1) times the zeta(even)/L(odd)
     string of the row, the part of every row that depends on n alone."""
-    coeff = 1
-    for j in range(1, n + 1):
-        coeff *= factorial(j)
     e = n * (n + 3) // 2  # sum of (j+1)
     zargs, largs = _alternating_args(n)
-    return VolumeExpression(coeff=Fraction(coeff, 2**e), pi_power=-e,
-                            d_power=Fraction(n * n + 3 * n, 4), zeta_args=zargs, l_args=largs)
+    return VolumeExpression.of(ratio(product(list(map(factorial, range(1, n + 1)))), 1 << e),
+                               d_power=Fraction(n * n + 3 * n, 4), pi_power=-e,
+                               zeta_args=zargs, l_args=largs)
 
 
 def _ramified_correction(n: int, field: FieldData, twisted: bool) -> Fraction:
@@ -97,7 +90,7 @@ def hm_table(lattice: str, n: int, field: FieldData) -> TableRow:
             num *= 2**n - 1
         else:
             num <<= n
-    return TableRow(expr=_table_prefix(n).scaled(Fraction(num, den)), ambiguous=ambiguous)
+    return TableRow(_table_prefix(n).scaled(num, den), ambiguous)
 
 
 def hm_assembled(lattice: str, n: int, field: FieldData) -> VolumeExpression:
@@ -107,59 +100,61 @@ def hm_assembled(lattice: str, n: int, field: FieldData) -> VolumeExpression:
         raise ValueError("n must be >= 1")
     # the (4pi)^n branch divides by 2^n, and the Killing ratio of M multiplies by it
     twos = (lattice == "M") - (field.d % 4 == 1)
-    return _assembly_prefix(n, twos) * tau_infinity(lattice, n, field)
+    prefix, tau = _assembly_prefix(n, twos), tau_infinity(lattice, n, field)
+    # tau_infinity is a coefficient times the zeta/L string, which the prefix lacks
+    return VolumeExpression.of(prefix.coeff * tau.coeff, prefix.sqrt_sq, prefix.d_power,
+                               prefix.pi_power, tau.zeta_args, tau.l_args)
 
 
 @cache
 def _assembly_prefix(n: int, twos: int) -> VolumeExpression:
     """n! |D|^((n^2+3n)/4) sqrt(n+1) 2^(twos n) / ((2pi)^n Vol(K)), the part
     of the assembly that depends on n and the power of 2 alone."""
-    # the coefficient and pi power carry 2^(twos n) / (2pi)^n
-    core = VolumeExpression(coeff=factorial(n) * Fraction(2) ** (twos * n - n), sqrt_sq=n + 1,
-                            d_power=Fraction(n * n + 3 * n, 4), pi_power=-n)
-    return core * vol_max_compact(n).reciprocal()
+    vol = vol_max_compact(n)
+    c, r = vol.coeff, vol.sqrt_sq
+    # the coefficient and pi power carry 2^(twos n) / (2pi)^n = 1 / (2^((1 - twos) n) pi^n)
+    coeff = Fraction(factorial(n) * c.denominator, c.numerator << (1 - twos) * n)
+    return VolumeExpression.of(coeff, Fraction((n + 1) * r.denominator, r.numerator),
+                               Fraction(n * n + 3 * n, 4), -n - vol.pi_power)
 
 
 def rationalize(expr: VolumeExpression, field: FieldData) -> Fraction:
     """Substitute exact zeta/L values; the pi exponent must cancel to zero and
     the |D| exponent must land on an integer (absorbed into the coefficient),
-    anything else is a fatal invariant violation."""
-    product, pi_power, d_sqrt_power = _exact_product(expr.zeta_args, expr.l_args, field)
+    anything else is a fatal invariant violation.  The factors are multiplied
+    as integers and normalized once."""
+    num, den, pi_power, d_sqrt_power = _exact_product(expr.zeta_args, expr.l_args, field)
     pi_power += expr.pi_power
-    d_power = expr.d_power + Fraction(d_sqrt_power, 2)
     if pi_power != 0:
         raise ArithmeticError(f"residual pi exponent {pi_power} after substitution")
-    if d_power.denominator != 1:
-        raise ArithmeticError(f"residual |D| exponent {d_power} is not an integer")
-    power = _conductor_power(field.f, int(d_power))
-    num, den = expr.sqrt_sq.numerator, expr.sqrt_sq.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
+    # the |D| exponent d_power + d_sqrt_power / 2 is e / (2 dd)
+    dd = expr.d_power.denominator
+    e = 2 * expr.d_power.numerator + d_sqrt_power * dd
+    if e % (2 * dd):
+        raise ArithmeticError(f"residual |D| exponent {Fraction(e, 2 * dd)} is not an integer")
+    e //= 2 * dd
+    sn, sd = expr.sqrt_sq.numerator, expr.sqrt_sq.denominator
+    rn, rd = isqrt(sn), isqrt(sd)
+    if rn * rn != sn or rd * rd != sd:
         raise ArithmeticError(f"sqrt slot {expr.sqrt_sq} is not a perfect square")
-    # one normalization for the four factors
-    return Fraction(expr.coeff.numerator * product.numerator * power.numerator * rn,
-                    expr.coeff.denominator * product.denominator * power.denominator * rd)
+    num *= expr.coeff.numerator * rn * field.f ** max(e, 0)
+    den *= expr.coeff.denominator * rd * field.f ** max(-e, 0)
+    return Fraction(num, den)
 
 
 @cache
 def _exact_product(zeta_args: tuple[int, ...], l_args: tuple[int, ...],
-                   field: FieldData) -> tuple[Fraction, int, int]:
-    """The product of the exact zeta(s) and L(k, chi_D) forms as (coeff,
-    pi power, sqrt|D| power): the table row and the assembly of both
-    lattices at one (n, field) share it."""
-    coeff, pi_power, d_sqrt_power = Fraction(1), 0, 0
-    bernoulli(max(zeta_args + l_args, default=0))  # the table in one build, not one per form
-    for form in [zeta_exact(s) for s in zeta_args] + [l_exact(k, field) for k in l_args]:
-        coeff *= form.coeff
-        pi_power += form.pi_power
-        d_sqrt_power += form.d_sqrt_power
-    return coeff, pi_power, d_sqrt_power
-
-
-@cache
-def _conductor_power(f: int, e: int) -> Fraction:
-    """|D|^e, exactly, for an integer e of either sign."""
-    return Fraction(f) ** e
+                   field: FieldData) -> tuple[int, int, int, int]:
+    """The product of the exact zeta(s) and L(k, chi_D) forms as (numerator,
+    denominator, pi power, sqrt|D| power), not normalized: the table row and
+    the assembly of both lattices at one (n, field) share it."""
+    # the table in one build, not one per form: the forms' B_k, and the B_2j
+    # of the numeric values that pin the L closed form
+    bernoulli(max(zeta_args + l_args + (2 * _EM_TERMS,)))
+    forms = [zeta_exact(s) for s in zeta_args] + [l_exact(k, field) for k in l_args]
+    return (product([form.coeff.numerator for form in forms]),
+            product([form.coeff.denominator for form in forms]),
+            sum(form.pi_power for form in forms), sum(form.d_sqrt_power for form in forms))
 
 
 def evaluate_numeric(expr: VolumeExpression, field: FieldData,
@@ -173,9 +168,14 @@ def evaluate_numeric(expr: VolumeExpression, field: FieldData,
     relative bounds of the factors plus 10^(8 - WORK_DPS) for the rounding of
     the products (each cut to `dyadic.PREC` bits), doubled, rounded up.
     """
-    factors, rel = _special_factors(expr.zeta_args, expr.l_args, field, check_tol(tol))
-    root, powers = _dyadic_scale(expr.sqrt_sq, field.f, expr.d_power, expr.pi_power)
-    value = dyadic.mul(dyadic.mul(dyadic.of_fraction(expr.coeff), root), powers)
+    check_tol(tol)
+    factors, rel = _special_factors(expr.zeta_args, expr.l_args, field, tol)
+    value = dyadic.of_fraction(expr.coeff)
+    if expr.sqrt_sq != 1:  # a product with 1 is exact, so only another root is multiplied
+        value = dyadic.mul(value, dyadic.power(expr.sqrt_sq, Fraction(1, 2)))
+    d_power = expr.d_power
+    value = dyadic.mul(value, _dyadic_scale(field.f, d_power.numerator, d_power.denominator,
+                                            expr.pi_power))
     for factor in factors:
         value = dyadic.mul(value, factor)
     bound = dyadic.cut(abs(value[0]) * rel * 2, value[1] - dyadic.PREC, up=True)
@@ -189,33 +189,28 @@ _ROUNDING = -(-(1 << dyadic.PREC) // 10 ** (WORK_DPS - 8))
 
 @cache
 def _special_factors(zeta_args: tuple[int, ...], l_args: tuple[int, ...], field: FieldData,
-                     tol: Fraction) -> tuple[tuple[tuple[int, int], ...], int]:
+                     tol) -> tuple[tuple[tuple[int, int], ...], int]:
     """The zeta/L factors of a volume as dyadic factors, each evaluated with an
     even share of tol, and the sum of their relative bounds and _ROUNDING in
     units of 2^-PREC: the part of a numeric volume that the L and M rows of
-    one (n, field) share."""
-    n_special = len(zeta_args) + len(l_args)
-    tol_each = max(tol / (8 * max(1, n_special)), TOL_FLOOR)
-    factors = ([_dyadic_factor(zeta_numeric(s, tol_each)) for s in zeta_args]
-               + [_dyadic_factor(l_numeric(k, field, tol_each)) for k in l_args])
-    return tuple(f for f, _ in factors), _ROUNDING + sum(rel for _, rel in factors)
+    one (n, field) share.  tol has passed check_tol; the share is the integer
+    ratio num / den, floored at TOL_FLOOR."""
+    t = check_tol(tol)
+    num, den = t.numerator, t.denominator * 8 * max(1, len(zeta_args) + len(l_args))
+    if num * TOL_FLOOR.denominator < TOL_FLOOR.numerator * den:
+        num, den = TOL_FLOOR.numerator, TOL_FLOOR.denominator
+    specials = [_zeta(s, num, den) for s in zeta_args] + [_l(k, field, num, den) for k in l_args]
+    # each value to PREC bits, and its relative bound in units of 2^-PREC, rounded up
+    rel = sum(-(-(sv.error_bound.numerator << dyadic.PREC) * sv.numeric.denominator
+                // (sv.error_bound.denominator * sv.numeric.numerator)) for sv in specials)
+    return tuple(dyadic.of_fraction(sv.numeric) for sv in specials), _ROUNDING + rel
 
 
 @cache
-def _dyadic_scale(sqrt_sq: Fraction, f: int, d_power: Fraction,
-                  pi_power: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """sqrt(sqrt_sq), and |D|^d_power pi^pi_power, as dyadic factors: the part
-    of a numeric volume that depends on (n, field) alone."""
-    return (dyadic.power(sqrt_sq, Fraction(1, 2)),
-            dyadic.mul(dyadic.power(f, d_power), dyadic.pi_power(pi_power)))
-
-
-@cache
-def _dyadic_factor(sv: SpecialValue) -> tuple[tuple[int, int], int]:
-    """A special value as a dyadic factor, and its relative error bound in
-    units of 2^-PREC, rounded up."""
-    return (dyadic.of_fraction(sv.numeric),
-            ceil(sv.error_bound * (1 << dyadic.PREC) / sv.numeric))
+def _dyadic_scale(f: int, d_num: int, d_den: int, pi_power: int) -> tuple[int, int]:
+    """|D|^(d_num/d_den) pi^pi_power as a dyadic factor: the part of a
+    numeric volume that depends on (n, field) alone."""
+    return dyadic.mul(dyadic.power(f, Fraction(d_num, d_den)), dyadic.pi_power(pi_power))
 
 
 def compare_pipelines(lattice: str, n: int, field: FieldData) -> DiscrepancyReport:

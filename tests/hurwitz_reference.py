@@ -69,8 +69,9 @@ def l_hurwitz(k: int, field: FieldData, M: int) -> tuple[mpf, mpf]:
 
 def hurwitz_numeric(s: int, a, tol) -> tuple[mpf, mpf]:
     """zeta(s, a) for rational 0 < a <= 1 at the package's cutoff for tol."""
+    t = Fraction(tol)
     with mp.workdps(WORK_DPS):
-        return hurwitz(s, Fraction(a), _em_cutoff(s, tol))
+        return hurwitz(s, Fraction(a), _em_cutoff(s, t.numerator, t.denominator))
 
 
 def zeta_numeric(s: int, tol) -> tuple[mpf, mpf]:
@@ -81,7 +82,6 @@ def zeta_numeric(s: int, tol) -> tuple[mpf, mpf]:
 def l_numeric(k: int, field: FieldData, tol) -> tuple[mpf, mpf]:
     """L(k, chi_D) with the package's split of tol over the residues."""
     check_tol(tol)
-    with mp.workdps(WORK_DPS):
-        nonzero = sum(1 for c in character(field) if c)
-        tol_each = mpf(tol) * field.f**k / (2 * max(1, nonzero))
-        return l_hurwitz(k, field, _em_cutoff(k, tol_each))
+    nonzero = sum(1 for c in character(field) if c)
+    tol_each = Fraction(tol) * field.f**k / (2 * max(1, nonzero))
+    return l_hurwitz(k, field, _em_cutoff(k, tol_each.numerator, tol_each.denominator))

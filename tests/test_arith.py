@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import comb, prod
 
@@ -11,6 +12,7 @@ from hmvol import arith
 from hmvol.arith import (bernoulli, bernoulli_poly, factor, is_fundamental_discriminant,
                          is_prime, is_squarefree, kronecker, legendre_symbol)
 from bernoulli_reference import bernoulli_numbers
+import factor_reference
 
 FUNDAMENTAL = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -35, -39, -43, -47, -51, -52]
 
@@ -112,6 +114,10 @@ def test_factor_examples():
     assert factor(15) == ((3, 1), (5, 1))
     assert factor(1) == ()
     assert factor(44) == ((2, 2), (11, 1))
+    # past the trial bound: rho may split off a composite, which is split again
+    assert factor(1009**3) == ((1009, 3),)
+    assert factor(1009 * 1013 * 1019 * 2) == ((2, 1), (1009, 1), (1013, 1), (1019, 1))
+    assert factor(1013**2 * (2**31 - 1)) == ((1013, 2), (2**31 - 1, 1))
     with pytest.raises(ValueError):
         factor(0)
 
@@ -123,6 +129,42 @@ def test_factor_roundtrip_and_order():
         primes = [p for p, _ in pairs]
         assert primes == sorted(set(primes)) and all(e >= 1 for _, e in pairs)
         assert all(is_prime(p) for p in primes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**7 - 1))
+def test_factor_matches_the_trial_division_reference(n):
+    assert factor(n) == factor_reference.factor(n)
+
+
+def _prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(*[st.integers(2, 2**32 - 1).map(_prime_at_most)] * 2)
+def test_factor_splits_products_of_two_primes(p, q):
+    # past the trial bound the cofactor is split by Brent's rho
+    assert factor(p * q) == (((p, 2),) if p == q else ((min(p, q), 1), (max(p, q), 1)))
+
+
+def test_factor_splits_a_62_bit_semiprime_promptly():
+    # trial division to sqrt(n) took 270 s here
+    start = time.monotonic()
+    assert factor((2**31 - 1) * (2**31 - 19)) == ((2**31 - 19, 1), (2**31 - 1, 1))
+    assert time.monotonic() - start < 5
+
+
+def test_every_conductor_is_factored_by_trial_division(monkeypatch):
+    # the volume path factors f <= 3188 (d < 800), which must cost no more
+    # than trial division did: rho is never reached there
+    def refuse(n):
+        raise AssertionError(f"rho reached for {n}")
+    monkeypatch.setattr(arith, "_rho", refuse)
+    for n in range(1, 3189):
+        assert factor(n) == factor_reference.factor(n), n
 
 
 def test_is_prime_agrees_with_trial_division():

@@ -13,6 +13,7 @@ from hmvol.quadfield import character, make_field
 from hmvol.special_values import (exact_numeric, gen_bernoulli, hurwitz_numeric,
                                   l_exact, l_numeric, zeta_exact, zeta_numeric)
 import hurwitz_reference
+from memos import clear_memos
 from numeric_reference import to_mpf
 from power_sum_reference import power_sum
 
@@ -265,3 +266,18 @@ def test_power_sum_matches_the_fresh_power_reference(s, weights, M):
     want = power_sum(s, weights, M)
     assert got.numeric == want.numeric
     assert got.error_bound == want.error_bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(2, 9), weights=_WEIGHTS, cutoffs=st.lists(st.integers(2, 12), min_size=2,
+                                                              max_size=2, unique=True).map(sorted))
+def test_a_larger_cutoff_extends_the_head_exactly(s, weights, cutoffs):
+    # a power sum asked at M1 and then at M2 > M1 extends the first head; it
+    # must equal the power sum at M2 in a cold process
+    m1, m2 = cutoffs
+    clear_memos()
+    cold = special_values._power_sum(s, weights, m2)
+    clear_memos()
+    special_values._power_sum(s, weights, m1)
+    warm = special_values._power_sum(s, weights, m2)
+    assert (warm.numeric, warm.error_bound) == (cold.numeric, cold.error_bound)

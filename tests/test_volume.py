@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, nstr
 
 from hmvol import arith, volume
 from hmvol.arith import is_squarefree
-from hmvol.cli import main
+from hmvol.cli import _record, main
 from hmvol.expressions import VolumeExpression
 from hmvol.local_density import tau_infinity
 from hmvol.quadfield import make_field
@@ -270,3 +272,32 @@ def test_compute_builds_the_bernoulli_table_once(capsys, cold_memos, monkeypatch
     assert calls == [30]
     assert len(arith._BERNOULLI) == 62
     capsys.readouterr()
+
+
+def test_a_cold_compute_builds_the_bernoulli_table_once(capsys, cold_memos, monkeypatch):
+    # the exact product and the L pin ask for the B_2j of the Euler-Maclaurin
+    # corrections first, so a cold compute at n = 2 builds the table once,
+    # where asking in rising order built it 8 times (up to B_3, B_4, ..., B_16)
+    calls = []
+    tangent_numbers = arith._tangent_numbers
+    monkeypatch.setattr(arith, "_tangent_numbers", lambda n: calls.append(n) or tangent_numbers(n))
+    assert main(["compute", "--lattice", "L", "--n", "2", "--d", "3"]) == 0
+    assert calls == [8]
+    capsys.readouterr()
+
+
+# the odd squarefree d < 800 and the fields of the goldens (797 among them)
+_FIELDS = st.sampled_from(sorted({d for d in range(1, 800, 2) if is_squarefree(d)}
+                                 | {1, 3, 5, 7, 29, 119, 141, 199, 797}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice=st.sampled_from("LM"), n=st.integers(1, 12), d=_FIELDS,
+       tol=st.sampled_from([1e-10, 1e-12, 1e-20, 1e-30]),
+       pipeline=st.sampled_from(["table", "assembled", "both"]))
+def test_records_match_the_fraction_reference(lattice, n, d, tol, pipeline):
+    # every field of a record built on integers equals the one built on the
+    # dataclass expressions, the Fraction product and the Fraction shares
+    field = make_field(d)
+    assert _record(lattice, n, field, pipeline, tol) == \
+        volume_reference.record(lattice, n, field, pipeline, tol)
