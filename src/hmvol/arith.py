@@ -134,22 +134,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_fundamental_discriminant(D: int) -> bool:
-    """True for negative fundamental discriminants (the only ones used here)."""
-    if D >= 0:
-        return False
-    if D % 4 == 1:
-        return is_squarefree(-D)
-    if D % 4 == 0:
-        q = D // 4
-        return q % 4 in (2, 3) and is_squarefree(-q)
-    return False
-
-
 def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"legendre_symbol needs an odd prime, got {p}")
+    """Legendre symbol (a/p) for an odd prime p, via Euler's criterion; p is
+    not checked (the callers pass primes of `factor` or of the field)."""
     a %= p
     if a == 0:
         return 0
@@ -161,12 +148,9 @@ def kronecker(D: int, m: int) -> int:
     """Kronecker symbol (D/m) for a fundamental discriminant D and m >= 1.
 
     Completely multiplicative in m; (D/2) follows the mod 8 rule and
-    (D/p) = 0 exactly when p divides D.
+    (D/p) = 0 exactly when p divides D.  D is not checked: it is the
+    discriminant of a field that make_field built; `factor` refuses m < 1.
     """
-    if not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a fundamental discriminant of an imaginary quadratic field")
-    if m < 1:
-        raise ValueError(f"kronecker symbol defined here for m >= 1 only, got {m}")
     out = 1
     for p, e in factor(m):
         if p == 2:

@@ -278,4 +278,4 @@ def vol_max_compact(n: int) -> VolumeExpression:
         raise ValueError("n must be >= 1")
     e = (n * n + n) // 2
     return VolumeExpression(coeff=ratio(1 << e, product(list(map(factorial, range(1, n))))),
-                            sqrt_sq=n + 1, pi_power=e)
+                            sqrt_sq=Fraction(n + 1), pi_power=e)

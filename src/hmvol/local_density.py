@@ -23,6 +23,7 @@ from functools import cache
 
 from .arith import factor, is_prime, legendre_symbol
 from .expressions import VolumeExpression
+from .lie_form import lattice_diag
 from .quadfield import FieldData, chi
 
 
@@ -71,17 +72,15 @@ def _generic_product(p: int, signs) -> tuple[int, int]:
 @cache
 def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
     """Closed-form local volume, dispatching on prime class and parity of n."""
+    lattice_diag(lattice, n)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return LocalDensity(Fraction(*_density(lattice, n, field, p)))
 
 
 def _density(lattice: str, n: int, field: FieldData, p: int) -> tuple[int, int]:
-    """tau_p as one integer numerator over one denominator, not normalized."""
-    if lattice not in ("L", "M"):
-        raise ValueError(f"lattice must be 'L' or 'M', got {lattice!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """tau_p as one integer numerator over one denominator, not normalized;
+    the caller has checked the lattice, n and the prime p."""
     c = chi(field, p)
     if c != 0:
         # the generic product runs over i = 2..n+1; det M = -2 is not a unit at
@@ -125,6 +124,7 @@ def tau_infinity(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     """1/prod_p tau_p as a symbolic volume: zeta(even i), L(odd i) for
     i in [2, n+1], with all non-generic local factors folded into the exact
     rational coefficient, normalized once."""
+    lattice_diag(lattice, n)
     zeta_args, l_args = _alternating_args(n)
     num = den = 1
     for p in special_primes(lattice, field):
@@ -132,4 +132,4 @@ def tau_infinity(lattice: str, n: int, field: FieldData) -> VolumeExpression:
         tau_num, tau_den = _density(lattice, n, field, p)
         num *= euler_num * tau_den
         den *= euler_den * tau_num
-    return VolumeExpression.of(Fraction(num, den), zeta_args=zeta_args, l_args=l_args)
+    return VolumeExpression(Fraction(num, den), zeta_args=zeta_args, l_args=l_args)

@@ -24,7 +24,7 @@ from math import factorial, isqrt
 from . import dyadic
 from .arith import bernoulli, product, ratio
 from .expressions import VolumeExpression
-from .lie_form import vol_max_compact
+from .lie_form import lattice_diag, vol_max_compact
 from .local_density import _alternating_args, _eps_char, special_primes, tau_infinity
 from .quadfield import FieldData, chi
 from .special_values import (_EM_TERMS, TOL_FLOOR, WORK_DPS, _l, _zeta, check_tol, l_exact,
@@ -50,9 +50,9 @@ def _table_prefix(n: int) -> VolumeExpression:
     string of the row, the part of every row that depends on n alone."""
     e = n * (n + 3) // 2  # sum of (j+1)
     zargs, largs = _alternating_args(n)
-    return VolumeExpression.of(ratio(product(list(map(factorial, range(1, n + 1)))), 1 << e),
-                               d_power=Fraction(n * n + 3 * n, 4), pi_power=-e,
-                               zeta_args=zargs, l_args=largs)
+    return VolumeExpression(ratio(product(list(map(factorial, range(1, n + 1)))), 1 << e),
+                            d_power=Fraction(n * n + 3 * n, 4), pi_power=-e,
+                            zeta_args=zargs, l_args=largs)
 
 
 def _ramified_correction(n: int, field: FieldData, twisted: bool) -> Fraction:
@@ -68,8 +68,7 @@ def _ramified_correction(n: int, field: FieldData, twisted: bool) -> Fraction:
 def hm_table(lattice: str, n: int, field: FieldData) -> TableRow:
     """Transcription of the headline table row, with abbreviated trailing
     products expanded as the alternating zeta(even)/L(odd) string."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    lattice_diag(lattice, n)
     ramified_two = field.d % 4 == 1  # D = -4d
     ambiguous = False
     num = den = 1  # the row's rational scale num / den, normalized once
@@ -96,14 +95,13 @@ def hm_table(lattice: str, n: int, field: FieldData) -> TableRow:
 def hm_assembled(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     """Assembly from local densities and the compact volume; the sqrt(n+1)
     factors cancel exactly and the second form carries the Killing ratio 2^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    tau = tau_infinity(lattice, n, field)  # which rejects a bad lattice or n
     # the (4pi)^n branch divides by 2^n, and the Killing ratio of M multiplies by it
     twos = (lattice == "M") - (field.d % 4 == 1)
-    prefix, tau = _assembly_prefix(n, twos), tau_infinity(lattice, n, field)
+    prefix = _assembly_prefix(n, twos)
     # tau_infinity is a coefficient times the zeta/L string, which the prefix lacks
-    return VolumeExpression.of(prefix.coeff * tau.coeff, prefix.sqrt_sq, prefix.d_power,
-                               prefix.pi_power, tau.zeta_args, tau.l_args)
+    return VolumeExpression(prefix.coeff * tau.coeff, prefix.sqrt_sq, prefix.d_power,
+                            prefix.pi_power, tau.zeta_args, tau.l_args)
 
 
 @cache
@@ -114,8 +112,8 @@ def _assembly_prefix(n: int, twos: int) -> VolumeExpression:
     c, r = vol.coeff, vol.sqrt_sq
     # the coefficient and pi power carry 2^(twos n) / (2pi)^n = 1 / (2^((1 - twos) n) pi^n)
     coeff = Fraction(factorial(n) * c.denominator, c.numerator << (1 - twos) * n)
-    return VolumeExpression.of(coeff, Fraction((n + 1) * r.denominator, r.numerator),
-                               Fraction(n * n + 3 * n, 4), -n - vol.pi_power)
+    return VolumeExpression(coeff, Fraction((n + 1) * r.denominator, r.numerator),
+                            Fraction(n * n + 3 * n, 4), -n - vol.pi_power)
 
 
 def rationalize(expr: VolumeExpression, field: FieldData) -> Fraction:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmvol import arith
-from hmvol.arith import (bernoulli, bernoulli_poly, factor, is_fundamental_discriminant,
-                         is_prime, is_squarefree, kronecker, legendre_symbol)
+from hmvol.arith import (bernoulli, bernoulli_poly, factor, is_prime, is_squarefree, kronecker,
+                         legendre_symbol)
 from bernoulli_reference import bernoulli_numbers
 import factor_reference
 
@@ -57,13 +57,6 @@ def test_kronecker_zero_iff_divides():
     for D in FUNDAMENTAL:
         for p in primes:
             assert (kronecker(D, p) == 0) == ((-D) % p == 0), (D, p)
-
-
-def test_kronecker_rejects_non_fundamental():
-    for D in [-5, -9, -12, -16, -45, 0, 5, -1]:
-        assert not is_fundamental_discriminant(D)
-        with pytest.raises(ValueError):
-            kronecker(D, 3)
 
 
 def test_legendre_symbol_matches_brute():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmvol
-from hmvol import cli, special_values, volume
+from hmvol import arith, cli, quadfield, special_values, volume
 from hmvol.cli import main
 from hmvol.quadfield import make_field
 from hmvol.special_values import WORK_DPS, ExactForm
@@ -244,6 +244,22 @@ def test_compute_rejects_even_d(capsys):
 def test_compute_rejects_bad_n(capsys):
     code, _, _ = run(capsys, "compute", "--lattice", "L", "--n", "0", "--d", "3")
     assert code == 2
+
+
+def test_compute_checks_d_once(capsys, monkeypatch, cold_memos):
+    # d = 2^61 - 1 is checked squarefree by make_field, where the field is
+    # built; no later step (the character at the field's primes) tests it again
+    calls = []
+
+    def counting(n, original=arith.is_squarefree):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(arith, "is_squarefree", counting)
+    monkeypatch.setattr(quadfield, "is_squarefree", counting)
+    code, _, _ = run(capsys, "compute", "--lattice", "both", "--n", "1", "--d",
+                     "2305843009213693951")
+    assert code == 0 and calls == [2305843009213693951]
 
 
 def test_compute_both_pipelines_match(capsys):

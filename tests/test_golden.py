@@ -28,6 +28,11 @@ CASES = [
     ("compute_both_n7_d797_tol1e-25.json",
      ["compute", "--lattice", "both", "--n", "7", "--d", "797", "--format", "json",
       "--tol", "1e-25"]),
+    # d = 2^61 - 1, a prime: its field is built once, and no later step
+    # tests it again (at n = 1 no L value, so no O(f) table, is asked for)
+    ("compute_both_n1_d2305843009213693951.json",
+     ["compute", "--lattice", "both", "--n", "1", "--d", "2305843009213693951", "--format",
+      "json"]),
     ("lvalue_L_k5_d15.txt", ["lvalue", "--kind", "L", "--k", "5", "--d", "15", "--tol", "1e-30"]),
     ("lvalue_zeta_k13.txt", ["lvalue", "--kind", "zeta", "--k", "13", "--tol", "1e-30"]),
     ("compute_both_n3_d7_both.txt",

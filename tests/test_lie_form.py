@@ -14,7 +14,7 @@ from hmvol.lie_form import (Quad, _bareiss_det, _check_lie_member, build_basis, 
 from hmvol.quadfield import make_field
 import lie_reference as ref
 from lie_reference import ZERO, q_add, q_mul
-from volume_reference import vol_su
+from volume_reference import reference, vol_su
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
@@ -300,7 +300,8 @@ def test_vol_max_compact_examples():
 
 
 def test_circle_cover_ratio():
-    # Vol(K)/Vol(SU(n)) = 2 pi sqrt(n^2+n)/n
+    # Vol(K)/Vol(SU(n)) = 2 pi sqrt(n^2+n)/n, multiplied out by the reference expression
     for n in range(1, 7):
-        ratio = vol_max_compact(n) * vol_su(n).reciprocal()
-        assert ratio == VolumeExpression(coeff=2, sqrt_sq=Fraction(n + 1, n), pi_power=1)
+        ratio = reference(vol_max_compact(n)) * reference(vol_su(n)).reciprocal()
+        assert ratio == reference(VolumeExpression(coeff=Fraction(2),
+                                                   sqrt_sq=Fraction(n + 1, n), pi_power=1))

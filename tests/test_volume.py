@@ -24,14 +24,24 @@ GRID_D = (1, 3, 5, 7, 11, 13, 15)
 
 
 def test_expression_algebra():
-    a = VolumeExpression(coeff=Fraction(2, 3), pi_power=2, zeta_args=(4, 2))
-    b = VolumeExpression(coeff=Fraction(3), d_power=Fraction(1, 2), l_args=(3,))
+    # the products and inverses of the reference expression, which the
+    # assembly reference multiplies out
+    Expr = volume_reference.VolumeExpression
+    a = Expr(coeff=Fraction(2, 3), pi_power=2, zeta_args=(4, 2))
+    b = Expr(coeff=Fraction(3), d_power=Fraction(1, 2), l_args=(3,))
     assert a * b == b * a
     assert (a * b).zeta_args == (2, 4)
-    c = VolumeExpression(coeff=Fraction(5, 2), sqrt_sq=3, pi_power=-2)
-    assert c * c.reciprocal() == VolumeExpression()
+    c = Expr(coeff=Fraction(5, 2), sqrt_sq=3, pi_power=-2)
+    assert c * c.reciprocal() == Expr()
     with pytest.raises(ValueError):
         a.reciprocal()
+
+
+@pytest.mark.parametrize("lattice, n", [("Q", 1), ("L", 0), ("M", 0)])
+def test_volume_functions_reject_a_bad_lattice_or_n(lattice, n):
+    for build in (hm_table, hm_assembled, compare_pipelines):
+        with pytest.raises(ValueError, match="lattice must be|n must be"):
+            build(lattice, n, F3)
 
 
 def test_spot_volumes():
@@ -140,7 +150,8 @@ def test_evaluate_numeric_is_multiplicative():
     b = hm_assembled("L", 2, F3)
     va, _ = evaluate_numeric(a, F3, 1e-14)
     vb, _ = evaluate_numeric(b, F3, 1e-14)
-    vab, _ = evaluate_numeric(a * b, F3, 1e-14)
+    vab, _ = evaluate_numeric(volume_reference.reference(a) * volume_reference.reference(b), F3,
+                              1e-14)
     assert abs(to_mpf(vab - va * vb)) < mpf("1e-12")
 
 

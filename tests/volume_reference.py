@@ -56,7 +56,7 @@ def vol_su(n: int) -> expressions.VolumeExpression:
     coeff = Fraction(2**e)
     for i in range(1, n):
         coeff /= factorial(i)
-    return expressions.VolumeExpression(coeff=coeff, sqrt_sq=n, pi_power=e)
+    return expressions.VolumeExpression(coeff=coeff, sqrt_sq=Fraction(n), pi_power=e)
 
 
 def even_product(p: int, upto: int) -> Fraction:
@@ -125,7 +125,9 @@ class VolumeExpression:
         )
 
     def reciprocal(self) -> "VolumeExpression":
-        assert not self.zeta_args and not self.l_args
+        """Inverse of an expression carrying no zeta/L factors."""
+        if self.zeta_args or self.l_args:
+            raise ValueError("cannot invert an expression with zeta/L factors")
         return VolumeExpression(coeff=1 / self.coeff, sqrt_sq=1 / self.sqrt_sq,
                                 d_power=-self.d_power, pi_power=-self.pi_power)
 
