@@ -1,37 +1,40 @@
 """Counting of (special) unitary groups over residue rings O_K/p^N.
 
-#U and #SU(Lam, O/m), m = p^N, are counted by recursion over complement Gram
-classes.  Let count(G, lams, t) be the number of r x r matrices A over O/m
-with A G A* = diag(lams) and, for SU, det A = t; then #U = count(Lam, lam)
-and #SU = count(Lam, lam, 1).  Every lams[0] with r >= 2 is 1, a unit.  A
-first row x then has q = h(x, x) a unit and a unit coordinate x_i0 (i0 the
-first), the rows B_j = e_j - (h(e_j, x) / q) x, j != i0, are a basis of x^⊥
-with det [x; B] = +-x_i0, and every completion of x is [x; C B] for exactly
-one C, with det [x; C B] = det C * det [x; B].  So count(G, lams, t) is the
-sum over the rows x of count(B G B*, lams[1:], t / det [x; B]); at r = 1 it
-is the number of c with N(c) g = lams[0] (U), or whether N(t) g = lams[0]
-(SU).
+#U(Lam, O/m), m = p^N, is counted by recursion over complement Gram classes.
+Let count(G, lams) be the number of r x r matrices A over O/m with
+A G A* = diag(lams); then #U = count(Lam, lam).  Every lams[0] with r >= 2 is
+1, a unit.  A first row x then has q = h(x, x) a unit and a unit coordinate
+x_i0 (i0 the first), the rows B_j = e_j - (h(e_j, x) / q) x, j != i0, are a
+basis of x^⊥ with det [x; B] = +-x_i0, and every completion of x is [x; C B]
+for exactly one C.  So count(G, lams) is the sum over the rows x of
+count(B G B*, lams[1:]), and count(P G P*, lams) = count(G, lams) for every
+invertible P; at r = 1 it is the number of c with N(c) g = lams[0].
 
-Left multiplication by diag(u, 1, ..., 1) with N(u) = 1 maps the solutions
-with det t one-to-one onto those with det u t, so the SU count depends on t
-only through T = N(t), a unit of Z/m, and every determinant below is carried
-as its norm.
+#SU is #U over one determinant fiber.  Let lam_w be the last entry of Lam.
+Every A in U has N(det A) lam_w = lam_w, and for every t with
+N(t) lam_w = lam_w, D_t = diag(1, ..., 1, t) is in U.  Such a t is a unit
+(N(t) = 1 for a unit lam_w, N(t) = 1 mod 2^(N-1) for lam_w = -2 over O/2^N,
+N >= 2) but for M over O/2, so A -> A D_t maps det^-1(s) one-to-one onto
+det^-1(ts), and #SU = #U / #{t : N(t) lam_w = lam_w} (_Ring.fiber).  Over
+O/2, M has lam_w = 0 and every t qualifies, non-units too; A Lam A* reads
+only the first n columns of A, whose upper n x n block C has C C* = I, so
+the last column is free and det A is linear in it, with the unit +-det C as
+the coefficient of its last entry: again every fiber has the same size.
 
 Every class the search meets is D = diag(1, ..., 1, g) of some rank r, keyed
-(r, g); the top form diag(lam) is (w, lam[-1]), w = n + 1, as it stands
-(P = I, so T = 1).  A non-unit g adds only non-units to a value, so a
-unit-norm row has a unit coordinate among the unit entries.  Writing x = s y
-with s its first unit coordinate, so that y's is 1, B depends on y only,
-det [x; B] = s det [y; B] and N(s) = lams[0] / h(y, y): the search runs over
-these projective rows y and counts the s of each by its norm.  Since
-[y; B] D [y; B]* = diag(q, B D B*) with det [y; B] = +-1, q det(B D B*) = g,
-and the child of a row y is read off g' = g / q: it is (r - 1, rep[g']) (a
-non-unit g' is kept as it is), reached by a P with N(det P) = scale[g'], and
-the child's T is T sigma, sigma = 1 / (N(s) N(det P)).  That the complement
-B D B* is this form, or counts as it does, holds class by class:
-- A binary class (r = 2) has the 1 x 1 complement [g'], and scaling it by an
-  element of norm scale[g'] gives [rep[g']].  Every level of an n = 1 count is
-  binary, and so is every level below the top of an n = 2 count.
+(r, g); the top form diag(lam) is (w, lam[-1]), w = n + 1, as it stands.  A
+non-unit g adds only non-units to a value, so a unit-norm row has a unit
+coordinate among the unit entries.  Writing x = s y with s its first unit
+coordinate, so that y's is 1, B depends on y only and N(s) = lams[0] /
+h(y, y): the search runs over these projective rows y and counts the s of
+each by its norm.  Since [y; B] D [y; B]* = diag(q, B D B*) with
+det [y; B] = +-1, q det(B D B*) = g, and the child of a row y is read off
+g' = g / q: it is (r - 1, rep[g']) (a non-unit g' is kept as it is).  That
+the complement B D B* is this form up to isometry, or counts as it does,
+holds class by class:
+- A binary class (r = 2) has the 1 x 1 complement [g'], and scaling it by a
+  unit gives [rep[g']].  Every level of an n = 1 count is binary, and so is
+  every level below the top of an n = 2 count.
 - At odd p every class is a diagonal of units.  A unimodular form of rank
   >= 2 represents every unit (reduced mod p it is a nondegenerate form over
   the residue field, and Hensel's lemma lifts the representation), so it
@@ -43,10 +46,7 @@ B D B* is this form, or counts as it does, holds class by class:
   - h(z, z) would be even for all x and z; scaling z by a unit of odd trace
   rules that out.  So every unimodular form has a unit-norm vector and splits
   down to a diagonal, and the norms of the units are all units (Jacobowitz,
-  unramified case).  For M a child keeps a non-unit last entry g, and the P
-  that reaches diag(1, ..., 1, g) fixes N(det P) only mod m/2.  That is
-  harmless: diag(1, ..., 1, u) with N(u) = 1 + m/2 maps diag(1, ..., 1, g)
-  to itself, so its SU counts are the same at T and T (1 + m/2).
+  unramified case).  For M a child keeps a non-unit last entry g.
 - At a ramified 2 (trace_eps even) Tr(O) lies in 2 Z_2, so x -> h(x, x) mod 2
   is additive.  The units of Z/m are odd, so it is h(x, e) mod pi, for the
   uniformizer pi and e the vector with a 1 at each unit entry and 0 elsewhere.
@@ -59,10 +59,10 @@ B D B* is this form, or counts as it does, holds class by class:
   reps[0] is 0, so the meter charges each of them the c[1] it charged every
   dead child.  Every other child is odd: L's is odd unimodular and so fixed
   by its rank and determinant class (Jacobowitz, ramified case), and M's is
-  odd unimodular ⊥ <2u>, whose representation numbers and SU counts the
+  odd unimodular ⊥ <2u>, whose representation numbers and counts the
   tests check against the canonical forms of a row-by-row reference.
 
-So the child, weight and sigma of a row depend on q = h(y, y) only, and the
+So the child and weight of a row depend on q = h(y, y) only, and the
 rows of a class are counted by value, not one by one, by recurrences on rank
 over the first coordinate y_0.  Write N, U and T for the norm counts of all
 elements, of the non-unit-norm ones and of the unit-norm ones, X_g for the
@@ -143,7 +143,7 @@ class CountReport:
     count: int
     elapsed: float
     nodes: int
-    keys: int  # (complement class, N(det)) pairs counted: len(_Search.counts)
+    keys: int  # complement classes counted: len(_Search.counts)
 
 
 class _Meter:
@@ -174,11 +174,10 @@ class _Ring:
         # the norm counts of the unit-norm elements and of the others
         self.unit_count = [c if u else 0 for u, c in zip(self.unit, self.norm_count)]
         self.nonunit_count = [0 if u else c for u, c in zip(self.unit, self.norm_count)]
-        # rep[g] is the least element of g N(units) for a unit g, and scale[g] the
-        # norm of a unit taking g to it; non-units are left as they are
+        # rep[g] is the least element of g N(units) for a unit g; non-units are
+        # left as they are
         unit_norms = [a for a, c in enumerate(self.unit_count) if c]
         self.rep = [min(g * u % m for u in unit_norms) if self.unit[g] else g for g in range(m)]
-        self.scale = [r * i % m if i else 1 for r, i in zip(self.rep, self.inv)]
         # the value counts of the classes, memoized for this count by (rank, g)
         self.dist, self.rows, self.dead = cache(self.dist), cache(self.rows), cache(self.dead)
 
@@ -222,14 +221,18 @@ class _Ring:
             return self.convolve(self.unit_count, self.dead(r - 1, g))
         return self.scaled(self.unit_count if self.unit[g] else self.norm_count, g, 1)
 
+    def fiber(self, g):
+        """#{t : N(t) g = g}: for g = lam_w, #U / #SU (module docstring)."""
+        return sum(c for a, c in enumerate(self.norm_count) if a * g % self.m == g)
+
 
 class _Search:
     """One count: the classes met, keyed (r, g) for diag(1, ..., 1, g) or (r, -1)
     for the dead zero diagonal, with memo tables for their levels, meter
     charges and counts.  A class of rank r has the diagonal lam[w - r:]."""
 
-    def __init__(self, R: _Ring, lam, su: bool, meter: _Meter):
-        self.R, self.su, self.meter = R, su, meter
+    def __init__(self, R: _Ring, lam, meter: _Meter):
+        self.R, self.meter = R, meter
         self.lam = tuple(l % R.m for l in lam)
         self.levels, self.charges, self.counts = {}, {}, {}
 
@@ -243,34 +246,27 @@ class _Search:
         return [dist[l] for l in self.lams(key)]
 
     def level(self, key):
-        """child key -> {sigma: rows} over the rows x with x D x* = lams[0], where
-        a row's child is (r - 1, rep[g]), g = det D / q, and the child's T is
-        T * sigma, sigma = 1 / (N(s) N(det P)) (0 for U); at a ramified 2 the
-        rows whose complement has no unit-norm vector go to the dead child
+        """child key -> rows over the rows x with x D x* = lams[0], in key order,
+        where a row's child is (r - 1, rep[g]), g = det D / q; at a ramified 2
+        the rows whose complement has no unit-norm vector go to the dead child
         (r - 1, -1) instead.  The rows are counted by value (R.rows, R.dead)."""
         if key in self.levels:
             return self.levels[key]
         R, m, (r, det), lam0 = self.R, self.R.m, key, self.lams(key)[0]
         # at a ramified 2 a child of rank >= 2 may have no unit-norm vector
         dead = R.dead(r, det) if r >= 3 and m % 2 == 0 and R.t % 2 == 0 else [0] * m
-        sizes, zero = {}, ((r - 1, -1), 0)  # the dead child sorts first
+        sizes, zero = {}, (r - 1, -1)  # the dead child sorts first
         for q, (rows, lost) in enumerate(zip(R.rows(r, det), dead)):
-            ns = lam0 * R.inv[q] % m  # N(s) for x = s y
-            weight = R.norm_count[ns] if R.unit[q] else 0
+            # the rows x = s y of each y, counted by N(s) = lams[0] / q
+            weight = R.norm_count[lam0 * R.inv[q] % m] if R.unit[q] else 0
             if not weight:
                 continue
-            # child diag(1, ..., 1, rep[g]), g = det D / q, N(det P) = scale[g]
-            g = det * R.inv[q] % m
-            live = (r - 1, R.rep[g]), R.inv[ns * R.scale[g] % m] if self.su else 0
-            for pair, size in ((live, rows - lost), (zero, lost)):
+            for child, size in (((r - 1, R.rep[det * R.inv[q] % m]), rows - lost), (zero, lost)):
                 if size:
-                    sizes[pair] = sizes.get(pair, 0) + weight * size
-        groups = {}
-        for (child, sigma), size in sorted(sizes.items()):
-            groups.setdefault(child, {})[sigma] = size
+                    sizes[child] = sizes.get(child, 0) + weight * size
         assert sum(sizes.values()) == self.reps(key)[0], "projective rows missed a unit-norm row"
-        self.levels[key] = groups
-        return groups
+        self.levels[key] = dict(sorted(sizes.items()))
+        return self.levels[key]
 
     def charge(self, key, mult: int):
         """Bump mult x the partial assignments a row-by-row search settles below
@@ -286,9 +282,8 @@ class _Search:
         total = c[0] * c[1]
         if len(c) > 2:
             own, live = 0, []
-            for child, sigmas in self.level(key).items():
-                rows, kept = sum(sigmas.values()), self.reps(child)
-                dead = [k for k, size in enumerate(kept) if size == 0]
+            for child, rows in self.level(key).items():
+                dead = [k for k, size in enumerate(self.reps(child)) if size == 0]
                 own += rows * sum(c[1:dead[0] + 2] if dead else c[1:])
                 if not dead:
                     live.append((child, rows))
@@ -299,24 +294,19 @@ class _Search:
                 total += rows * self.charges[child]
         self.charges[key] = total
 
-    def count(self, key, T: int) -> int:
-        """count(D, lams, t) for N(t) = T (SU); T is unused for U."""
-        if (key, T) not in self.counts:
-            r, g = key
-            if r == 1:
-                value = (T * g % self.R.m == self.lams(key)[0]) if self.su else self.reps(key)[0]
-            else:
-                value = sum(size * self.count(child, T * sigma % self.R.m)
-                            for child, sigmas in self.level(key).items()
-                            if min(self.reps(child)) > 0 for sigma, size in sigmas.items())
-            self.counts[(key, T)] = int(value)
-        return self.counts[(key, T)]
+    def count(self, key) -> int:
+        """count(D, lams): the matrices A with A D A* = diag(lams)."""
+        if key not in self.counts:
+            self.counts[key] = self.reps(key)[0] if key[0] == 1 else sum(
+                rows * self.count(child) for child, rows in self.level(key).items()
+                if min(self.reps(child)) > 0)
+        return self.counts[key]
 
     def run(self) -> int:
-        # the top form diag(lam) = diag(1, ..., 1, lam[-1]) as it stands: P = I, T = 1
+        """#U: the top form diag(lam) = diag(1, ..., 1, lam[-1]) as it stands."""
         top = (len(self.lam), self.lam[-1])
         self.charge(top, 1)
-        return self.count(top, 1 if self.su else 0)
+        return self.count(top)
 
 
 def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
@@ -337,8 +327,11 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
                              " rows does not fit the enumeration budget")
     meter = _Meter(budget)
     meter.bump(ring.p**power)
-    search = _Search(_Ring(ring), lam, group == "SU", meter)
+    search = _Search(_Ring(ring), lam, meter)
     count = search.run()
+    if group == "SU":
+        count, rest = divmod(count, search.R.fiber(search.lam[-1]))
+        assert not rest, "#U is not a multiple of the determinant fiber"
     return CountReport(count=count, elapsed=time.monotonic() - t0, nodes=meter.visited,
                        keys=len(search.counts))
 

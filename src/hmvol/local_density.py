@@ -33,16 +33,19 @@ class LocalDensity:
 
 
 def index_u_su(field: FieldData, p: int, k: int, lattice: str = "L") -> int:
-    """[U(.,O/p^k O) : SU(.,O/p^k O)]: 2p^k ramified, p^k(1 - chi(p)/p)
-    unramified; for the lattice M at p = 2 the values are 2^(k+2) ramified and
-    2^(k+1)(1 - chi(2)/2) unramified."""
+    """[U(.,O/p^k O) : SU(.,O/p^k O)], the norm-one units of O/p^k: 2p^k
+    ramified (2 over O/2), p^k(1 - chi(p)/p) unramified; for M at p = 2 the
+    t with N(t) = 1 mod 2^(k-1), 4 times L's index at k - 1 (4 at k = 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    # lattice_diag checks the lattice at every p; -2 is M's last entry at any n
+    if lattice_diag(lattice, 1)[-1] == -2 and p == 2:
+        return 4 * index_u_su(field, 2, k - 1) if k > 1 else 4
     c = chi(field, p)
-    if lattice == "M" and p == 2:
-        return 2 ** (k + 2) if c == 0 else 2**k * (2 - c)
     if c == 0:
-        return 2 * p**k
+        return 2 if p**k == 2 else 2 * p**k
     return p ** (k - 1) * (p - c)
 
 

@@ -166,8 +166,8 @@ def evaluate_numeric(expr: VolumeExpression, field: FieldData,
     relative bounds of the factors plus 10^(8 - WORK_DPS) for the rounding of
     the products (each cut to `dyadic.PREC` bits), doubled, rounded up.
     """
-    check_tol(tol)
-    factors, rel = _special_factors(expr.zeta_args, expr.l_args, field, tol)
+    t = check_tol(tol)
+    factors, rel = _special_factors(expr.zeta_args, expr.l_args, field, t.numerator, t.denominator)
     value = dyadic.of_fraction(expr.coeff)
     if expr.sqrt_sq != 1:  # a product with 1 is exact, so only another root is multiplied
         value = dyadic.mul(value, dyadic.power(expr.sqrt_sq, Fraction(1, 2)))
@@ -187,14 +187,13 @@ _ROUNDING = -(-(1 << dyadic.PREC) // 10 ** (WORK_DPS - 8))
 
 @cache
 def _special_factors(zeta_args: tuple[int, ...], l_args: tuple[int, ...], field: FieldData,
-                     tol) -> tuple[tuple[tuple[int, int], ...], int]:
+                     tol_num: int, tol_den: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The zeta/L factors of a volume as dyadic factors, each evaluated with an
-    even share of tol, and the sum of their relative bounds and _ROUNDING in
-    units of 2^-PREC: the part of a numeric volume that the L and M rows of
-    one (n, field) share.  tol has passed check_tol; the share is the integer
-    ratio num / den, floored at TOL_FLOOR."""
-    t = check_tol(tol)
-    num, den = t.numerator, t.denominator * 8 * max(1, len(zeta_args) + len(l_args))
+    even share of the tolerance tol_num / tol_den, which has passed check_tol,
+    and the sum of their relative bounds and _ROUNDING in units of 2^-PREC:
+    the part of a numeric volume that the L and M rows of one (n, field)
+    share.  The share is the integer ratio num / den, floored at TOL_FLOOR."""
+    num, den = tol_num, tol_den * 8 * max(1, len(zeta_args) + len(l_args))
     if num * TOL_FLOOR.denominator < TOL_FLOOR.numerator * den:
         num, den = TOL_FLOOR.numerator, TOL_FLOOR.denominator
     specials = [_zeta(s, num, den) for s in zeta_args] + [_l(k, field, num, den) for k in l_args]

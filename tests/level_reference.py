@@ -5,17 +5,21 @@ counts the rows of a class by the value q = h(y, y) (`_Ring.rows`) and reads
 the child off det D / q.  `short` is the per-row form of that reading: it
 returns q and det D / q row by row.
 
-`Search` is a `_Search` on this level.  Its classes are canonical forms,
-keyed (r, x) by `search_key`: x = g for diag(1, ..., 1, g), as the package
-keys it, and the stream_reference form_key of any other form.  Their
-representation numbers are the exact convolutions of values_reference, and
-a form that is not diagonal (a 2-adic remainder with no unit-norm vector)
-has those of its remainder enumerated.  At rank 2 both levels return the
-same {child key: {sigma: rows}}, so that a count meets the same memo keys.
-At rank >= 3 the package's child (r - 1, rep[g]) has the rank and the
-representation numbers of the reference's, and its sigma may differ; a
-search on either level has the same count and node total, and the package's
-may merge keys.
+`Search` is a `_Search` on this level.  It also keeps the SU count the
+package replaced by #U over one determinant fiber: `su_count(key, T)` counts
+the matrices of determinant t, N(t) = T, and hands each row's child the norm
+T sigma, sigma = 1 / (N(s) N(det P)), for x = s y and the P that takes the
+complement to its canonical form (N(det P) from `StreamRing.scale`).  Its
+classes are canonical forms, keyed (r, x) by `search_key`: x = g for
+diag(1, ..., 1, g), as the package keys it, and the stream_reference
+form_key of any other form.  Their representation numbers are the exact
+convolutions of values_reference, and a form that is not diagonal (a 2-adic
+remainder with no unit-norm vector) has those of its remainder enumerated.
+At rank 2 its level, summed over sigma, is the package's {child key: rows},
+so that a count meets the same memo keys.  At rank >= 3 the package's child
+(r - 1, rep[g]) has the rank and the representation numbers of the
+reference's; a search on either level has the same count and node total,
+and the package's may merge keys.
 """
 
 from __future__ import annotations
@@ -63,14 +67,15 @@ def short(R, D, y):
 
 
 class Search(_Search):
-    """A _Search over a StreamRing on the streaming level.  check(D, y, q,
-    child, ndp), if given, sees each pass of rows y with their q = h(y, y)
-    and, row by row for the rows whose q is a unit, the canonical form of the
-    complement Gram B D B* and N(det P)."""
+    """A _Search over a StreamRing on the streaming level, counting SU by
+    (key, T) if su.  check(D, y, q, child, ndp), if given, sees each pass of
+    rows y with their q = h(y, y) and, row by row for the rows whose q is a
+    unit, the canonical form of the complement Gram B D B* and N(det P)."""
 
     def __init__(self, R, lam, su, meter, check=None):
-        super().__init__(R, lam, su, meter)
-        self.check, self.dists = check, {}
+        super().__init__(R, lam, meter)
+        self.su, self.check, self.dists = su, check, {}
+        self.sigma_levels, self.su_counts = {}, {}
 
     def dist(self, key):
         """dist[g] = #{y : y D y* = g} on the form D of the key: the convolution
@@ -96,10 +101,11 @@ class Search(_Search):
         dist = self.dist(key)
         return [dist[l] for l in self.lams(key)]
 
-    def level(self, key):
-        """{child key: {sigma: rows}} of the class `key`, memoized."""
-        if key in self.levels:
-            return self.levels[key]
+    def sigma_level(self, key):
+        """{child key: {sigma: rows}} of the class `key`, memoized; every sigma
+        is 0 without su."""
+        if key in self.sigma_levels:
+            return self.sigma_levels[key]
         R, D = self.R, search_form(key)
         m, A, lam0 = R.m, R.arrays, self.lams(key)[0]
         groups, total = {}, 0
@@ -128,5 +134,28 @@ class Search(_Search):
                 sigmas[s] = sigmas.get(s, 0) + size
             total += int(weight.sum())
         assert total == self.reps(key)[0], "projective rows missed a unit-norm row"
-        self.levels[key] = groups
+        self.sigma_levels[key] = groups
         return groups
+
+    def level(self, key):
+        """{child key: rows}: sigma_level summed over sigma."""
+        return {child: sum(sigmas.values()) for child, sigmas in self.sigma_level(key).items()}
+
+    def su_count(self, key, T: int) -> int:
+        """count(D, lams, t) for a unit t with N(t) = T: the matrices A with
+        A D A* = diag(lams) and det A = t."""
+        if (key, T) not in self.su_counts:
+            r, g = key
+            if r == 1:
+                value = T * g % self.R.m == self.lams(key)[0]
+            else:
+                value = sum(size * self.su_count(child, T * sigma % self.R.m)
+                            for child, sigmas in self.sigma_level(key).items()
+                            if min(self.reps(child)) > 0 for sigma, size in sigmas.items())
+            self.su_counts[(key, T)] = int(value)
+        return self.su_counts[(key, T)]
+
+    def run(self) -> int:
+        """#U, or with su #SU: su_count of the top form as it stands (P = I, T = 1)."""
+        count = super().run()
+        return self.su_count((len(self.lam), self.lam[-1]), 1) if self.su else count

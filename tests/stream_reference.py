@@ -4,7 +4,8 @@ reference: int64 arithmetic over O/m on coordinate pairs, the projective rows
 of a form in fixed-size passes, the complement basis of each row and the
 canonical form of each complement Gram.
 
-StreamRing is the package's _Ring with the numpy members it dropped: pairs
+StreamRing is the package's _Ring with the numpy members it dropped, and the
+table `scale` that the per-row SU count of `level_reference` reads: pairs
 (..., 2) hold (a, b) for a + b eps, matrices are (..., rows, cols, 2), and a
 matrix product is one int64 product of the entries packed as a + b 2^20,
 whose three fields are sums of r products of entries in [0, m).  A form that
@@ -31,6 +32,8 @@ class StreamRing(_Ring):
 
     def __init__(self, ring):
         super().__init__(ring)
+        # scale[g] is the norm of a unit taking a unit g to rep[g], 1 for a non-unit
+        self.scale = [r * i % self.m if i else 1 for r, i in zip(self.rep, self.inv)]
         self._probes = {}
 
     @cached_property

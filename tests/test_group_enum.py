@@ -81,6 +81,18 @@ def test_su_divides_u():
             assert u // s == index_u_su(field, p, N, lat)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.sampled_from("LM"), st.data())
+def test_determinant_fiber_is_the_index(p, lattice, data):
+    # count_group divides #U by #{t : N(t) lam_w = lam_w}: on L and M, at
+    # split, inert and ramified p, that counted fiber is [U : SU] as
+    # local_density states it, over O/2 .. O/32 and O/p, O/p^2 at odd p
+    N = data.draw(st.integers(1, 5 if p == 2 else 2))
+    field = data.draw(st.sampled_from(_fields_by_class(p, (1, 3, 5, 7, 11, 13, 15, 19, 23))))
+    R = _Ring(ring(field, p, N))
+    assert R.fiber(lattice_diag(lattice, 1)[-1] % R.m) == index_u_su(field, p, N, lattice)
+
+
 def test_count_invariant_under_form_permutation():
     # reversing the diagonal form is a signed-permutation conjugation fixing it;
     # for (-1, 1) the complement line has delta = -1, not 1
@@ -272,8 +284,9 @@ def test_binary_level_matches_the_canonical_complement(su, case):
     # a binary class reads each row's child off det D / q: per row, [rep[g]]
     # and N(det P) = scale[g] are canonical(B D B*) on complement's basis
     # (for G too, whose off-diagonal entry is not cleared), and the level is
-    # the one every class used to build; the package keys diag(1, g) only, so
-    # the levels are compared on diag(1, D_11), which is D when D_00 = 1
+    # the one every class used to build, summed over the sigma of the
+    # reference's SU level; the package keys diag(1, g) only, so the levels
+    # are compared on diag(1, D_11), which is D when D_00 = 1
     R, G, D, lam = case
     for form in (G, D):
         for y in level_reference.rows(R, form):
@@ -286,19 +299,28 @@ def test_binary_level_matches_the_canonical_complement(su, case):
             child = np.zeros_like(want)
             child[:, 0, 0, 0] = A.rep[g]
             assert (child == want).all() and (nd == A.scale[g]).all()
-    search, ref = _Search(R, lam, su, _Meter(0)), level_reference.Search(R, lam, su, _Meter(0))
+    search, ref = _Search(R, lam, _Meter(0)), level_reference.Search(R, lam, su, _Meter(0))
     key = (2, int(D[1, 1, 0]))
     assert search.level(key) == ref.level(key)
 
 
 @pytest.mark.parametrize("lattice, ring_, group, pin", [
     pytest.param("L", ring(F3, 5, 2), "U", (450000, 225390625, 2), id="L-1-O25-U"),
-    pytest.param("M", ring(F3, 2, 5), "SU", (49152, 1209008128, 12), id="M-1-O32-SU"),
+    pytest.param("M", ring(F3, 2, 5), "SU", (49152, 1209008128, 7), id="M-1-O32-SU"),
 ])
 def test_binary_levels_keep_counts_nodes_and_keys(lattice, ring_, group, pin):
     # every level of an n = 1 count is binary
     rep = count_group(lattice, 1, ring_, group, budget=2 * 10**9)
     assert (rep.count, rep.nodes, rep.keys) == pin
+
+
+def _package_count(R, lam, su):
+    """count_group's count on R with the meter lifted: #U, or for SU #U over
+    the determinant fiber; and the search."""
+    search = _Search(R, lam, _Meter(10**30))
+    count, rest = divmod(search.run(), R.fiber(search.lam[-1]) if su else 1)
+    assert rest == 0
+    return count, search
 
 
 # (m, n) at odd p with n = 2..4 under count_group's row-table cap, less n = 4
@@ -321,9 +343,10 @@ def test_odd_p_levels_match_the_canonical_complement(case):
     # at odd p every level reads each row's child off det D / q: per row, the
     # child diag(1, ..., 1, rep[g]) has the rank and rep[det] of the
     # reference's canonical(B D B*), a unit diagonal, and N(det P) = scale[g]
-    # is the reference's times rep[g] / det D_ref, so sigma differs by
-    # det D_ref / rep[g]; a search on the reference level keeps every count
-    # and node total, and the package's merges isometric keys
+    # is the reference's times rep[g] / det D_ref; a search on the reference
+    # level keeps every node total and #U, its per-row SU count by T = N(det)
+    # and sigma is the package's #U over the determinant fiber, and the
+    # package merges isometric keys
     R, lattice, n, su = case
     m, A = R.m, R.arrays
 
@@ -340,9 +363,9 @@ def test_odd_p_levels_match_the_canonical_complement(case):
         assert (A.scale[g] == ndp * A.rep[g] * A.inv[det] % m).all()
 
     lam = lattice_diag(lattice, n)
-    search = _Search(R, lam, su, _Meter(10**30))
+    count, search = _package_count(R, lam, su)
     ref = level_reference.Search(R, lam, su, _Meter(10**30), check)
-    assert search.run() == ref.run()
+    assert count == ref.run()
     assert search.meter.visited == ref.meter.visited
     assert len(search.counts) <= len(ref.counts)
 
@@ -414,12 +437,14 @@ def test_two_adic_levels_match_the_streaming_reference(case):
     # at p = 2 every level reads its children off det D / q, and at a ramified
     # 2 bills the rows whose complement has no unit-norm vector to the zero
     # diagonal: a search on the reference level, which streams every row and
-    # canonicalizes every complement, has the same count and node total
+    # canonicalizes every complement, has the same node total and #U, and
+    # its per-row SU count by T = N(det) and sigma is the package's #U over
+    # the determinant fiber
     R, lattice, n, su = case
     lam = lattice_diag(lattice, n)
-    search = _Search(R, lam, su, _Meter(10**30))
+    count, search = _package_count(R, lam, su)
     ref = level_reference.Search(R, lam, su, _Meter(10**30))
-    assert search.run() == ref.run()
+    assert count == ref.run()
     assert search.meter.visited == ref.meter.visited
 
 
@@ -459,8 +484,8 @@ def test_dead_rows_match_the_streaming_reference(case):
         # the classes a search meets; lams[0] = 1, so the rows of each q carry
         # the norm count of 1 / q
         assert R.dead(len(d), d[-1]) == dead
-        level = _Search(R, (1,) * len(d), False, _Meter(0)).level((len(d), d[-1]))
-        billed = sum(level.get((len(d) - 1, -1), {}).values())
+        level = _Search(R, (1,) * len(d), _Meter(0)).level((len(d), d[-1]))
+        billed = level.get((len(d) - 1, -1), 0)
         assert billed == sum(R.norm_count[R.inv[q]] * int(want[q]) for q in range(m))
 
 
@@ -792,13 +817,14 @@ def test_odd_n_three_counts_over_o3():
 @pytest.mark.parametrize("lattice, n, ring_, keys, nodes", [
     pytest.param("L", 2, ring(F3, 5), 3, 65220625, id="2-5-3"),
     pytest.param("L", 3, ring(F3, 3), 4, 655450461, id="3-3-4"),
-    pytest.param("M", 1, ring(make_field(111), 2, 3), 5, 167936, id="M-1-O8-5"),
-    pytest.param("M", 1, ring(make_field(111), 2, 4), 9, 10551296, id="M-1-O16-9"),
+    pytest.param("M", 1, ring(make_field(111), 2, 3), 3, 167936, id="M-1-O8-5"),
+    pytest.param("M", 1, ring(make_field(111), 2, 4), 5, 10551296, id="M-1-O16-9"),
     pytest.param("L", 4, ring(F3, 3), 5, 11468947501017, id="L-4-O3-7"),
 ])
 def test_complement_classes_counted(lattice, n, ring_, keys, nodes):
     # every first row of L over O/5 (3,150 of them at n = 2) falls into one
-    # complement class; keys counts the (class, norm of det) pairs evaluated.
+    # complement class; keys counts the classes evaluated (an id's last
+    # number is the keys pin of the count when the case was added).
     # The top form is diag(lam) as it stands: over O/5 that is diag(1, 1, -1),
     # not its canonical form I, and the 2-adic M pins end in the non-unit -2
     rep = count_group(lattice, n, ring_, "SU", budget=10**14)

@@ -26,6 +26,11 @@ def test_index_examples():
     assert index_u_su(F5, 2, 3, "M") == 32
     assert index_u_su(F3, 2, 3, "M") == 24
     assert index_u_su(F7, 2, 3, "M") == 8
+    # below k = 3 at 2: every unit of O/2 has norm 1, and M's index is 4
+    # times L's one level down
+    assert index_u_su(F5, 2, 1) == 2
+    assert index_u_su(F5, 2, 1, "M") == index_u_su(F7, 2, 1, "M") == 4
+    assert index_u_su(F5, 2, 2, "M") == 8
 
 
 def test_tau_p_examples():
@@ -106,14 +111,15 @@ def test_oracle_tau_2_at_n2_for_l_over_o8():
 
 
 def test_index_matches_enumeration_n1():
+    # at 2 over O/2, O/4 and O/8 too, on both kinds of 2
     for lattice in ("L", "M"):
         for d in (1, 3, 5, 7):
             field = make_field(d)
-            for p in (3, 5, 7):
-                r = ResidueRing(field, p, 1)
+            for p, k in ((3, 1), (5, 1), (7, 1), (2, 1), (2, 2), (2, 3)):
+                r = ResidueRing(field, p, k)
                 u = count_group(lattice, 1, r, "U").count
                 s = count_group(lattice, 1, r, "SU").count
-                assert u == s * index_u_su(field, p, 1, lattice), (lattice, d, p)
+                assert u == s * index_u_su(field, p, k, lattice), (lattice, d, p, k)
 
 
 def test_tau_infinity_examples():
@@ -187,6 +193,11 @@ def test_invalid_inputs():
         tau_p("L", 1, F3, 9)
     with pytest.raises(ValueError):
         index_u_su(F3, 3, 0)
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="lattice"):
+            index_u_su(F3, p, 1, "Q")
+    with pytest.raises(ValueError, match="not prime"):
+        index_u_su(F3, 9, 1)
 
 
 def _assert_densities_match_the_chains(field, p):

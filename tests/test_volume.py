@@ -258,6 +258,23 @@ def test_evaluate_numeric_checks_the_tolerance_it_was_given():
         evaluate_numeric(expr, F3, 9e-41)
 
 
+def test_evaluate_numeric_checks_the_tolerance_once(monkeypatch, cold_memos):
+    # the factors are keyed on the checked ratio, not the tolerance as given:
+    # one check per call, and 1e-13 and its exact Fraction share one entry
+    checked, original = [], volume.check_tol
+
+    def check_tol(tol):
+        checked.append(tol)
+        return original(tol)
+
+    monkeypatch.setattr(volume, "check_tol", check_tol)
+    expr = hm_assembled("L", 5, F3)
+    first = evaluate_numeric(expr, F3, 1e-13)
+    assert checked == [1e-13]
+    assert evaluate_numeric(expr, F3, Fraction(1e-13)) == first
+    assert volume._special_factors.cache_info().currsize == 1
+
+
 def test_memoized_products_match_the_fraction_chains():
     # tau_inf from integer densities, and rationalize from the memoized zeta/L
     # products and powers of |D|, against the one-factor-at-a-time chains
