@@ -260,8 +260,8 @@ def _cmd_verify(args) -> int:
         rep = count_group(args.lattice, args.n, ResidueRing(field, args.p, level), "SU",
                           budget=budget)
         formula = tau_p(args.lattice, args.n, field, args.p).value * args.p ** (level * dim)
-        if formula.denominator != 1:
-            return _fail("formula count is not integral at this level", EXIT_INVALID)
+        # at odd p, tau_p = m / p^e with e <= (n^2+3n)/2 <= dim, and level >= 1
+        assert formula.denominator == 1, f"formula count {formula} is not integral"
         return _verdict_lines(
             f"#SU ({args.lattice}, n={args.n}, d={field.d}, p={args.p}, N={level})",
             rep.count, formula.numerator)

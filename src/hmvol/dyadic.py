@@ -3,7 +3,7 @@
 Every product is cut to PREC significant bits.  The special values are
 integers in units of 2^-256 (`special_values`), and PREC keeps 64 guard bits
 beyond them.  So the prefix of an n = 90 volume (pi to a power near 4000,
-|D| to a power with denominator 4) stays within about 2^-300 of its exact
+|D| to a power with denominator 2) stays within about 2^-300 of its exact
 relative value, while each product is one multiplication of PREC-bit
 integers.  A value leaves this module as an exact dyadic `Fraction`.
 
@@ -47,28 +47,18 @@ def to_fraction(x: tuple[int, int]) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _root(n: int, b: int) -> int:
-    """floor(n^(1/b)): math.isqrt for b = 2, else Newton's method from above."""
-    if b == 2:
-        return math.isqrt(n)
-    y = 1 << -(-n.bit_length() // b)
-    while True:
-        z = ((b - 1) * y + n // y ** (b - 1)) // b
-        if z >= y:
-            return y
-        y = z
-
-
 def power(x, p) -> tuple[int, int]:
-    """x^p for rational x > 0 and rational p = q + r/b (0 <= r < b): x^q
-    exactly, times the floor of a b-th root for x^(r/b)."""
+    """x^p for rational x > 0 and p an integer or a half-integer: x^floor(p)
+    exactly, times the floor of a square root for x^(1/2).  The volumes carry
+    |D|^((n^2+3n)/4) and n(n+3) is even, so no exponent needs a higher root."""
     x, p = Fraction(x), Fraction(p)
+    if p.denominator > 2:
+        raise ValueError(f"exponent {p} is not an integer or a half-integer")
     q, r = divmod(p.numerator, p.denominator)
     out = of_fraction(x ** q)
     if r:
-        num, den, b = x.numerator ** r, x.denominator ** r, p.denominator
-        s = PREC + den.bit_length()
-        out = mul(out, (_root((num << (b * s)) // den, b), -s))
+        s = PREC + x.denominator.bit_length()
+        out = mul(out, (math.isqrt((x.numerator << 2 * s) // x.denominator), -s))
     return out
 
 

@@ -15,8 +15,10 @@ supports (cell -> half-unit pair): the Lie-membership check reads only the
 cells of an element, the Gram matrix is built from a cell -> elements index,
 and its determinant is the product of those of the connected blocks of its
 sparsity pattern: each (e, f) pair's 2 x 2 block is solved directly, the
-n x n block of the g_k by Bareiss.  The curvature kernel scales only the
-last row and column to integers, and its matmuls skip zero factors.
+n x n block of the g_k by Bareiss.  That block is -d times the Cartan matrix
+of A_n, which is negative definite, so no Bareiss pivot is zero and none is
+searched for.  The curvature kernel scales only the last row and column to
+integers, and its matmuls skip zero factors.
 """
 
 from __future__ import annotations
@@ -170,24 +172,16 @@ def gram_det(basis: LieBasis) -> int:
 
 
 def _bareiss_det(M) -> int:
+    """det M by fraction-free Bareiss, no pivot search: M is the g_k block."""
     n = len(M)
     M = [row[:] for row in M]
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
         prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    return M[n - 1][n - 1]
 
 
 # ---- curvature of the noncompact part ----
@@ -262,10 +256,8 @@ def curvature_ratio(X, field: FieldData) -> Fraction:
     bxx, byy = _trace(X, X, d), _trace(Y, Y, d)
     if any(im != 0 for _, im in (num, bxx, byy)):
         raise AssertionError("trace form value is not rational")
-    den = bxx[0] * byy[0]
-    if den == 0:
-        raise ValueError("B(X, X) vanishes; curvature ratio undefined")
-    return Fraction(num[0], den)
+    # B(X, X) = 2 low sum N(top) > 0 and B(Y, Y) = -B(X, X): no zero division
+    return Fraction(num[0], bxx[0] * byy[0])
 
 
 # ---- compact group volume ----

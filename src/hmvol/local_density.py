@@ -9,10 +9,10 @@ rational correction euler_local(p)/tau_p.
 
 Each local factor is one integer numerator over one denominator, and
 tau_infinity multiplies them as integers and normalizes its coefficient once;
-only `tau_p`, the public density, is a `Fraction` of its own.  Every value
-here depends on (lattice, n, field, p) alone and is immutable, so `tau_p`,
-`tau_infinity` and the field's special primes are memoized for the process's
-life: a `table` row and its twin for the other lattice share the primes.
+only `tau_p`, the public density, is a `Fraction` of its own.  The field's
+special primes are memoized for the process's life, since a `table` row and
+its twin for the other lattice share them.  `tau_p` and `tau_infinity` are
+not: no command asks for the same value twice.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def _generic_product(p: int, signs) -> tuple[int, int]:
     return num, p**e
 
 
-@cache
 def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:
     """Closed-form local volume, dispatching on prime class and parity of n."""
     lattice_diag(lattice, n)
@@ -122,7 +121,6 @@ def _alternating_args(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(i for i in range(3, n + 2) if i % 2 == 1))
 
 
-@cache
 def tau_infinity(lattice: str, n: int, field: FieldData) -> VolumeExpression:
     """1/prod_p tau_p as a symbolic volume: zeta(even i), L(odd i) for
     i in [2, n+1], with all non-generic local factors folded into the exact

@@ -204,8 +204,6 @@ def _residues(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
             tuple(a for a in range(1, f + 1) if weights[a % f] == -1), {})
 
 
-# typed, as check_tol: an mpf equal to an accepted float is still refused
-@lru_cache(maxsize=None, typed=True)
 def zeta_numeric(s: int, tol=1e-12) -> SpecialValue:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin, remainder <= tol."""
     t = check_tol(tol)
@@ -229,7 +227,6 @@ def zeta_exact(s: int) -> ExactForm:
     return ExactForm(coeff=coeff, pi_power=s, d_sqrt_power=0)
 
 
-@lru_cache(maxsize=None, typed=True)
 def l_numeric(k: int, field: FieldData, tol=1e-12) -> SpecialValue:
     """L(k, chi_D) = sum chi_D(m) m^-k for integer k >= 2, evaluated as the power
     sum of the character with the remainder split evenly over its residues."""

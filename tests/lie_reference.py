@@ -6,6 +6,8 @@ dense lists of rows: the basis is built cell by cell from eps and its
 conjugate, traces and products scan every cell of the dense matrices, and
 the curvature ratio is evaluated on the Quads as given, unscaled.  The package works on half-unit integer
 pairs on supports instead; every value here must equal its value there.
+`bareiss_det` searches for a nonzero pivot, so it takes any integer matrix,
+such as the full dense Gram matrix, which is not definite.
 """
 
 from __future__ import annotations
@@ -108,3 +110,25 @@ def curvature_ratio(X, field: FieldData) -> Fraction:
     bxx, byy = trace(X, X, d), trace(Y, Y, d)
     assert num.y == bxx.y == byy.y == 0
     return num.x / (bxx.x * byy.x)
+
+
+def bareiss_det(M) -> int:
+    """det M of any square integer matrix by fraction-free Bareiss, swapping
+    in a row with a nonzero pivot where the diagonal entry is zero."""
+    n = len(M)
+    M = [list(row) for row in M]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for r in range(k + 1, n):
+                if M[r][k] != 0:
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]

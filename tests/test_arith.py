@@ -72,6 +72,8 @@ def test_bernoulli_values():
     assert bernoulli(3) == 0
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
+    with pytest.raises(ValueError):
+        bernoulli(-1)
 
 
 def test_bernoulli_recurrence_self_consistency():
@@ -94,6 +96,8 @@ def test_bernoulli_poly_examples():
     assert bernoulli_poly(3, Fraction(1, 3)) == Fraction(1, 27)
     for k in range(10):
         assert bernoulli_poly(k, 0) == bernoulli(k)
+    with pytest.raises(ValueError):
+        bernoulli_poly(-1, 0)
 
 
 @settings(max_examples=100)

@@ -550,6 +550,14 @@ def test_verify_missing_p(capsys):
                "--n", "1", "--d", "3")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--oracle", "su-count", "--d", "3", "--p", "2"], "odd p"),
+    (["--oracle", "kernel", "--d", "3"], "d = 1 mod 4")])
+def test_verify_refuses_what_an_oracle_does_not_compare(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "--lattice", "L", "--n", "1", *argv)
+    assert code == 2 and out == "" and message in err, err
+
+
 def test_verify_stabilization_missing_p(capsys):
     code, out, err = run(capsys, "verify", "--oracle", "stabilization", "--lattice", "L",
                          "--n", "1", "--d", "3")

@@ -24,14 +24,21 @@ def test_pi_power_within_2_to_the_minus_300(k):
         assert _relative_error(dyadic.pi_power(k), mp.pi ** k) < mpf(2) ** -300, k
 
 
-@pytest.mark.parametrize("x, p", [(3196, Fraction(8371, 4)), (3, Fraction(-9, 2)),
+@pytest.mark.parametrize("x, p", [(3196, Fraction(8371, 2)), (3, Fraction(-9, 2)),
                                   (Fraction(7, 3), Fraction(-1, 2)), (6, Fraction(1, 2)),
-                                  (Fraction(1, 1000), Fraction(3, 4)), (5, Fraction(7))])
+                                  (Fraction(1, 1000), Fraction(3, 2)), (5, Fraction(7))])
 def test_rational_power_within_2_to_the_minus_300(x, p):
     with mp.workprec(600):
         ref = (mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpf(x)) \
             ** (mpf(p.numerator) / p.denominator)
         assert _relative_error(dyadic.power(x, p), ref) < mpf(2) ** -300, (x, p)
+
+
+def test_power_refuses_a_root_above_the_square_root():
+    # every volume exponent of |D| is n(n+3)/4 or half an integer, n(n+3) even
+    for p in (Fraction(3, 4), Fraction(1, 3), Fraction(-5, 6)):
+        with pytest.raises(ValueError, match="half-integer"):
+            dyadic.power(3, p)
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-1, 3), Fraction(10**400, 7),

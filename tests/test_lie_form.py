@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hmvol import lie_form
 from hmvol.expressions import VolumeExpression
-from hmvol.lie_form import (Quad, _bareiss_det, _check_lie_member, build_basis, curvature_ratio,
-                            gram_det, lattice_diag, vol_max_compact)
+from hmvol.lie_form import (Quad, _check_lie_member, build_basis, curvature_ratio, gram_det,
+                            lattice_diag, vol_max_compact)
 from hmvol.quadfield import make_field
 import lie_reference as ref
 from lie_reference import ZERO, q_add, q_mul
@@ -108,14 +108,29 @@ def test_gram_det_closed_form_grid():
 
 
 def test_blockwise_gram_det_equals_dense_bareiss():
-    # the block product must reproduce the signed determinant of the full matrix
+    # the block product must reproduce the signed determinant of the full
+    # matrix, which has zero pivots, so the reference Bareiss searches for them
     for lattice in ("L", "M"):
         for n in range(1, 5):
             for d in (1, 3, 7):
                 b = build_basis(lattice, n, make_field(d))
                 k = len(b.elements)
                 dense = [[trace_form(b, i, j) for j in range(k)] for i in range(k)]
-                assert gram_det(b) == _bareiss_det(dense), (lattice, n, d)
+                assert gram_det(b) == ref.bareiss_det(dense), (lattice, n, d)
+
+
+def test_g_block_is_minus_d_times_the_cartan_matrix():
+    # gram_det's Bareiss searches for no pivot: the g_k block is -d A_n, which
+    # is negative definite, so every leading principal minor is nonzero
+    for n in range(3, 13):
+        for lattice, d in (("L", 1), ("M", 3), ("L", 7), ("M", 141)):
+            b = build_basis(lattice, n, make_field(d))
+            block = [[trace_form(b, i, j) for j in range(n)] for i in range(n)]
+            cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+                      for i in range(n)]
+            assert block == [[-d * c for c in row] for row in cartan], (lattice, n, d)
+            assert all(ref.bareiss_det([row[:k] for row in block[:k]]) == (-d) ** k * (k + 1)
+                       for k in range(1, n + 1))
 
 
 # d = 1 and every odd squarefree d <= 200
@@ -136,7 +151,7 @@ def test_kernels_match_the_dense_reference(lattice, n, d, data):
     for i in range(k):
         for j in range(i, k):  # B is symmetric
             dense[i][j] = dense[j][i] = trace_form(b, i, j)
-    assert gram_det(b) == _bareiss_det(dense)
+    assert gram_det(b) == ref.bareiss_det(dense)
     ef = [X for lbl, X in zip(b.labels, b.elements) if lbl[0] in "ef" and "," not in lbl]
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(ef), max_size=len(ef))
                        .filter(any))
@@ -285,6 +300,10 @@ def test_curvature_rejects_zero_and_compact_directions():
     g1 = [list(r) for r in b.elements[0]]
     with pytest.raises(ValueError):
         curvature_ratio(g1, F3)
+    corner = [list(r) for r in b.elements[2]]
+    corner[1][1] = Quad(Fraction(1), Fraction(0))
+    with pytest.raises(ValueError, match="corner"):
+        curvature_ratio(corner, F3)
 
 
 def test_vol_su_examples():
@@ -297,6 +316,8 @@ def test_vol_max_compact_examples():
     assert vol_max_compact(1) == VolumeExpression(coeff=2, sqrt_sq=2, pi_power=1)
     assert vol_max_compact(2) == VolumeExpression(coeff=8, sqrt_sq=3, pi_power=3)
     assert vol_max_compact(3) == VolumeExpression(coeff=32, sqrt_sq=4, pi_power=6)
+    with pytest.raises(ValueError):
+        vol_max_compact(0)
 
 
 def test_circle_cover_ratio():

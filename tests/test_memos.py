@@ -21,10 +21,9 @@ def test_cold_memos_empties_every_memo(capsys, cold_memos):
     memos = hmvol_memos()
     # the memos the hand-kept list used to miss, and those of the volume path
     for name in ("dyadic._pi", "dyadic._log_mantissas", "lie_form._quad",
-                 "special_values.l_numeric", "special_values.zeta_numeric",
-                 "local_density.tau_infinity", "lie_form.vol_max_compact",
-                 "volume._table_prefix", "special_values.check_tol",
-                 "special_values._residues", "dyadic.pi_power"):
+                 "special_values._power_sum", "local_density.special_primes",
+                 "lie_form.vol_max_compact", "volume._table_prefix",
+                 "special_values.check_tol", "special_values._residues", "dyadic.pi_power"):
         assert memos[name].cache_info().currsize > 0, name
     assert len(arith._BERNOULLI) > 1
     cold_memos()

@@ -136,6 +136,7 @@ def test_residue_ring_is_a_frozen_hashable_record():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != ResidueRing(make_field(3), 5, 1) and a != ResidueRing(make_field(7), 5, 2)
     assert (a.modulus, a.trace_eps, a.norm_eps) == (25, 1, 1)
+    assert repr(a) == "ResidueRing(d=3, p=5, N=2)"
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.p = 7
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -65,6 +65,9 @@ def test_l_numeric_spot_values():
     assert abs(to_mpf(sv.numeric) - mpf("0.884023811750")) < mpf("1e-6")
     cat = l_numeric(2, F1, 1e-10)
     assert abs(to_mpf(cat.numeric) - mpmath.catalan) <= to_mpf(cat.error_bound)
+    # a residue's share 1e300 f^7 / ... lies past the float range: no term is needed
+    loose = l_numeric(7, make_field(797), 1e300)
+    assert loose.error_bound <= Fraction(1e300)
 
 
 def _l_partial(k, field, tol):
@@ -171,6 +174,11 @@ def test_rejects_bad_arguments():
         l_exact(2, F3)
     with pytest.raises(ValueError):
         gen_bernoulli(0, F3)
+    with pytest.raises(ValueError, match="s must be"):
+        hurwitz_numeric(1, Fraction(1, 2), 1e-12)
+    for a in (0, Fraction(-1, 3), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="a must lie"):
+            hurwitz_numeric(2, a, 1e-12)
     # a tolerance is an int, float or Fraction: a string or an mpf is refused
     for tol in (0, -1, float("nan"), float("inf"), Fraction(-1, 10**12), "1e-12",
                 mpf("1e-12")):

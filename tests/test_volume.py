@@ -9,6 +9,7 @@ from hmvol import arith, volume
 from hmvol.arith import is_squarefree
 from hmvol.cli import _record, main
 from hmvol.expressions import VolumeExpression
+from hmvol.lie_form import vol_max_compact
 from hmvol.local_density import tau_infinity
 from hmvol.quadfield import make_field
 from hmvol.special_values import l_exact
@@ -241,13 +242,27 @@ def test_evaluate_numeric_matches_the_mpf_reference(tol):
     cases += [(lattice, n, 3) for lattice in "LM" for n in (20, 40, 90)]
     for lattice, n, d in cases:
         field = make_field(d)
-        for expr in (hm_assembled(lattice, n, field), hm_table(lattice, n, field).expr):
+        exprs = [hm_assembled(lattice, n, field), hm_table(lattice, n, field).expr]
+        if n in (2, 3):  # an expression with a square root: sqrt(3), sqrt(4)
+            exprs.append(vol_max_compact(n))
+        for expr in exprs:
             value, bound = evaluate_numeric(expr, field, float(tol))
             ref_value, ref_bound = numeric_reference.evaluate_numeric(expr, field, float(tol))
             with mp.workdps(60):
                 assert abs(to_mpf(value) - ref_value) <= mpf("1e-35") * abs(ref_value), \
                     (lattice, n, d)
             assert nstr(to_mpf(bound), 17) == nstr(ref_bound, 17), (lattice, n, d)
+
+
+def test_every_volume_exponent_of_d_needs_at_most_a_square_root():
+    # dyadic.power takes square roots only: d_power = n(n+3)/4, and n(n+3) is even
+    golden_d = (1, 3, 5, 7, 15, 29, 119, 141, 199, 797, 2**61 - 1)
+    for d in golden_d:
+        field = make_field(d)
+        for lattice in "LM":
+            for n in range(1, 201 if d == 3 else 31):
+                assert hm_table(lattice, n, field).expr.d_power.denominator <= 2, (lattice, n, d)
+                assert hm_assembled(lattice, n, field).d_power.denominator <= 2, (lattice, n, d)
 
 
 def test_evaluate_numeric_checks_the_tolerance_it_was_given():
