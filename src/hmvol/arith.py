@@ -144,25 +144,20 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def kronecker(D: int, m: int) -> int:
-    """Kronecker symbol (D/m) for a fundamental discriminant D and m >= 1.
+def kronecker_prime(D: int, p: int) -> int:
+    """Kronecker symbol (D/p) at a prime p: 0 when p divides D, the mod-8 rule
+    at 2, and Euler's criterion (legendre_symbol) at an odd p."""
+    if p != 2:
+        return legendre_symbol(D, p)
+    return 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
 
-    Completely multiplicative in m; (D/2) follows the mod 8 rule and
-    (D/p) = 0 exactly when p divides D.  D is not checked: it is the
-    discriminant of a field that make_field built; `factor` refuses m < 1.
-    """
-    out = 1
-    for p, e in factor(m):
-        if p == 2:
-            if D % 2 == 0:
-                return 0
-            s = 1 if D % 8 in (1, 7) else -1
-        else:
-            s = legendre_symbol(D, p)
-        if s == 0:
-            return 0
-        out *= s**e
-    return out
+
+def kronecker(D: int, m: int) -> int:
+    """Kronecker symbol (D/m) for a fundamental discriminant D and m >= 1:
+    completely multiplicative in m, kronecker_prime at each prime.  D is not
+    checked: it is the discriminant of a field that make_field built; `factor`
+    refuses m < 1."""
+    return prod(kronecker_prime(D, p) ** e for p, e in factor(m))
 
 
 # Bernoulli numbers, B1 = -1/2 convention.  A longer table replaces the memo

@@ -55,12 +55,12 @@ holds class by class:
   entries: when every coordinate of y at a unit entry is a unit.  Such a
   child of rank >= 2 is dead, because its lams[0] = 1 needs a unit-norm
   vector.  Its rows are counted apart (_Ring.dead) and billed to one dead
-  child, the zero diagonal keyed (r - 1, -1), which sorts first and whose
-  reps[0] is 0, so the meter charges each of them the c[1] it charged every
-  dead child.  Every other child is odd: L's is odd unimodular and so fixed
-  by its rank and determinant class (Jacobowitz, ramified case), and M's is
-  odd unimodular ⊥ <2u>, whose representation numbers and counts the
-  tests check against the canonical forms of a row-by-row reference.
+  child, the zero diagonal keyed (r - 1, -1), whose reps[0] is 0, so the
+  meter charges each of them the c[1] it charges every dead child.  Every
+  other child is odd: L's is odd unimodular and so fixed by its rank and
+  determinant class (Jacobowitz, ramified case), and M's is odd unimodular
+  ⊥ <2u>, whose representation numbers and counts the tests check against
+  the canonical forms of a row-by-row reference.
 
 So the child and weight of a row depend on q = h(y, y) only, and the
 rows of a class are counted by value, not one by one, by recurrences on rank
@@ -84,8 +84,11 @@ then at each level with r >= 3 classes, for every first row, each later
 class's size while the earlier classes all survive, plus the level below for
 the rows whose classes all survive; two classes cost the product of their
 sizes.  Class sizes are representation numbers of the complement forms.
-Exceeding the budget raises BudgetExceeded, which deliberately distinguishes
-"infeasible under this budget" from a zero count.
+Each class's total is memoized like its count, and the meter is bumped with
+the row table before any table is built, then once with the top class's
+total.  Exceeding the budget raises BudgetExceeded, which deliberately
+distinguishes "infeasible under this budget" from a zero count; past the
+row table it reports the full total, the least budget that passes.
 
 count_kernel counts the reduction kernels of the 2-adic densities by exact
 elimination over Z/2^k, not by enumeration, so it needs no budget.  The
@@ -246,16 +249,16 @@ class _Search:
         return [dist[l] for l in self.lams(key)]
 
     def level(self, key):
-        """child key -> rows over the rows x with x D x* = lams[0], in key order,
-        where a row's child is (r - 1, rep[g]), g = det D / q; at a ramified 2
-        the rows whose complement has no unit-norm vector go to the dead child
-        (r - 1, -1) instead.  The rows are counted by value (R.rows, R.dead)."""
+        """child key -> rows over the rows x with x D x* = lams[0], where a row's
+        child is (r - 1, rep[g]), g = det D / q; at a ramified 2 the rows whose
+        complement has no unit-norm vector go to the dead child (r - 1, -1)
+        instead.  The rows are counted by value (R.rows, R.dead)."""
         if key in self.levels:
             return self.levels[key]
         R, m, (r, det), lam0 = self.R, self.R.m, key, self.lams(key)[0]
         # at a ramified 2 a child of rank >= 2 may have no unit-norm vector
         dead = R.dead(r, det) if r >= 3 and m % 2 == 0 and R.t % 2 == 0 else [0] * m
-        sizes, zero = {}, (r - 1, -1)  # the dead child sorts first
+        sizes, zero = {}, (r - 1, -1)
         for q, (rows, lost) in enumerate(zip(R.rows(r, det), dead)):
             # the rows x = s y of each y, counted by N(s) = lams[0] / q
             weight = R.norm_count[lam0 * R.inv[q] % m] if R.unit[q] else 0
@@ -265,34 +268,27 @@ class _Search:
                 if size:
                     sizes[child] = sizes.get(child, 0) + weight * size
         assert sum(sizes.values()) == self.reps(key)[0], "projective rows missed a unit-norm row"
-        self.levels[key] = dict(sorted(sizes.items()))
-        return self.levels[key]
+        self.levels[key] = sizes
+        return sizes
 
-    def charge(self, key, mult: int):
-        """Bump mult x the partial assignments a row-by-row search settles below
-        the class `key`: c0 c1 for two classes; with more, for each first row,
-        each later class's size c_k while the earlier classes of its complement
-        all survive, and the level below when they all do."""
+    def charge(self, key) -> int:
+        """The partial assignments a row-by-row search settles below the class
+        `key`: c0 c1 for two classes; with more, for each first row, each later
+        class's size c_k while the earlier classes of its complement all
+        survive, and the level below when they all do."""
         if key in self.charges:
-            self.meter.bump(mult * self.charges[key])
-            return
-        c = self.reps(key)
-        # every first row is charged the next class: bump it before the level is built
-        self.meter.bump(mult * c[0] * c[1])
-        total = c[0] * c[1]
-        if len(c) > 2:
-            own, live = 0, []
+            return self.charges[key]
+        c, total = self.reps(key), 0
+        if len(c) == 2:
+            total = c[0] * c[1]
+        else:
             for child, rows in self.level(key).items():
-                dead = [k for k, size in enumerate(self.reps(child)) if size == 0]
-                own += rows * sum(c[1:dead[0] + 2] if dead else c[1:])
-                if not dead:
-                    live.append((child, rows))
-            self.meter.bump(mult * (own - total))
-            total = own
-            for child, rows in live:
-                self.charge(child, mult * rows)
-                total += rows * self.charges[child]
+                sizes = self.reps(child)
+                # a complement with an empty class stops after that class
+                total += rows * (sum(c[1:sizes.index(0) + 2]) if 0 in sizes
+                                 else sum(c[1:]) + self.charge(child))
         self.charges[key] = total
+        return total
 
     def count(self, key) -> int:
         """count(D, lams): the matrices A with A D A* = diag(lams)."""
@@ -305,7 +301,7 @@ class _Search:
     def run(self) -> int:
         """#U: the top form diag(lam) = diag(1, ..., 1, lam[-1]) as it stands."""
         top = (len(self.lam), self.lam[-1])
-        self.charge(top, 1)
+        self.meter.bump(self.charge(top))
         return self.count(top)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .arith import factor, is_prime, legendre_symbol
+from .arith import factor, is_prime, legendre_symbol, product
 from .expressions import VolumeExpression
 from .lie_form import lattice_diag
 from .quadfield import FieldData, chi
@@ -65,11 +65,11 @@ def _even_product(p: int, upto: int) -> tuple[int, int]:
 def _generic_product(p: int, signs) -> tuple[int, int]:
     """prod_i (1 - sign_i p^(-i)) over the pairs (i, sign_i) as the integer
     prod (p^i - sign_i) over the denominator p^(sum i)."""
-    num, e = 1, 0
+    factors, e = [], 0
     for i, sign in signs:
-        num *= p**i - sign
+        factors.append(p**i - sign)
         e += i
-    return num, p**e
+    return product(factors), p**e
 
 
 def tau_p(lattice: str, n: int, field: FieldData, p: int) -> LocalDensity:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import isqrt
 
-from .arith import is_squarefree, kronecker
+from .arith import is_squarefree, kronecker, kronecker_prime
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ def chi(field: FieldData, m: int) -> int:
 def character(field: FieldData) -> tuple[int, ...]:
     """chi_D(a) for a = 0..f-1.  chi_D is periodic mod f = |D| and chi_D(0) = 0,
     so chi_D(m) = character(field)[m % f] for every m >= 1.  chi_D is completely
-    multiplicative, so a smallest-prime-factor sieve reduces it to the primes
-    below f: 0 at a prime dividing D, the mod-8 rule at 2, and Euler's
-    criterion at an odd prime."""
+    multiplicative, so a smallest-prime-factor sieve reduces it to its values
+    at the primes below f (kronecker_prime)."""
     f, D = field.f, field.D
     # spf[a] is the least prime factor of a composite a, 0 for a prime: the
     # multiples of q from q^2 on are marked by every q <= sqrt(f), the larger
@@ -60,12 +59,5 @@ def character(field: FieldData) -> tuple[int, ...]:
     table = [0, 1] + [0] * (f - 2)
     for a in range(2, f):
         q = spf[a]
-        if q:
-            table[a] = table[q] * table[a // q]
-        elif D % a == 0:
-            table[a] = 0
-        elif a == 2:
-            table[a] = 1 if D % 8 in (1, 7) else -1
-        else:
-            table[a] = 1 if pow(D % a, (a - 1) // 2, a) == 1 else -1
+        table[a] = table[q] * table[a // q] if q else kronecker_prime(D, a)
     return tuple(table)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hmvol import arith
 from hmvol.arith import (bernoulli, bernoulli_poly, factor, is_prime, is_squarefree, kronecker,
-                         legendre_symbol)
+                         kronecker_prime, legendre_symbol)
+from hmvol.quadfield import make_field
 from bernoulli_reference import bernoulli_numbers
 import factor_reference
 
@@ -38,6 +39,13 @@ def test_kronecker_at_two_matches_minimal_polynomial_splitting():
     # (-7/2): x^2 - x + 2 has the root 0 mod 2 -> split
     roots = [x for x in range(2) if (x * x - x + 2) % 2 == 0]
     assert roots and kronecker(-7, 2) == 1
+    # every field with d < 200: x^2 - trace_eps x + norm_eps has 2, 1 or 0
+    # roots mod 2 as 2 splits, ramifies or is inert
+    for d in range(1, 200, 2):
+        if is_squarefree(d):
+            F = make_field(d)
+            roots = sum((x * x - F.trace_eps * x + F.norm_eps) % 2 == 0 for x in range(2))
+            assert kronecker_prime(F.D, 2) == kronecker(F.D, 2) == roots - 1, d
 
 
 def test_kronecker_against_brute_quadratic_residues():

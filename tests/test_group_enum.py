@@ -20,6 +20,7 @@ from hmvol.residue_ring import ResidueRing
 import canonical_reference
 import kernel_reference
 import level_reference
+import meter_reference
 import values_reference
 from scalar_ring import RingMatrix, ScalarRing
 from stream_reference import StreamRing, canonical, complement, diag, product
@@ -544,6 +545,39 @@ def test_rank_recurrence_reach_matches_tau_p(monkeypatch):
                         == tau_p(lattice, n, field, p).value), (lattice, n, d, p)
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, elapsed
+
+
+@pytest.mark.parametrize("lattice, n, d, p, N", [
+    ("M", 80, 3, 2, 5), ("L", 40, 5, 2, 3), ("L", 5, 3, 401, 1), ("M", 40, 7, 3, 1)])
+def test_meter_matches_the_multiplicity_reference(lattice, n, d, p, N):
+    # each class's total, memoized and bumped once for the top class, is the
+    # node total of the meter that bumped a multiplicity-scaled running total
+    # on every visit of a class, on trees past the row-table cap (M n = 80
+    # over O/32 meets 641 classes, and its total has 32,815 bits); the count
+    # and the classes counted are the same
+    t0 = time.monotonic()
+    lam, r = lattice_diag(lattice, n), ring(make_field(d), p, N)
+    search = _Search(_Ring(r), lam, _Meter(10**20000))
+    ref = meter_reference.Search(_Ring(r), lam, _Meter(10**20000))
+    assert search.run() == ref.run()
+    assert (search.meter.visited, len(search.counts)) == (ref.meter.visited, len(ref.counts))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, elapsed
+
+
+def test_budget_of_the_full_total_passes_past_the_row_table_cap(monkeypatch):
+    # L n = 5 over O/401 with the cap lifted: nodes is the row table plus the
+    # reference's total, a budget of nodes counts, and one less is refused
+    # with the full total in the message
+    monkeypatch.setattr(group_enum, "_MAX_ROW_TABLE", 10**1000)
+    r, lam = ring(F3, 401), lattice_diag("L", 5)
+    rep = count_group("L", 5, r, "SU", budget=10**200)
+    ref = meter_reference.Search(_Ring(r), lam, _Meter(10**200))
+    ref.run()
+    assert rep.nodes == 401**12 + ref.meter.visited
+    assert count_group("L", 5, r, "SU", budget=rep.nodes).count == rep.count
+    with pytest.raises(BudgetExceeded, match=f"{rep.nodes} > {rep.nodes - 1} "):
+        count_group("L", 5, r, "SU", budget=rep.nodes - 1)
 
 
 def test_odd_p_reach_matches_tau_p():
