@@ -4,10 +4,12 @@ curvature constant, and the volume of the maximal compact subgroup.
 
 Arithmetic is exact and runs on ints.  Every basis entry (eps, eps-bar,
 sqrt(-d), 1, 2, 2 eps-bar) is (a + b sqrt(-d))/2 for integers a, b, kept as
-the pair (a, b) ("half units"); Fractions appear only in LieBasis.elements
-(dense matrices of Quad, built from the supports on first read) and in the
-ratio curvature_ratio returns.  J multiplies the last column by i and the
-last row by -i; the factors i cancel in the curvature ratio.  Square roots
+the pair (a, b) ("half units").  LieBasis.elements (dense matrices of Quad,
+built from the supports on first read) holds a coordinate as an int where it
+is integral and as a Fraction only where it is a half (eps and -eps-bar when
+eps = (1 + sqrt(-d))/2), and shares one all-zero row; the only other Fraction
+is the ratio curvature_ratio returns.  J multiplies the last column by i and
+the last row by -i; the factors i cancel in the curvature ratio.  Square roots
 (sqrt n, sqrt(n+1)) never leave the squared slot of VolumeExpression.
 
 Every basis element has at most two nonzero entries, so the kernels work on
@@ -35,15 +37,16 @@ from .quadfield import FieldData
 
 
 class Quad(NamedTuple):
-    """x + y sqrt(-d) with rational x, y."""
-    x: Fraction
-    y: Fraction
+    """x + y sqrt(-d) with rational x, y: in LieBasis.elements an int where
+    the coordinate is integral, else a Fraction with denominator 2."""
+    x: int | Fraction
+    y: int | Fraction
 
 
 @cache
 def _quad(a: int, b: int) -> Quad:
     """The Quad of the half-unit pair (a, b), shared between elements."""
-    return Quad(Fraction(a, 2), Fraction(b, 2))
+    return Quad(*(h >> 1 if h % 2 == 0 else Fraction(h, 2) for h in (a, b)))
 
 
 _ZERO = _quad(0, 0)
@@ -57,13 +60,15 @@ class LieBasis:
 
     @cached_property
     def elements(self) -> tuple:
-        """The (n+1)x(n+1) matrices of Quad, built from supports on first read."""
+        """The (n+1)x(n+1) matrices of Quad, built from supports on first read;
+        every all-zero row is one tuple, shared by the whole basis."""
         w = isqrt(len(self.supports) + 1)
-        dense = [[[_ZERO] * w for _ in range(w)] for _ in self.supports]
+        zero = (_ZERO,) * w
+        dense = [[zero] * w for _ in self.supports]
         for X, s in zip(dense, self.supports):
             for (i, j), v in s:
-                X[i][j] = _quad(*v)
-        return tuple(tuple(map(tuple, X)) for X in dense)
+                X[i] = X[i][:j] + (_quad(*v),) + X[i][j + 1:]
+        return tuple(map(tuple, dense))
 
 
 def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:

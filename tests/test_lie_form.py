@@ -56,11 +56,24 @@ def test_gram_det_spot_values():
 
 
 def test_elements_equal_the_dense_reference_basis():
+    # both kinds of eps: (1 + sqrt(-d))/2 at d = 3, 7, 15, 199, sqrt(-d) at 1, 5, 141
+    fields = [make_field(d) for d in (1, 3, 5, 7, 15, 141, 199)]
+    assert {f.trace_eps for f in fields} == {0, 1}
     for lattice in ("L", "M"):
-        for n in range(1, 7):
-            for d in (1, 3, 5, 7, 15):
-                b = build_basis(lattice, n, make_field(d))
+        for n in range(1, 10):
+            for field in fields:
+                d = field.d
+                b = build_basis(lattice, n, field)
                 assert b.elements == ref.dense_basis(lattice, n, b.field), (lattice, n, d)
+                # an int where the coordinate is integral, else a half; rows are
+                # tuples, and the all-zero ones one shared tuple
+                for X in b.elements:
+                    assert type(X) is tuple and all(type(row) is tuple for row in X)
+                    for c in (c for row in X for v in row for c in v):
+                        assert (type(c) is int if c.denominator == 1
+                                else type(c) is Fraction and c.denominator == 2), (X, c)
+                zero_rows = {id(row) for X in b.elements for row in X if not any(map(any, row))}
+                assert len(zero_rows) == (n > 1), (lattice, n, d)
                 # each support holds exactly the nonzero cells, in half units
                 for X, s in zip(b.elements, b.supports):
                     cells = {(i, j): (int(2 * v.x), int(2 * v.y)) for i, row in enumerate(X)
@@ -271,6 +284,34 @@ def test_curvature_on_random_rational_combinations(lattice, n, d, data):
         acc = [[q_add(acc[i][j], q_mul(Quad(c, Fraction(0)), X[i][j], d)) for j in range(w)]
                for i in range(w)]
     assert curvature_ratio(acc, field) == ref.curvature_ratio(acc, field) == -2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["L", "M"]), st.integers(1, 9), st.sampled_from(ODD_SQUAREFREE_D),
+       st.data())
+def test_curvature_on_plain_dense_sums_of_the_basis(lattice, n, d, data):
+    # a dense caller's idiom: x + c * X[i][j][0] over every cell of every
+    # e_k/f_k, with integer or rational c, from Fraction and from int zeros
+    field = make_field(d)
+    b = build_basis(lattice, n, field)
+    ef = [X for lbl, X in zip(b.labels, b.elements) if lbl[0] in "ef" and "," not in lbl]
+    coeff = st.integers(-3, 3) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    coeffs = data.draw(st.lists(coeff, min_size=len(ef), max_size=len(ef)).filter(any))
+    w = n + 1
+    for zero in (Fraction(0), 0):
+        acc = [[(zero, zero)] * w for _ in range(w)]
+        for c, X in zip(coeffs, ef):
+            for i in range(w):
+                for j in range(w):
+                    x, y = acc[i][j]
+                    acc[i][j] = (x + c * X[i][j][0], y + c * X[i][j][1])
+        quads = [[Quad(*v) for v in row] for row in acc]
+        assert curvature_ratio(acc, field) == ref.curvature_ratio(quads, field) == -2, zero
+    # a caller's copy of an element is its own, though the elements share rows
+    k, i, j = (data.draw(st.integers(0, m - 1)) for m in (len(b.elements), w, w))
+    copy = [list(r) for r in b.elements[k]]
+    copy[i][j] = Quad(7, 7)
+    assert b.elements == ref.dense_basis(lattice, n, field)
 
 
 def test_curvature_rejects_non_member():
