@@ -228,9 +228,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # checked before any oracle runs, the kernel (which needs no budget) included
+    # checked before any oracle runs, the kernel (which reads neither) included
     if args.budget is not None and args.budget < 0:
         return _fail(f"--budget must be >= 0, got {args.budget}", EXIT_INVALID)
+    if args.level is not None and args.level < 1:
+        return _fail(f"--level must be >= 1, got {args.level}", EXIT_INVALID)
     budget = args.budget if args.budget is not None else default_budget()
     field = None if args.d is None else make_field(args.d)
     dim = (args.n + 1) ** 2 - 1

@@ -54,9 +54,8 @@ holds class by class:
   h(., e) vanishes mod pi on it, that is, when e = y mod pi at the unit
   entries: when every coordinate of y at a unit entry is a unit.  Such a
   child of rank >= 2 is dead, because its lams[0] = 1 needs a unit-norm
-  vector.  Its rows are counted apart (_Ring.dead) and billed to one dead
-  child, the zero diagonal keyed (r - 1, -1), whose reps[0] is 0, so the
-  meter charges each of them the c[1] it charges every dead child.  Every
+  vector.  Its rows are counted apart (_Ring.dead), with no class key, and
+  the meter charges each of them the c[1] it charges every dead child.  Every
   other child is odd: L's is odd unimodular and so fixed by its rank and
   determinant class (Jacobowitz, ramified case), and M's is odd unimodular
   ⊥ <2u>, whose representation numbers and counts the tests check against
@@ -74,9 +73,9 @@ counts of g v (_Ring.scaled), X * Y for the cyclic convolution over Z/m
   y_0 = 1 and any rest, or N(y_0) a non-unit and the rest projective;
 - its dead rows (_Ring.dead): dead(2, g) = shift_1(T_g), or shift_1(N_g) for
   a non-unit g, and dead(r, g) = T * dead(r - 1, g).
-_Ring memoizes each by (r, g) and holds the package's only arithmetic over
-O/m, on lists of Python ints.  A count reads nothing else, so it is exact at
-any size.
+_Ring is one count: it memoizes each by (r, g), like each class's level,
+charge and count, and holds the package's only arithmetic over O/m, on lists
+of Python ints.  A count reads nothing else, so it is exact at any size.
 
 Work is metered in the partial assignments a row-by-row search settles,
 computed per class rather than per prefix: the m^(2w) rows of the table,
@@ -84,11 +83,12 @@ then at each level with r >= 3 classes, for every first row, each later
 class's size while the earlier classes all survive, plus the level below for
 the rows whose classes all survive; two classes cost the product of their
 sizes.  Class sizes are representation numbers of the complement forms.
-Each class's total is memoized like its count, and the meter is bumped with
-the row table before any table is built, then once with the top class's
-total.  Exceeding the budget raises BudgetExceeded, which deliberately
-distinguishes "infeasible under this budget" from a zero count; past the
-row table it reports the full total, the least budget that passes.
+Each class's total is memoized like its count.  nodes is the row table plus
+the top class's total, checked against the budget at two points: the row
+table before any table is built, then the sum before the count.  Exceeding
+the budget raises BudgetExceeded, which deliberately distinguishes
+"infeasible under this budget" from a zero count; past the row table it
+reports the full total, the least budget that passes.
 
 count_kernel counts the reduction kernels of the 2-adic densities by exact
 elimination over Z/2^k, not by enumeration, so it needs no budget.  The
@@ -146,28 +146,28 @@ class CountReport:
     count: int
     elapsed: float
     nodes: int
-    keys: int  # complement classes counted: len(_Search.counts)
+    keys: int  # complement classes counted: the size of _Ring.count's memo
 
 
-class _Meter:
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.visited = 0
-
-    def bump(self, k: int):
-        self.visited += int(k)
-        if self.visited > self.budget:
-            raise BudgetExceeded(
-                f"enumeration budget exceeded: {self.visited} > {self.budget} visited partial assignments")
+def _metered(nodes: int, budget: int) -> int:
+    """nodes, refused past the budget."""
+    if nodes > budget:
+        raise BudgetExceeded(
+            f"enumeration budget exceeded: {nodes} > {budget} visited partial assignments")
+    return nodes
 
 
 class _Ring:
-    """O/m: the tables of Z/m and of the norm, lists of Python ints, and the
-    value counts of the classes diag(1, ..., 1, g) by recurrences on rank."""
+    """One count over O/m: the tables of Z/m and of the norm, lists of Python
+    ints, and the classes met, keyed (r, g) for diag(1, ..., 1, g), whose
+    value counts, levels, meter charges and counts are memoized per instance.
+    A class of rank r has the diagonal lam[w - r:]."""
 
-    def __init__(self, ring: ResidueRing):
+    def __init__(self, ring: ResidueRing, lam):
         m = self.m = ring.modulus
         t, nu = self.t, self.nu = ring.trace_eps, ring.norm_eps
+        self.lam = tuple(l % m for l in lam)
+        self.top = (len(self.lam), self.lam[-1])
         self.unit = [math.gcd(a, m) == 1 for a in range(m)]
         self.inv = [pow(a, -1, m) if u else 0 for a, u in enumerate(self.unit)]
         self.norm_count = [0] * m
@@ -181,8 +181,9 @@ class _Ring:
         # left as they are
         unit_norms = [a for a, c in enumerate(self.unit_count) if c]
         self.rep = [min(g * u % m for u in unit_norms) if self.unit[g] else g for g in range(m)]
-        # the value counts of the classes, memoized for this count by (rank, g)
-        self.dist, self.rows, self.dead = cache(self.dist), cache(self.rows), cache(self.dead)
+        # memoized for this count, by (rank, g) or by key
+        for name in ("dist", "rows", "dead", "level", "charge", "count"):
+            setattr(self, name, cache(getattr(self, name)))
 
     def convolve(self, a, b):
         """The ways x + y takes each value of Z/m, x and y taking the value v in
@@ -228,81 +229,58 @@ class _Ring:
         """#{t : N(t) g = g}: for g = lam_w, #U / #SU (module docstring)."""
         return sum(c for a, c in enumerate(self.norm_count) if a * g % self.m == g)
 
-
-class _Search:
-    """One count: the classes met, keyed (r, g) for diag(1, ..., 1, g) or (r, -1)
-    for the dead zero diagonal, with memo tables for their levels, meter
-    charges and counts.  A class of rank r has the diagonal lam[w - r:]."""
-
-    def __init__(self, R: _Ring, lam, meter: _Meter):
-        self.R, self.meter = R, meter
-        self.lam = tuple(l % R.m for l in lam)
-        self.levels, self.charges, self.counts = {}, {}, {}
-
     def lams(self, key):
         return self.lam[len(self.lam) - key[0]:]
 
     def reps(self, key):
         """The sizes of the key's classes: representation numbers of its lams."""
-        r, g = key  # (r, -1) is the zero diagonal, whose every vector has the value 0
-        dist = self.R.dist(r, g) if g >= 0 else [self.R.m ** (2 * r)] + [0] * (self.R.m - 1)
+        dist = self.dist(*key)
         return [dist[l] for l in self.lams(key)]
 
     def level(self, key):
-        """child key -> rows over the rows x with x D x* = lams[0], where a row's
-        child is (r - 1, rep[g]), g = det D / q; at a ramified 2 the rows whose
-        complement has no unit-norm vector go to the dead child (r - 1, -1)
-        instead.  The rows are counted by value (R.rows, R.dead)."""
-        if key in self.levels:
-            return self.levels[key]
-        R, m, (r, det), lam0 = self.R, self.R.m, key, self.lams(key)[0]
+        """({child key: rows}, dead rows) over the rows x with x D x* = lams[0],
+        where a row's child is (r - 1, rep[g]), g = det D / q; at a ramified 2
+        the rows whose complement has no unit-norm vector are dead and counted
+        apart.  The rows are counted by value (rows, dead)."""
+        m, (r, det), lam0 = self.m, key, self.lams(key)[0]
         # at a ramified 2 a child of rank >= 2 may have no unit-norm vector
-        dead = R.dead(r, det) if r >= 3 and m % 2 == 0 and R.t % 2 == 0 else [0] * m
-        sizes, zero = {}, (r - 1, -1)
-        for q, (rows, lost) in enumerate(zip(R.rows(r, det), dead)):
+        dead = self.dead(r, det) if r >= 3 and m % 2 == 0 and self.t % 2 == 0 else [0] * m
+        sizes, dead_rows = {}, 0
+        for q, (rows, lost) in enumerate(zip(self.rows(r, det), dead)):
             # the rows x = s y of each y, counted by N(s) = lams[0] / q
-            weight = R.norm_count[lam0 * R.inv[q] % m] if R.unit[q] else 0
-            if not weight:
-                continue
-            for child, size in (((r - 1, R.rep[det * R.inv[q] % m]), rows - lost), (zero, lost)):
-                if size:
-                    sizes[child] = sizes.get(child, 0) + weight * size
-        assert sum(sizes.values()) == self.reps(key)[0], "projective rows missed a unit-norm row"
-        self.levels[key] = sizes
-        return sizes
+            weight = self.norm_count[lam0 * self.inv[q] % m] if self.unit[q] else 0
+            if weight and rows > lost:
+                child = (r - 1, self.rep[det * self.inv[q] % m])
+                sizes[child] = sizes.get(child, 0) + weight * (rows - lost)
+            dead_rows += weight * lost
+        assert sum(sizes.values()) + dead_rows == self.reps(key)[0], \
+            "projective rows missed a unit-norm row"
+        return sizes, dead_rows
 
     def charge(self, key) -> int:
         """The partial assignments a row-by-row search settles below the class
         `key`: c0 c1 for two classes; with more, for each first row, each later
         class's size c_k while the earlier classes of its complement all
-        survive, and the level below when they all do."""
-        if key in self.charges:
-            return self.charges[key]
-        c, total = self.reps(key), 0
+        survive, and the level below when they all do.  A dead row's complement
+        has no unit-norm vector, so it stops after c1."""
+        c = self.reps(key)
         if len(c) == 2:
-            total = c[0] * c[1]
-        else:
-            for child, rows in self.level(key).items():
-                sizes = self.reps(child)
-                # a complement with an empty class stops after that class
-                total += rows * (sum(c[1:sizes.index(0) + 2]) if 0 in sizes
-                                 else sum(c[1:]) + self.charge(child))
-        self.charges[key] = total
+            return c[0] * c[1]
+        children, dead_rows = self.level(key)
+        total = dead_rows * c[1]
+        for child, rows in children.items():
+            sizes = self.reps(child)
+            # a complement with an empty class stops after that class
+            total += rows * (sum(c[1:sizes.index(0) + 2]) if 0 in sizes
+                             else sum(c[1:]) + self.charge(child))
         return total
 
     def count(self, key) -> int:
         """count(D, lams): the matrices A with A D A* = diag(lams)."""
-        if key not in self.counts:
-            self.counts[key] = self.reps(key)[0] if key[0] == 1 else sum(
-                rows * self.count(child) for child, rows in self.level(key).items()
-                if min(self.reps(child)) > 0)
-        return self.counts[key]
-
-    def run(self) -> int:
-        """#U: the top form diag(lam) = diag(1, ..., 1, lam[-1]) as it stands."""
-        top = (len(self.lam), self.lam[-1])
-        self.meter.bump(self.charge(top))
-        return self.count(top)
+        if key[0] == 1:
+            return self.reps(key)[0]
+        return sum(rows * self.count(child) for child, rows in self.level(key)[0].items()
+                   if min(self.reps(child)) > 0)
 
 
 def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
@@ -321,15 +299,15 @@ def count_group(lattice: str, n: int, ring: ResidueRing, group: str = "SU",
         # stated as a power: a decimal row count can pass Python's int -> str limit
         raise BudgetExceeded(f"candidate row table of {ring.p}^{power}"
                              " rows does not fit the enumeration budget")
-    meter = _Meter(budget)
-    meter.bump(ring.p**power)
-    search = _Search(_Ring(ring), lam, meter)
-    count = search.run()
+    nodes = _metered(ring.p**power, budget)
+    R = _Ring(ring, lam)
+    nodes = _metered(nodes + R.charge(R.top), budget)
+    count = R.count(R.top)
     if group == "SU":
-        count, rest = divmod(count, search.R.fiber(search.lam[-1]))
+        count, rest = divmod(count, R.fiber(R.lam[-1]))
         assert not rest, "#U is not a multiple of the determinant fiber"
-    return CountReport(count=count, elapsed=time.monotonic() - t0, nodes=meter.visited,
-                       keys=len(search.counts))
+    return CountReport(count=count, elapsed=time.monotonic() - t0, nodes=nodes,
+                       keys=R.count.cache_info().currsize)
 
 
 # The 2-adic density of each form is #SU over O/2^N with the kernel of the

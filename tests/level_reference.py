@@ -1,22 +1,24 @@
-"""The level `hmvol.group_enum._Search.level` replaced, kept as a test
+"""The level `hmvol.group_enum._Ring.level` replaced, kept as a test
 reference: it streams every projective row y of a class, and brings the
 complement Gram B D B* of each row to its canonical form, where the package
 counts the rows of a class by the value q = h(y, y) (`_Ring.rows`) and reads
 the child off det D / q.  `short` is the per-row form of that reading: it
 returns q and det D / q row by row.
 
-`Search` is a `_Search` on this level.  It also keeps the SU count the
-package replaced by #U over one determinant fiber: `su_count(key, T)` counts
-the matrices of determinant t, N(t) = T, and hands each row's child the norm
-T sigma, sigma = 1 / (N(s) N(det P)), for x = s y and the P that takes the
-complement to its canonical form (N(det P) from `StreamRing.scale`).  Its
-classes are canonical forms, keyed (r, x) by `search_key`: x = g for
-diag(1, ..., 1, g), as the package keys it, and the stream_reference
-form_key of any other form.  Their representation numbers are the exact
-convolutions of values_reference, and a form that is not diagonal (a 2-adic
-remainder with no unit-norm vector) has those of its remainder enumerated.
-At rank 2 its level, summed over sigma, is the package's {child key: rows},
-so that a count meets the same memo keys.  At rank >= 3 the package's child
+`Search` is a StreamRing, and so a `_Ring`, on this level.  It also keeps
+the SU count the package replaced by #U over one determinant fiber:
+`su_count(key, T)` counts the matrices of determinant t, N(t) = T, and
+hands each row's child the norm T sigma, sigma = 1 / (N(s) N(det P)), for
+x = s y and the P that takes the complement to its canonical form (N(det P)
+from `StreamRing.scale`).  Its classes are canonical forms, keyed (r, x) by
+`search_key`: x = g for diag(1, ..., 1, g), as the package keys it, and the
+stream_reference form_key of any other form.  Their representation numbers
+(`form_dist`) are the exact convolutions of values_reference, and a form
+that is not diagonal (a 2-adic remainder with no unit-norm vector) has those
+of its remainder enumerated.  A dead child is such a form, keyed like any
+other, so the reference's level has no dead rows apart.  At rank 2 its
+level, summed over sigma, is the package's ({child key: rows}, 0), so that
+a count meets the same memo keys.  At rank >= 3 the package's child
 (r - 1, rep[g]) has the rank and the representation numbers of the
 reference's; a search on either level has the same count and node total,
 and the package's may merge keys.
@@ -28,8 +30,7 @@ import math
 
 import numpy as np
 
-from hmvol.group_enum import _Search
-from stream_reference import canonical, complement, diag, form_key, matrix, packed, product
+from stream_reference import StreamRing, canonical, complement, diag, form_key, matrix, packed, product
 import values_reference
 
 
@@ -66,24 +67,24 @@ def short(R, D, y):
     return q, det * R.arrays.inv[q] % m
 
 
-class Search(_Search):
-    """A _Search over a StreamRing on the streaming level, counting SU by
-    (key, T) if su.  check(D, y, q, child, ndp), if given, sees each pass of
-    rows y with their q = h(y, y) and, row by row for the rows whose q is a
-    unit, the canonical form of the complement Gram B D B* and N(det P)."""
+class Search(StreamRing):
+    """A StreamRing on the streaming level, counting SU by (key, T) if su.
+    check(D, y, q, child, ndp), if set, sees each pass of rows y with their
+    q = h(y, y) and, row by row for the rows whose q is a unit, the canonical
+    form of the complement Gram B D B* and N(det P)."""
 
-    def __init__(self, R, lam, su, meter, check=None):
-        super().__init__(R, lam, meter)
-        self.su, self.check, self.dists = su, check, {}
+    def __init__(self, ring, lam, su):
+        super().__init__(ring, lam)
+        self.su, self.check, self.dists = su, None, {}
         self.sigma_levels, self.su_counts = {}, {}
 
-    def dist(self, key):
+    def form_dist(self, key):
         """dist[g] = #{y : y D y* = g} on the form D of the key: the convolution
         of the norm counts scaled by its diagonal if it is diagonal, else of
         those of its unit diagonal entries and the values of its remainder,
         enumerated."""
         if key not in self.dists:
-            R, D = self.R, search_form(key)
+            R, D = self, search_form(key)
             d = np.diagonal(D[..., 0]).tolist()
             if (D == diag(d)).all():
                 self.dists[key] = values_reference.dist(R, d)
@@ -98,7 +99,7 @@ class Search(_Search):
         return self.dists[key]
 
     def reps(self, key):
-        dist = self.dist(key)
+        dist = self.form_dist(key)
         return [dist[l] for l in self.lams(key)]
 
     def sigma_level(self, key):
@@ -106,7 +107,7 @@ class Search(_Search):
         is 0 without su."""
         if key in self.sigma_levels:
             return self.sigma_levels[key]
-        R, D = self.R, search_form(key)
+        R, D = self, search_form(key)
         m, A, lam0 = R.m, R.arrays, self.lams(key)[0]
         groups, total = {}, 0
         for y in rows(R, D):
@@ -138,8 +139,8 @@ class Search(_Search):
         return groups
 
     def level(self, key):
-        """{child key: rows}: sigma_level summed over sigma."""
-        return {child: sum(sigmas.values()) for child, sigmas in self.sigma_level(key).items()}
+        """({child key: rows}, 0): sigma_level summed over sigma."""
+        return {child: sum(sigmas.values()) for child, sigmas in self.sigma_level(key).items()}, 0
 
     def su_count(self, key, T: int) -> int:
         """count(D, lams, t) for a unit t with N(t) = T: the matrices A with
@@ -147,9 +148,9 @@ class Search(_Search):
         if (key, T) not in self.su_counts:
             r, g = key
             if r == 1:
-                value = T * g % self.R.m == self.lams(key)[0]
+                value = T * g % self.m == self.lams(key)[0]
             else:
-                value = sum(size * self.su_count(child, T * sigma % self.R.m)
+                value = sum(size * self.su_count(child, T * sigma % self.m)
                             for child, sigmas in self.sigma_level(key).items()
                             if min(self.reps(child)) > 0 for sigma, size in sigmas.items())
             self.su_counts[(key, T)] = int(value)
@@ -157,5 +158,5 @@ class Search(_Search):
 
     def run(self) -> int:
         """#U, or with su #SU: su_count of the top form as it stands (P = I, T = 1)."""
-        count = super().run()
-        return self.su_count((len(self.lam), self.lam[-1]), 1) if self.su else count
+        count = self.count(self.top)
+        return self.su_count(self.top, 1) if self.su else count

@@ -30,8 +30,8 @@ CHUNK = 1 << 12
 class StreamRing(_Ring):
     """_Ring with its numpy arithmetic, every array built on first read."""
 
-    def __init__(self, ring):
-        super().__init__(ring)
+    def __init__(self, ring, lam):
+        super().__init__(ring, lam)
         # scale[g] is the norm of a unit taking a unit g to rep[g], 1 for a non-unit
         self.scale = [r * i % self.m if i else 1 for r, i in zip(self.rep, self.inv)]
         self._probes = {}

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from hmvol.group_enum import _MAX_ROW_TABLE, BudgetExceeded, _Meter, default_budget
+from hmvol.group_enum import _MAX_ROW_TABLE, BudgetExceeded, default_budget
 from hmvol.lie_form import lattice_diag
 
 # Cells per product of a blocked level.  Small enough that BLAS runs these
@@ -43,6 +43,21 @@ from hmvol.lie_form import lattice_diag
 CHUNK_CELLS = 1 << 15
 # Prefixes per batch of complements at the level above the last row.
 PREFIX_BATCH = 1 << 11
+
+
+class Meter:
+    """A running total of visited partial assignments, refused at the first
+    bump past the budget with the package's message."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.visited = 0
+
+    def bump(self, k: int):
+        self.visited += int(k)
+        if self.visited > self.budget:
+            raise BudgetExceeded(
+                f"enumeration budget exceeded: {self.visited} > {self.budget} visited partial assignments")
 
 
 class Engine:
@@ -191,7 +206,7 @@ def orthogonal(eng: Engine, forms, CT):
     return eq[0::2] & eq[1::2]
 
 
-def blocked_count_rec(eng: Engine, meter: _Meter, chosen, cands) -> int:
+def blocked_count_rec(eng: Engine, meter: Meter, chosen, cands) -> int:
     """Completions of `chosen` by one row from each class in `cands`.  The last
     row is never searched for: it lies on the complement line of the prefix
     (Engine.complement), and the last class is filtered only to meter it.
@@ -248,7 +263,7 @@ def blocked_count_rec(eng: Engine, meter: _Meter, chosen, cands) -> int:
     return total
 
 
-def build_rows(eng: Engine, meter: _Meter):
+def build_rows(eng: Engine, meter: Meter):
     """Every row of (O/m)^w as float32 coordinate planes, in the order of the
     integer whose base-m digits are (a_0, b_0, a_1, b_1, ...)."""
     m, k = eng.m, 2 * eng.w
@@ -270,12 +285,12 @@ def backtrack_count(lattice: str, n: int, ring, group: str, budget: int | None =
     BudgetExceeded past the budget."""
     eng = Engine(ring.modulus, ring.trace_eps, ring.norm_eps, lattice_diag(lattice, n),
                  su=(group == "SU"))
-    meter = _Meter(default_budget() if budget is None else budget)
+    meter = Meter(default_budget() if budget is None else budget)
     count = blocked_count_rec(eng, meter, [], classes(eng, build_rows(eng, meter)))
     return count, meter.visited
 
 
-def filter_by_row(eng: Engine, meter: _Meter, C, form):
+def filter_by_row(eng: Engine, meter: Meter, C, form):
     """Mask of the rows c of C with h(c, z) = 0, given the float32 pair form
     matrix form = pair_form(z) of one row z."""
     meter.bump(C.shape[0])
@@ -312,7 +327,7 @@ def last_two_operands(eng: Engine, cof_map, Ca, forms):
     return left, right.reshape(K + 1, -1)
 
 
-def count_last_two(eng: Engine, meter: _Meter, cof_map, Ca, forms) -> int:
+def count_last_two(eng: Engine, meter: Meter, cof_map, Ca, forms) -> int:
     na, nb = Ca.shape[0], forms.shape[-1]
     if na == 0 or nb == 0:
         return 0
@@ -328,7 +343,7 @@ def count_last_two(eng: Engine, meter: _Meter, cof_map, Ca, forms) -> int:
     return total
 
 
-def count_rec(eng: Engine, meter: _Meter, last, chosen, cands, ib) -> int:
+def count_rec(eng: Engine, meter: Meter, last, chosen, cands, ib) -> int:
     """Completions of `chosen` by one row from each class in `cands`.  The last
     class's forms `last` (last_forms of the whole class) are built once per
     count; ib holds the indices of the rows of cands[-1] into that class."""
@@ -366,7 +381,7 @@ def sweep_count(lattice: str, n: int, ring, group: str, budget: int | None = Non
     its last stage; raises BudgetExceeded past the budget."""
     eng = Engine(ring.modulus, ring.trace_eps, ring.norm_eps, lattice_diag(lattice, n),
                   su=(group == "SU"))
-    meter = _Meter(default_budget() if budget is None else budget)
+    meter = Meter(default_budget() if budget is None else budget)
     cands = classes(eng, build_rows(eng, meter))
     count = count_rec(eng, meter, last_forms(eng, cands[-1]), [], cands,
                       np.arange(cands[-1].shape[0]))

@@ -419,6 +419,18 @@ def test_verify_level_below_one_is_exit_two(capsys, oracle, level):
     assert code == 2 and out == "" and err.startswith("hmvol: ")
 
 
+@pytest.mark.parametrize("level", ["0", "-1"])
+@pytest.mark.parametrize("oracle", [
+    pytest.param(["kernel", "--lattice", "M", "--n", "1"], id="kernel"),
+    pytest.param(["tau-p", "--lattice", "L", "--n", "1", "--d", "5", "--p", "2"], id="tau-p"),
+])
+def test_verify_level_below_one_is_exit_two_where_no_level_is_read(capsys, oracle, level):
+    # the kernel and tau-p count at fixed levels, but --level is checked
+    # before any oracle runs, as --budget is
+    code, out, err = run(capsys, "verify", "--oracle", *oracle, "--level", level)
+    assert (code, out, err) == (2, "", f"hmvol: --level must be >= 1, got {level}\n")
+
+
 def test_verify_budget_exceeded_is_exit_four(capsys):
     code, _, err = run(capsys, "verify", "--oracle", "tau-p", "--lattice", "M",
                        "--n", "1", "--d", "5", "--p", "2", "--budget", "1000000")

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmvol import group_enum
-from hmvol.group_enum import (BudgetExceeded, _Meter, _MAX_ROW_TABLE, _Ring, _Search,
-                              count_group, count_kernel, default_budget, oracle_tau_p,
-                              stabilization_check, DEFAULT_BUDGET)
+from hmvol.group_enum import (BudgetExceeded, _MAX_ROW_TABLE, _Ring, count_group, count_kernel,
+                              default_budget, oracle_tau_p, stabilization_check, DEFAULT_BUDGET)
 from hmvol.lie_form import lattice_diag
 from hmvol.local_density import index_u_su, special_primes, tau_p
 from hmvol.quadfield import chi, make_field
@@ -24,16 +23,20 @@ import meter_reference
 import values_reference
 from scalar_ring import RingMatrix, ScalarRing
 from stream_reference import StreamRing, canonical, complement, diag, product
-from sweep_reference import (Engine, backtrack_count, blocked_count_rec, cartesian_count, classes,
-                             cofactor_map, count_last_two, count_rec, divisible, exact_in_float32,
-                             filter_by_row, last_forms, last_two_operands, line_counts,
-                             sweep_count)
+from sweep_reference import (Engine, Meter, backtrack_count, blocked_count_rec, cartesian_count,
+                             classes, cofactor_map, count_last_two, count_rec, divisible,
+                             exact_in_float32, filter_by_row, last_forms, last_two_operands,
+                             line_counts, sweep_count)
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
 
 
 def ring(field, p, N=1):
     return ResidueRing(field, p, N)
+
+
+# the lam of a _Ring whose tables and value counts are read, but that counts nothing
+_ANY_LAM = (1,)
 
 
 def test_su_counts_frozen_values():
@@ -90,8 +93,8 @@ def test_determinant_fiber_is_the_index(p, lattice, data):
     # local_density states it, over O/2 .. O/32 and O/p, O/p^2 at odd p
     N = data.draw(st.integers(1, 5 if p == 2 else 2))
     field = data.draw(st.sampled_from(_fields_by_class(p, (1, 3, 5, 7, 11, 13, 15, 19, 23))))
-    R = _Ring(ring(field, p, N))
-    assert R.fiber(lattice_diag(lattice, 1)[-1] % R.m) == index_u_su(field, p, N, lattice)
+    R = _Ring(ring(field, p, N), lattice_diag(lattice, 1))
+    assert R.fiber(R.lam[-1]) == index_u_su(field, p, N, lattice)
 
 
 def test_count_invariant_under_form_permutation():
@@ -103,7 +106,7 @@ def test_count_invariant_under_form_permutation():
     for lam in (lattice_diag("L", 1), (-1, 1)):
         eng = Engine(m, r.trace_eps, r.norm_eps, lam, su=True)
         cands = classes(eng, rows)
-        meter, ref_meter = _Meter(10**9), _Meter(10**9)
+        meter, ref_meter = Meter(10**9), Meter(10**9)
         # with two classes there is no blocked level
         assert blocked_count_rec(eng, meter, [], cands) == 120, lam
         assert count_rec(eng, ref_meter, last_forms(eng, cands[-1]), [], cands,
@@ -155,7 +158,7 @@ def test_plane_kernels_match_scalar_reference(case):
         assert tuple(eng.det(list(planes))) == det
         # the float32 kernels reproduce the verdicts
         form = eng.pair_form(rows[-1]).astype(np.float32)
-        kept = filter_by_row(eng, _Meter(10), rows[-2:-1], form)
+        kept = filter_by_row(eng, Meter(10), rows[-2:-1], form)
         assert bool(kept[0]) == pair_zero
         cof_map = cofactor_map(eng, list(rows[:-2]))
         forms = last_forms(eng, rows[-1:])
@@ -165,7 +168,7 @@ def test_plane_kernels_match_scalar_reference(case):
         if su:
             assert bool(ok[2:].all()) == det_one
         hit = pair_zero and (det_one or not su)
-        assert count_last_two(eng, _Meter(10), cof_map, rows[-2:-1], forms) == hit
+        assert count_last_two(eng, Meter(10), cof_map, rows[-2:-1], forms) == hit
     # the complement line of the prefix A[:-1] is spanned by v = conj(pi * cof),
     # pi_i = prod_(j != i) lam_j: v is orthogonal to every prefix row, and
     # complement returns g = h(v, v) and delta = det [A[:-1]; v]
@@ -222,13 +225,12 @@ def test_canonical_form_keeps_the_value_counts(case):
     # value as often as G, and the remainder it keeps has no unit-norm vector
     R, G = case
     r, m = len(G), R.modulus
-    ring_ = StreamRing(ResidueRing(R.field, R.p, R.exponent))
+    search = level_reference.Search(ResidueRing(R.field, R.p, R.exponent), (1,) * r, False)
     planes = np.array([[tuple(x) for x in row] for row in G], dtype=np.int64)
-    D, nd = canonical(ring_, planes[None])
+    D, nd = canonical(search, planes[None])
     assert math.gcd(int(nd[0]), m) == 1
-    search = level_reference.Search(ring_, (1,) * r, False, _Meter(0))
     want = _value_counts(R, G)
-    assert search.dist(level_reference.search_key(D[0])) == want
+    assert search.form_dist(level_reference.search_key(D[0])) == want
     diag = [int(D[0, i, i, 0]) for i in range(r)]
     units = sum(math.gcd(g, m) == 1 for g in diag)
     assert all(math.gcd(g, m) == 1 for g in diag[:units])
@@ -253,7 +255,7 @@ def test_canonical_matches_the_full_loop_reference(case):
     # the last 1 x 1 entry is copied rather than split off: the forms D, and so
     # the memo keys of a count, and N(det P) are the full loop's
     R, forms = case
-    ring_ = StreamRing(ResidueRing(R.field, R.p, R.exponent))
+    ring_ = StreamRing(ResidueRing(R.field, R.p, R.exponent), _ANY_LAM)
     G = np.array([[[tuple(x) for x in row] for row in form] for form in forms], dtype=np.int64)
     D, nd = canonical(ring_, G)
     want_D, want_nd = canonical_reference.canonical(ring_, G)
@@ -268,14 +270,14 @@ def _binary_cases(draw):
     # non-unit remainder; multiples of p make non-units common
     m = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25, 32)))
     p, N = _MODULI[m]
-    R = StreamRing(ResidueRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))),
-                               p, N))
+    ring_ = ResidueRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))), p, N)
+    R = StreamRing(ring_, _ANY_LAM)
     coord = st.one_of(st.integers(0, m - 1), st.integers(0, m // p - 1).map(lambda x: x * p))
     unit = st.integers(0, m - 1).filter(lambda x: math.gcd(x, m) == 1)
     G = np.zeros((2, 2, 2), dtype=np.int64)
     G[0, 0, 0], G[1, 1, 0], G[0, 1] = draw(unit), draw(coord), (draw(coord), draw(coord))
     G[1, 0] = R.conj(G[0, 1])
-    return R, G, canonical(R, G[None])[0][0], (draw(unit), draw(st.integers(0, m - 1)))
+    return ring_, G, canonical(R, G[None])[0][0], (draw(unit), draw(st.integers(0, m - 1)))
 
 
 @pytest.mark.parametrize("su", [False, True], ids=["U", "SU"])
@@ -288,7 +290,8 @@ def test_binary_level_matches_the_canonical_complement(su, case):
     # the one every class used to build, summed over the sigma of the
     # reference's SU level; the package keys diag(1, g) only, so the levels
     # are compared on diag(1, D_11), which is D when D_00 = 1
-    R, G, D, lam = case
+    ring_, G, D, lam = case
+    R = level_reference.Search(ring_, lam, su)
     for form in (G, D):
         for y in level_reference.rows(R, form):
             q, g = level_reference.short(R, form, y)
@@ -300,9 +303,8 @@ def test_binary_level_matches_the_canonical_complement(su, case):
             child = np.zeros_like(want)
             child[:, 0, 0, 0] = A.rep[g]
             assert (child == want).all() and (nd == A.scale[g]).all()
-    search, ref = _Search(R, lam, _Meter(0)), level_reference.Search(R, lam, su, _Meter(0))
     key = (2, int(D[1, 1, 0]))
-    assert search.level(key) == ref.level(key)
+    assert _Ring(ring_, lam).level(key) == R.level(key)
 
 
 @pytest.mark.parametrize("lattice, ring_, group, pin", [
@@ -315,18 +317,18 @@ def test_binary_levels_keep_counts_nodes_and_keys(lattice, ring_, group, pin):
     assert (rep.count, rep.nodes, rep.keys) == pin
 
 
-def _package_count(R, lam, su):
-    """count_group's count on R with the meter lifted: #U, or for SU #U over
-    the determinant fiber; and the search."""
-    search = _Search(R, lam, _Meter(10**30))
-    count, rest = divmod(search.run(), R.fiber(search.lam[-1]) if su else 1)
+def _package_count(ring_, lam, su):
+    """count_group's count with the meter lifted: #U, or for SU #U over the
+    determinant fiber; and the _Ring that counted it."""
+    R = _Ring(ring_, lam)
+    count, rest = divmod(R.count(R.top), R.fiber(R.lam[-1]) if su else 1)
     assert rest == 0
-    return count, search
+    return count, R
 
 
 # (m, n) at odd p with n = 2..4 under count_group's row-table cap, less n = 4
 # over O/5, whose reference search alone takes 7-11 s, plus n = 2 over O/25,
-# which the cap refuses but a _Search streams in about 1.5 s
+# which the cap refuses but the reference streams in about 1.5 s
 _ODD_SIZES = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3), (9, 2), (25, 2)]
 
 
@@ -335,7 +337,7 @@ def _odd_cases(draw):
     m, n = draw(st.sampled_from(_ODD_SIZES))
     p, N = _MODULI[m]
     field = draw(st.sampled_from(_fields_by_class(p)))
-    return StreamRing(ResidueRing(field, p, N)), draw(st.sampled_from("LM")), n, draw(st.booleans())
+    return ResidueRing(field, p, N), draw(st.sampled_from("LM")), n, draw(st.booleans())
 
 
 @settings(max_examples=10, deadline=None)
@@ -348,7 +350,10 @@ def test_odd_p_levels_match_the_canonical_complement(case):
     # level keeps every node total and #U, its per-row SU count by T = N(det)
     # and sigma is the package's #U over the determinant fiber, and the
     # package merges isometric keys
-    R, lattice, n, su = case
+    ring_, lattice, n, su = case
+    lam = lattice_diag(lattice, n)
+    count, search = _package_count(ring_, lam, su)
+    R = level_reference.Search(ring_, lam, su)
     m, A = R.m, R.arrays
 
     def check(D, y, q, child, ndp):
@@ -363,12 +368,10 @@ def test_odd_p_levels_match_the_canonical_complement(case):
         assert (A.rep[det] == A.rep[g]).all()
         assert (A.scale[g] == ndp * A.rep[g] * A.inv[det] % m).all()
 
-    lam = lattice_diag(lattice, n)
-    count, search = _package_count(R, lam, su)
-    ref = level_reference.Search(R, lam, su, _Meter(10**30), check)
-    assert count == ref.run()
-    assert search.meter.visited == ref.meter.visited
-    assert len(search.counts) <= len(ref.counts)
+    R.check = check
+    assert count == R.run()
+    assert search.charge(search.top) == R.charge(R.top)
+    assert search.count.cache_info().currsize <= R.count.cache_info().currsize
 
 
 def _hermitian_values(R, D, y):
@@ -383,7 +386,7 @@ def _diagonal_cases(draw):
     m = draw(st.sampled_from((2, 3, 4, 5, 8, 9, 16, 25, 32)))
     p, N = _MODULI[m]
     R = StreamRing(ResidueRing(make_field(draw(st.sampled_from([1, 3, 5, 7, 11, 15, 19, 23]))),
-                               p, N))
+                               p, N), _ANY_LAM)
     r = draw(st.integers(1, max(k for k in (1, 2, 3) if m ** (2 * k) <= 2**20)))
     units = draw(st.integers(0, r))
     unit = st.integers(0, m - 1).filter(lambda x: math.gcd(x, m) == 1)
@@ -428,25 +431,24 @@ _UNRAMIFIED_2 = [3, 7, 11, 15, 23]
 def _two_adic_cases(draw):
     n, m = draw(st.sampled_from(_TWO_ADIC_SIZES))
     field = make_field(draw(st.sampled_from(_RAMIFIED_2 + _UNRAMIFIED_2)))
-    R = StreamRing(ResidueRing(field, *_MODULI[m]))
-    return R, draw(st.sampled_from("LM")), n, draw(st.booleans())
+    return ResidueRing(field, *_MODULI[m]), draw(st.sampled_from("LM")), n, draw(st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
 @given(_two_adic_cases())
 def test_two_adic_levels_match_the_streaming_reference(case):
     # at p = 2 every level reads its children off det D / q, and at a ramified
-    # 2 bills the rows whose complement has no unit-norm vector to the zero
-    # diagonal: a search on the reference level, which streams every row and
+    # 2 counts the rows whose complement has no unit-norm vector apart, as
+    # dead rows: a search on the reference level, which streams every row and
     # canonicalizes every complement, has the same node total and #U, and
     # its per-row SU count by T = N(det) and sigma is the package's #U over
     # the determinant fiber
-    R, lattice, n, su = case
+    ring_, lattice, n, su = case
     lam = lattice_diag(lattice, n)
-    count, search = _package_count(R, lam, su)
-    ref = level_reference.Search(R, lam, su, _Meter(10**30))
+    count, search = _package_count(ring_, lam, su)
+    ref = level_reference.Search(ring_, lam, su)
     assert count == ref.run()
-    assert search.meter.visited == ref.meter.visited
+    assert search.charge(search.top) == ref.charge(ref.top)
 
 
 @st.composite
@@ -454,7 +456,8 @@ def _ramified_diagonals(draw):
     # a diagonal form of rank >= 3 at a ramified 2, its unit entries first and
     # then multiples of 2, with few enough projective rows to stream
     m, r = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (4, 3), (4, 4), (8, 3), (16, 3)]))
-    R = StreamRing(ResidueRing(make_field(draw(st.sampled_from(_RAMIFIED_2))), *_MODULI[m]))
+    R = StreamRing(ResidueRing(make_field(draw(st.sampled_from(_RAMIFIED_2))), *_MODULI[m]),
+                   (1,) * r)
     units = draw(st.integers(1, r))
     unit = st.integers(0, m - 1).filter(lambda x: x % 2)
     nonunit = st.integers(0, m // 2 - 1).map(lambda x: 2 * x)
@@ -470,7 +473,7 @@ def test_dead_rows_match_the_streaming_reference(case):
     # when every coordinate of y at a unit entry is a unit: at each unit q, the
     # rows whose canonical complement keeps a non-unit first entry are the
     # reference dead's convolution, and R.dead's on diag(1, ..., 1, g), whose
-    # level bills them all to the zero diagonal
+    # level counts them apart as its dead rows
     R, d, units = case
     D, m, A = diag(d), R.m, R.arrays
     want = np.zeros(m, dtype=np.int64)
@@ -485,8 +488,7 @@ def test_dead_rows_match_the_streaming_reference(case):
         # the classes a search meets; lams[0] = 1, so the rows of each q carry
         # the norm count of 1 / q
         assert R.dead(len(d), d[-1]) == dead
-        level = _Search(R, (1,) * len(d), _Meter(0)).level((len(d), d[-1]))
-        billed = level.get((len(d) - 1, -1), 0)
+        _, billed = R.level((len(d), d[-1]))
         assert billed == sum(R.norm_count[R.inv[q]] * int(want[q]) for q in range(m))
 
 
@@ -550,17 +552,17 @@ def test_rank_recurrence_reach_matches_tau_p(monkeypatch):
 @pytest.mark.parametrize("lattice, n, d, p, N", [
     ("M", 80, 3, 2, 5), ("L", 40, 5, 2, 3), ("L", 5, 3, 401, 1), ("M", 40, 7, 3, 1)])
 def test_meter_matches_the_multiplicity_reference(lattice, n, d, p, N):
-    # each class's total, memoized and bumped once for the top class, is the
+    # each class's total, memoized and summed once for the top class, is the
     # node total of the meter that bumped a multiplicity-scaled running total
     # on every visit of a class, on trees past the row-table cap (M n = 80
     # over O/32 meets 641 classes, and its total has 32,815 bits); the count
     # and the classes counted are the same
     t0 = time.monotonic()
     lam, r = lattice_diag(lattice, n), ring(make_field(d), p, N)
-    search = _Search(_Ring(r), lam, _Meter(10**20000))
-    ref = meter_reference.Search(_Ring(r), lam, _Meter(10**20000))
-    assert search.run() == ref.run()
-    assert (search.meter.visited, len(search.counts)) == (ref.meter.visited, len(ref.counts))
+    search, ref = _Ring(r, lam), meter_reference.Search(r, lam, 10**20000)
+    assert search.count(search.top) == ref.run()
+    assert ((search.charge(search.top), search.count.cache_info().currsize)
+            == (ref.meter.visited, ref.count.cache_info().currsize))
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, elapsed
 
@@ -572,7 +574,7 @@ def test_budget_of_the_full_total_passes_past_the_row_table_cap(monkeypatch):
     monkeypatch.setattr(group_enum, "_MAX_ROW_TABLE", 10**1000)
     r, lam = ring(F3, 401), lattice_diag("L", 5)
     rep = count_group("L", 5, r, "SU", budget=10**200)
-    ref = meter_reference.Search(_Ring(r), lam, _Meter(10**200))
+    ref = meter_reference.Search(r, lam, 10**200)
     ref.run()
     assert rep.nodes == 401**12 + ref.meter.visited
     assert count_group("L", 5, r, "SU", budget=rep.nodes).count == rep.count
@@ -626,7 +628,7 @@ def test_ring_tables_match_the_scalar_reference(d, m):
     # array form and root of the streaming reference against the lists
     p, N = _SMALL_MODULI[m]
     S = ScalarRing(make_field(d), p, N)
-    R = StreamRing(ResidueRing(S.field, S.p, S.exponent))
+    R = StreamRing(ResidueRing(S.field, S.p, S.exponent), _ANY_LAM)
     elems = [S.element(a, b) for a in range(m) for b in range(m)]
     unit = [math.gcd(g, p) == 1 for g in range(m)]
     norm_count = [sum(S.norm(x) == g for x in elems) for g in range(m)]
@@ -660,7 +662,7 @@ def test_rank_recurrences_match_the_convolution_reference(m, r, data):
     # of the reference do
     p, N = _SMALL_MODULI[m]
     field = data.draw(st.sampled_from(_fields_by_class(p, (1, 3, 5, 7, 11, 13, 15, 19, 23))))
-    R = _Ring(ring(field, p, N))
+    R = _Ring(ring(field, p, N), _ANY_LAM)
     g = data.draw(st.integers(0, m - 1))
     d, units = (1,) * (r - 1) + (g,), r - 1 + R.unit[g]
     assert R.dist(r, g) == values_reference.dist(R, d)
@@ -674,7 +676,7 @@ def test_rank_recurrences_match_the_convolution_reference(m, r, data):
 def test_value_convolution_matches_the_numpy_reference(m, data):
     # on counts small enough for the float64 bincount, the exact scaling and
     # convolution on Python ints equal the numpy ones they replaced
-    R = _Ring(ring(F3, *_SMALL_MODULI[m]))
+    R = _Ring(ring(F3, *_SMALL_MODULI[m]), _ANY_LAM)
     d = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
     counts = data.draw(st.lists(st.lists(st.integers(0, 255), min_size=m, max_size=m),
                                 min_size=len(d), max_size=len(d)))
@@ -686,7 +688,7 @@ def test_value_convolution_matches_the_numpy_reference(m, data):
 def test_value_convolution_is_exact_past_int64(m, data):
     # counts of 2^40 and more: every value past 2^63 equals the sum over
     # every (g_1, ..., g_r) of the product of its counts
-    R = _Ring(ring(F3, *_SMALL_MODULI[m]))
+    R = _Ring(ring(F3, *_SMALL_MODULI[m]), _ANY_LAM)
     d = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=3))
     count = st.lists(st.one_of(st.just(0), st.integers(2**40, 2**80)),
                      min_size=m, max_size=m).filter(any)
@@ -875,7 +877,7 @@ def test_packed_product_matches_scalar_reference(p, N, w):
     rng = np.random.default_rng(1000 * m + w)
     for d in (199, 197):  # eps^2 = eps - 50 and eps^2 = -197
         S = ScalarRing(make_field(d), p, N)
-        R = StreamRing(ResidueRing(S.field, p, N))
+        R = StreamRing(ResidueRing(S.field, p, N), _ANY_LAM)
         X, Y = rng.integers(0, m, size=(2, 3, w, w, 2))
         v = rng.integers(0, m, size=(3, 1, w, 2))
 
@@ -896,7 +898,7 @@ def test_packed_product_matches_scalar_reference(p, N, w):
 
 def test_packed_product_refuses_a_modulus_past_the_cap():
     # 2 r (m - 1)^2 < 2^20 holds for r = 1 and fails for r = 2 at m = 521
-    R = StreamRing(ResidueRing(F3, 521, 1))
+    R = StreamRing(ResidueRing(F3, 521, 1), _ANY_LAM)
     ones = np.ones((1, 2, 2, 2), dtype=np.int64)
     assert R.matmul(ones[:, :, :1], ones[:, :1]).shape == (1, 2, 2, 2)
     with pytest.raises(AssertionError, match="packed product overflows"):
@@ -1096,6 +1098,27 @@ def test_budget_of_exactly_the_node_total_suffices():
         assert count_group(lat, n, r, group, budget=rep.nodes).count == rep.count
         with pytest.raises(BudgetExceeded):
             count_group(lat, n, r, group, budget=rep.nodes - 1)
+
+
+@pytest.mark.parametrize("r, group, table, total, count", [
+    pytest.param(ring(F3, 5), "SU", 625, 15025, 120, id="O5-SU"),
+    pytest.param(ring(F3, 5, 2), "U", 390625, 225390625, 450000, id="O25-U"),
+])
+def test_budget_is_checked_at_the_row_table_then_at_the_full_total(monkeypatch, r, group,
+                                                                   table, total, count):
+    # L n = 1 at d = 3: a budget under the row table refuses before any _Ring
+    # is built; one that covers it but not the full total refuses with that
+    # total; the full total counts
+    with monkeypatch.context() as patch:
+        def unbuilt(*args):
+            raise AssertionError("_Ring built for a refused row table")
+        patch.setattr(group_enum, "_Ring", unbuilt)
+        with pytest.raises(BudgetExceeded, match=f": {table} > {table - 1} visited"):
+            count_group("L", 1, r, group, budget=table - 1)
+    with pytest.raises(BudgetExceeded, match=f": {total} > {table} visited"):
+        count_group("L", 1, r, group, budget=table)
+    rep = count_group("L", 1, r, group, budget=total)
+    assert (rep.count, rep.nodes) == (count, total)
 
 
 @pytest.mark.parametrize("d, count", [(3, 450000), (11, 300000)])
