@@ -161,7 +161,7 @@ def kronecker(D: int, m: int) -> int:
 
 
 # Bernoulli numbers, B1 = -1/2 convention.  A longer table replaces the memo
-# whole and is never changed after, so a caller never reads a half-extended
+# whole and is never changed after, so a caller never reads a half-built
 # one, with or without threads.
 _BERNOULLI: tuple[Fraction, ...] = (Fraction(1),)
 
@@ -182,16 +182,17 @@ def _tangent_numbers(n: int) -> list[int]:
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number, exact: B_1 = -1/2, B_k = 0 for odd k >= 3, and
     B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) from the tangent numbers T_j.
-    The table is rebuilt up to k when k is past it, so a caller that reads
-    B_0..B_k should ask for B_k first."""
+    A k past the table rebuilds it up to max(k, twice its length), so reading
+    B_0..B_k in rising order rebuilds it O(log k) times."""
     global _BERNOULLI
     if k < 0:
         raise ValueError("bernoulli index must be nonnegative")
     table = _BERNOULLI
     if k >= len(table):
-        T = _tangent_numbers(k // 2)
+        top = max(k, 2 * len(table))
+        T = _tangent_numbers(top // 2)
         table = [Fraction(1), Fraction(-1, 2)]
-        for i in range(2, k + 1):
+        for i in range(2, top + 1):
             j = i // 2
             table.append(Fraction(0) if i % 2 else
                          Fraction((-1) ** (j - 1) * 2 * j * T[j], 4**j * (4**j - 1)))
@@ -204,5 +205,4 @@ def bernoulli_poly(k: int, x) -> Fraction:
     if k < 0:
         raise ValueError("bernoulli_poly index must be nonnegative")
     x = Fraction(x)
-    bernoulli(k)  # the table up to B_k in one extension, not one per j
     return sum((comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1)), Fraction(0))

@@ -14,13 +14,13 @@ the last row by -i; the factors i cancel in the curvature ratio.  Square roots
 
 Every basis element has at most two nonzero entries, so the kernels work on
 supports (cell -> half-unit pair): the Lie-membership check reads only the
-cells of an element, the Gram matrix is built from a cell -> elements index,
-and its determinant is the product of those of the connected blocks of its
-sparsity pattern: each (e, f) pair's 2 x 2 block is solved directly, the
-n x n block of the g_k by Bareiss.  That block is -d times the Cartan matrix
-of A_n, which is negative definite, so no Bareiss pivot is zero and none is
-searched for.  The curvature kernel scales only the last row and column to
-integers, and its matmuls skip zero factors.
+cells of an element, and the Gram matrix is built from a cell -> elements
+index.  Its blocks are those of the basis order, checked, not searched for:
+the n x n block of the g_k, whose determinant is taken by Bareiss, and each
+(e, f) pair's 2 x 2 block, solved directly.  The g_k block is -d times the
+Cartan matrix of A_n, which is negative definite, so no Bareiss pivot is
+zero and none is looked for.  The curvature kernel scales only the last row
+and column to integers, and its matmuls skip zero factors.
 """
 
 from __future__ import annotations
@@ -135,11 +135,11 @@ def gram_det(basis: LieBasis) -> int:
 
     Tr(X_i X_j) = sum X_i[r][c] X_j[c][r] can be nonzero only where a cell of
     X_j is the transpose of a cell of X_i, so G is built in one pass over a
-    cell -> elements index, which also gives its sparsity pattern; its entries
-    are summed in quarter units.  A simultaneous row/column permutation leaves
-    det G unchanged, so it is the product of the determinants of the
-    pattern's connected blocks: a 1 x 1 block is its entry, a 2 x 2 block
-    ad - bc, and a larger one (the g_k) goes through fraction-free Bareiss."""
+    cell -> elements index; its entries are summed in quarter units.  In
+    build_basis's order, the n elements g_k and then each (e, f) pair, G is
+    block diagonal: that is checked, not searched for, and det G is the
+    fraction-free Bareiss determinant of the n x n g_k block times ad - bc of
+    each pair's 2 x 2 block."""
     d = basis.field.d
     by_cell = {}
     for j, s in enumerate(basis.supports):
@@ -156,23 +156,13 @@ def gram_det(basis: LieBasis) -> int:
         if any(im or re % 4 for re, im in row.values()):
             raise AssertionError("trace form value is not a rational integer")
         G.append({j: re // 4 for j, (re, _) in row.items()})
-    det = 1
-    seen = [False] * len(G)
-    for start in range(len(G)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block, todo = [], [start]
-        while todo:
-            i = todo.pop()
-            block.append(i)
-            for j in G[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    todo.append(j)
-        g = [[G[i].get(j, 0) for j in block] for i in block]
-        det *= (g[0][0] if len(g) == 1 else g[0][0] * g[1][1] - g[0][1] * g[1][0]
-                if len(g) == 2 else _bareiss_det(g))
+    n = isqrt(len(G) + 1) - 1
+    block = [0] * n + [1 + k // 2 for k in range(len(G) - n)]
+    if any(v and block[i] != block[j] for i, row in enumerate(G) for j, v in row.items()):
+        raise AssertionError("Gram matrix is not block diagonal in the basis order")
+    det = _bareiss_det([[G[i].get(j, 0) for j in range(n)] for i in range(n)])
+    for i in range(n, len(G), 2):
+        det *= G[i].get(i, 0) * G[i + 1].get(i + 1, 0) - G[i].get(i + 1, 0) * G[i + 1].get(i, 0)
     return det
 
 

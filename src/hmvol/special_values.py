@@ -26,8 +26,7 @@ product from the exponent before.  Every floor is off by under one unit and
 is added to the bound, whose own power sum is rounded up.  The sum and its
 bound reach the caller as exact `Fraction`s.  They depend on the tolerance
 only through M, so they are memoized on (s, weights, M) as the immutable
-`SpecialValue` every caller shares, and a head summed at one M is extended,
-not summed again, at a larger one.  The correction coefficients and the tail
+`SpecialValue` every caller shares.  The correction coefficients and the tail
 constant are computed once per s, chi_D(a) once per field
 (`quadfield.character`), and the exact zeta(2k) once per k.  Generalized
 Bernoulli numbers come from integer power sums of the character, over one
@@ -84,7 +83,6 @@ def _em_constants(s: int) -> tuple[tuple[Fraction, ...], Fraction]:
     dyadic rational cut to `dyadic.PREC` bits: 2.5 exceeds the exact constant
     2 zeta(2J+1) of the periodic Bernoulli bound by far more than that cut."""
     J = _EM_TERMS
-    bernoulli(2 * J)  # the table up to B_2J in one build, not one per j
     bs = [bernoulli(2 * j) for j in range(1, J + 1)]
     coeffs = tuple(Fraction(b.numerator * _rising(s, 2 * j - 1), b.denominator * factorial(2 * j))
                    for j, b in enumerate(bs, 1))
@@ -163,15 +161,11 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     integers in units of 2^-256 and returned as Fractions.  With y = f/n,
     n = M f + a, the tail is f^-s sum_a w(a) [y^(s-1)/(s-1) + y^s/2 +
     sum_j c_j y^(s+2j-1)], the remainder at most f^-s tail sum_(w(a) != 0) y^(s+2J).
-    Each tail point's n^e is its n^(e-1) times n or its n^(e-2) times n^2.
-    The head at M extends the largest head summed below M, since head(M') =
-    head(M) plus the terms j = M..M'-1, exactly."""
+    Each tail point's n^e is its n^(e-1) times n or its n^(e-2) times n^2."""
     f, one = len(weights), 1 << _FIXED_BITS
-    plus, minus, heads = _residues(weights)
-    start = max((m for t, m in heads if t == s and m <= M), default=0)
-    head = heads[s, M] = (heads.get((s, start), 0)
-                          + sum(one // (j * f + a) ** s for j in range(start, M) for a in plus)
-                          - sum(one // (j * f + a) ** s for j in range(start, M) for a in minus))
+    plus, minus = _residues(weights)
+    head = (sum(one // (j * f + a) ** s for j in range(M) for a in plus)
+            - sum(one // (j * f + a) ** s for j in range(M) for a in minus))
     ns = [M * f + a for a in plus + minus]  # the tail points, weight 1 first
     k = len(plus)
     squares = list(map(mul, ns, ns))
@@ -196,12 +190,11 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
 
 
 @cache
-def _residues(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
-    """The residues a = 1..f of weight 1 and those of weight -1, and the heads
-    of the weight's power sums summed so far, by (s, M)."""
+def _residues(weights: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The residues a = 1..f of weight 1 and those of weight -1."""
     f = len(weights)
     return (tuple(a for a in range(1, f + 1) if weights[a % f] == 1),
-            tuple(a for a in range(1, f + 1) if weights[a % f] == -1), {})
+            tuple(a for a in range(1, f + 1) if weights[a % f] == -1))
 
 
 def zeta_numeric(s: int, tol=1e-12) -> SpecialValue:
@@ -240,7 +233,7 @@ def _l(k: int, field: FieldData, num: int, den: int) -> SpecialValue:
     """L(k, chi_D) with a remainder of at most num/den: each residue's share,
     num f^k / (2 den #{a : chi_D(a) != 0}), picks the cutoff."""
     weights = character(field)
-    plus, minus, _ = _residues(weights)
+    plus, minus = _residues(weights)
     return _power_sum(k, weights, _em_cutoff(k, num * field.f**k,
                                              2 * den * max(1, len(plus) + len(minus))))
 
@@ -255,13 +248,12 @@ def gen_bernoulli(k: int, field: FieldData) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     f = field.f
-    plus, minus, _ = _residues(character(field))  # chi(f) = 0, so a = 1..f-1
+    plus, minus = _residues(character(field))  # chi(f) = 0, so a = 1..f-1
     residues, sums = plus + minus, []
     powers = [1] * len(residues)
     for _ in range(k + 1):
         sums.append(sum(powers[:len(plus)]) - sum(powers[len(plus):]))
         powers = list(map(mul, powers, residues))
-    bernoulli(k)  # the table up to B_k in one extension, not one per j
     # B_j = num_j / den_j over one common denominator, so the sum is on integers
     bs = [bernoulli(j) for j in range(k + 1)]
     den = lcm(*(b.denominator for b in bs))
@@ -303,7 +295,6 @@ def _pin_l_exact() -> None:
     constant is wrong, and nothing downstream may use the closed form.  Only a
     pin that passes is cached, so a failed one is run again on the next use.
     """
-    bernoulli(2 * _EM_TERMS)  # the table the numeric values need, in one build
     for k in (3, 5):
         for d in (1, 3, 7):
             fld = make_field(d)

@@ -22,13 +22,12 @@ from functools import cache
 from math import factorial, isqrt
 
 from . import dyadic
-from .arith import bernoulli, product, ratio
+from .arith import product, ratio
 from .expressions import VolumeExpression
 from .lie_form import lattice_diag, vol_max_compact
 from .local_density import _alternating_args, _eps_char, special_primes, tau_infinity
 from .quadfield import FieldData, chi
-from .special_values import (_EM_TERMS, TOL_FLOOR, WORK_DPS, _l, _zeta, check_tol, l_exact,
-                             zeta_exact)
+from .special_values import TOL_FLOOR, WORK_DPS, _l, _zeta, check_tol, l_exact, zeta_exact
 
 
 class Verdict(enum.Enum):
@@ -146,9 +145,6 @@ def _exact_product(zeta_args: tuple[int, ...], l_args: tuple[int, ...],
     """The product of the exact zeta(s) and L(k, chi_D) forms as (numerator,
     denominator, pi power, sqrt|D| power), not normalized: the table row and
     the assembly of both lattices at one (n, field) share it."""
-    # the table in one build, not one per form: the forms' B_k, and the B_2j
-    # of the numeric values that pin the L closed form
-    bernoulli(max(zeta_args + l_args + (2 * _EM_TERMS,)))
     forms = [zeta_exact(s) for s in zeta_args] + [l_exact(k, field) for k in l_args]
     return (product([form.coeff.numerator for form in forms]),
             product([form.coeff.denominator for form in forms]),

@@ -91,9 +91,15 @@ def test_bernoulli_recurrence_self_consistency():
 
 def test_bernoulli_from_tangent_numbers_matches_the_recurrence(monkeypatch):
     want = bernoulli_numbers(300)
-    # from a cold table: one extension per k, then one extension to B_300
+    # from a cold table: a read past the table rebuilds it to at least twice
+    # its length, so B_0..B_300 in rising order take 8 builds (up to B_2,
+    # B_6, ..., B_510); then a cold B_300 builds exactly B_0..B_300
+    builds = []
+    tangent_numbers = arith._tangent_numbers
+    monkeypatch.setattr(arith, "_tangent_numbers", lambda n: builds.append(n) or tangent_numbers(n))
     monkeypatch.setattr(arith, "_BERNOULLI", (Fraction(1),))
     assert [bernoulli(k) for k in range(301)] == want
+    assert len(builds) <= 10
     monkeypatch.setattr(arith, "_BERNOULLI", (Fraction(1),))
     assert bernoulli(300) == want[300]
     assert arith._BERNOULLI == tuple(want)

@@ -33,6 +33,10 @@ CASES = [
     ("compute_both_n1_d2305843009213693951.json",
      ["compute", "--lattice", "both", "--n", "1", "--d", "2305843009213693951", "--format",
       "json"]),
+    # n up to 33 at a tight tolerance: B_k up to B_34, power sums of zeta and
+    # L at several cutoffs of one weight
+    ("table_both_n1-33_d5_tol1e-30.csv",
+     ["table", "--lattice", "both", "--n-range", "1..33", "--d-list", "5", "--tol", "1e-30"]),
     ("lvalue_L_k5_d15.txt", ["lvalue", "--kind", "L", "--k", "5", "--d", "15", "--tol", "1e-30"]),
     ("lvalue_zeta_k13.txt", ["lvalue", "--kind", "zeta", "--k", "13", "--tol", "1e-30"]),
     ("compute_both_n3_d7_both.txt",

@@ -154,7 +154,7 @@ ODD_SQUAREFREE_D = [d for d in range(1, 201, 2) if all(d % (p * p) for p in rang
 @given(st.sampled_from(["L", "M"]), st.integers(1, 7), st.sampled_from(ODD_SQUAREFREE_D),
        st.data())
 def test_kernels_match_the_dense_reference(lattice, n, d, data):
-    # the blockwise determinant, with its direct 1 x 1 and 2 x 2 blocks, against
+    # the blockwise determinant, with its direct 2 x 2 pair blocks, against
     # Bareiss on the full dense trace-form matrix, and the integer curvature
     # kernel against the dense Fraction reference on a drawn e_k/f_k combination
     field = make_field(d)
@@ -174,6 +174,14 @@ def test_kernels_match_the_dense_reference(lattice, n, d, data):
         acc = [[q_add(acc[i][j], q_mul(Quad(Fraction(c), Fraction(0)), X[i][j], d))
                 for j in range(w)] for i in range(w)]
     assert curvature_ratio(acc, field) == ref.curvature_ratio(acc, field)
+
+
+def test_gram_det_rejects_a_basis_out_of_build_basis_order():
+    # gram_det reads its blocks off build_basis's order (the g_k, then each
+    # (e, f) pair); reversed at n = 3, a pair straddles the g_k block
+    b = build_basis("L", 3, F3)
+    with pytest.raises(AssertionError, match="not block diagonal"):
+        gram_det(dataclasses.replace(b, supports=b.supports[::-1]))
 
 
 def test_gram_det_rejects_a_non_integral_trace_form():

@@ -305,27 +305,27 @@ def test_memoized_products_match_the_fraction_chains():
 
 
 def test_compute_builds_the_bernoulli_table_once(capsys, cold_memos, monkeypatch):
-    # the exact zeta/L product asks for its largest argument first, so a cold
-    # compute at n = 60 builds the Bernoulli table up to B_61 once, where
-    # asking in rising order rebuilt it for each argument (31 builds)
+    # each rebuild at least doubles the table, so a cold compute at n = 60,
+    # which reads B_k up to B_61 in rising order, builds it 5 times (up to
+    # B_2, B_6, B_14, B_30, B_62), where a rebuild up to each k would make 31
     calls = []
     tangent_numbers = arith._tangent_numbers
     monkeypatch.setattr(arith, "_tangent_numbers", lambda n: calls.append(n) or tangent_numbers(n))
     assert main(["compute", "--lattice", "L", "--n", "60", "--d", "3"]) == 0
-    assert calls == [30]
-    assert len(arith._BERNOULLI) == 62
+    assert calls == [1, 3, 7, 15, 31]
+    assert len(arith._BERNOULLI) == 63
     capsys.readouterr()
 
 
 def test_a_cold_compute_builds_the_bernoulli_table_once(capsys, cold_memos, monkeypatch):
-    # the exact product and the L pin ask for the B_2j of the Euler-Maclaurin
-    # corrections first, so a cold compute at n = 2 builds the table once,
-    # where asking in rising order built it 8 times (up to B_3, B_4, ..., B_16)
+    # the B_2j of the Euler-Maclaurin corrections, read in rising order, build
+    # the table 4 times (up to B_2, B_6, B_14, B_30), where a rebuild up to
+    # each k would make 8 (up to B_3, B_4, ..., B_16)
     calls = []
     tangent_numbers = arith._tangent_numbers
     monkeypatch.setattr(arith, "_tangent_numbers", lambda n: calls.append(n) or tangent_numbers(n))
     assert main(["compute", "--lattice", "L", "--n", "2", "--d", "3"]) == 0
-    assert calls == [8]
+    assert calls == [1, 3, 7, 15]
     capsys.readouterr()
 
 
