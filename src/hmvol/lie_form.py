@@ -21,6 +21,17 @@ the n x n block of the g_k, whose determinant is taken by Bareiss, and each
 Cartan matrix of A_n, which is negative definite, so no Bareiss pivot is
 zero and none is looked for.  The curvature kernel scales only the last row
 and column to integers, and its matmuls skip zero factors.
+
+A basis depends on the field only through eps, whose half units are fixed by
+trace_eps, and its Lie check only through lattice_diag, so build_basis's
+labels and checked supports are memoized on (lattice, n, field.trace_eps).
+In half units 4 Tr(X_i X_j) is a sum of (a + b sqrt(-d))(x + y sqrt(-d)) =
+ax - d by + (ay + bx) sqrt(-d), so d enters the trace form only as -d b y:
+gram_det's d-free part (the cell index, the check that the sqrt(-d) parts
+vanish, and each entry as r0 - d r1) is memoized on the supports.  A second
+field of the same kind of eps pays only for what depends on d: the
+integrality and off-block checks, the Bareiss of the g_k block and the pair
+products.
 """
 
 from __future__ import annotations
@@ -99,13 +110,23 @@ def _check_lie_member(support: dict, lam):
 def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
     """Integral basis in the order g_1..g_n, e_12, f_12, ..., e_1, f_1, ..., e_n, f_n
     (primed e'_k, f'_k for the lattice M, which carry 2 eps-bar and 2 below the
-    diagonal).  Each element is verified against the defining system."""
+    diagonal).  Each element is verified against the defining system, once per
+    (lattice, n, field.trace_eps): see _frame."""
+    labels, supports = _frame(lattice, n, field.trace_eps)
+    return LieBasis(field=field, labels=labels, supports=supports)
+
+
+@cache
+def _frame(lattice: str, n: int, trace_eps: int) -> tuple[tuple[str, ...], tuple]:
+    """build_basis's labels and checked supports.  They read the field only
+    through eps, whose half units are fixed by trace_eps, and the Lie check
+    only through lattice_diag, so fields of one kind of eps share them."""
     w = n + 1
     lam = lattice_diag(lattice, n)
     low = 2 if lattice == "M" else 1
     mark = "" if lattice == "L" else "'"
     # eps in half units: (1 + sqrt(-d))/2 or sqrt(-d)
-    ea, eb = (1, 1) if field.trace_eps == 1 else (0, 2)
+    ea, eb = (1, 1) if trace_eps == 1 else (0, 2)
     labels: list[str] = []
     supports: list[dict] = []
 
@@ -126,46 +147,70 @@ def build_basis(lattice: str, n: int, field: FieldData) -> LieBasis:
         _check_lie_member(s, lam)
     if len(supports) != w * w - 1:
         raise AssertionError("basis has the wrong cardinality")
-    return LieBasis(field=field, labels=tuple(labels),
-                    supports=tuple(tuple(s.items()) for s in supports))
+    return tuple(labels), tuple(tuple(s.items()) for s in supports)
 
 
 def gram_det(basis: LieBasis) -> int:
     """Exact determinant of G = [Tr(X_i X_j)].
 
-    Tr(X_i X_j) = sum X_i[r][c] X_j[c][r] can be nonzero only where a cell of
-    X_j is the transpose of a cell of X_i, so G is built in one pass over a
-    cell -> elements index; its entries are summed in quarter units.  In
-    build_basis's order, the n elements g_k and then each (e, f) pair, G is
+    In build_basis's order, the n elements g_k and then each (e, f) pair, G is
     block diagonal: that is checked, not searched for, and det G is the
     fraction-free Bareiss determinant of the n x n g_k block times ad - bc of
-    each pair's 2 x 2 block."""
+    each pair's 2 x 2 block.  The entries come from _gram_parts, memoized on
+    the supports, as 4 Tr = r0 - d r1; what depends on d is done here: each
+    entry must be a rational integer, each entry outside the blocks zero."""
+    n, size, im, r0, r1 = _gram_parts(basis.supports)
     d = basis.field.d
-    by_cell = {}
-    for j, s in enumerate(basis.supports):
-        for cell, v in s:
-            by_cell.setdefault(cell, []).append((j, v))
-    G = []
-    for s in basis.supports:
-        row = {}
-        for (r, c), (a, b) in s:
-            for j, (x, y) in by_cell.get((c, r), ()):
-                re, im = row.get(j, (0, 0))
-                row[j] = (re + a * x - d * b * y, im + a * y + b * x)
-        # (re + im sqrt(-d))/4 must be a rational integer
-        if any(im or re % 4 for re, im in row.values()):
-            raise AssertionError("trace form value is not a rational integer")
-        G.append({j: re // 4 for j, (re, _) in row.items()})
-    n = isqrt(len(G) + 1) - 1
-    block = [0] * n + [1 + k // 2 for k in range(len(G) - n)]
-    if any(v and block[i] != block[j] for i, row in enumerate(G) for j, v in row.items()):
+    v = [a - d * b for a, b in zip(r0, r1)]
+    if im or any(x & 3 for x in v):
+        raise AssertionError("trace form value is not a rational integer")
+    if any(v[size:]):
         raise AssertionError("Gram matrix is not block diagonal in the basis order")
-    det = _bareiss_det([[G[i].get(j, 0) for j in range(n)] for i in range(n)])
-    for i in range(n, len(G), 2):
-        det *= G[i].get(i, 0) * G[i + 1].get(i + 1, 0) - G[i].get(i + 1, 0) * G[i + 1].get(i, 0)
+    det = _bareiss_det([[x >> 2 for x in v[i:i + n]] for i in range(0, n * n, n)])
+    for t in range(n * n, size, 4):
+        a, b, c, e = v[t:t + 4]
+        det *= (a * e - b * c) >> 4
     return det
 
 
+@cache
+def _gram_parts(supports: tuple) -> tuple:
+    """The d-free part of gram_det: (n, size, im, r0, r1) with 4 Tr(X_i X_j) =
+    r0 - d r1 (+ a sqrt(-d) part, which must vanish: im is true if one does).
+
+    Tr(X_i X_j) = sum X_i[r][c] X_j[c][r] can be nonzero only where a cell of
+    X_j is the transpose of a cell of X_i, so the entries are summed in one
+    pass over a cell -> elements index.  r0 and r1 are flat: the g_k block
+    row by row, then each pair's 2 x 2 block row by row, size entries in all,
+    then each entry met outside the blocks."""
+    k = len(supports)
+    n = isqrt(k + 1) - 1
+    size = n * n + 2 * (k - n)
+    # per element: its block (0 for the g_k, then one per pair), where its row
+    # starts in the flat block entries, and its column within its block
+    place = [(0, t * n, t) for t in range(n)]
+    place += [(1 + (t - n) // 2, n * n + 2 * (t - n), (t - n) % 2) for t in range(n, k)]
+    by_cell = {}
+    for j, s in enumerate(supports):
+        for cell, v in s:
+            by_cell.setdefault(cell, []).append((j, place[j], v))
+    r0, r1, im = [0] * size, [0] * size, [0] * size
+    off = {}  # (i, j) outside the blocks -> its flat entry
+    for i, s in enumerate(supports):
+        block, start, _ = place[i]
+        for (r, c), (a, b) in s:
+            for j, (bj, _, col), (x, y) in by_cell.get((c, r), ()):
+                if bj == block:
+                    p = start + col
+                elif (p := off.get((i, j))) is None:
+                    p = off[i, j] = len(r0)
+                    r0.append(0)
+                    r1.append(0)
+                    im.append(0)
+                r0[p] += a * x
+                r1[p] += b * y
+                im[p] += a * y + b * x
+    return n, size, any(im), tuple(r0), tuple(r1)
 def _bareiss_det(M) -> int:
     """det M by fraction-free Bareiss, no pivot search: M is the g_k block."""
     n = len(M)

@@ -8,13 +8,18 @@ the curvature ratio is evaluated on the Quads as given, unscaled.  The package w
 pairs on supports instead; every value here must equal its value there.
 `bareiss_det` searches for a nonzero pivot, so it takes any integer matrix,
 such as the full dense Gram matrix, which is not definite.
+
+`gram_det` is the package's Gram determinant as one pass over the supports,
+before its d-free part was memoized: it must return the same determinant, or
+raise the same error, on any supports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
-from hmvol.lie_form import Quad
+from hmvol.lie_form import Quad, _bareiss_det
 from hmvol.quadfield import FieldData
 
 
@@ -132,3 +137,35 @@ def bareiss_det(M) -> int:
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def gram_det(basis) -> int:
+    """det [Tr(X_i X_j)] in one pass: the entries in quarter units from a cell
+    -> elements index, each checked to be a rational integer as its row is
+    summed, then the blocks of build_basis's order checked, then the Bareiss
+    determinant of the g_k block (no pivot search, as in the package) times
+    ad - bc of each pair's 2 x 2 block."""
+    d = basis.field.d
+    by_cell = {}
+    for j, s in enumerate(basis.supports):
+        for cell, v in s:
+            by_cell.setdefault(cell, []).append((j, v))
+    G = []
+    for s in basis.supports:
+        row = {}
+        for (r, c), (a, b) in s:
+            for j, (x, y) in by_cell.get((c, r), ()):
+                re, im = row.get(j, (0, 0))
+                row[j] = (re + a * x - d * b * y, im + a * y + b * x)
+        # (re + im sqrt(-d))/4 must be a rational integer
+        if any(im or re % 4 for re, im in row.values()):
+            raise AssertionError("trace form value is not a rational integer")
+        G.append({j: re // 4 for j, (re, _) in row.items()})
+    n = isqrt(len(G) + 1) - 1
+    block = [0] * n + [1 + k // 2 for k in range(len(G) - n)]
+    if any(v and block[i] != block[j] for i, row in enumerate(G) for j, v in row.items()):
+        raise AssertionError("Gram matrix is not block diagonal in the basis order")
+    det = _bareiss_det([[G[i].get(j, 0) for j in range(n)] for i in range(n)])
+    for i in range(n, len(G), 2):
+        det *= G[i].get(i, 0) * G[i + 1].get(i + 1, 0) - G[i].get(i + 1, 0) * G[i + 1].get(i, 0)
+    return det

@@ -14,6 +14,7 @@ from hmvol.lie_form import (Quad, _check_lie_member, build_basis, curvature_rati
 from hmvol.quadfield import make_field
 import lie_reference as ref
 from lie_reference import ZERO, q_add, q_mul
+from memos import clear_memos
 from volume_reference import reference, vol_su
 
 F1, F3, F5, F7 = make_field(1), make_field(3), make_field(5), make_field(7)
@@ -182,6 +183,77 @@ def test_gram_det_rejects_a_basis_out_of_build_basis_order():
     b = build_basis("L", 3, F3)
     with pytest.raises(AssertionError, match="not block diagonal"):
         gram_det(dataclasses.replace(b, supports=b.supports[::-1]))
+
+
+# the fields of each kind of eps: trace_eps 1 at d = 3 (mod 4), 0 at d = 1 (mod 4)
+FIELDS_BY_KIND = {t: [d for d in ODD_SQUAREFREE_D if (d % 4 == 3) == t] for t in (0, 1)}
+
+
+def test_a_basis_of_a_second_field_of_its_kind_equals_a_cold_one():
+    # build_basis and gram_det share their d-free parts between fields of one
+    # kind of eps; what a second field gets must be what it gets from cold memos
+    for lattice in ("L", "M"):
+        for n in range(1, 10):
+            for first, second in ((3, 199), (1, 141), (199, 7), (5, 1)):
+                clear_memos()
+                cold = build_basis(lattice, n, make_field(second))
+                clear_memos()
+                before = build_basis(lattice, n, make_field(first))
+                gram_det(before)
+                field = make_field(second)
+                b = build_basis(lattice, n, field)
+                assert b.supports is before.supports, (lattice, n, first, second)
+                assert b == cold and b.field is field, (lattice, n, first, second)
+                assert abs(gram_det(b)) == killing_det_reference(lattice, n, second)
+                assert gram_det(b) == ref.gram_det(b), (lattice, n, first, second)
+                assert b.elements == ref.dense_basis(lattice, n, field)
+
+
+def _perturbed(supports, data):
+    """supports reversed, two elements swapped, one half unit of one entry
+    flipped, or one cell dropped."""
+    k = len(supports)
+    kind = data.draw(st.sampled_from(["reversed", "swapped", "flipped", "dropped"]))
+    if kind == "reversed":
+        return supports[::-1]
+    if kind == "swapped":
+        i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        out = list(supports)
+        out[i], out[j] = out[j], out[i]
+        return tuple(out)
+    t = data.draw(st.integers(0, k - 1))
+    c = data.draw(st.integers(0, len(supports[t]) - 1))
+    cells = list(supports[t])
+    if kind == "flipped":
+        cell, v = cells[c]
+        v = list(v)
+        v[data.draw(st.integers(0, 1))] ^= 1  # one half unit more or less
+        cells[c] = (cell, tuple(v))
+    else:
+        del cells[c]
+    return supports[:t] + (tuple(cells),) + supports[t + 1:]
+
+
+def _outcome(det, basis):
+    try:
+        return det(basis)
+    except AssertionError as e:
+        return "AssertionError", str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["L", "M"]), st.integers(1, 7), st.sampled_from([0, 1]), st.data())
+def test_gram_det_agrees_with_the_single_pass_reference_on_perturbed_supports(
+        lattice, n, trace_eps, data):
+    # after a memo hit on the unperturbed supports, so a warm memo cannot change
+    # a verdict: the same determinant, or the same AssertionError
+    d1, d2 = data.draw(st.lists(st.sampled_from(FIELDS_BY_KIND[trace_eps]), min_size=2,
+                                max_size=2, unique=True))
+    for d in (d1, d2):
+        b = build_basis(lattice, n, make_field(d))
+        assert gram_det(b) == ref.gram_det(b)
+    bad = dataclasses.replace(b, supports=_perturbed(b.supports, data))
+    assert _outcome(gram_det, bad) == _outcome(ref.gram_det, bad)
 
 
 def test_gram_det_rejects_a_non_integral_trace_form():

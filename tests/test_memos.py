@@ -7,8 +7,8 @@ from memos import hmvol_memos
 
 
 def test_cold_memos_empties_every_memo(capsys, cold_memos):
-    # fill the memos of every command, the dense Lie basis (built on its first
-    # read) and the wide-exponent digits of dyadic
+    # fill the memos of every command, the Lie frame with its dense basis (built
+    # on its first read) and Gram parts, and the wide-exponent digits of dyadic
     for argv in (["table", "--lattice", "both", "--n-range", "1..4", "--d-list", "1,3,5"],
                  ["compute", "--lattice", "both", "--n", "3", "--d", "7", "--pipeline", "both"],
                  ["lvalue", "--kind", "zeta", "--k", "5"],
@@ -16,11 +16,14 @@ def test_cold_memos_empties_every_memo(capsys, cold_memos):
                  ["verify", "--oracle", "su-count", "--lattice", "L", "--n", "1", "--d", "3",
                   "--p", "3"]):
         assert main(argv) == 0
-    lie_form.build_basis("L", 2, make_field(3)).elements
+    basis = lie_form.build_basis("L", 2, make_field(3))
+    basis.elements
+    lie_form.gram_det(basis)
     dyadic.decimal_digits(3, 4000, 17)
     memos = hmvol_memos()
     # the memos the hand-kept list used to miss, and those of the volume path
     for name in ("dyadic._pi", "dyadic._log_mantissas", "lie_form._quad",
+                 "lie_form._frame", "lie_form._gram_parts",
                  "special_values._power_sum", "local_density.special_primes",
                  "lie_form.vol_max_compact", "volume._table_prefix",
                  "special_values.check_tol", "special_values._residues", "dyadic.pi_power"):

@@ -279,7 +279,7 @@ def test_power_sum_matches_the_fresh_power_reference(s, weights, M):
 @settings(max_examples=60, deadline=None)
 @given(s=st.integers(2, 9), weights=_WEIGHTS, cutoffs=st.lists(st.integers(2, 12), min_size=2,
                                                               max_size=2, unique=True).map(sorted))
-def test_a_larger_cutoff_extends_the_head_exactly(s, weights, cutoffs):
+def test_no_state_of_an_earlier_cutoff_reaches_a_later_one(s, weights, cutoffs):
     # a power sum asked at M2 after one at M1 < M2 must equal the power sum at
     # M2 in a cold process: no state of the first call reaches the second
     m1, m2 = cutoffs

@@ -304,7 +304,7 @@ def test_memoized_products_match_the_fraction_chains():
                             == volume_reference.rationalize(expr, field)), (lattice, n, d)
 
 
-def test_compute_builds_the_bernoulli_table_once(capsys, cold_memos, monkeypatch):
+def test_a_cold_compute_at_n60_doubles_the_bernoulli_table_5_times(capsys, cold_memos, monkeypatch):
     # each rebuild at least doubles the table, so a cold compute at n = 60,
     # which reads B_k up to B_61 in rising order, builds it 5 times (up to
     # B_2, B_6, B_14, B_30, B_62), where a rebuild up to each k would make 31
@@ -317,7 +317,7 @@ def test_compute_builds_the_bernoulli_table_once(capsys, cold_memos, monkeypatch
     capsys.readouterr()
 
 
-def test_a_cold_compute_builds_the_bernoulli_table_once(capsys, cold_memos, monkeypatch):
+def test_a_cold_compute_at_n2_doubles_the_bernoulli_table_4_times(capsys, cold_memos, monkeypatch):
     # the B_2j of the Euler-Maclaurin corrections, read in rising order, build
     # the table 4 times (up to B_2, B_6, B_14, B_30), where a rebuild up to
     # each k would make 8 (up to B_3, B_4, ..., B_16)
