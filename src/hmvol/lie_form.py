@@ -7,7 +7,8 @@ sqrt(-d), 1, 2, 2 eps-bar) is (a + b sqrt(-d))/2 for integers a, b, kept as
 the pair (a, b) ("half units").  LieBasis.elements (dense matrices of Quad,
 built from the supports on first read) holds a coordinate as an int where it
 is integral and as a Fraction only where it is a half (eps and -eps-bar when
-eps = (1 + sqrt(-d))/2), and shares one all-zero row; the only other Fraction
+eps = (1 + sqrt(-d))/2), and shares its rows: one all-zero row per basis, and
+one tuple per single-cell row across bases; the only other Fraction
 is the ratio curvature_ratio returns.  J multiplies the last column by i and
 the last row by -i; the factors i cancel in the curvature ratio.  Square roots
 (sqrt n, sqrt(n+1)) never leave the squared slot of VolumeExpression.
@@ -20,7 +21,7 @@ the n x n block of the g_k, whose determinant is taken by Bareiss, and each
 (e, f) pair's 2 x 2 block, solved directly.  The g_k block is -d times the
 Cartan matrix of A_n, which is negative definite, so no Bareiss pivot is
 zero and none is looked for.  The curvature kernel scales only the last row
-and column to integers, and its matmuls skip zero factors.
+and column to integers and multiplies sparse {cell: pair} matrices.
 
 A basis depends on the field only through eps, whose half units are fixed by
 trace_eps, and its Lie check only through lattice_diag, so build_basis's
@@ -71,15 +72,24 @@ class LieBasis:
 
     @cached_property
     def elements(self) -> tuple:
-        """The (n+1)x(n+1) matrices of Quad, built from supports on first read;
-        every all-zero row is one tuple, shared by the whole basis."""
+        """The (n+1)x(n+1) matrices of Quad, built from supports on first read.
+        An element's cells lie in different rows, so each nonzero row holds one
+        cell and is the shared tuple of _row; every all-zero row is one tuple,
+        shared by the whole basis."""
         w = isqrt(len(self.supports) + 1)
         zero = (_ZERO,) * w
         dense = [[zero] * w for _ in self.supports]
         for X, s in zip(dense, self.supports):
             for (i, j), v in s:
-                X[i] = X[i][:j] + (_quad(*v),) + X[i][j + 1:]
+                X[i] = _row(w, j, v)
         return tuple(map(tuple, dense))
+
+
+@cache
+def _row(w: int, j: int, v: tuple[int, int]) -> tuple:
+    """The row of width w whose one nonzero entry, at column j, is the
+    half-unit pair v."""
+    return (_ZERO,) * j + (_quad(*v),) + (_ZERO,) * (w - 1 - j)
 
 
 def lattice_diag(lattice: str, n: int) -> tuple[int, ...]:
@@ -225,35 +235,37 @@ def _bareiss_det(M) -> int:
 
 
 # ---- curvature of the noncompact part ----
-# Entries are integer pairs (a, b) = a + b sqrt(-d), X scaled to integers.
+# Matrices are sparse, {(i, j): (a, b)} for the nonzero entries a + b sqrt(-d),
+# X scaled to integers.
 
-def _mat_mul(A, B, d: int):
-    # only nonzero factors A[i][k] and B[k][j] contribute
-    w = len(A)
-    b_rows = [[(j, u, v) for j, (u, v) in enumerate(row) if u or v] for row in B]
-    out = []
-    for a_row in A:
-        re, im = [0] * w, [0] * w
-        for (x, y), b_row in zip(a_row, b_rows):
-            if x or y:
-                for j, u, v in b_row:
-                    re[j] += x * u - d * y * v
-                    im[j] += x * v + y * u
-        out.append(list(zip(re, im)))
+def _mat_mul(A: dict, B: dict, d: int) -> dict:
+    """AB: each entry A[i][k] meets the entries of row k of B."""
+    b_rows = {}
+    for (k, j), v in B.items():
+        b_rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), (x, y) in A.items():
+        for j, (u, v) in b_rows.get(k, ()):
+            re, im = out.get((i, j), (0, 0))
+            out[i, j] = (re + x * u - d * y * v, im + x * v + y * u)
     return out
 
 
-def _commutator(A, B, d: int):
+def _commutator(A: dict, B: dict, d: int) -> dict:
+    """AB - BA, its zero entries dropped."""
     AB, BA = _mat_mul(A, B, d), _mat_mul(B, A, d)
-    return [[(s[0] - t[0], s[1] - t[1]) for s, t in zip(r, q)] for r, q in zip(AB, BA)]
+    for c, (u, v) in BA.items():
+        re, im = AB.get(c, (0, 0))
+        AB[c] = (re - u, im - v)
+    return {c: v for c, v in AB.items() if v[0] or v[1]}
 
 
-def _trace(A, B, d: int) -> tuple[int, int]:
-    """Tr(AB) of two dense matrices."""
+def _trace(A: dict, B: dict, d: int) -> tuple[int, int]:
+    """Tr(AB) = sum A[i][k] B[k][i] over the cells where both are nonzero."""
     re = im = 0
-    for i, row in enumerate(A):
-        for k, (x, y) in enumerate(row):
-            u, v = B[k][i]
+    for (i, k), (x, y) in A.items():
+        if (b := B.get((k, i))) is not None:
+            u, v = b
             re += x * u - d * y * v
             im += x * v + y * u
     return re, im
@@ -290,8 +302,12 @@ def curvature_ratio(X, field: FieldData) -> Fraction:
     if not any(all(v == (low * a, -low * b) for v, (a, b) in zip(bottom, top))
                for low in (1, 2)):
         raise ValueError("bottom row is not the (possibly doubled) conjugate of the top column")
-    X = [[(0, 0)] * (w - 1) + [v] for v in top] + [bottom + [(0, 0)]]
-    Y = X[:-1] + [[(-a, -b) for a, b in X[-1]]]
+    n = w - 1
+    X = {(i, n): v for i, v in enumerate(top) if v[0] or v[1]}
+    Y = dict(X)
+    for j, (a, b) in enumerate(bottom):
+        if a or b:
+            X[n, j], Y[n, j] = (a, b), (-a, -b)
     num = _trace(_commutator(_commutator(X, Y, d), X, d), Y, d)
     bxx, byy = _trace(X, X, d), _trace(Y, Y, d)
     if any(im != 0 for _, im in (num, bxx, byy)):

@@ -20,17 +20,18 @@ num/den, and a float (num / den, correctly rounded) only picks the cutoff.
 
 Each numeric value is one power sum sum_n w(n) n^-s of a weight of period f
 (chi_D for L, f = |D|; 1 for zeta), in fixed point where the integer 2^256
-stands for 1: exact over m = 1..M f, then the Euler-Maclaurin tail from the
-integer power sums of y = f/n over the f points n = M f + a, each n^e one
-product from the exponent before.  Every floor is off by under one unit and
-is added to the bound, whose own power sum is rounded up.  The sum and its
-bound reach the caller as exact `Fraction`s.  They depend on the tolerance
-only through M, so they are memoized on (s, weights, M) as the immutable
-`SpecialValue` every caller shares.  The correction coefficients and the tail
-constant are computed once per s, chi_D(a) once per field
-(`quadfield.character`), and the exact zeta(2k) once per k.  Generalized
-Bernoulli numbers come from integer power sums of the character, over one
-common denominator, and the L closed forms are memoized on (k, field).
+stands for 1: exact over m = 1..M f, then the Euler-Maclaurin tail at the f
+points n = M f + a.  Each point's tail polynomial in y = f/n, over one common
+denominator, is one integer over n^E, built by Horner in n and floored once.
+Every floor is off by under one unit and is added to the bound, whose own
+power sum is rounded up.  The sum and its bound reach the caller as exact
+`Fraction`s.  They depend on the tolerance only through M, so they are
+memoized on (s, weights, M) as the immutable `SpecialValue` every caller
+shares.  The correction coefficients and the tail constant are computed once
+per s, chi_D(a) once per field (`quadfield.character`), and the exact
+zeta(2k) once per k.  Generalized Bernoulli numbers come from integer power
+sums of the character, over one common denominator, and the L closed forms
+are memoized on (k, field).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import ceil, comb, factorial, inf, lcm, pi
-from operator import mul
+from math import comb, factorial, inf, lcm, pi
+from operator import floordiv, mul
 from typing import NamedTuple, Optional
 
 from . import dyadic
@@ -93,14 +94,13 @@ def _em_constants(s: int) -> tuple[tuple[Fraction, ...], Fraction]:
 
 
 @cache
-def _tail_weights(s: int) -> tuple[tuple[int, ...], int, int]:
+def _tail_weights(s: int) -> tuple[tuple[int, ...], int]:
     """The tail's coefficients 1/(s-1), 1/2, c_1, ..., c_J as integers over one
-    common denominator, that denominator, and ceil(sum_j |c_j|)."""
+    common denominator, and that denominator."""
     coeffs, _ = _em_constants(s)
     fracs = (Fraction(1, s - 1), Fraction(1, 2)) + coeffs
     den = lcm(*(c.denominator for c in fracs))
-    return (tuple(c.numerator * (den // c.denominator) for c in fracs), den,
-            ceil(sum(map(abs, coeffs))))
+    return tuple(c.numerator * (den // c.denominator) for c in fracs), den
 
 
 # typed: a hit needs a tolerance of the type that passed, not merely an equal
@@ -161,7 +161,10 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     integers in units of 2^-256 and returned as Fractions.  With y = f/n,
     n = M f + a, the tail is f^-s sum_a w(a) [y^(s-1)/(s-1) + y^s/2 +
     sum_j c_j y^(s+2j-1)], the remainder at most f^-s tail sum_(w(a) != 0) y^(s+2J).
-    Each tail point's n^e is its n^(e-1) times n or its n^(e-2) times n^2."""
+    With the bracket's coefficients c_e = num_e / den and E = s + 2J - 1, each
+    tail point's bracket is A(n) / (den n^E) for the integer A(n) =
+    2^256 sum_e num_e f^e n^(E-e), built by Horner in n (a step of n where the
+    exponent steps by 1, of n^2 where it steps by 2) and floored once."""
     f, one = len(weights), 1 << _FIXED_BITS
     plus, minus = _residues(weights)
     head = (sum(one // (j * f + a) ** s for j in range(M) for a in plus)
@@ -169,21 +172,20 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     ns = [M * f + a for a in plus + minus]  # the tail points, weight 1 first
     k = len(plus)
     squares = list(map(mul, ns, ns))
-    powers = [n ** (s - 1) for n in ns]
-    sums = []  # T_e = sum_a w(a) floor(2^256 y^e)
-    for e in (s - 1, s) + tuple(range(s + 1, s + 2 * _EM_TERMS, 2)):
-        if e >= s:
-            powers = list(map(mul, powers, ns if e <= s + 1 else squares))
-        floor = (one * f**e).__floordiv__
-        sums.append(sum(map(floor, powers[:k])) - sum(map(floor, powers[k:])))
+    nums, den = _tail_weights(s)
+    exps = (s - 1, s) + tuple(range(s + 1, s + 2 * _EM_TERMS, 2))
+    acc = [one * nums[0] * f ** exps[0]] * len(ns)
+    for e, c in zip(exps[1:], nums[1:]):
+        acc = map((one * c * f**e).__add__, map(mul, acc, ns if e <= s + 1 else squares))
+    powers = [n ** exps[-1] for n in ns]
+    brackets = list(map(floordiv, acc, powers))  # floor(2^256 den [...]) per point
     floor = (-one * f ** (s + 2 * _EM_TERMS)).__floordiv__
     rest = -sum(map(floor, map(mul, powers, ns)))  # sum_a y^(s+2J), rounded up
     scale = f**s
-    tail_coeffs, den, coeff_sum = _tail_weights(s)
-    value = head + sum(map(mul, tail_coeffs, sums)) // (den * scale)
-    # each floor is short by under one unit times its coefficient in the value,
-    # and 1/(s-1) + 1/2 <= 2
-    floors = (M + 2 + coeff_sum) * len(ns) + 1
+    value = head + (sum(brackets[:k]) - sum(brackets[k:])) // (den * scale)
+    # M head floors and one bracket floor per point, each short by under one
+    # unit (a bracket's by under 1/(den f^s)), and the division just made
+    floors = (M + 1) * len(ns) + 1
     tail = _em_constants(s)[1]
     return SpecialValue(Fraction(value, one), Fraction(
         tail.numerator * -(-rest // scale) + floors * tail.denominator, tail.denominator * one))

@@ -1,5 +1,6 @@
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
@@ -254,26 +255,57 @@ def test_power_sums_match_the_hurwitz_reference(d):
 
 
 _ODD_SQUAREFREE = [d for d in range(1, 801, 2) if is_squarefree(d)]
-_WEIGHTS = st.one_of(
-    # chi_D of a field of each class mod 4, so f = d and f = 4d both occur
-    *[st.sampled_from([d for d in _ODD_SQUAREFREE if d % 4 == r]).map(
-        lambda d: character(make_field(d))) for r in (1, 3)],
+_ZETA_AND_HURWITZ = (
     st.just((1,)),  # zeta
     # the one-hot weight of Hurwitz zeta(s, r/q)
     st.integers(2, 12).flatmap(lambda q: st.integers(0, q - 1).map(
         lambda r: tuple(int(i == r) for i in range(q)))),
+)
+_WEIGHTS = st.one_of(
+    # chi_D of a field of each class mod 4, so f = d and f = 4d both occur
+    *[st.sampled_from([d for d in _ODD_SQUAREFREE if d % 4 == r]).map(
+        lambda d: character(make_field(d))) for r in (1, 3)],
+    *_ZETA_AND_HURWITZ,
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(s=st.integers(2, 8), weights=_WEIGHTS, M=st.integers(2, 12))
 def test_power_sum_matches_the_fresh_power_reference(s, weights, M):
-    # each tail power built from the previous exponent floors exactly as a
-    # fresh n**e does; __wrapped__ skips the memo, so every draw is computed
+    # each tail point's polynomial built by Horner floors exactly as the one
+    # summed from fresh n**e; __wrapped__ skips the memo, so every draw is computed
     got = special_values._power_sum.__wrapped__(s, weights, M)
     want = power_sum(s, weights, M)
     assert got.numeric == want.numeric
     assert got.error_bound == want.error_bound
+
+
+# _WEIGHTS with f <= 564 (d = 141), so that the exact sums stay fast
+_SMALL_WEIGHTS = st.one_of(
+    st.sampled_from([1, 3, 7, 29, 141]).map(lambda d: character(make_field(d))),
+    *_ZETA_AND_HURWITZ,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(2, 8), weights=_SMALL_WEIGHTS, M=st.sampled_from([2, 3, 6]))
+def test_power_sum_floors_stay_within_their_allowance(s, weights, M):
+    # the same truncated head and Euler-Maclaurin tail summed exactly, with no
+    # floor, lies within the floor allowance the bound carries: M head floors
+    # and one tail floor per point of nonzero weight, and the last division
+    coeffs, _ = special_values._em_constants(s)
+    f = len(weights)
+    cut = M * f
+    big = lcm(*range(1, cut + 1)) ** s  # every m^s, m <= M f, divides it
+    head = Fraction(sum(w * (big // m**s) for m in range(1, cut + 1) if (w := weights[m % f])),
+                    big)
+    fracs = (Fraction(1, s - 1), Fraction(1, 2)) + coeffs
+    exps = (s - 1, s) + tuple(range(s + 1, s + 2 * special_values._EM_TERMS, 2))
+    points = [(w, Fraction(f, cut + a)) for a in range(1, f + 1) if (w := weights[a % f])]
+    tail = sum(w * c * y**e for w, y in points for c, e in zip(fracs, exps)) / f**s
+    numeric = special_values._power_sum.__wrapped__(s, weights, M).numeric
+    allowance = Fraction((M + 1) * len(points) + 1, 1 << special_values._FIXED_BITS)
+    assert abs(head + tail - numeric) < allowance
 
 
 @settings(max_examples=60, deadline=None)
