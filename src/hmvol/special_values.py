@@ -16,7 +16,8 @@ Tolerances are exact down to TOL_FLOOR = 1e-40 (WORK_DPS digits); the fixed
 point of 2^-256 and the PREC-bit products of `dyadic` keep every rounding far
 below the stated truncation bounds.  `check_tol` checks and converts each
 tolerance once per process; past it a tolerance travels as an integer ratio
-num/den, and a float (num / den, correctly rounded) only picks the cutoff.
+num/den.  A float only picks the cutoff: that of num/den against that of the
+exact remainder constant, both correctly rounded.
 
 Each numeric value is one power sum sum_n w(n) n^-s of a weight of period f
 (chi_D for L, f = |D|; 1 for zeta), in fixed point where the integer 2^256
@@ -27,11 +28,11 @@ Every floor is off by under one unit and is added to the bound, whose own
 power sum is rounded up.  The sum and its bound reach the caller as exact
 `Fraction`s.  They depend on the tolerance only through M, so they are
 memoized on (s, weights, M) as the immutable `SpecialValue` every caller
-shares.  The correction coefficients and the tail constant are computed once
-per s, chi_D(a) once per field (`quadfield.character`), and the exact
-zeta(2k) once per k.  Generalized Bernoulli numbers come from integer power
-sums of the character, over one common denominator, and the L closed forms
-are memoized on (k, field).
+shares.  One memo per s, `_em_constants`, holds the tail's weights and the
+remainder constant, which the bound and the cutoff read; chi_D(a) is made
+once per field (`quadfield.character`), the exact zeta(2k) once per k, and
+the L closed forms once per (k, field), from generalized Bernoulli numbers
+made of integer power sums of the character over one common denominator.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, factorial, inf, lcm, pi
+from math import comb, factorial, inf, lcm, perm
 from operator import floordiv, mul
 from typing import NamedTuple, Optional
 
@@ -70,37 +71,25 @@ class SpecialValue:
     error_bound: Fraction
 
 
-def _rising(s: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= s + i
-    return out
-
-
 @cache
-def _em_constants(s: int) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The correction coefficients B_2j/(2j)! (s)_(2j-1), j = 1..J, exactly, and
-    the remainder-bound constant (s)_(2J+1) 2.5 / ((2pi)^(2J+1) (s+2J)) as a
-    dyadic rational cut to `dyadic.PREC` bits: 2.5 exceeds the exact constant
-    2 zeta(2J+1) of the periodic Bernoulli bound by far more than that cut."""
+def _em_constants(s: int) -> tuple[tuple[tuple[int, int], ...], int, Fraction]:
+    """The Euler-Maclaurin constants of exponent s: the tail's terms (e, num_e),
+    where num_e / den is the coefficient 1/(s-1), 1/2 or B_2j/(2j)! (s)_(2j-1),
+    j = 1..J, of y^e; their common denominator den; and the remainder-bound
+    constant (s)_(2J+1) 2.5 / ((2pi)^(2J+1) (s+2J)) cut to `dyadic.PREC` bits:
+    2.5 exceeds the exact constant 2 zeta(2J+1) of the periodic Bernoulli bound
+    by far more than that cut.  The rising factorial (s)_k is perm(s + k - 1, k)."""
     J = _EM_TERMS
-    bs = [bernoulli(2 * j) for j in range(1, J + 1)]
-    coeffs = tuple(Fraction(b.numerator * _rising(s, 2 * j - 1), b.denominator * factorial(2 * j))
-                   for j, b in enumerate(bs, 1))
+    coeffs = [Fraction(1, s - 1), Fraction(1, 2)] + [
+        bernoulli(2 * j) * Fraction(perm(s + 2 * j - 2, 2 * j - 1), factorial(2 * j))
+        for j in range(1, J + 1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    exps = (s - 1, s) + tuple(range(s + 1, s + 2 * J, 2))
     # 2.5 / 2^(2J+1) = 5 / 2^(2J+2)
-    scale = Fraction(5 * _rising(s, 2 * J + 1), 2 ** (2 * J + 2) * (s + 2 * J))
+    scale = Fraction(5 * perm(s + 2 * J, 2 * J + 1), 2 ** (2 * J + 2) * (s + 2 * J))
     tail = dyadic.mul(dyadic.of_fraction(scale), dyadic.pi_power(-(2 * J + 1)))
-    return coeffs, dyadic.to_fraction(tail)
-
-
-@cache
-def _tail_weights(s: int) -> tuple[tuple[int, ...], int]:
-    """The tail's coefficients 1/(s-1), 1/2, c_1, ..., c_J as integers over one
-    common denominator, and that denominator."""
-    coeffs, _ = _em_constants(s)
-    fracs = (Fraction(1, s - 1), Fraction(1, 2)) + coeffs
-    den = lcm(*(c.denominator for c in fracs))
-    return tuple(c.numerator * (den // c.denominator) for c in fracs), den
+    return (tuple((e, c.numerator * (den // c.denominator)) for e, c in zip(exps, coeffs)),
+            den, dyadic.to_fraction(tail))
 
 
 # typed: a hit needs a tolerance of the type that passed, not merely an equal
@@ -124,16 +113,16 @@ def check_tol(tol) -> Fraction:
 
 
 def _em_cutoff(s: int, num: int, den: int) -> int:
-    """The cutoff M for a truncation error of at most num/den, read as the
-    float nearest to num/den (int / int rounds correctly)."""
-    J = _EM_TERMS
-    c = 2.5 * _rising(s, 2 * J + 1) / ((2 * pi) ** (2 * J + 1) * (s + 2 * J))
+    """The cutoff M for a truncation error of at most num/den: the float of the
+    remainder constant of `_em_constants` against the float of num/den (int /
+    int, and so Fraction to float, rounds correctly)."""
+    c = float(_em_constants(s)[2])
     try:
         limit = num / den
     except OverflowError:  # a ratio past the float range: no term is needed
         limit = inf
     M = 2
-    while c * M ** (-(s + 2 * J)) > limit:
+    while c * M ** (-(s + 2 * _EM_TERMS)) > limit:
         M += 1 + M // 4
     return M
 
@@ -172,12 +161,12 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     ns = [M * f + a for a in plus + minus]  # the tail points, weight 1 first
     k = len(plus)
     squares = list(map(mul, ns, ns))
-    nums, den = _tail_weights(s)
-    exps = (s - 1, s) + tuple(range(s + 1, s + 2 * _EM_TERMS, 2))
-    acc = [one * nums[0] * f ** exps[0]] * len(ns)
-    for e, c in zip(exps[1:], nums[1:]):
+    terms, den, tail = _em_constants(s)
+    (e, c), *steps = terms
+    acc = [one * c * f**e] * len(ns)
+    for e, c in steps:
         acc = map((one * c * f**e).__add__, map(mul, acc, ns if e <= s + 1 else squares))
-    powers = [n ** exps[-1] for n in ns]
+    powers = [n**e for n in ns]  # e is now E, the last exponent
     brackets = list(map(floordiv, acc, powers))  # floor(2^256 den [...]) per point
     floor = (-one * f ** (s + 2 * _EM_TERMS)).__floordiv__
     rest = -sum(map(floor, map(mul, powers, ns)))  # sum_a y^(s+2J), rounded up
@@ -186,7 +175,6 @@ def _power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     # M head floors and one bracket floor per point, each short by under one
     # unit (a bracket's by under 1/(den f^s)), and the division just made
     floors = (M + 1) * len(ns) + 1
-    tail = _em_constants(s)[1]
     return SpecialValue(Fraction(value, one), Fraction(
         tail.numerator * -(-rest // scale) + floors * tail.denominator, tail.denominator * one))
 

@@ -5,20 +5,22 @@ L(k, chi_D) = f^-k sum_a chi(a) zeta(k, a/f), each Hurwitz zeta(k, a/f) an
 Euler-Maclaurin sum in mpf arithmetic at WORK_DPS, truncated at the same
 cutoff M as the package and with the same remainder bound per residue.  It
 makes one mpf power per term and residue, which is what the package no longer
-does.
+does.  `float_cutoff` makes the cutoff's remainder constant in floats alone;
+the package reads the float of its exact constant, and both must pick the
+same M.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, inf, perm, pi
 
 from mpmath import mp, mpf
 
 from hmvol.arith import bernoulli
 from hmvol.quadfield import FieldData, character
-from hmvol.special_values import _EM_TERMS, WORK_DPS, _em_cutoff, _rising, check_tol
+from hmvol.special_values import _EM_TERMS, WORK_DPS, _em_cutoff, check_tol
 
 
 @cache
@@ -30,10 +32,25 @@ def em_constants(s: int) -> tuple[tuple[mpf, ...], mpf]:
         for j in range(1, J + 1):
             B = bernoulli(2 * j)
             coeffs.append(mpf(B.numerator) / B.denominator / factorial(2 * j)
-                          * _rising(s, 2 * j - 1))
-        tail = (mpf(2.5) * _rising(s, 2 * J + 1)
+                          * perm(s + 2 * j - 2, 2 * j - 1))
+        tail = (mpf(2.5) * perm(s + 2 * J, 2 * J + 1)
                 / ((2 * mp.pi) ** (2 * J + 1) * (s + 2 * J)))
     return tuple(coeffs), tail
+
+
+def float_cutoff(s: int, num: int, den: int) -> int:
+    """The cutoff M for a truncation error of at most num/den, with the
+    remainder constant (s)_(2J+1) 2.5 / ((2pi)^(2J+1) (s+2J)) made in floats."""
+    J = _EM_TERMS
+    c = 2.5 * perm(s + 2 * J, 2 * J + 1) / ((2 * pi) ** (2 * J + 1) * (s + 2 * J))
+    try:
+        limit = num / den
+    except OverflowError:
+        limit = inf
+    M = 2
+    while c * M ** (-(s + 2 * J)) > limit:
+        M += 1 + M // 4
+    return M
 
 
 @cache

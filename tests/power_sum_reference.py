@@ -8,7 +8,6 @@ bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from hmvol.special_values import _EM_TERMS, _FIXED_BITS, SpecialValue, _em_constants
 
@@ -16,17 +15,14 @@ from hmvol.special_values import _EM_TERMS, _FIXED_BITS, SpecialValue, _em_const
 def power_sum(s: int, weights: tuple[int, ...], M: int) -> SpecialValue:
     """sum_(n >= 1) w(n) n^-s for w(n) = weights[n mod f] in {-1, 0, 1},
     truncated at M f, with its remainder bound, in units of 2^-256."""
-    coeffs, tail = _em_constants(s)
+    terms, den, tail = _em_constants(s)
     f, one = len(weights), 1 << _FIXED_BITS
     head = sum(w * (one // m**s) for m in range(1, M * f + 1) if (w := weights[m % f]))
     points = [(w, M * f + a) for a in range(1, f + 1) if (w := weights[a % f])]
-    exps = (s - 1, s) + tuple(range(s + 1, s + 2 * _EM_TERMS, 2))
-    fracs = (Fraction(1, s - 1), Fraction(1, 2)) + coeffs
-    den = lcm(*(c.denominator for c in fracs))
-    top = exps[-1]
+    top = terms[-1][0]
     # per point floor(2^256 den sum_e c_e y^e), y = f/n, over the one power n**top
-    tail_sum = sum(w * (sum(one * int(c * den) * f**e * n ** (top - e)
-                            for c, e in zip(fracs, exps)) // n**top) for w, n in points)
+    tail_sum = sum(w * (sum(one * c * f**e * n ** (top - e) for e, c in terms) // n**top)
+                   for w, n in points)
     last = s + 2 * _EM_TERMS
     rest = -sum(-one * f**last // n**last for _, n in points)  # sum_a y^last, rounded up
     scale = f**s

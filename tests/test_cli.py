@@ -624,10 +624,10 @@ def test_csv_stdout_is_pure(capsys):
 def test_non_positive_or_nan_tolerance_is_exit_two(capsys, monkeypatch, argv, tol):
     cutoff = special_values._em_cutoff
 
-    def checked_cutoff(s, tol):
-        if not tol > 0:
-            pytest.fail(f"a summation loop started with tolerance {tol}")
-        return cutoff(s, tol)
+    def checked_cutoff(s, num, den):
+        if not num / den > 0:
+            pytest.fail(f"a summation loop started with tolerance {num / den}")
+        return cutoff(s, num, den)
     monkeypatch.setattr(special_values, "_em_cutoff", checked_cutoff)
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 2 and out == "" and "tolerance" in err
@@ -641,10 +641,10 @@ def test_non_positive_or_nan_tolerance_is_exit_two(capsys, monkeypatch, argv, to
 def test_tolerance_below_working_precision_is_exit_two(capsys, monkeypatch, argv):
     cutoff = special_values._em_cutoff
 
-    def checked_cutoff(s, tol):
-        if tol < 10.0 ** -WORK_DPS:
-            pytest.fail(f"a summation loop started with tolerance {tol}")
-        return cutoff(s, tol)
+    def checked_cutoff(s, num, den):
+        if num / den < 10.0 ** -WORK_DPS:
+            pytest.fail(f"a summation loop started with tolerance {num / den}")
+        return cutoff(s, num, den)
     monkeypatch.setattr(special_values, "_em_cutoff", checked_cutoff)
     code, out, err = run(capsys, *argv, "--tol", "1e-300")
     assert code == 2 and out == "" and "working precision" in err

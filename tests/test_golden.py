@@ -39,6 +39,9 @@ CASES = [
      ["table", "--lattice", "both", "--n-range", "1..33", "--d-list", "5", "--tol", "1e-30"]),
     ("lvalue_L_k5_d15.txt", ["lvalue", "--kind", "L", "--k", "5", "--d", "15", "--tol", "1e-30"]),
     ("lvalue_zeta_k13.txt", ["lvalue", "--kind", "zeta", "--k", "13", "--tol", "1e-30"]),
+    # the largest cutoff any accepted input reaches (M = 231): the smallest
+    # tolerance at the smallest exponent
+    ("lvalue_zeta_k2_tol1e-40.txt", ["lvalue", "--kind", "zeta", "--k", "2", "--tol", "1e-40"]),
     ("compute_both_n3_d7_both.txt",
      ["compute", "--lattice", "both", "--n", "3", "--d", "7", "--pipeline", "both"]),
     ("compute_both_n3_d7_both.csv",

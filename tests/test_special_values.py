@@ -237,6 +237,27 @@ def test_memo_never_hands_back_a_looser_bound():
         assert hurwitz_reference.hurwitz_numeric(3, Fraction(1, 3), float(tol))[1] <= mpf(tol)
 
 
+def test_cutoff_matches_the_float_formula():
+    # _em_cutoff reads the float of the exact remainder constant, which differs
+    # from the constant made in floats in its last bits, so M is pinned at every
+    # share the program asks for: the flat tolerance of zeta_numeric and
+    # hurwitz_numeric, and that tolerance split 1/(8 #factors) over the 1..40
+    # factors of a volume at n <= 40 (volume._special_factors, floored at
+    # TOL_FLOOR), each also as _l's share num f^k / (2 den #residues)
+    residues = [(fld.f, len(character(fld)) - character(fld).count(0))
+                for fld in map(make_field, (1, 3, 7, 797))]
+    for tol in (1e-10, 1e-12, 1e-20, 1e-25, 1e-30, 1e-40):
+        t = special_values.check_tol(tol)
+        shares = [t] + [max(t / (8 * factors), special_values.TOL_FLOOR)
+                        for factors in range(1, 41)]
+        for s in range(2, 61):
+            for num, den in (share.as_integer_ratio() for share in shares):
+                asked = [(num, den)] + [(num * f**s, 2 * den * r) for f, r in residues]
+                for num_s, den_s in asked:
+                    assert (special_values._em_cutoff(s, num_s, den_s)
+                            == hurwitz_reference.float_cutoff(s, num_s, den_s)), (s, num_s, den_s)
+
+
 @pytest.mark.parametrize("d", [1, 3, 7, 141, 199, 563, 797])
 def test_power_sums_match_the_hurwitz_reference(d):
     # the fixed-point power sums against the per-residue mpf Hurwitz sums at
@@ -293,16 +314,14 @@ def test_power_sum_floors_stay_within_their_allowance(s, weights, M):
     # the same truncated head and Euler-Maclaurin tail summed exactly, with no
     # floor, lies within the floor allowance the bound carries: M head floors
     # and one tail floor per point of nonzero weight, and the last division
-    coeffs, _ = special_values._em_constants(s)
+    terms, den, _ = special_values._em_constants(s)
     f = len(weights)
     cut = M * f
     big = lcm(*range(1, cut + 1)) ** s  # every m^s, m <= M f, divides it
     head = Fraction(sum(w * (big // m**s) for m in range(1, cut + 1) if (w := weights[m % f])),
                     big)
-    fracs = (Fraction(1, s - 1), Fraction(1, 2)) + coeffs
-    exps = (s - 1, s) + tuple(range(s + 1, s + 2 * special_values._EM_TERMS, 2))
     points = [(w, Fraction(f, cut + a)) for a in range(1, f + 1) if (w := weights[a % f])]
-    tail = sum(w * c * y**e for w, y in points for c, e in zip(fracs, exps)) / f**s
+    tail = sum(w * Fraction(c, den) * y**e for w, y in points for e, c in terms) / f**s
     numeric = special_values._power_sum.__wrapped__(s, weights, M).numeric
     allowance = Fraction((M + 1) * len(points) + 1, 1 << special_values._FIXED_BITS)
     assert abs(head + tail - numeric) < allowance
